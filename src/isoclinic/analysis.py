@@ -77,6 +77,18 @@ def omega_matrix(U: Frame, A: CompatibleStructure) -> np.ndarray:
     return gram(U, structure_image(A, U))
 
 
+def _pair_defect(G: np.ndarray) -> tuple[float, float]:
+    """(|| G G^T - cos^2 Id ||_inf, cos^2) of a k x k mutual Gram matrix G,
+    with cos^2 = trace(G G^T) / k."""
+    M = G @ G.T
+    c2 = float(np.trace(M)) / G.shape[0]
+    return float(np.max(np.abs(M - c2 * np.eye(G.shape[0])))), c2
+
+
+def _angle(c2: float) -> float:
+    return float(np.arccos(np.sqrt(np.clip(c2, 0.0, 1.0))))
+
+
 def isoclinic_pair(U: Frame, W: Frame, tol: float = EPS_ISO) -> float | None:
     """Common principal angle of (U, W) if the pair is isoclinic, else None.
 
@@ -85,12 +97,8 @@ def isoclinic_pair(U: Frame, W: Frame, tol: float = EPS_ISO) -> float | None:
     """
     if U.dim != W.dim:
         raise DimensionError(f"isoclinic_pair needs equal dims, got {U.dim} != {W.dim}")
-    G = gram(U, W)
-    M = G @ G.T
-    c2 = float(np.trace(M)) / U.dim
-    if np.max(np.abs(M - c2 * np.eye(U.dim))) >= tol:
-        return None
-    return float(np.arccos(np.sqrt(np.clip(c2, 0.0, 1.0))))
+    defect, c2 = _pair_defect(gram(U, W))
+    return None if defect >= tol else _angle(c2)
 
 
 def _random_structures(count: int, seed: int) -> list[CompatibleStructure]:
@@ -114,61 +122,46 @@ def _pattern_choices(w: np.ndarray, tol: float) -> set[str]:
     return out
 
 
-def _mixed_pair_witness(U: Frame, pairs):
-    """Worst equal-weight mixture of two coordinate structures."""
-    worst = None
-    for A, B in pairs:
-        coef = (A.coefficients() + B.coefficients()) / np.sqrt(2.0)
-        mix = CompatibleStructure(*coef)
-        defect = _pair_defect(U, mix)
-        if worst is None or defect > worst[1]:
-            worst = (coef, defect)
-    return worst
-
-
 def _gate(U: Frame, check_samples: int, tol: float, seed: int):
     """(angles, witness): witness is (coefficients, deviation) of the first
-    failing pair, angles is None in that case."""
+    failing pair, angles is None in that case. Every structure other than
+    I, J, K is tested through omega_A = a omega_I + b omega_J + c omega_K."""
     if U.dim % 2 == 1:
         raise DimensionError(
             "odd-dimensional isoclinic subspaces are exactly the real Hermitian "
             "product subspaces and share a single orbit; even dimension required"
         )
+    forms = np.array([omega_matrix(U, A) for A in (I, J, K)])
     thetas = []
-    for A in (I, J, K):
-        th = isoclinic_pair(U, structure_image(A, U), tol)
-        if th is None:
-            return None, (A.coefficients(), _pair_defect(U, A))
-        thetas.append(th)
+    for A, w in zip((I, J, K), forms):
+        defect, c2 = _pair_defect(w)
+        if defect >= tol:
+            return None, (A.coefficients(), defect)
+        thetas.append(_angle(c2))
     if U.dim == 4:
         # pair isoclinicity puts each form into the normal pattern; linear
         # combinations stay isoclinic only under one COMMON sign choice.
         # Without this check, sums of same-angle opposite-sign 2-planes
         # would be falsely certified.
         choices = {"upper", "lower"}
-        forms = [(A, omega_matrix(U, A)) for A in (I, J, K)]
-        for A, w in forms:
+        for A, w in zip((I, J, K), forms):
             fits = _pattern_choices(w, tol)
             if not fits:
-                return None, (A.coefficients(), _pair_defect(U, A))
+                return None, (A.coefficients(), _pair_defect(w)[0])
             if np.max(np.abs(w)) > tol:  # a zero form fits both choices
                 choices &= fits
         if not choices:
-            pairs = [(forms[0][0], forms[1][0]), (forms[0][0], forms[2][0]),
-                     (forms[1][0], forms[2][0])]
-            return None, _mixed_pair_witness(U, pairs)
+            # witness: the worst equal-weight mixture of two coordinate forms
+            mixes = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]) / np.sqrt(2.0)
+            defects = [_pair_defect(np.tensordot(c, forms, 1))[0] for c in mixes]
+            worst = int(np.argmax(defects))
+            return None, (mixes[worst], defects[worst])
     if U.dim > 4:
         for A in _random_structures(check_samples, seed):
-            if isoclinic_pair(U, structure_image(A, U), tol) is None:
-                return None, (A.coefficients(), _pair_defect(U, A))
+            defect, _ = _pair_defect(np.tensordot(A.coefficients(), forms, 1))
+            if defect >= tol:
+                return None, (A.coefficients(), defect)
     return tuple(thetas), None
-
-
-def _pair_defect(U: Frame, A: CompatibleStructure) -> float:
-    G = omega_matrix(U, A)
-    M = G @ G.T
-    c2 = float(np.trace(M)) / U.dim
-    return float(np.max(np.abs(M - c2 * np.eye(U.dim))))
 
 
 def isoclinic_profile_angles(
@@ -252,7 +245,7 @@ def theta_of_A(profile: IsoclinicProfile, A: CompatibleStructure) -> float:
         + 2 * profile.chi * a1 * a3 * cI * cK
         + 2 * profile.eta * a2 * a3 * cJ * cK
     )
-    return float(np.arccos(np.sqrt(np.clip(c2, 0.0, 1.0))))
+    return _angle(c2)
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +263,15 @@ def _check_member(U: Frame, x: np.ndarray, what: str, tol: float = 1e-8) -> np.n
 
 
 def _companion(U: Frame, A: CompatibleStructure, cos_a: float, v: np.ndarray) -> np.ndarray:
-    """A^{-1} Pr_{AU} v / cos_a; the standard partner of v for the A-form."""
-    w = project(structure_image(A, U), v)
-    return -apply_structure(A, w) / cos_a
+    """A^{-1} Pr_{AU} v / cos_a = -Pr_U(A v) / cos_a, as A^{-1} = -A is an
+    isometry; the standard partner of v for the A-form."""
+    return -project(U, apply_structure(A, v)) / cos_a
 
 
 def _third(U: Frame, A: CompatibleStructure, cos_a: float, v4: np.ndarray) -> np.ndarray:
-    """-A^{-1} Pr_{AU} v4 / cos_a; third chain element from the fourth."""
-    w = project(structure_image(A, U), v4)
-    return apply_structure(A, w) / cos_a
+    """-A^{-1} Pr_{AU} v4 / cos_a = Pr_U(A v4) / cos_a; third chain element
+    from the fourth."""
+    return project(U, apply_structure(A, v4)) / cos_a
 
 
 @dataclass(frozen=True, eq=False)
@@ -695,7 +688,7 @@ def omega_K_on_UIJ(chains: ChainSet, gamma: float, delta: float) -> tuple[np.nda
     s = np.sqrt(max(0.0, 1.0 - chi**2))
     mat = omega_pattern_4(chi * cK, -delta * s * cK, gamma * s * cK)
     c2 = cK**2 * (gamma**2 + delta**2 + chi**2 * (1.0 - gamma**2 - delta**2))
-    return mat, float(np.arccos(np.sqrt(np.clip(c2, 0.0, 1.0))))
+    return mat, _angle(c2)
 
 
 # ---------------------------------------------------------------------------

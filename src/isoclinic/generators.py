@@ -14,15 +14,18 @@ import numpy as np
 
 from .analysis import (
     IsoclinicProfile,
+    _pair_defect,
     certify_isoclinic,
     full_profile,
     isoclinic_pair,
     isoclinic_profile_angles,
+    omega_matrix,
     omega_pattern_4,
     theta_of_A,
     two_plane_orbit,
 )
-from .errors import DimensionError, InfeasibleParametersError, NotIsoclinicError
+from .errors import (DimensionError, FalsificationError, InfeasibleParametersError,
+                     NotIsoclinicError, RankDeficiencyError)
 from .quaternions import (
     CompatibleStructure,
     I,
@@ -34,7 +37,7 @@ from .quaternions import (
     qarr_mul,
     real_from_quaternion_vectors,
 )
-from .subspaces import Frame, gram, orthonormalize, structure_image
+from .subspaces import Frame, orthonormalize, structure_image
 from .tolerances import EPS_ANGLE, EPS_ORTH, EPS_PM1
 
 __all__ = [
@@ -60,6 +63,10 @@ __all__ = [
 # Sp(n)
 
 
+# left_mult_matrix(m) = sum_c m[c] * _LEFT_BASIS[c], flattened to (4, 16)
+_LEFT_BASIS = np.array([left_mult_matrix(e).ravel() for e in np.eye(4)])
+
+
 @dataclass(frozen=True, eq=False)
 class SpElement:
     """Quaternionic unitary matrix acting on H^n by left multiplication.
@@ -75,13 +82,15 @@ class SpElement:
         return self.matrix.shape[0]
 
     def real_matrix(self) -> np.ndarray:
-        n = self.n
-        R = np.zeros((4 * n, 4 * n))
-        for p in range(n):
-            for q in range(n):
-                R[4 * p : 4 * p + 4, 4 * q : 4 * q + 4] = left_mult_matrix(
-                    self.matrix[p, q]
-                )
+        """Block (p, q) is left_mult_matrix(matrix[p, q]); built on first use
+        and shared read-only afterwards."""
+        R = self.__dict__.get("_real")
+        if R is None:
+            n = self.n
+            blocks = (self.matrix.reshape(-1, 4) @ _LEFT_BASIS).reshape(n, n, 4, 4)
+            R = blocks.transpose(0, 2, 1, 3).reshape(4 * n, 4 * n)
+            R.flags.writeable = False
+            object.__setattr__(self, "_real", R)
         return R
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -111,8 +120,9 @@ def random_sp(n: int, seed: int) -> SpElement:
         M[:, q] /= nq
     el = SpElement(M)
     R = el.real_matrix()
-    if np.max(np.abs(R.T @ R - np.eye(4 * n))) > EPS_ORTH * 100:
-        raise RuntimeError("random_sp failed orthogonalization")
+    defect = float(np.max(np.abs(R.T @ R - np.eye(4 * n))))
+    if defect > EPS_ORTH * 100:
+        raise FalsificationError(f"random_sp failed orthogonalization (defect {defect:.3e})")
     return el
 
 
@@ -220,8 +230,11 @@ def make_two_plane(
     orbit = two_plane_orbit(plane)
     want = np.array([cs[0], xi * cs[1], chi * cs[2]])
     got = orbit.im.as_array()[1:]
-    if np.max(np.abs(got - want)) > 1e-9:
-        raise RuntimeError("constructed 2-plane does not match requested parameters")
+    mismatch = float(np.max(np.abs(got - want)))
+    if mismatch > 1e-9:
+        raise FalsificationError(
+            f"constructed 2-plane misses the requested parameters (mismatch {mismatch:.3e})"
+        )
     return plane
 
 
@@ -349,9 +362,11 @@ def make_profile_4(
         [prof.theta_i, prof.theta_j, prof.theta_k, prof.xi, prof.chi, prof.eta,
          prof.gamma, prof.delta]
     )
-    if np.max(np.abs(got - want)) > 1e-9:
-        raise RuntimeError(
-            f"constructed profile {np.round(got, 6)} does not match requested {np.round(want, 6)}"
+    mismatch = float(np.max(np.abs(got - want)))
+    if mismatch > 1e-9:
+        raise FalsificationError(
+            f"constructed profile {np.round(got, 6)} does not match requested "
+            f"{np.round(want, 6)} (mismatch {mismatch:.3e})"
         )
     return U
 
@@ -546,11 +561,11 @@ def search_irreducible_8(seed: int, iterations: int) -> SearchReport:
             noise = rng.standard_normal(base.vectors.shape) * 10.0 ** rng.uniform(-10, -2)
             try:
                 cand = orthonormalize(base.vectors + noise)
-            except Exception:
+            except RankDeficiencyError:
                 continue
             if isoclinic_profile_angles(cand) is None:
                 best_defect = min(
-                    best_defect, max(_gate_defect(cand, A) for A in (I, J, K))
+                    best_defect, max(_pair_defect(omega_matrix(cand, A))[0] for A in (I, J, K))
                 )
                 continue
             gate_passes += 1
@@ -607,9 +622,3 @@ def search_irreducible_8(seed: int, iterations: int) -> SearchReport:
         best_identity_defect=float(best_identity),
     )
 
-
-def _gate_defect(U: Frame, A: CompatibleStructure) -> float:
-    G = gram(U, structure_image(A, U))
-    M = G @ G.T
-    c2 = float(np.trace(M)) / U.dim
-    return float(np.max(np.abs(M - c2 * np.eye(U.dim))))

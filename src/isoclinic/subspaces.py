@@ -73,28 +73,27 @@ class Frame:
 
 
 def _mgs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
-    """Modified Gram-Schmidt; returns kept orthonormal rows and their indices.
+    """Two-pass Gram-Schmidt in row order; returns kept orthonormal rows and
+    their indices.
 
-    A row is dropped when its residual is below tol relative to the largest
-    input norm.
+    Each pass projects a row against all kept rows at once. A row is
+    dropped when its residual is below tol relative to the largest input
+    norm.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     scale = max(float(np.max(np.linalg.norm(rows, axis=1))), 1.0) if rows.size else 1.0
-    out: list[np.ndarray] = []
+    Q = np.empty_like(rows)
     kept: list[int] = []
     for idx, r in enumerate(rows):
-        v = r.astype(float).copy()
-        for q in out:
-            v -= (q @ v) * q
+        done = Q[: len(kept)]
+        v = r - (done @ r) @ done
         # second pass for numerical hygiene
-        for q in out:
-            v -= (q @ v) * q
+        v -= (done @ v) @ done
         nv = float(np.linalg.norm(v))
         if nv > tol * scale:
-            out.append(v / nv)
+            Q[len(kept)] = v / nv
             kept.append(idx)
-    Q = np.array(out) if out else np.zeros((0, rows.shape[1]))
-    return Q, kept
+    return Q[: len(kept)], kept
 
 
 def orthonormalize(spanning, tol: float = EPS_RANK) -> Frame:

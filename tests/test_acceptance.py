@@ -18,7 +18,7 @@ from isoclinic.analysis import (
     omega_matrix,
     theta_of_A,
 )
-from isoclinic.errors import InfeasibleParametersError
+from isoclinic.errors import FalsificationError, InfeasibleParametersError
 from isoclinic.generators import (
     direct_sum,
     graph_subspace,
@@ -272,7 +272,7 @@ class TestAcceptance:
                 up = make_profile_4(*thetas, xi, chi, eta, delta_sign=+1)
                 um = make_profile_4(*thetas, xi, chi, eta, delta_sign=-1)
                 return up, um
-            except (InfeasibleParametersError, RuntimeError):
+            except (InfeasibleParametersError, FalsificationError):
                 continue
 
     def test_07_orbit_decision_soundness(self, rng):

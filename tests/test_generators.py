@@ -9,6 +9,7 @@ from isoclinic.analysis import (
 )
 from isoclinic.errors import (
     DimensionError,
+    FalsificationError,
     InfeasibleParametersError,
     NotIsoclinicError,
 )
@@ -157,6 +158,14 @@ class TestMakeProfile4:
             make_profile_4(0.0, 0.7, 0.7, 0.0, 0.0, 0.0, delta_sign=+1)
         with pytest.raises(InfeasibleParametersError):
             make_profile_4(0.5, 0.9, 1.1, 0.2, -0.3, 1.5)
+
+    def test_self_check_failure_is_package_error(self):
+        # xi just inside the +/-1 convention band: the requested Gamma = 0.5
+        # is replaced by the convention's (1, 0), so the measured eta misses
+        xi, chi, gamma = 1 - 1e-9, 0.2, 0.5
+        eta = xi * chi + np.sqrt((1 - xi**2) * (1 - chi**2)) * gamma
+        with pytest.raises(FalsificationError, match=r"mismatch \d\.\d{3}e-\d+"):
+            make_profile_4(1.2, 1.3, 1.4, xi, chi, eta)
 
     def test_quaternionic_line_reproduced(self):
         U = make_profile_4(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, delta_sign=-1, n=2)

@@ -1,0 +1,322 @@
+"""The vectorized numeric kernels against the straightforward loops they
+replace.
+
+Each reference below is the plain formulation: Gram-Schmidt one kept row
+at a time, the structure action as stacked signed slices, companions
+through the projector onto AU, and the gate's sampled structures through
+a fresh image AU per structure. Inputs are unit-norm and agreement is
+required to 1e-13.
+"""
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from isoclinic.analysis import (
+    _companion,
+    _gate,
+    _pattern_choices,
+    _random_structures,
+    _third,
+    isoclinic_pair,
+    omega_matrix,
+)
+from isoclinic.generators import (
+    SpElement,
+    direct_sum,
+    embed,
+    graph_subspace,
+    make_two_plane,
+    random_sp,
+)
+from isoclinic.quaternions import (
+    CompatibleStructure,
+    I,
+    J,
+    K,
+    _blocks,
+    _unblocks,
+    apply_structure,
+    left_mult_matrix,
+)
+from isoclinic.subspaces import (
+    Frame,
+    _mgs,
+    gram,
+    project,
+    random_frame,
+    restrict_complement,
+    structure_image,
+)
+from isoclinic.tolerances import EPS_ISO, EPS_RANK
+
+TOL = 1e-13
+
+
+# --- references -------------------------------------------------------------
+
+def mgs_reference(rows, tol):
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    scale = max(float(np.max(np.linalg.norm(rows, axis=1))), 1.0)
+    out, kept = [], []
+    for idx, r in enumerate(rows):
+        v = r.copy()
+        for _ in range(2):
+            for q in out:
+                v -= (q @ v) * q
+        nv = float(np.linalg.norm(v))
+        if nv > tol * scale:
+            out.append(v / nv)
+            kept.append(idx)
+    return (np.array(out) if out else np.zeros((0, rows.shape[1]))), kept
+
+
+def apply_structure_reference(A, x):
+    b = _blocks(x)
+    out = np.zeros_like(b)
+    if A.a != 0.0:
+        out += A.a * np.stack([b[..., 1], -b[..., 0], -b[..., 3], b[..., 2]], axis=-1)
+    if A.b != 0.0:
+        out += A.b * np.stack([b[..., 2], b[..., 3], -b[..., 0], -b[..., 1]], axis=-1)
+    if A.c != 0.0:
+        out += A.c * np.stack([b[..., 3], -b[..., 2], b[..., 1], -b[..., 0]], axis=-1)
+    return _unblocks(out)
+
+
+def companion_reference(U, A, cos_a, v):
+    """A^{-1} Pr_{AU} v / cos_a with A^{-1} = -A."""
+    return -apply_structure(A, project(structure_image(A, U), v)) / cos_a
+
+
+def pair_defect_reference(U, A):
+    G = gram(U, structure_image(A, U))
+    M = G @ G.T
+    c2 = float(np.trace(M)) / U.dim
+    return float(np.max(np.abs(M - c2 * np.eye(U.dim))))
+
+
+def gate_reference(U, check_samples=8, tol=EPS_ISO, seed=0):
+    thetas = []
+    for A in (I, J, K):
+        th = isoclinic_pair(U, structure_image(A, U), tol)
+        if th is None:
+            return None, (A.coefficients(), pair_defect_reference(U, A))
+        thetas.append(th)
+    if U.dim == 4:
+        choices = {"upper", "lower"}
+        for A in (I, J, K):
+            w = omega_matrix(U, A)
+            fits = _pattern_choices(w, tol)
+            if not fits:
+                return None, (A.coefficients(), pair_defect_reference(U, A))
+            if np.max(np.abs(w)) > tol:
+                choices &= fits
+        if not choices:
+            worst = None
+            for A, B in ((I, J), (I, K), (J, K)):
+                coef = (A.coefficients() + B.coefficients()) / np.sqrt(2.0)
+                defect = pair_defect_reference(U, CompatibleStructure(*coef))
+                if worst is None or defect > worst[1]:
+                    worst = (coef, defect)
+            return None, worst
+    if U.dim > 4:
+        for A in _random_structures(check_samples, seed):
+            if isoclinic_pair(U, structure_image(A, U), tol) is None:
+                return None, (A.coefficients(), pair_defect_reference(U, A))
+    return tuple(thetas), None
+
+
+def real_matrix_reference(g):
+    n = g.n
+    R = np.zeros((4 * n, 4 * n))
+    for p in range(n):
+        for q in range(n):
+            R[4 * p : 4 * p + 4, 4 * q : 4 * q + 4] = left_mult_matrix(g.matrix[p, q])
+    return R
+
+
+# --- inputs -----------------------------------------------------------------
+
+def unit_rows(rng, k, d):
+    X = rng.standard_normal((k, d))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def random_structure(rng):
+    v = rng.standard_normal(3)
+    return CompatibleStructure(*(v / np.linalg.norm(v)))
+
+
+def moved(U, seed):
+    return random_sp(U.n, seed).apply_frame(U)
+
+
+def graph_sum(parts):
+    return direct_sum([graph_subspace(np.array([0.3, 0.4, -0.2, 0.6]))] * parts)
+
+
+def mixed_sign_sum(signs):
+    """Sum of standard 2-planes with equal angles and the given xi signs."""
+    planes = [make_two_plane(2, 0.9, 1.1, 1.2, s, 1.0) for s in signs]
+    n = 2 * len(planes)
+    return Frame(np.vstack([embed(p, n, 2 * i).vectors for i, p in enumerate(planes)]))
+
+
+GATE_INPUTS = {
+    "graph-4": lambda: moved(graph_sum(1), 1),
+    "graph-8": lambda: moved(graph_sum(2), 2),
+    "graph-16": lambda: moved(graph_sum(4), 3),
+    "mixed-4": lambda: mixed_sign_sum([1, -1]),
+    "mixed-8": lambda: moved(mixed_sign_sum([1, -1, 1, -1]), 4),
+    "mixed-16": lambda: moved(mixed_sign_sum([1, -1] * 4), 5),
+    "random-4": lambda: random_frame(3, 4, np.random.default_rng(6)),
+    "random-8": lambda: random_frame(4, 8, np.random.default_rng(7)),
+    "random-16": lambda: random_frame(6, 16, np.random.default_rng(8)),
+    "unpaired-4": lambda: Frame(np.eye(8)[[0, 2, 4, 5]]),
+}
+
+
+# --- tests ------------------------------------------------------------------
+
+class TestGramSchmidt:
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (2, 5), (4, 16), (8, 20)])
+    def test_random_rows(self, rng, n, k):
+        rows = unit_rows(rng, k, 4 * n)
+        Q, kept = _mgs(rows, EPS_RANK)
+        Q_ref, kept_ref = mgs_reference(rows, EPS_RANK)
+        assert kept == kept_ref
+        npt.assert_allclose(Q, Q_ref, rtol=0, atol=TOL)
+
+    def test_exact_dependencies_drop_the_same_rows(self, rng):
+        r = unit_rows(rng, 4, 16)
+        rows = np.vstack([r[0], r[1], (r[0] + r[1]) / np.sqrt(2), r[2], r[1], r[3]])
+        Q, kept = _mgs(rows, EPS_RANK)
+        Q_ref, kept_ref = mgs_reference(rows, EPS_RANK)
+        assert kept == kept_ref == [0, 1, 3, 5]
+        npt.assert_allclose(Q, Q_ref, rtol=0, atol=TOL)
+
+    def test_near_dependent_rows_stay_orthonormal(self, rng):
+        # residuals of 1e-7 relative: one projection pass alone would leave
+        # the kept rows visibly non-orthogonal
+        r = unit_rows(rng, 3, 16)
+        rows = np.vstack([r[0], r[0] + 1e-7 * r[1], r[1], r[1] + 1e-7 * r[2]])
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        Q, kept = _mgs(rows, EPS_RANK)
+        assert kept == mgs_reference(rows, EPS_RANK)[1] == [0, 1, 2, 3]
+        npt.assert_allclose(Q @ Q.T, np.eye(4), rtol=0, atol=TOL)
+
+    def test_drop_rule_is_relative_to_largest_row(self, rng):
+        r = unit_rows(rng, 3, 16)
+        # the third residual is 1e-8 absolute but 1e-11 relative to |row 0|
+        rows = np.vstack([1e3 * r[0], r[1], r[1] + 1e-8 * r[2]])
+        assert _mgs(rows, EPS_RANK)[1] == mgs_reference(rows, EPS_RANK)[1] == [0, 1]
+
+    def test_rank_deficient_restrict_complement(self, rng):
+        Q0, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+        basis = Q0.T
+        # rows 0, 2 and 5 of U lie in W, so their residuals vanish
+        U = Frame(basis[[0, 5, 1, 6, 7, 2]])
+        W = Frame(basis[[0, 1, 2, 3]])
+        rows = U.vectors - (U.vectors @ W.vectors.T) @ W.vectors
+        _, kept = _mgs(rows, EPS_RANK * 10)
+        Q_ref, kept_ref = mgs_reference(rows, EPS_RANK * 10)
+        assert kept == kept_ref == [1, 3, 4]
+        npt.assert_allclose(
+            restrict_complement(U, W, expect=3).vectors, Q_ref, rtol=0, atol=TOL
+        )
+
+
+class TestApplyStructure:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_coordinate_structures_exact(self, rng, n):
+        x = unit_rows(rng, 5, 4 * n)
+        for A in (I, J, K):
+            npt.assert_array_equal(apply_structure(A, x), apply_structure_reference(A, x))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_general_structures(self, rng, n):
+        x = unit_rows(rng, 5, 4 * n)
+        for _ in range(20):
+            A = random_structure(rng)
+            npt.assert_allclose(
+                apply_structure(A, x), apply_structure_reference(A, x), rtol=0, atol=TOL
+            )
+            npt.assert_allclose(
+                apply_structure(A, x[0]), apply_structure_reference(A, x[0]),
+                rtol=0, atol=TOL,
+            )
+
+
+class TestCompanions:
+    @pytest.mark.parametrize("parts", [1, 2, 4])
+    def test_against_projector_onto_image(self, rng, parts):
+        U = moved(graph_sum(parts), parts)
+        cosines = np.cos(gate_reference(U)[0])
+        for A, cos_a in zip((I, J, K), cosines):
+            v = rng.standard_normal(U.dim) @ U.vectors
+            v /= np.linalg.norm(v)
+            ref = companion_reference(U, A, cos_a, v)
+            npt.assert_allclose(_companion(U, A, cos_a, v), ref, rtol=0, atol=TOL)
+            npt.assert_allclose(_third(U, A, cos_a, v), -ref, rtol=0, atol=TOL)
+
+    def test_general_structure_any_subspace(self, rng):
+        # the identity A^{-1} Pr_{AU} = -Pr_U A needs no isoclinicity
+        U = random_frame(4, 6, rng)
+        v = unit_rows(rng, 1, 16)[0]
+        for _ in range(10):
+            A = random_structure(rng)
+            npt.assert_allclose(
+                _companion(U, A, 1.0, v), companion_reference(U, A, 1.0, v),
+                rtol=0, atol=TOL,
+            )
+
+
+class TestGate:
+    @pytest.mark.parametrize("name", sorted(GATE_INPUTS))
+    def test_matches_image_per_structure(self, name):
+        U = GATE_INPUTS[name]()
+        angles, witness = _gate(U, 8, EPS_ISO, 0)
+        angles_ref, witness_ref = gate_reference(U)
+        assert (angles is None) == (angles_ref is None)
+        if angles is None:
+            npt.assert_array_equal(witness[0], witness_ref[0])
+            assert witness[1] == pytest.approx(witness_ref[1], rel=0, abs=TOL)
+        else:
+            npt.assert_allclose(angles, angles_ref, rtol=0, atol=TOL)
+
+    def test_expected_verdicts(self):
+        verdicts = {name: _gate(make(), 8, EPS_ISO, 0)[0] is not None
+                    for name, make in GATE_INPUTS.items()}
+        assert {name for name, ok in verdicts.items() if ok} == {
+            "graph-4", "graph-8", "graph-16"}
+
+    @pytest.mark.parametrize("parts", [1, 2, 4])
+    def test_sampled_forms_are_combinations(self, rng, parts):
+        for U in (moved(graph_sum(parts), 10 + parts),
+                  random_frame(4 * parts, 4 * parts, rng)):
+            forms = np.array([omega_matrix(U, A) for A in (I, J, K)])
+            for _ in range(8):
+                A = random_structure(rng)
+                npt.assert_allclose(
+                    np.tensordot(A.coefficients(), forms, 1),
+                    gram(U, structure_image(A, U)),
+                    rtol=0, atol=TOL,
+                )
+
+
+class TestRealMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_equals_blockwise_loop(self, n):
+        for seed in range(4):
+            g = random_sp(n, seed)
+            npt.assert_array_equal(g.real_matrix(), real_matrix_reference(g))
+        g = SpElement(np.random.default_rng(n).standard_normal((n, n, 4)))
+        npt.assert_array_equal(g.real_matrix(), real_matrix_reference(g))
+
+    def test_built_once_and_read_only(self):
+        g = random_sp(3, 1)
+        R = g.real_matrix()
+        assert g.real_matrix() is R
+        assert not R.flags.writeable
+        U = random_frame(3, 4, np.random.default_rng(2))
+        npt.assert_array_equal(g.apply_frame(U).vectors, U.vectors @ R.T)
