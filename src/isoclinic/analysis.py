@@ -77,6 +77,12 @@ def omega_matrix(U: Frame, A: CompatibleStructure) -> np.ndarray:
     return gram(U, structure_image(A, U))
 
 
+def _forms(U: Frame) -> np.ndarray:
+    """(omega_I, omega_J, omega_K) as (3, k, k): omega_matrix without image Frames."""
+    V = U.vectors
+    return np.array([V @ apply_structure(A, V).T for A in (I, J, K)])
+
+
 def _pair_defect(G: np.ndarray) -> tuple[float, float]:
     """(|| G G^T - cos^2 Id ||_inf, cos^2) of a k x k mutual Gram matrix G,
     with cos^2 = trace(G G^T) / k."""
@@ -131,7 +137,7 @@ def _gate(U: Frame, check_samples: int, tol: float, seed: int):
             "odd-dimensional isoclinic subspaces are exactly the real Hermitian "
             "product subspaces and share a single orbit; even dimension required"
         )
-    forms = np.array([omega_matrix(U, A) for A in (I, J, K)])
+    forms = _forms(U)
     thetas = []
     for A, w in zip((I, J, K), forms):
         defect, c2 = _pair_defect(w)

@@ -211,6 +211,8 @@ def _parse_part(text: str):
 def _generate(spec: dict, seed: int | None) -> Frame:
     family = spec.get("family")
     n = spec.get("n")
+    if any(isinstance(v, float) and not np.isfinite(v) for v in spec.values()):
+        raise InfeasibleParametersError(f"{family}: parameters must be finite")
     if family == "rhp":
         return make_rhp(n or 4, spec.get("k", 4))
     if family == "qline":

@@ -14,12 +14,13 @@ import numpy as np
 
 from .analysis import (
     IsoclinicProfile,
+    _angle,
+    _forms,
     _pair_defect,
+    _pm1,
     certify_isoclinic,
     full_profile,
-    isoclinic_pair,
     isoclinic_profile_angles,
-    omega_matrix,
     omega_pattern_4,
     theta_of_A,
     two_plane_orbit,
@@ -37,8 +38,8 @@ from .quaternions import (
     qarr_mul,
     real_from_quaternion_vectors,
 )
-from .subspaces import Frame, orthonormalize, structure_image
-from .tolerances import EPS_ANGLE, EPS_ORTH, EPS_PM1
+from .subspaces import Frame, orthonormalize
+from .tolerances import EPS_ANGLE, EPS_ISO, EPS_ORTH
 
 __all__ = [
     "SpElement",
@@ -100,28 +101,22 @@ class SpElement:
         return Frame(U.vectors @ self.real_matrix().T)
 
 
-def _h_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum_p conj(a_p) b_p for (n,4) quaternion columns."""
-    return qarr_mul(qarr_conj(a), b).sum(axis=0)
-
-
 def random_sp(n: int, seed: int) -> SpElement:
     """Orthogonalization of an entrywise-Gaussian quaternionic matrix."""
     if n < 1:
         raise DimensionError("n must be a positive integer")
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n, 4))
-    # Gram-Schmidt on columns; scalar coefficients multiply on the right
-    for q in range(n):
-        for r in range(q):
-            coef = _h_dot(M[:, r], M[:, q])
-            M[:, q] -= qarr_mul(M[:, r], coef)
-        nq = np.sqrt(np.sum(M[:, q] ** 2))
-        M[:, q] /= nq
+    # right-looking Gram-Schmidt on columns: each final column is projected out
+    # of all later ones at once; scalar coefficients multiply on the right
+    for r in range(n):
+        M[:, r] /= np.sqrt(np.sum(M[:, r] ** 2))
+        coef = qarr_mul(qarr_conj(M[:, r, None]), M[:, r + 1 :]).sum(axis=0)
+        M[:, r + 1 :] -= qarr_mul(M[:, r, None], coef)
     el = SpElement(M)
     R = el.real_matrix()
     defect = float(np.max(np.abs(R.T @ R - np.eye(4 * n))))
-    if defect > EPS_ORTH * 100:
+    if not defect <= EPS_ORTH * 100:
         raise FalsificationError(f"random_sp failed orthogonalization (defect {defect:.3e})")
     return el
 
@@ -231,7 +226,7 @@ def make_two_plane(
     want = np.array([cs[0], xi * cs[1], chi * cs[2]])
     got = orbit.im.as_array()[1:]
     mismatch = float(np.max(np.abs(got - want)))
-    if mismatch > 1e-9:
+    if not mismatch <= 1e-9:
         raise FalsificationError(
             f"constructed 2-plane misses the requested parameters (mismatch {mismatch:.3e})"
         )
@@ -290,11 +285,8 @@ def _quaternion_cholesky(H: np.ndarray, tol: float = 1e-10) -> np.ndarray:
                 acc -= qarr_mul(qarr_conj(R[:p, p]), R[:p, q]).sum(axis=0)
             R[p, q] = acc / s
     # verify the factorization; catches indefinite H that slipped past pivots
-    G = np.zeros_like(H)
-    for p in range(k):
-        for q in range(k):
-            G[p, q] = qarr_mul(qarr_conj(R[:, p]), R[:, q]).sum(axis=0)
-    if np.max(np.abs(G - H)) > 1e-8:
+    G = qarr_mul(qarr_conj(R)[:, :, None], R[:, None]).sum(axis=0)
+    if not np.max(np.abs(G - H)) <= 1e-8:
         raise InfeasibleParametersError(
             "requested invariants are not realizable (Gram not PSD)"
         )
@@ -342,7 +334,7 @@ def make_profile_4(
     cI, cJ, cK = np.cos([theta_i, theta_j, theta_k])
     if abs(xi) > 1 or abs(chi) > 1 or abs(eta) > 1:
         raise InfeasibleParametersError("xi, chi, eta must lie in [-1, 1]")
-    if abs(xi) > 1 - EPS_PM1 or abs(chi) > 1 - EPS_PM1 or abs(eta) > 1 - EPS_PM1:
+    if any(_pm1(v) for v in (xi, chi, eta)):
         gamma, delta = 1.0, 0.0
     else:
         gamma = (eta - xi * chi) / np.sqrt((1 - xi**2) * (1 - chi**2))
@@ -356,14 +348,10 @@ def make_profile_4(
     wJ = omega_pattern_4(xi * cJ, 0.0, s_xi * cJ)
     wK = omega_pattern_4(chi * cK, -delta * s_chi * cK, gamma * s_chi * cK)
     U = _frame_from_omegas((wI, wJ, wK), n)
-    prof = full_profile(U)
     want = np.array([theta_i, theta_j, theta_k, xi, chi, eta, gamma, delta])
-    got = np.array(
-        [prof.theta_i, prof.theta_j, prof.theta_k, prof.xi, prof.chi, prof.eta,
-         prof.gamma, prof.delta]
-    )
+    got = _part_invariants(U)
     mismatch = float(np.max(np.abs(got - want)))
-    if mismatch > 1e-9:
+    if not mismatch <= 1e-9:
         raise FalsificationError(
             f"constructed profile {np.round(got, 6)} does not match requested "
             f"{np.round(want, 6)} (mismatch {mismatch:.3e})"
@@ -471,18 +459,20 @@ def invariance_oracle(
         max_dev = max(max_dev, dev)
         if dev > tol:
             failures.append(f"trial {t}: profile deviation {dev:.3e}")
+        forms = _forms(gU)
         for _ in range(8):
             v = rng.standard_normal(3)
             A = CompatibleStructure(*(v / np.linalg.norm(v)))
-            th = isoclinic_pair(gU, structure_image(A, gU))
-            if th is None:
+            # omega_A = a omega_I + b omega_J + c omega_K: no image A gU is built
+            defect, c2 = _pair_defect(np.tensordot(A.coefficients(), forms, 1))
+            if defect >= EPS_ISO:
                 failures.append(f"trial {t}: pair (gU, A gU) not isoclinic")
                 continue
-            err = abs(np.cos(th) ** 2 - np.cos(theta_of_A(prof, A)) ** 2)
+            err = abs(np.cos(_angle(c2)) ** 2 - np.cos(theta_of_A(prof, A)) ** 2)
             max_theta = max(max_theta, float(err))
             if err > tol:
                 failures.append(f"trial {t}: theta_A formula error {err:.3e}")
-        if not (_pm1_any(prof)):
+        if not any(_pm1(v) for v in (prof.xi, prof.chi, prof.eta)):
             res = abs(
                 prof.eta
                 - prof.xi * prof.chi
@@ -498,10 +488,6 @@ def invariance_oracle(
         max_eta_relation_error=max_eta,
         failures=tuple(failures),
     )
-
-
-def _pm1_any(p: IsoclinicProfile) -> bool:
-    return any(abs(v) > 1 - EPS_PM1 for v in (p.xi, p.chi, p.eta))
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +551,7 @@ def search_irreducible_8(seed: int, iterations: int) -> SearchReport:
                 continue
             if isoclinic_profile_angles(cand) is None:
                 best_defect = min(
-                    best_defect, max(_pair_defect(omega_matrix(cand, A))[0] for A in (I, J, K))
+                    best_defect, max(_pair_defect(w)[0] for w in _forms(cand))
                 )
                 continue
             gate_passes += 1

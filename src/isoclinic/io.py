@@ -39,7 +39,13 @@ class SubspaceDocument:
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = np.inf
+    if not np.isfinite(x):
+        raise DocumentError(f"{path}: expected a finite number, got {x}")
+    return x
 
 
 def parse_document(source) -> SubspaceDocument:
@@ -50,7 +56,7 @@ def parse_document(source) -> SubspaceDocument:
     if isinstance(source, (str, bytes)):
         try:
             obj = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise DocumentError(f"document is not valid JSON: {exc}") from exc
     else:
         obj = source

@@ -86,7 +86,7 @@ def _clean_union(parts: list[np.ndarray], tol: float = 1e-7) -> Frame:
     """
     V = np.vstack(parts)
     defect = np.max(np.abs(V @ V.T - np.eye(V.shape[0])))
-    if defect > tol:
+    if not defect <= tol:
         raise FalsificationError(
             f"addend blocks are not orthogonal (defect {defect:.3e}); "
             "construction hypotheses violated"

@@ -50,7 +50,7 @@ class Frame:
         if V.shape[0] > V.shape[1]:
             raise DimensionError("more vectors than ambient dimensions")
         defect = np.max(np.abs(V @ V.T - np.eye(V.shape[0])))
-        if defect > self.tol:
+        if not defect <= self.tol:
             raise ValueError(
                 f"frame is not orthonormal: Gram defect {defect:.3e} > {self.tol:.1e}"
             )

@@ -2,7 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from isoclinic import generators
 from isoclinic.analysis import (
+    IsoclinicProfile,
+    TwoPlaneOrbit,
     full_profile,
     isoclinic_profile_angles,
     two_plane_orbit,
@@ -14,6 +17,7 @@ from isoclinic.errors import (
     NotIsoclinicError,
 )
 from isoclinic.generators import (
+    _quaternion_cholesky,
     direct_sum,
     graph_subspace,
     invariance_oracle,
@@ -31,7 +35,10 @@ from isoclinic.quaternions import (
     I,
     J,
     K,
+    Quaternion,
     basis_change_homothety,
+    qarr_conj,
+    qarr_mul,
     right_multiply,
     structure_matrix,
 )
@@ -65,6 +72,54 @@ class TestRandomSp:
     def test_zero_n_rejected(self):
         with pytest.raises(DimensionError):
             random_sp(0, 1)
+
+    def test_nan_draw_fails_self_check(self, monkeypatch):
+        class NanRng:
+            def standard_normal(self, shape):
+                return np.full(shape, np.nan)
+
+        monkeypatch.setattr(generators.np.random, "default_rng", lambda seed: NanRng())
+        with pytest.raises(FalsificationError, match="defect nan"):
+            random_sp(3, 1)
+
+
+class TestNanSelfChecks:
+    """A NaN measurement fails every generator self-check."""
+
+    def test_two_plane_mismatch(self, monkeypatch):
+        nan = float("nan")
+        monkeypatch.setattr(
+            generators, "two_plane_orbit",
+            lambda plane: TwoPlaneOrbit(Quaternion(0.0, nan, nan, nan),
+                                        (nan, nan, nan), nan, nan, False),
+        )
+        with pytest.raises(FalsificationError, match="mismatch nan"):
+            make_two_plane(2, 0.9, 1.1, 1.2)
+
+    def test_profile_4_mismatch(self, monkeypatch):
+        monkeypatch.setattr(
+            generators, "full_profile",
+            lambda U: IsoclinicProfile(4, *[float("nan")] * 8),
+        )
+        with pytest.raises(FalsificationError, match="mismatch nan"):
+            make_profile_4(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, n=2)
+
+    def test_quaternion_cholesky(self):
+        H = np.zeros((2, 2, 4))
+        H[0, 0, 0] = H[1, 1, 0] = 1.0
+        H[0, 1, 1] = np.nan
+        with pytest.raises(InfeasibleParametersError, match="not PSD"):
+            _quaternion_cholesky(H)
+
+    def test_quaternion_cholesky_recovers_factor(self, rng):
+        k = 5
+        R0 = rng.standard_normal((k, k, 4)) * np.triu(np.ones((k, k)))[..., None]
+        R0[np.arange(k), np.arange(k)] = [[1.0 + p, 0.0, 0.0, 0.0] for p in range(k)]
+        H = np.zeros_like(R0)
+        for p in range(k):
+            for q in range(k):
+                H[p, q] = qarr_mul(qarr_conj(R0[:, p]), R0[:, q]).sum(axis=0)
+        npt.assert_allclose(_quaternion_cholesky(H), R0, rtol=0, atol=1e-12)
 
 
 class TestExampleFamilies:

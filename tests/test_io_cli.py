@@ -44,6 +44,20 @@ class TestDocuments:
         with pytest.raises(DocumentError, match=r"vectors\[0\]\[2\]"):
             parse_document('{"quaternionic_dim":1,"vectors":[[1,0,"x",0]]}')
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    def test_non_finite_entry_names_path(self, text):
+        with pytest.raises(DocumentError, match=r"vectors\[1\]\[2\]: expected a finite number"):
+            parse_document('{"quaternionic_dim":1,"vectors":[[1,0,0,0],[0,1,%s,0]]}' % text)
+
+    def test_integer_too_long_to_convert(self):
+        with pytest.raises(DocumentError, match="not valid JSON"):
+            parse_document('{"quaternionic_dim":1,"vectors":[[1,0,0,%s]]}' % ("1" * 5000))
+
+    def test_non_finite_basis_entry_names_path(self):
+        with pytest.raises(DocumentError, match=r"admissible_basis\[2\]\[2\]"):
+            parse_document('{"quaternionic_dim":1,"vectors":[[1,0,0,0]],'
+                           '"admissible_basis":[[1,0,0],[0,1,0],[0,0,NaN]]}')
+
     def test_unknown_key_rejected(self):
         with pytest.raises(DocumentError, match="unknown keys"):
             parse_document('{"quaternionic_dim":1,"vectors":[[1,0,0,0]],"extra":1}')
@@ -127,6 +141,25 @@ class TestCli:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 1
         assert "vectors[0]" in err
+
+    def test_nan_document_is_document_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"quaternionic_dim": 1, "vectors": [[NaN,0,0,0],[0,1,0,0]]}')
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 1
+        assert out == ""
+        assert "vectors[0][0]: expected a finite number" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["twoplane", "--theta-i", "nan", "--theta-j", "1", "--theta-k", "1"],
+        ["icomplex4", "--theta", "inf"],
+        ["sum", "--part", '{"family": "icomplex4", "theta": NaN}'],
+    ])
+    def test_non_finite_generate_parameter_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert code == 2
+        assert out == ""
+        assert "parameters must be finite" in err
 
     def test_generate_deterministic(self, capsys):
         outs = []

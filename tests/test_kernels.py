@@ -3,29 +3,40 @@ replace.
 
 Each reference below is the plain formulation: Gram-Schmidt one kept row
 at a time, the structure action as stacked signed slices, companions
-through the projector onto AU, and the gate's sampled structures through
-a fresh image AU per structure. Inputs are unit-norm and agreement is
-required to 1e-13.
+through the projector onto AU, the gate's and the oracle's sampled
+structures through a fresh image AU per structure, and Sp(n) sampling as
+left-looking Gram-Schmidt one column pair at a time. Inputs are unit-norm
+and agreement is required to 1e-13 (bitwise where the kernel performs the
+same operations in the same order).
 """
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoclinic.analysis import (
     _companion,
+    _forms,
     _gate,
     _pattern_choices,
+    _pm1,
     _random_structures,
     _third,
+    full_profile,
     isoclinic_pair,
     omega_matrix,
+    theta_of_A,
 )
+from isoclinic.errors import NotIsoclinicError
 from isoclinic.generators import (
     SpElement,
+    _profile_vector,
     direct_sum,
     embed,
     graph_subspace,
+    invariance_oracle,
+    make_profile_4,
     make_two_plane,
     random_sp,
 )
@@ -38,6 +49,9 @@ from isoclinic.quaternions import (
     _unblocks,
     apply_structure,
     left_mult_matrix,
+    qarr_conj,
+    qarr_mul,
+    structure_matrix,
 )
 from isoclinic.subspaces import (
     Frame,
@@ -126,6 +140,55 @@ def gate_reference(U, check_samples=8, tol=EPS_ISO, seed=0):
     return tuple(thetas), None
 
 
+def random_sp_reference(n, seed):
+    """Column q is orthogonalized against the final columns r < q in turn."""
+    M = np.random.default_rng(seed).standard_normal((n, n, 4))
+    for q in range(n):
+        for r in range(q):
+            coef = qarr_mul(qarr_conj(M[:, r]), M[:, q]).sum(axis=0)
+            M[:, q] -= qarr_mul(M[:, r], coef)
+        M[:, q] /= np.sqrt(np.sum(M[:, q] ** 2))
+    return M
+
+
+def oracle_reference(U, trials, seed, tol=1e-6):
+    """invariance_oracle with each sampled pair tested on a fresh image A gU;
+    returns the report fields as a tuple."""
+    base_vec = _profile_vector(full_profile(U))
+    rng = np.random.default_rng(seed)
+    max_dev = max_theta = max_eta = 0.0
+    failures = []
+    for t in range(trials):
+        gU = random_sp(U.n, seed=int(rng.integers(0, 2**63 - 1))).apply_frame(U)
+        try:
+            prof = full_profile(gU, seed=int(rng.integers(0, 2**63 - 1)))
+        except NotIsoclinicError as exc:
+            failures.append(f"trial {t}: gate failure after motion: {exc}")
+            continue
+        dev = float(np.max(np.abs(_profile_vector(prof) - base_vec)))
+        max_dev = max(max_dev, dev)
+        if dev > tol:
+            failures.append(f"trial {t}: profile deviation {dev:.3e}")
+        for _ in range(8):
+            v = rng.standard_normal(3)
+            A = CompatibleStructure(*(v / np.linalg.norm(v)))
+            th = isoclinic_pair(gU, structure_image(A, gU))
+            if th is None:
+                failures.append(f"trial {t}: pair (gU, A gU) not isoclinic")
+                continue
+            err = abs(np.cos(th) ** 2 - np.cos(theta_of_A(prof, A)) ** 2)
+            max_theta = max(max_theta, float(err))
+            if err > tol:
+                failures.append(f"trial {t}: theta_A formula error {err:.3e}")
+        if not any(_pm1(v) for v in (prof.xi, prof.chi, prof.eta)):
+            res = abs(prof.eta - prof.xi * prof.chi
+                      - np.sqrt((1 - prof.xi**2) * (1 - prof.chi**2)) * prof.gamma)
+            max_eta = max(max_eta, float(res))
+            if res > tol:
+                failures.append(f"trial {t}: eta relation residual {res:.3e}")
+    return max_dev, max_theta, max_eta, tuple(failures)
+
+
 def real_matrix_reference(g):
     n = g.n
     R = np.zeros((4 * n, 4 * n))
@@ -153,6 +216,14 @@ def moved(U, seed):
 
 def graph_sum(parts):
     return direct_sum([graph_subspace(np.array([0.3, 0.4, -0.2, 0.6]))] * parts)
+
+
+def near_pm1_profile():
+    """xi = 1 - 1e-8, at the +/-1 convention edge: Delta snaps under motions,
+    so the oracle records profile deviations."""
+    xi, chi, gamma = 1 - 1e-8, 0.2, 0.5
+    eta = xi * chi + np.sqrt((1 - xi**2) * (1 - chi**2)) * gamma
+    return make_profile_4(1.2, 1.3, 1.4, xi, chi, eta)
 
 
 def mixed_sign_sum(signs):
@@ -320,3 +391,54 @@ class TestRealMatrix:
         assert not R.flags.writeable
         U = random_frame(3, 4, np.random.default_rng(2))
         npt.assert_array_equal(g.apply_frame(U).vectors, U.vectors @ R.T)
+
+
+class TestRandomSp:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 64])
+    def test_bitwise_equal_to_left_looking_loop(self, n):
+        for seed in range(20):
+            npt.assert_array_equal(random_sp(n, seed).matrix, random_sp_reference(n, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 24), seed=st.integers(0, 2**63 - 1))
+    def test_orthogonal_and_commutes_with_structures(self, n, seed):
+        R = random_sp(n, seed).real_matrix()
+        npt.assert_allclose(R.T @ R, np.eye(4 * n), rtol=0, atol=1e-13)
+        for A in (I, J, K):
+            S = structure_matrix(A, n)
+            npt.assert_allclose(R @ S, S @ R, rtol=0, atol=1e-14)
+
+
+class TestForms:
+    @pytest.mark.parametrize("name", sorted(GATE_INPUTS))
+    def test_equal_to_omega_matrix(self, name):
+        U = GATE_INPUTS[name]()
+        forms = _forms(U)
+        assert forms.shape == (3, U.dim, U.dim)
+        for A, w in zip((I, J, K), forms):
+            npt.assert_array_equal(w, omega_matrix(U, A))
+
+
+class TestOracle:
+    @pytest.mark.parametrize("make,trials,seed", [
+        (lambda: graph_sum(1), 6, 1),
+        (lambda: moved(graph_sum(2), 2), 4, 2),
+        (lambda: graph_sum(4), 2, 3),
+        (lambda: make_two_plane(3, 0.9, 1.1, 1.2, -1.0, 1.0), 6, 4),
+        (lambda: make_profile_4(1.3993, 1.4034, 0.815, -0.3497, 0.5168, 0.0656), 6, 5),
+        (near_pm1_profile, 10, 1),
+    ])
+    def test_matches_image_per_structure(self, make, trials, seed):
+        U = make()
+        report = invariance_oracle(U, trials, seed)
+        max_dev, max_theta, max_eta, failures = oracle_reference(U, trials, seed)
+        assert report.failures == failures
+        assert report.trials == trials
+        npt.assert_allclose(
+            [report.max_profile_deviation, report.max_theta_formula_error,
+             report.max_eta_relation_error],
+            [max_dev, max_theta, max_eta], rtol=0, atol=1e-14,
+        )
+
+    def test_near_pm1_records_failures(self):
+        assert invariance_oracle(near_pm1_profile(), 10, 1).failures

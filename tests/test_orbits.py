@@ -23,6 +23,7 @@ from isoclinic.orbits import (
     associated_subspaces,
     canonical_matrices,
     cij_block_8,
+    _clean_union,
     cik_block_8,
     decompose,
     eight_dim_addend,
@@ -134,6 +135,12 @@ class TestEightDimAddend:
     def test_small_dim_rejected(self):
         with pytest.raises(DimensionError):
             eight_dim_addend(graph_subspace(GENERIC_MU), np.zeros(8))
+
+    def test_nan_blocks_rejected(self):
+        block = np.eye(8)[:4].copy()
+        block[2, 5] = np.nan
+        with pytest.raises(FalsificationError, match="defect nan"):
+            _clean_union([block, np.eye(8)[4:]])
 
 
 class TestDecompose:

@@ -46,6 +46,14 @@ class TestOrthonormalize:
         with pytest.raises(ValueError):
             Frame(np.vstack([unit(1, 0), unit(1, 0)]))
 
+    def test_nan_frame_rejected(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Frame(np.full((2, 8), np.nan))
+        V = np.eye(8)[:2].copy()
+        V[1, 3] = np.nan
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Frame(V)
+
 
 class TestProjectGram:
     def test_member_fixed(self, rng):
