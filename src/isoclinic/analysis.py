@@ -19,6 +19,7 @@ canonical chain map; the returned ChainSet is then flagged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,12 +84,20 @@ def _forms(U: Frame) -> np.ndarray:
     return np.array([V @ apply_structure(A, V).T for A in (I, J, K)])
 
 
-def _pair_defect(G: np.ndarray) -> tuple[float, float]:
-    """(|| G G^T - cos^2 Id ||_inf, cos^2) of a k x k mutual Gram matrix G,
-    with cos^2 = trace(G G^T) / k."""
-    M = G @ G.T
-    c2 = float(np.trace(M)) / G.shape[0]
-    return float(np.max(np.abs(M - c2 * np.eye(G.shape[0])))), c2
+def _pair_defects(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|| G G^T - cos^2 Id ||_inf, cos^2) of each k x k mutual Gram matrix in
+    a stack G of shape (..., k, k), with cos^2 = trace(G G^T) / k."""
+    k = G.shape[-1]
+    M = G @ G.swapaxes(-1, -2)
+    c2 = np.trace(M, axis1=-2, axis2=-1) / k
+    return np.max(np.abs(M - c2[..., None, None] * np.eye(k)), axis=(-2, -1)), c2
+
+
+def _combined_defects(C: np.ndarray, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_pair_defects of a omega_I + b omega_J + c omega_K per row (a, b, c) of C;
+    one vector-matrix product per row, as a single row's tensordot does."""
+    k = forms.shape[-1]
+    return _pair_defects((C[:, None] @ forms.reshape(3, -1)).reshape(-1, k, k))
 
 
 def _angle(c2: float) -> float:
@@ -103,18 +112,24 @@ def isoclinic_pair(U: Frame, W: Frame, tol: float = EPS_ISO) -> float | None:
     """
     if U.dim != W.dim:
         raise DimensionError(f"isoclinic_pair needs equal dims, got {U.dim} != {W.dim}")
-    defect, c2 = _pair_defect(gram(U, W))
+    defect, c2 = _pair_defects(gram(U, W))
     return None if defect >= tol else _angle(c2)
 
 
-def _random_structures(count: int, seed: int) -> list[CompatibleStructure]:
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        out.append(CompatibleStructure(*v))
-    return out
+def _unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count random unit coefficient rows (a, b, c): the stream and the
+    scaling of count draws v = rng.standard_normal(3), v / ||v||."""
+    C = rng.standard_normal((count, 3))
+    C /= np.sqrt(C[:, None] @ C[:, :, None])[:, 0]
+    return C
+
+
+@functools.lru_cache(maxsize=32)
+def _sample_coefficients(count: int, seed: int) -> np.ndarray:
+    """Read-only coefficient rows of the gate's seeded random structures."""
+    C = _unit_rows(np.random.default_rng(seed), count)
+    C.flags.writeable = False
+    return C
 
 
 def _pattern_choices(w: np.ndarray, tol: float) -> set[str]:
@@ -138,36 +153,35 @@ def _gate(U: Frame, check_samples: int, tol: float, seed: int):
             "product subspaces and share a single orbit; even dimension required"
         )
     forms = _forms(U)
-    thetas = []
-    for A, w in zip((I, J, K), forms):
-        defect, c2 = _pair_defect(w)
+    defects, c2 = _pair_defects(forms)
+    for A, defect in zip((I, J, K), defects):
         if defect >= tol:
-            return None, (A.coefficients(), defect)
-        thetas.append(_angle(c2))
+            return None, (A.coefficients(), float(defect))
     if U.dim == 4:
         # pair isoclinicity puts each form into the normal pattern; linear
         # combinations stay isoclinic only under one COMMON sign choice.
         # Without this check, sums of same-angle opposite-sign 2-planes
         # would be falsely certified.
         choices = {"upper", "lower"}
-        for A, w in zip((I, J, K), forms):
+        for A, w, defect in zip((I, J, K), forms, defects):
             fits = _pattern_choices(w, tol)
             if not fits:
-                return None, (A.coefficients(), _pair_defect(w)[0])
+                return None, (A.coefficients(), float(defect))
             if np.max(np.abs(w)) > tol:  # a zero form fits both choices
                 choices &= fits
         if not choices:
             # witness: the worst equal-weight mixture of two coordinate forms
             mixes = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]) / np.sqrt(2.0)
-            defects = [_pair_defect(np.tensordot(c, forms, 1))[0] for c in mixes]
+            defects, _ = _combined_defects(mixes, forms)
             worst = int(np.argmax(defects))
-            return None, (mixes[worst], defects[worst])
+            return None, (mixes[worst], float(defects[worst]))
     if U.dim > 4:
-        for A in _random_structures(check_samples, seed):
-            defect, _ = _pair_defect(np.tensordot(A.coefficients(), forms, 1))
-            if defect >= tol:
-                return None, (A.coefficients(), defect)
-    return tuple(thetas), None
+        C = _sample_coefficients(check_samples, seed)
+        defects, _ = _combined_defects(C, forms)
+        failing = np.flatnonzero(defects >= tol)
+        if failing.size:
+            return None, (C[failing[0]].copy(), float(defects[failing[0]]))
+    return tuple(_angle(c) for c in c2), None
 
 
 def isoclinic_profile_angles(
@@ -241,9 +255,14 @@ def theta_of_A(profile: IsoclinicProfile, A: CompatibleStructure) -> float:
     cos^2 theta_A is the quadratic form in the coefficients of A with the
     cross terms weighted by xi, chi, eta; the value is clamped into [0,1].
     """
-    a1, a2, a3 = A.coefficients()
+    return _angle(_cos2_of(profile, A.coefficients()))
+
+
+def _cos2_of(profile: IsoclinicProfile, C: np.ndarray) -> np.ndarray:
+    """Unclamped cos^2 theta_A of theta_of_A for coefficient rows C (..., 3)."""
+    a1, a2, a3 = np.transpose(C)
     cI, cJ, cK = profile.cosines
-    c2 = (
+    return (
         a1**2 * cI**2
         + a2**2 * cJ**2
         + a3**2 * cK**2
@@ -251,7 +270,6 @@ def theta_of_A(profile: IsoclinicProfile, A: CompatibleStructure) -> float:
         + 2 * profile.chi * a1 * a3 * cI * cK
         + 2 * profile.eta * a2 * a3 * cJ * cK
     )
-    return _angle(c2)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +792,11 @@ def full_profile(
     draw it at random instead, or `leading` to fix it.
     """
     angles = certify_isoclinic(U, check_samples=check_samples, tol=tol)
+    return _measure(U, angles, leading, seed)
+
+
+def _measure(U: Frame, angles, leading=None, seed=None) -> IsoclinicProfile:
+    """full_profile after its gate, from the certified angles."""
     if leading is None:
         if seed is not None:
             leading = random_unit_in(U, np.random.default_rng(seed))

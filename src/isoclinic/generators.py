@@ -14,21 +14,21 @@ import numpy as np
 
 from .analysis import (
     IsoclinicProfile,
-    _angle,
+    _combined_defects,
+    _cos2_of,
     _forms,
-    _pair_defect,
+    _pair_defects,
     _pm1,
+    _unit_rows,
     certify_isoclinic,
     full_profile,
     isoclinic_profile_angles,
     omega_pattern_4,
-    theta_of_A,
     two_plane_orbit,
 )
 from .errors import (DimensionError, FalsificationError, InfeasibleParametersError,
                      NotIsoclinicError, RankDeficiencyError)
 from .quaternions import (
-    CompatibleStructure,
     I,
     J,
     K,
@@ -131,6 +131,13 @@ def _unit(n: int, q: int) -> np.ndarray:
     return v
 
 
+def _require_finite(name: str, *values: float) -> None:
+    """NaN or infinite parameters are infeasible; downstream they would only
+    surface as a frame defect or a rank deficiency."""
+    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+        raise InfeasibleParametersError(f"{name}: parameters must be finite")
+
+
 def embed(U: Frame, n: int, block_offset: int) -> Frame:
     """Embed a frame of H^m into H^n with its blocks shifted by block_offset."""
     m = U.n
@@ -177,6 +184,7 @@ def make_i_complex_4(n: int, theta: float) -> Frame:
     theta = 0 gives a quaternionic line, theta = pi/2 a totally complex
     subspace; the adapted-basis invariants are xi = chi = eta = 0.
     """
+    _require_finite("make_i_complex_4", theta)
     if n < 2:
         raise InfeasibleParametersError("I-complex 4-dim subspace needs n >= 2")
     x1 = _unit(n, 0)
@@ -201,6 +209,7 @@ def make_two_plane(
     remainder, so feasibility requires the squared cosines to sum to at
     most 1; xi and chi must be +/-1 where the matching cosine is nonzero.
     """
+    _require_finite("make_two_plane", theta_i, theta_j, theta_k, xi, chi)
     cs = np.cos([theta_i, theta_j, theta_k])
     if float(np.sum(cs**2)) > 1.0 + 1e-12:
         raise InfeasibleParametersError(
@@ -245,6 +254,7 @@ def graph_subspace(mu, n: int = 2) -> Frame:
     if isinstance(mu, (int, float)):
         mu = np.array([float(mu), 0.0, 0.0, 0.0])
     mu = np.asarray(mu, dtype=float)
+    _require_finite("graph_subspace", *mu.ravel())
     rows = []
     for q in np.eye(4):
         v = np.zeros(4 * n)
@@ -331,6 +341,7 @@ def make_profile_4(
     Delta = delta_sign * sqrt(1 - Gamma^2). Infeasible parameter sets
     (non-PSD quaternionic Gram) raise InfeasibleParametersError.
     """
+    _require_finite("make_profile_4", theta_i, theta_j, theta_k, xi, chi, eta)
     cI, cJ, cK = np.cos([theta_i, theta_j, theta_k])
     if abs(xi) > 1 or abs(chi) > 1 or abs(eta) > 1:
         raise InfeasibleParametersError("xi, chi, eta must lie in [-1, 1]")
@@ -427,6 +438,11 @@ def _profile_vector(p: IsoclinicProfile) -> np.ndarray:
     )
 
 
+def _cos2_angle(c2: np.ndarray) -> np.ndarray:
+    """cos^2 of the angle analysis._angle gives each entry of c2."""
+    return np.cos(np.arccos(np.sqrt(np.clip(c2, 0.0, 1.0)))) ** 2
+
+
 def invariance_oracle(
     U: Frame,
     trials: int,
@@ -459,16 +475,13 @@ def invariance_oracle(
         max_dev = max(max_dev, dev)
         if dev > tol:
             failures.append(f"trial {t}: profile deviation {dev:.3e}")
-        forms = _forms(gU)
-        for _ in range(8):
-            v = rng.standard_normal(3)
-            A = CompatibleStructure(*(v / np.linalg.norm(v)))
-            # omega_A = a omega_I + b omega_J + c omega_K: no image A gU is built
-            defect, c2 = _pair_defect(np.tensordot(A.coefficients(), forms, 1))
+        C = _unit_rows(rng, 8)
+        defects, c2 = _combined_defects(C, _forms(gU))
+        errs = np.abs(_cos2_angle(c2) - _cos2_angle(_cos2_of(prof, C)))
+        for defect, err in zip(defects, errs):
             if defect >= EPS_ISO:
                 failures.append(f"trial {t}: pair (gU, A gU) not isoclinic")
                 continue
-            err = abs(np.cos(_angle(c2)) ** 2 - np.cos(theta_of_A(prof, A)) ** 2)
             max_theta = max(max_theta, float(err))
             if err > tol:
                 failures.append(f"trial {t}: theta_A formula error {err:.3e}")
@@ -551,7 +564,7 @@ def search_irreducible_8(seed: int, iterations: int) -> SearchReport:
                 continue
             if isoclinic_profile_angles(cand) is None:
                 best_defect = min(
-                    best_defect, max(_pair_defect(w)[0] for w in _forms(cand))
+                    best_defect, float(np.max(_pair_defects(_forms(cand))[0]))
                 )
                 continue
             gate_passes += 1

@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import (
     IsoclinicProfile,
+    _measure,
     build_chains,
     certify_isoclinic,
     cij_block_4,
@@ -30,7 +31,7 @@ from .analysis import (
 )
 from .errors import DimensionError, FalsificationError
 from .subspaces import Frame, orthonormalize, principal_angles, restrict_complement
-from .tolerances import EPS_ANGLE, EPS_ORBIT, EPS_PM1
+from .tolerances import EPS_ORBIT, EPS_PM1, EPS_PRINCIPAL, EPS_RECERT, EPS_UNION
 
 __all__ = [
     "TypedSubspace",
@@ -78,7 +79,7 @@ def associated_subspaces(
     )
 
 
-def _clean_union(parts: list[np.ndarray], tol: float = 1e-7) -> Frame:
+def _clean_union(parts: list[np.ndarray], tol: float = EPS_UNION) -> Frame:
     """Stack chain blocks into one frame, absorbing roundoff only.
 
     The blocks are orthogonal by theorem; a Gram defect beyond tol means
@@ -145,8 +146,8 @@ def eight_dim_addend(
         g = np.sqrt(gamma**2 + delta**2)
         cos = pa.cosines
         if (
-            np.max(np.abs(cos[-2:] - g)) > 1e-6
-            or (len(cos) > 2 and cos[-3] < 1.0 - 1e-6)
+            np.max(np.abs(cos[-2:] - g)) > EPS_PRINCIPAL
+            or (len(cos) > 2 and cos[-3] < 1.0 - EPS_PRINCIPAL)
         ):
             raise FalsificationError(
                 "complement pair does not show the mandated principal cosines "
@@ -157,7 +158,7 @@ def eight_dim_addend(
         addend = _clean_union([chains.chain_x, second.chain_x])
 
     got = isoclinic_profile_angles(addend)
-    if got is None or np.max(np.abs(np.array(got) - np.array(angles))) > EPS_ANGLE * 10:
+    if got is None or np.max(np.abs(np.array(got) - np.array(angles))) > EPS_RECERT:
         raise FalsificationError(
             "constructed 8-dim addend failed re-certification against the "
             f"parent angles (got {got}, parent {tuple(angles)})"
@@ -217,7 +218,7 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
         else:
             addend = eight_dim_addend(current, x1, angles)
         got = isoclinic_profile_angles(addend)
-        if got is None or np.max(np.abs(np.array(got) - np.array(angles))) > EPS_ANGLE * 10:
+        if got is None or np.max(np.abs(np.array(got) - np.array(angles))) > EPS_RECERT:
             raise FalsificationError(
                 f"addend {len(addends)} failed re-certification with parent angles"
             )
@@ -349,13 +350,19 @@ def orbit_label(U: Frame, seed: int | None = None) -> OrbitLabel:
     """Orbit label per the classification theorem's three branches.
 
     dim = 2 mod 4 normalizes eta to xi*chi and Delta to 0 (after checking
-    xi, chi at +/-1); dim = 4 mod 8 checks Gamma^2 + Delta^2 = 1. The
-    invariants are measured twice at independent leading vectors; a
+    xi, chi at +/-1); dim = 4 mod 8 checks Gamma^2 + Delta^2 = 1. After one
+    gate the invariants are measured at two independent leading vectors; a
     mismatch (possible only for inputs outside the theorem's reach, such
     as hand-built sums of opposite-Delta parts) raises FalsificationError.
     """
-    profile = full_profile(U, seed=seed)
-    other = full_profile(U, seed=(seed or 0) + 101)
+    return _labelled(U, seed)[0]
+
+
+def _labelled(U: Frame, seed: int | None = None) -> tuple[OrbitLabel, IsoclinicProfile]:
+    """orbit_label(U, seed) and the profile it was read from."""
+    angles = certify_isoclinic(U)
+    profile = _measure(U, angles, seed=seed)
+    other = _measure(U, angles, seed=(seed or 0) + 101)
     drift = max(
         abs(profile.xi - other.xi),
         abs(profile.chi - other.chi),
@@ -398,7 +405,7 @@ def orbit_label(U: Frame, seed: int | None = None) -> OrbitLabel:
         chi=chi,
         eta=eta,
         delta=delta,
-    )
+    ), profile
 
 
 def same_orbit(U: Frame, W: Frame, tol: float = EPS_ORBIT) -> bool:
@@ -407,18 +414,19 @@ def same_orbit(U: Frame, W: Frame, tol: float = EPS_ORBIT) -> bool:
     Both inputs must be isoclinic and of equal dimension. When the labels
     agree, the canonical matrices are compared as an advisory cross-check
     of the mutual-position condition and any discrepancy is logged; the
-    decision itself is the label comparison.
+    decision itself is the label comparison. Each input is certified once:
+    the cross-check reuses the profile its label was read from.
     """
     if U.dim != W.dim:
         raise DimensionError(f"same_orbit needs equal dims, got {U.dim} != {W.dim}")
     if U.ambient != W.ambient:
         raise DimensionError("subspaces live in different ambient spaces")
-    label_u = orbit_label(U)
-    label_w = orbit_label(W)
+    label_u, profile_u = _labelled(U)
+    label_w, profile_w = _labelled(W)
     decision = label_u.agrees(label_w, tol)
     if decision:
-        cu_ij, cu_ik = canonical_matrices(U)
-        cw_ij, cw_ik = canonical_matrices(W)
+        cu_ij, cu_ik = canonical_matrices(U, profile_u)
+        cw_ij, cw_ik = canonical_matrices(W, profile_w)
         dev = max(np.max(np.abs(cu_ij - cw_ij)), np.max(np.abs(cu_ik - cw_ik)))
         if dev > 100 * tol:
             log.warning(

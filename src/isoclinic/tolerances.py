@@ -18,6 +18,9 @@ EPS_RANK = 1e-10
 # angle equality
 EPS_ANGLE = 1e-8
 
+# an addend's re-certified angles may differ from the parent's by this much
+EPS_RECERT = EPS_ANGLE * 10
+
 # default isoclinicity test tolerance (sup norm of G G^T - cos^2 Id)
 EPS_ISO = 1e-8
 
@@ -26,6 +29,12 @@ EPS_PM1 = 1e-8
 
 # gate for agreement of equivalent chain expressions
 EPS_CHAIN = 1e-7
+
+# Gram defect of stacked chain blocks still absorbed as roundoff
+EPS_UNION = 1e-7
+
+# deviation of the 8-dim construction's principal cosines from (1,...,1,g,g)
+EPS_PRINCIPAL = 1e-6
 
 # orbit label comparison (loosest: labels accumulate error through chains)
 EPS_ORBIT = 1e-6

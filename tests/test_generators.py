@@ -122,6 +122,25 @@ class TestNanSelfChecks:
         npt.assert_allclose(_quaternion_cholesky(H), R0, rtol=0, atol=1e-12)
 
 
+class TestNonFiniteParameters:
+    """NaN or infinite parameters are infeasible, not a frame defect."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("make", [
+        lambda x: make_two_plane(2, x, 1.0, 1.0),
+        lambda x: make_two_plane(2, 0.9, 1.1, 1.2, x, 1.0),
+        lambda x: make_i_complex_4(2, x),
+        lambda x: make_profile_4(1.3, 1.4, 0.8, -0.3, x, 0.1),
+        lambda x: make_profile_4(x, 1.4, 0.8, -0.3, 0.5, 0.1),
+        lambda x: graph_subspace([x, 0.0, 0.0, 0.0]),
+        lambda x: graph_subspace(x),
+    ], ids=["two_plane-angle", "two_plane-sign", "i_complex_4", "profile_4-chi",
+            "profile_4-angle", "graph-vector", "graph-scalar"])
+    def test_rejected_as_infeasible(self, make, bad):
+        with pytest.raises(InfeasibleParametersError, match="must be finite"):
+            make(bad)
+
+
 class TestExampleFamilies:
     def test_quaternionic_line_profile(self):
         prof = full_profile(make_quaternionic_line(2, 1))

@@ -4,10 +4,12 @@ replace.
 Each reference below is the plain formulation: Gram-Schmidt one kept row
 at a time, the structure action as stacked signed slices, companions
 through the projector onto AU, the gate's and the oracle's sampled
-structures through a fresh image AU per structure, and Sp(n) sampling as
-left-looking Gram-Schmidt one column pair at a time. Inputs are unit-norm
-and agreement is required to 1e-13 (bitwise where the kernel performs the
-same operations in the same order).
+structures through a fresh image AU per structure, Sp(n) sampling as
+left-looking Gram-Schmidt one column pair at a time, and the orbit label
+and decision with a full profile (gate included) per leading vector and
+per canonical-matrix cross-check. Inputs are unit-norm and agreement is
+required to 1e-13 (bitwise where the kernel performs the same operations
+in the same order).
 """
 
 import numpy as np
@@ -15,20 +17,21 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isoclinic import analysis, orbits
 from isoclinic.analysis import (
     _companion,
     _forms,
     _gate,
     _pattern_choices,
     _pm1,
-    _random_structures,
+    _sample_coefficients,
     _third,
     full_profile,
     isoclinic_pair,
     omega_matrix,
     theta_of_A,
 )
-from isoclinic.errors import NotIsoclinicError
+from isoclinic.errors import FalsificationError, IsoclinicError, NotIsoclinicError
 from isoclinic.generators import (
     SpElement,
     _profile_vector,
@@ -37,6 +40,8 @@ from isoclinic.generators import (
     graph_subspace,
     invariance_oracle,
     make_profile_4,
+    make_rhp,
+    make_totally_complex_4,
     make_two_plane,
     random_sp,
 )
@@ -62,7 +67,14 @@ from isoclinic.subspaces import (
     restrict_complement,
     structure_image,
 )
-from isoclinic.tolerances import EPS_ISO, EPS_RANK
+from isoclinic.orbits import (
+    OrbitLabel,
+    _rounded_sign,
+    canonical_matrices,
+    orbit_label,
+    same_orbit,
+)
+from isoclinic.tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK
 
 TOL = 1e-13
 
@@ -109,6 +121,17 @@ def pair_defect_reference(U, A):
     return float(np.max(np.abs(M - c2 * np.eye(U.dim))))
 
 
+def random_structures_reference(count, seed):
+    """The gate's seeded structures, drawn and normalized one at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        out.append(CompatibleStructure(*v))
+    return out
+
+
 def gate_reference(U, check_samples=8, tol=EPS_ISO, seed=0):
     thetas = []
     for A in (I, J, K):
@@ -134,7 +157,7 @@ def gate_reference(U, check_samples=8, tol=EPS_ISO, seed=0):
                     worst = (coef, defect)
             return None, worst
     if U.dim > 4:
-        for A in _random_structures(check_samples, seed):
+        for A in random_structures_reference(check_samples, seed):
             if isoclinic_pair(U, structure_image(A, U), tol) is None:
                 return None, (A.coefficients(), pair_defect_reference(U, A))
     return tuple(thetas), None
@@ -189,6 +212,40 @@ def oracle_reference(U, trials, seed, tol=1e-6):
     return max_dev, max_theta, max_eta, tuple(failures)
 
 
+def orbit_label_reference(U, seed=None):
+    """orbit_label with a full profile, gate included, per leading vector."""
+    profile = full_profile(U, seed=seed)
+    other = full_profile(U, seed=(seed or 0) + 101)
+    drift = max(abs(getattr(profile, f) - getattr(other, f))
+                for f in ("xi", "chi", "eta", "gamma", "delta"))
+    if drift > EPS_ORBIT:
+        raise FalsificationError(f"invariants drift {drift:.3e}")
+    xi, chi, eta, delta = profile.xi, profile.chi, profile.eta, profile.delta
+    if profile.dim_class == 2:
+        if not all(abs(v) > 1.0 - EPS_PM1 for v in (xi, chi, eta)):
+            raise FalsificationError("dim = 2 mod 4 mandates xi, chi, eta at +/-1")
+        xi, chi = _rounded_sign(xi), _rounded_sign(chi)
+        eta, delta = xi * chi, 0.0
+    else:
+        if profile.dim_class == 4 and abs(profile.gamma**2 + delta**2 - 1.0) > EPS_ORBIT:
+            raise FalsificationError("dim = 4 mod 8 mandates Gamma^2 + Delta^2 = 1")
+        if any(abs(v) > 1.0 - EPS_PM1 for v in (xi, chi, eta)):
+            snap = lambda v: _rounded_sign(v) if abs(v) > 1.0 - EPS_PM1 else v
+            xi, chi, eta, delta = snap(xi), snap(chi), snap(eta), 0.0
+    return OrbitLabel(U.dim, profile.theta_i, profile.theta_j, profile.theta_k,
+                      xi, chi, eta, delta)
+
+
+def same_orbit_reference(U, W, tol=EPS_ORBIT):
+    """(decision, advisory deviation or None): every label and every
+    canonical-matrix cross-check measures its input from scratch."""
+    decision = orbit_label_reference(U).agrees(orbit_label_reference(W), tol)
+    if not decision:
+        return decision, None
+    (cu_ij, cu_ik), (cw_ij, cw_ik) = canonical_matrices(U), canonical_matrices(W)
+    return decision, max(np.max(np.abs(cu_ij - cw_ij)), np.max(np.abs(cu_ik - cw_ik)))
+
+
 def real_matrix_reference(g):
     n = g.n
     R = np.zeros((4 * n, 4 * n))
@@ -231,6 +288,16 @@ def mixed_sign_sum(signs):
     planes = [make_two_plane(2, 0.9, 1.1, 1.2, s, 1.0) for s in signs]
     n = 2 * len(planes)
     return Frame(np.vstack([embed(p, n, 2 * i).vectors for i, p in enumerate(planes)]))
+
+
+def mixed_delta_sum():
+    """Parts that agree in angles and (xi, chi, eta) but carry opposite Delta:
+    isoclinic, without well-defined chain invariants."""
+    args = (1.3993, 1.4034, 0.815, -0.3497, 0.5168, 0.0656)
+    vectors = np.zeros((8, 32))
+    vectors[:4, :16] = make_profile_4(*args, delta_sign=+1).vectors
+    vectors[4:, 16:] = make_profile_4(*args, delta_sign=-1).vectors
+    return Frame(vectors)
 
 
 GATE_INPUTS = {
@@ -442,3 +509,178 @@ class TestOracle:
 
     def test_near_pm1_records_failures(self):
         assert invariance_oracle(near_pm1_profile(), 10, 1).failures
+
+
+def two_plane_sum(count, seed):
+    plane = make_two_plane(2, 0.9, 1.1, 1.2, -1.0, 1.0)
+    return moved(direct_sum([plane] * count), seed)
+
+
+PROFILE_4 = (1.3993, 1.4034, 0.815, -0.3497, 0.5168, 0.0656)
+
+ORBIT_INPUTS = {
+    "plane": lambda: make_two_plane(2, 0.9, 1.1, 1.2, -1.0, 1.0),
+    "plane-moved": lambda: two_plane_sum(1, 21),
+    "planes-4": lambda: two_plane_sum(2, 22),
+    "planes-6": lambda: two_plane_sum(3, 23),
+    "planes-10": lambda: two_plane_sum(5, 24),
+    "profile-4": lambda: make_profile_4(*PROFILE_4),
+    "profile-4-moved": lambda: moved(make_profile_4(*PROFILE_4), 25),
+    "profile-4-lower": lambda: moved(make_profile_4(*PROFILE_4, delta_sign=+1), 26),
+    "graph-4": lambda: moved(graph_sum(1), 27),
+    "graph-8": lambda: moved(graph_sum(2), 28),
+    "graph-12": lambda: moved(graph_sum(3), 29),
+    "graph-16": lambda: moved(graph_sum(4), 30),
+    "rhp-4": lambda: moved(make_rhp(4, 4), 31),
+    "rhp-6": lambda: make_rhp(6, 6),
+    "tcomplex-4": lambda: moved(make_totally_complex_4(4), 32),
+    "near-pm1": near_pm1_profile,
+    "near-pm1-moved": lambda: moved(near_pm1_profile(), 33),
+    "mixed-delta": mixed_delta_sum,
+    "mixed-sign-8": lambda: moved(mixed_sign_sum([1, -1, 1, -1]), 34),
+}
+
+# (U, W) pairs of one ambient space: W is a motion of U or another orbit;
+# a name paired with itself stands for a motion of that input
+ORBIT_PAIRS = [
+    ("plane", "plane-moved"),
+    ("planes-4", "rhp-4"),
+    ("profile-4", "profile-4-moved"),
+    ("profile-4", "profile-4-lower"),
+    ("profile-4", "tcomplex-4"),
+    ("rhp-4", "tcomplex-4"),
+    ("graph-8", "graph-8"),
+    ("graph-12", "graph-12"),
+    ("graph-16", "graph-16"),
+    ("near-pm1", "near-pm1-moved"),
+    ("mixed-delta", "mixed-sign-8"),
+    ("mixed-sign-8", "mixed-delta"),
+]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IsoclinicError as exc:
+        return type(exc)
+
+
+class TestOrbitDecision:
+    """One gate per input gives the labels, decisions and advisory
+    deviations of one full profile per measurement."""
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    @pytest.mark.parametrize("name", sorted(ORBIT_INPUTS))
+    def test_label_bitwise_equal(self, name, seed):
+        U = ORBIT_INPUTS[name]()
+        got, ref = outcome(orbit_label, U, seed), outcome(orbit_label_reference, U, seed)
+        if isinstance(ref, OrbitLabel):
+            npt.assert_array_equal(got.as_array(), ref.as_array())
+            assert got == ref
+        else:
+            assert got is ref
+
+    def test_expected_outcomes(self):
+        assert outcome(orbit_label, mixed_delta_sum()) is FalsificationError
+        assert outcome(orbit_label, ORBIT_INPUTS["mixed-sign-8"]()) is NotIsoclinicError
+        assert isinstance(outcome(orbit_label, near_pm1_profile()), OrbitLabel)
+
+    @pytest.mark.parametrize("u,w", ORBIT_PAIRS)
+    def test_decision_and_deviation_equal(self, monkeypatch, u, w):
+        U, W = ORBIT_INPUTS[u](), ORBIT_INPUTS[w]()
+        if w == u:
+            W = moved(W, 40)
+        seen = []
+        real = orbits.canonical_matrices
+
+        def recording(V, profile=None):
+            seen.append((V, profile, real(V, profile)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(orbits, "canonical_matrices", recording)
+        got = outcome(same_orbit, U, W)
+        monkeypatch.undo()
+        ref = outcome(same_orbit_reference, U, W)
+        if isinstance(ref, tuple):
+            decision, dev = ref
+            assert got is decision
+            if decision:
+                (V1, p1, (cu_ij, cu_ik)), (V2, p2, (cw_ij, cw_ik)) = seen
+                assert (V1, V2) == (U, W) and None not in (p1, p2)
+                assert max(np.max(np.abs(cu_ij - cw_ij)),
+                           np.max(np.abs(cu_ik - cw_ik))) == dev
+            else:
+                assert seen == []
+        else:
+            assert got is ref
+
+    def test_pairs_cover_both_decisions(self):
+        decisions = {outcome(same_orbit_reference, ORBIT_INPUTS[u](),
+                             moved(ORBIT_INPUTS[w](), 40) if u == w else ORBIT_INPUTS[w]())
+                     for u, w in ORBIT_PAIRS}
+        assert {True, False, FalsificationError, NotIsoclinicError} <= {
+            d[0] if isinstance(d, tuple) else d for d in decisions}
+
+    def test_one_gate_per_input(self, monkeypatch):
+        U, W = moved(graph_sum(2), 1), moved(graph_sum(2), 2)
+        gated = []
+        real = analysis._gate
+
+        def counting(V, *args):
+            gated.append(id(V))
+            return real(V, *args)
+
+        monkeypatch.setattr(analysis, "_gate", counting)
+        orbit_label(U)
+        orbit_label(W, seed=5)
+        assert gated == [id(U), id(W)]
+        gated.clear()
+        assert same_orbit(U, W)
+        assert gated == [id(U), id(W)]
+        gated.clear()
+        full_profile(U)
+        assert gated == [id(U)]
+
+
+BATCH_INPUTS = {
+    "mixed-6": lambda: moved(mixed_sign_sum([1, -1, 1]), 41),
+    "mixed-8": lambda: moved(mixed_sign_sum([1, 1, -1, 1]), 42),
+    "mixed-12": lambda: moved(mixed_sign_sum([1, -1, 1, 1, -1, 1]), 43),
+    "mixed-16": lambda: moved(mixed_sign_sum([1, 1, 1, -1] * 2), 44),
+    "graph-8": lambda: moved(graph_sum(2), 45),
+    "graph-12": lambda: moved(graph_sum(3), 46),
+    "graph-16": lambda: moved(graph_sum(4), 47),
+    "planes-6": lambda: two_plane_sum(3, 48),
+    "planes-10": lambda: two_plane_sum(5, 49),
+}
+
+
+class TestBatchedGate:
+    @pytest.mark.parametrize("name", sorted(BATCH_INPUTS))
+    def test_matches_per_structure_gate(self, name):
+        U = BATCH_INPUTS[name]()
+        angles, witness = _gate(U, 8, EPS_ISO, 0)
+        angles_ref, witness_ref = gate_reference(U)
+        assert (angles is None) == (angles_ref is None) == name.startswith("mixed")
+        if angles is None:
+            npt.assert_array_equal(witness[0], witness_ref[0])
+            # the coordinate pairs pass: a sampled structure is the witness
+            assert np.count_nonzero(witness[0]) > 1
+            assert abs(witness[1] - witness_ref[1]) <= 1e-15
+        else:
+            npt.assert_allclose(angles, angles_ref, rtol=0, atol=TOL)
+
+    @pytest.mark.parametrize("count,seed", [(8, 0), (3, 7), (0, 0), (64, 11)])
+    def test_sample_coefficients_cached_and_read_only(self, count, seed):
+        C = _sample_coefficients(count, seed)
+        assert C is _sample_coefficients(count, seed)
+        assert C.shape == (count, 3) and not C.flags.writeable
+        ref = [A.coefficients() for A in random_structures_reference(count, seed)]
+        npt.assert_array_equal(C, np.array(ref).reshape(-1, 3))
+
+    def test_witness_is_not_a_view_of_the_cache(self):
+        U = BATCH_INPUTS["mixed-8"]()
+        coeffs = _gate(U, 8, EPS_ISO, 0)[1][0]
+        kept = coeffs.copy()
+        coeffs[:] = 0.0
+        npt.assert_array_equal(_gate(U, 8, EPS_ISO, 0)[1][0], kept)
