@@ -31,6 +31,7 @@ from .errors import (
     DimensionError,
     DocumentError,
     FalsificationError,
+    FrameError,
     InfeasibleParametersError,
     IsoclinicError,
     NotIsoclinicError,

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     DegenerateChainError,
     DimensionError,
+    FrameError,
     NotIsoclinicError,
 )
 from .quaternions import (
@@ -143,16 +144,18 @@ def _pattern_choices(w: np.ndarray, tol: float) -> set[str]:
     return out
 
 
-def _gate(U: Frame, check_samples: int, tol: float, seed: int):
+def _gate(U: Frame, check_samples: int, tol: float, seed: int, forms=None):
     """(angles, witness): witness is (coefficients, deviation) of the first
     failing pair, angles is None in that case. Every structure other than
-    I, J, K is tested through omega_A = a omega_I + b omega_J + c omega_K."""
+    I, J, K is tested through omega_A = a omega_I + b omega_J + c omega_K;
+    `forms` are U's _forms when the caller already has them."""
     if U.dim % 2 == 1:
         raise DimensionError(
             "odd-dimensional isoclinic subspaces are exactly the real Hermitian "
             "product subspaces and share a single orbit; even dimension required"
         )
-    forms = _forms(U)
+    if forms is None:
+        forms = _forms(U)
     defects, c2 = _pair_defects(forms)
     for A, defect in zip((I, J, K), defects):
         if defect >= tol:
@@ -203,7 +206,13 @@ def certify_isoclinic(
     U: Frame, check_samples: int = 8, tol: float = EPS_ISO, seed: int = 0
 ) -> tuple[float, float, float]:
     """Like isoclinic_profile_angles but raises with the failing witness."""
-    angles, witness = _gate(U, check_samples, tol, seed)
+    return _certified(_gate(U, check_samples, tol, seed), tol)
+
+
+def _certified(gated, tol: float) -> tuple[float, float, float]:
+    """The angles of a _gate result; NotIsoclinicError with its witness when
+    the gate failed."""
+    angles, witness = gated
     if angles is None:
         coeffs, dev = witness
         coeffs = [float(c) for c in coeffs]
@@ -280,9 +289,9 @@ def _check_member(U: Frame, x: np.ndarray, what: str, tol: float = 1e-8) -> np.n
     x = np.asarray(x, dtype=float)
     nx = np.linalg.norm(x)
     if abs(nx - 1.0) > tol:
-        raise ValueError(f"{what} must be a unit vector (norm {nx:.6f})")
+        raise FrameError(f"{what} must be a unit vector (norm {nx:.6f})")
     if np.linalg.norm(project(U, x) - x) > tol:
-        raise ValueError(f"{what} does not lie in the subspace")
+        raise FrameError(f"{what} does not lie in the subspace")
     return x
 
 

@@ -39,7 +39,7 @@ from .generators import (
     make_two_plane,
 )
 from .io import document_from_frame, parse_document, serialize_document
-from .orbits import canonical_matrices, decompose, orbit_label, same_orbit
+from .orbits import _labelled, _same_orbit, canonical_matrices, decompose, orbit_label
 from .quaternions import basis_change_homothety, right_multiply
 from .subspaces import Frame
 
@@ -165,9 +165,9 @@ def _cmd_compare(args) -> int:
     # documents of different quaternionic dimension embed into the larger
     # common ambient space before comparison
     U, W = _pad_to_common_ambient(_load_frame(args.file_a), _load_frame(args.file_b))
-    label_u = orbit_label(U)
-    label_w = orbit_label(W)
-    verdict = same_orbit(U, W, tol=args.tol)
+    labelled = _labelled(U), _labelled(W)
+    (label_u, _), (label_w, _) = labelled
+    verdict = _same_orbit(U, W, args.tol, labelled)
     if args.json:
         print(json.dumps({
             "same_orbit": verdict,

@@ -9,6 +9,14 @@ class DimensionError(IsoclinicError):
     """Incompatible or unsupported dimensions."""
 
 
+class FrameError(IsoclinicError, ValueError):
+    """Vectors are not what the call needs: an orthonormal frame, a unit
+    vector of the subspace, or a non-degenerate pair spanning a 2-plane.
+
+    Also a ValueError, which these checks raised before this class existed.
+    """
+
+
 class RankDeficiencyError(IsoclinicError):
     """Spanning set is numerically rank deficient.
 

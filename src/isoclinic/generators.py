@@ -14,9 +14,12 @@ import numpy as np
 
 from .analysis import (
     IsoclinicProfile,
+    _certified,
     _combined_defects,
     _cos2_of,
     _forms,
+    _gate,
+    _measure,
     _pair_defects,
     _pm1,
     _unit_rows,
@@ -466,17 +469,21 @@ def invariance_oracle(
     for t in range(trials):
         g = random_sp(U.n, seed=int(rng.integers(0, 2**63 - 1)))
         gU = g.apply_frame(U)
+        lead_seed = int(rng.integers(0, 2**63 - 1))
+        # full_profile(gU, seed=lead_seed), keeping the forms its gate builds
+        forms = _forms(gU)
         try:
-            prof = full_profile(gU, seed=int(rng.integers(0, 2**63 - 1)))
+            angles = _certified(_gate(gU, 8, EPS_ISO, 0, forms), EPS_ISO)
         except NotIsoclinicError as exc:
             failures.append(f"trial {t}: gate failure after motion: {exc}")
             continue
+        prof = _measure(gU, angles, seed=lead_seed)
         dev = float(np.max(np.abs(_profile_vector(prof) - base_vec)))
         max_dev = max(max_dev, dev)
         if dev > tol:
             failures.append(f"trial {t}: profile deviation {dev:.3e}")
         C = _unit_rows(rng, 8)
-        defects, c2 = _combined_defects(C, _forms(gU))
+        defects, c2 = _combined_defects(C, forms)
         errs = np.abs(_cos2_angle(c2) - _cos2_angle(_cos2_of(prof, C)))
         for defect, err in zip(defects, errs):
             if defect >= EPS_ISO:

@@ -217,11 +217,12 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
             addend = Frame(build_chains(current, x1, angles).chain_x)
         else:
             addend = eight_dim_addend(current, x1, angles)
-        got = isoclinic_profile_angles(addend)
-        if got is None or np.max(np.abs(np.array(got) - np.array(angles))) > EPS_RECERT:
-            raise FalsificationError(
-                f"addend {len(addends)} failed re-certification with parent angles"
-            )
+        if klass != 8:  # eight_dim_addend re-certifies its own addend
+            got = isoclinic_profile_angles(addend)
+            if got is None or np.max(np.abs(np.array(got) - np.array(angles))) > EPS_RECERT:
+                raise FalsificationError(
+                    f"addend {len(addends)} failed re-certification with parent angles"
+                )
         addends.append(addend)
         left = current.dim - addend.dim
         current = restrict_complement(current, addend, expect=left) if left else None
@@ -417,12 +418,17 @@ def same_orbit(U: Frame, W: Frame, tol: float = EPS_ORBIT) -> bool:
     decision itself is the label comparison. Each input is certified once:
     the cross-check reuses the profile its label was read from.
     """
+    return _same_orbit(U, W, tol)
+
+
+def _same_orbit(U: Frame, W: Frame, tol: float, labelled=None) -> bool:
+    """same_orbit(U, W, tol); `labelled` is (_labelled(U), _labelled(W)) when
+    the caller has already labelled both inputs."""
     if U.dim != W.dim:
         raise DimensionError(f"same_orbit needs equal dims, got {U.dim} != {W.dim}")
     if U.ambient != W.ambient:
         raise DimensionError("subspaces live in different ambient spaces")
-    label_u, profile_u = _labelled(U)
-    label_w, profile_w = _labelled(W)
+    (label_u, profile_u), (label_w, profile_w) = labelled or (_labelled(U), _labelled(W))
     decision = label_u.agrees(label_w, tol)
     if decision:
         cu_ij, cu_ik = canonical_matrices(U, profile_u)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, RankDeficiencyError
+from .errors import DimensionError, FrameError, RankDeficiencyError
 from .quaternions import CompatibleStructure, apply_structure, hermitian_product, Quaternion
 from .tolerances import EPS_FRAME, EPS_RANK
 
@@ -51,7 +51,7 @@ class Frame:
             raise DimensionError("more vectors than ambient dimensions")
         defect = np.max(np.abs(V @ V.T - np.eye(V.shape[0])))
         if not defect <= self.tol:
-            raise ValueError(
+            raise FrameError(
                 f"frame is not orthonormal: Gram defect {defect:.3e} > {self.tol:.1e}"
             )
         object.__setattr__(self, "vectors", V)
@@ -73,12 +73,14 @@ class Frame:
 
 
 def _mgs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
-    """Two-pass Gram-Schmidt in row order; returns kept orthonormal rows and
-    their indices.
+    """Two-pass classical Gram-Schmidt in row order; returns the kept
+    orthonormal rows and their indices.
 
     Each pass projects a row against all kept rows at once. A row is
-    dropped when its residual is below tol relative to the largest input
-    norm.
+    dropped when its residual norm is at most tol * max(1, largest input
+    row norm). The order is part of the result: the first j kept rows span
+    the first j kept inputs, which generators, documents and _clean_union
+    rely on.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     scale = max(float(np.max(np.linalg.norm(rows, axis=1))), 1.0) if rows.size else 1.0
@@ -201,7 +203,7 @@ def _mis(x: np.ndarray, y: np.ndarray) -> float:
     g = (x @ x) * (y @ y) - (x @ y) ** 2
     m = float(np.sqrt(max(g, 0.0)))
     if m < 1e-14:
-        raise ValueError("degenerate pair: vectors are numerically parallel")
+        raise FrameError("degenerate pair: vectors are numerically parallel")
     return m
 
 
@@ -234,15 +236,34 @@ def complement(U: Frame) -> Frame:
 
 
 def restrict_complement(U: Frame, W: Frame, expect: int | None = None) -> Frame:
-    """Orthonormal basis of {u in span(U) : u ⟂ span(W)}.
+    """Orthonormal basis of {u in span(U) : u ⟂ span(W)}, of dimension
+    dim U - rank(U W^T); W need not lie in span(U).
 
-    `expect` asserts the resulting dimension when the caller knows it.
+    Householder completion in U's coordinates: each column of G = U W^T
+    gets one reflector on the rows not yet used, and a column whose
+    remaining norm is at most EPS_RANK * 10 is dependent and skipped. The
+    rows of U mapped by the reflectors past the rank of G span the
+    complement. `expect` asserts the resulting dimension when the caller
+    knows it.
     """
-    rows = U.vectors - (U.vectors @ W.vectors.T) @ W.vectors
-    Q, kept = _mgs(rows, EPS_RANK * 10)
-    if expect is not None and len(kept) != expect:
-        raise RankDeficiencyError(detected_rank=len(kept), expected=expect)
-    return Frame(Q)
+    G = gram(U, W)
+    k = U.dim
+    Q = np.eye(k)
+    rank = 0
+    for j in range(G.shape[1]):
+        x = G[rank:, j]
+        norm = float(np.sqrt(x @ x))
+        if norm <= EPS_RANK * 10:
+            continue
+        v = x.copy()
+        v[0] += norm if x[0] >= 0 else -norm
+        v *= np.sqrt(2.0) / np.sqrt(v @ v)  # the reflector is I - v v^T
+        for M in (G[rank:, j + 1:], Q[rank:]):
+            M -= np.outer(v, v @ M)
+        rank += 1
+    if expect is not None and k - rank != expect:
+        raise RankDeficiencyError(detected_rank=k - rank, expected=expect)
+    return Frame(Q[rank:] @ U.vectors)
 
 
 def random_frame(n: int, k: int, rng: np.random.Generator) -> Frame:

@@ -18,7 +18,7 @@ from isoclinic.analysis import (
     theta_of_A,
     two_plane_orbit,
 )
-from isoclinic.errors import DimensionError, NotIsoclinicError
+from isoclinic.errors import DimensionError, FrameError, IsoclinicError, NotIsoclinicError
 from isoclinic.generators import (
     direct_sum,
     graph_subspace,
@@ -192,6 +192,17 @@ class TestCompanions:
         U = make_quaternionic_line(2, 0)
         with pytest.raises(ValueError):
             companions(U, unit(2, 1), (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("x,match", [
+        (2 * unit(2, 0), "must be a unit vector"),
+        (unit(2, 1), "does not lie in the subspace"),
+    ])
+    def test_bad_leading_vector_is_a_package_error(self, x, match):
+        U = make_quaternionic_line(2, 0)
+        with pytest.raises(FrameError, match=match) as info:
+            companions(U, x, (0.0, 0.0, 0.0))
+        assert isinstance(info.value, IsoclinicError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestChains:

@@ -9,15 +9,18 @@ left-looking Gram-Schmidt one column pair at a time, and the orbit label
 and decision with a full profile (gate included) per leading vector and
 per canonical-matrix cross-check. Inputs are unit-norm and agreement is
 required to 1e-13 (bitwise where the kernel performs the same operations
-in the same order).
+in the same order). The complement of W in U is checked against its
+characterisation instead, since its basis is not the Gram-Schmidt one.
 """
+
+import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoclinic import analysis, orbits
+from isoclinic import analysis, cli, generators, orbits
 from isoclinic.analysis import (
     _companion,
     _forms,
@@ -31,7 +34,13 @@ from isoclinic.analysis import (
     omega_matrix,
     theta_of_A,
 )
-from isoclinic.errors import FalsificationError, IsoclinicError, NotIsoclinicError
+from isoclinic.errors import (
+    DimensionError,
+    FalsificationError,
+    IsoclinicError,
+    NotIsoclinicError,
+    RankDeficiencyError,
+)
 from isoclinic.generators import (
     SpElement,
     _profile_vector,
@@ -45,6 +54,7 @@ from isoclinic.generators import (
     make_two_plane,
     random_sp,
 )
+from isoclinic.io import document_from_frame, parse_document, serialize_document
 from isoclinic.quaternions import (
     CompatibleStructure,
     I,
@@ -314,6 +324,41 @@ GATE_INPUTS = {
 }
 
 
+def assert_complement(U, W, V, rank):
+    """V is an orthonormal basis of {u in span U : u orthogonal to W}."""
+    assert V.dim == U.dim - rank
+    npt.assert_allclose(V.vectors @ V.vectors.T, np.eye(V.dim), rtol=0, atol=TOL)
+    assert np.linalg.norm(V.vectors - V.vectors @ U.vectors.T @ U.vectors) <= TOL
+    assert np.linalg.norm(V.vectors @ W.vectors.T) <= TOL
+
+
+def complement_case(seed, case, n, k, m):
+    """(U, W, rank of U W^T) for one kind of overlap of W with span U."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((4 * n, 4 * n)))[0].T
+    U = Frame(basis[:k])
+    if case == "inside":
+        # W a random m-dim subspace of span U
+        m = min(m, k)
+        W = Frame(np.linalg.qr(rng.standard_normal((k, m)))[0].T @ U.vectors)
+        return U, W, m
+    if case == "rows":
+        # some rows of U lie in W, the other rows of W are orthogonal to U
+        shared = min(m, k)
+        W = Frame(basis[[*range(k - shared, k), *range(k, k + m - shared)]])
+        return U, W, shared
+    # partial overlap: m - 1 rows of W mix span U with its complement, the
+    # last one is orthogonal to U
+    inside = min(m - 1, k)
+    outside = basis[k:]
+    rows = np.vstack([
+        rng.standard_normal((inside, k)) @ U.vectors
+        + rng.standard_normal((inside, len(outside))) @ outside,
+        rng.standard_normal(len(outside)) @ outside,
+    ])
+    return U, Frame(np.linalg.qr(rows.T)[0].T), inside
+
+
 # --- tests ------------------------------------------------------------------
 
 class TestGramSchmidt:
@@ -359,9 +404,44 @@ class TestGramSchmidt:
         _, kept = _mgs(rows, EPS_RANK * 10)
         Q_ref, kept_ref = mgs_reference(rows, EPS_RANK * 10)
         assert kept == kept_ref == [1, 3, 4]
-        npt.assert_allclose(
-            restrict_complement(U, W, expect=3).vectors, Q_ref, rtol=0, atol=TOL
-        )
+        V = restrict_complement(U, W, expect=3)
+        assert_complement(U, W, V, rank=3)
+        # W lies in span U here, so the Gram-Schmidt residuals span the same set
+        npt.assert_allclose(V.vectors.T @ V.vectors, Q_ref.T @ Q_ref, rtol=0, atol=TOL)
+
+
+class TestRestrictComplement:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        case=st.sampled_from(["inside", "rows", "partial"]),
+        n=st.integers(3, 8),
+        k=st.integers(1, 8),
+        m=st.integers(1, 4),
+    )
+    def test_characterised(self, seed, case, n, k, m):
+        U, W, rank = complement_case(seed, case, n, k, m)
+        if rank == k:
+            with pytest.raises(DimensionError):
+                restrict_complement(U, W, expect=0)
+            return
+        V = restrict_complement(U, W, expect=k - rank)
+        assert_complement(U, W, V, rank)
+        # the complement is the null space of G^T in U's coordinates
+        N = np.linalg.svd(gram(W, U))[2][rank:] @ U.vectors
+        npt.assert_allclose(V.vectors.T @ V.vectors, N.T @ N, rtol=0, atol=TOL)
+        if case != "partial":
+            # each row of W lies in span U or is orthogonal to it, so the
+            # Gram-Schmidt residuals stay in span U
+            rows = U.vectors - (U.vectors @ W.vectors.T) @ W.vectors
+            Q_ref, _ = mgs_reference(rows, EPS_RANK * 10)
+            npt.assert_allclose(V.vectors.T @ V.vectors, Q_ref.T @ Q_ref, rtol=0, atol=TOL)
+
+    def test_wrong_expectation_raises(self):
+        U, W, rank = complement_case(1, "inside", 4, 6, 2)
+        with pytest.raises(RankDeficiencyError) as info:
+            restrict_complement(U, W, expect=5)
+        assert info.value.detected_rank == 4
 
 
 class TestApplyStructure:
@@ -507,6 +587,21 @@ class TestOracle:
             [max_dev, max_theta, max_eta], rtol=0, atol=1e-14,
         )
 
+    def test_forms_built_once_per_trial(self, monkeypatch):
+        built = []
+        real = analysis._forms
+
+        def counting(V):
+            built.append(V.dim)
+            return real(V)
+
+        U = moved(graph_sum(2), 2)
+        monkeypatch.setattr(analysis, "_forms", counting)
+        monkeypatch.setattr(generators, "_forms", counting)
+        assert invariance_oracle(U, 3, 2).passed
+        # one for the input's own gate, then one per trial
+        assert built == [8] * 4
+
     def test_near_pm1_records_failures(self):
         assert invariance_oracle(near_pm1_profile(), 10, 1).failures
 
@@ -640,6 +735,52 @@ class TestOrbitDecision:
         gated.clear()
         full_profile(U)
         assert gated == [id(U)]
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("u,w", ORBIT_PAIRS)
+    def test_cli_compare_gates_each_input_once(self, monkeypatch, capsys, tmp_path,
+                                               u, w, json_flag):
+        U, W = ORBIT_INPUTS[u](), ORBIT_INPUTS[w]()
+        if w == u:
+            W = moved(W, 40)
+        paths, loaded = [], []
+        for name, V in (("a", U), ("b", W)):
+            text = serialize_document(document_from_frame(V))
+            (tmp_path / f"{name}.json").write_text(text)
+            paths.append(str(tmp_path / f"{name}.json"))
+            loaded.append(parse_document(text).to_frame())
+        A, B = loaded
+        # the output of labelling each input and then calling same_orbit
+        try:
+            label_a, label_b, verdict = orbit_label(A), orbit_label(B), same_orbit(A, B)
+        except IsoclinicError as exc:
+            expected = (2, "", f"rejected: {exc}\n")
+        else:
+            if json_flag:
+                out = json.dumps({"same_orbit": verdict,
+                                  "label_a": list(label_a.as_array()),
+                                  "label_b": list(label_b.as_array())}, indent=2) + "\n"
+            else:
+                out = "".join([
+                    f"same orbit: {'yes' if verdict else 'no'}\n",
+                    "label A: [" + ", ".join(cli._fmt(v) for v in label_a.as_array()) + "]\n",
+                    "label B: [" + ", ".join(cli._fmt(v) for v in label_b.as_array()) + "]\n",
+                ])
+            expected = (0, out, "")
+        gated = []
+        real = analysis._gate
+
+        def counting(V, *args):
+            gated.append(V.dim)
+            return real(V, *args)
+
+        monkeypatch.setattr(analysis, "_gate", counting)
+        code = cli.main(["compare", *paths, *json_flag])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+        assert gated == [U.dim, W.dim][: len(gated)]
+        if code == 0:
+            assert len(gated) == 2
 
 
 BATCH_INPUTS = {

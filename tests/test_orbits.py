@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from isoclinic import analysis
 from isoclinic.analysis import (
     certify_isoclinic,
     full_profile,
@@ -197,6 +198,20 @@ class TestDecompose:
         assert dec.addend_dim == 8 and len(dec.addends) == 2
         g = gram(dec.addends[0], dec.addends[1])
         npt.assert_allclose(g, np.zeros((8, 8)), atol=1e-8)
+
+    @pytest.mark.parametrize("parts,gates", [(4, [16, 8, 8]), (3, [12, 4, 4, 4])])
+    def test_each_addend_gated_once(self, monkeypatch, parts, gates):
+        U = graph_sum(parts)
+        gated = []
+        real = analysis._gate
+
+        def counting(V, *args):
+            gated.append(V.dim)
+            return real(V, *args)
+
+        monkeypatch.setattr(analysis, "_gate", counting)
+        decompose(U, seed=0)
+        assert gated == gates
 
     @pytest.mark.parametrize("count,want_dim", [(5, 2), (7, 2), (6, 4), (8, 8)])
     def test_two_plane_sums_all_dimension_classes(self, count, want_dim):

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from isoclinic.errors import DimensionError, RankDeficiencyError
+from isoclinic.errors import DimensionError, FrameError, IsoclinicError, RankDeficiencyError
 from isoclinic.quaternions import CompatibleStructure, I, J, K, apply_structure
 from isoclinic.subspaces import (
     Frame,
@@ -16,6 +16,7 @@ from isoclinic.subspaces import (
     principal_angles,
     project,
     random_frame,
+    _mis,
     restrict_complement,
     structure_image,
 )
@@ -45,6 +46,16 @@ class TestOrthonormalize:
     def test_non_orthonormal_frame_rejected(self):
         with pytest.raises(ValueError):
             Frame(np.vstack([unit(1, 0), unit(1, 0)]))
+
+    def test_rejection_is_a_package_error(self):
+        with pytest.raises(FrameError, match="not orthonormal") as info:
+            Frame(np.ones((2, 4)))
+        assert isinstance(info.value, IsoclinicError)
+        assert isinstance(info.value, ValueError)
+
+    def test_parallel_pair_is_a_package_error(self):
+        with pytest.raises(FrameError, match="numerically parallel"):
+            _mis(unit(1, 0), 2 * unit(1, 0))
 
     def test_nan_frame_rejected(self):
         with pytest.raises(ValueError, match="not orthonormal"):
@@ -76,6 +87,16 @@ class TestProjectGram:
         npt.assert_allclose(gram(U, U), np.eye(3), atol=1e-12)
         W = restrict_complement(Frame(np.eye(8)), U, expect=5)
         npt.assert_allclose(gram(U, W), np.zeros((3, 5)), atol=1e-12)
+
+    def test_restrict_complement_stays_in_span(self):
+        # W is not inside span U: the complement is taken inside span U, not
+        # from the residuals of U's rows against W
+        e = np.eye(4)
+        W = Frame((e[0] + e[1]) / np.sqrt(2))
+        with pytest.raises(DimensionError):
+            restrict_complement(Frame(e[0]), W)
+        V = restrict_complement(Frame(e[[0, 2]]), W, expect=1)
+        npt.assert_allclose(np.abs(V.vectors), e[[2]], atol=1e-15)
 
     def test_gram_singular_values_bounded(self, rng):
         for _ in range(5):
