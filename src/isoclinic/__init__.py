@@ -36,6 +36,7 @@ from .errors import (
     IsoclinicError,
     NotIsoclinicError,
     RankDeficiencyError,
+    StructureError,
 )
 from .generators import (
     OracleReport,

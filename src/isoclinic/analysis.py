@@ -19,7 +19,6 @@ canonical chain map; the returned ChainSet is then flagged.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,7 @@ from .subspaces import (
     restrict_complement,
     structure_image,
 )
-from .tolerances import EPS_ANGLE, EPS_CHAIN, EPS_ISO, EPS_PM1
+from .tolerances import EPS_ANGLE, EPS_CHAIN, EPS_ISO, EPS_MEMBER, EPS_PM1
 
 __all__ = [
     "omega_matrix",
@@ -117,38 +116,47 @@ def isoclinic_pair(U: Frame, W: Frame, tol: float = EPS_ISO) -> float | None:
     return None if defect >= tol else _angle(c2)
 
 
-def _unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count random unit coefficient rows (a, b, c): the stream and the
-    scaling of count draws v = rng.standard_normal(3), v / ||v||."""
-    C = rng.standard_normal((count, 3))
-    C /= np.sqrt(C[:, None] @ C[:, :, None])[:, 0]
-    return C
+def _extreme_eigenvalue(Q: np.ndarray) -> np.ndarray:
+    """The eigenvalue of largest modulus of each symmetric 3 x 3 matrix in Q
+    (N, 3, 3), from the trigonometric solution of the characteristic cubic."""
+    q = np.trace(Q, axis1=1, axis2=2) / 3
+    B = Q - q[:, None, None] * np.eye(3)
+    p = np.sqrt(np.sum(B * B, axis=(1, 2)) / 6)
+    B /= np.where(p > 0, p, 1.0)[:, None, None]
+    half_det = np.sum(B[:, 0] * np.cross(B[:, 1], B[:, 2]), axis=1) / 2
+    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3
+    hi, lo = q + 2 * p * np.cos(phi), q + 2 * p * np.cos(phi + 2 * np.pi / 3)
+    return np.where(hi >= -lo, hi, lo)
 
 
-@functools.lru_cache(maxsize=32)
-def _sample_coefficients(count: int, seed: int) -> np.ndarray:
-    """Read-only coefficient rows of the gate's seeded random structures."""
-    C = _unit_rows(np.random.default_rng(seed), count)
-    C.flags.writeable = False
-    return C
+def _extreme_vector(Q: np.ndarray, lam: float) -> np.ndarray:
+    """Unit eigenvector of the symmetric 3 x 3 Q for its eigenvalue lam: of
+    the cross products of two rows of Q - lam Id (lam simple), of its longest
+    row with each axis (lam double) and the axes (Q = lam Id), the one with
+    the largest |v^T Q v|, signed so that its largest entry is positive."""
+    R = Q - lam * np.eye(3)
+    longest = R[np.argmax(np.sum(R * R, axis=1))]
+    V = np.vstack([np.cross(R[[0, 0, 1]], R[[1, 2, 2]]), np.cross(longest, np.eye(3)), np.eye(3)])
+    norms = np.sqrt(np.sum(V * V, axis=1))
+    V = V[norms > 0] / norms[norms > 0, None]
+    v = V[np.argmax(np.abs(np.sum((V @ Q) * V, axis=1)))]
+    return v * np.sign(v[np.argmax(np.abs(v))])
 
 
-def _pattern_choices(w: np.ndarray, tol: float) -> set[str]:
-    """Which sign choices of the dim-4 normal form a skew matrix fits."""
-    a, b, c = w[0, 1], w[0, 2], w[0, 3]
-    out = set()
-    if np.max(np.abs(w - omega_pattern_4(a, b, c))) < tol:
-        out.add("upper")
-    if np.max(np.abs(w - omega_pattern_lower_4(a, b, c))) < tol:
-        out.add("lower")
-    return out
+def _gate(U: Frame, tol: float, forms=None):
+    """(angles, witness) of the isoclinicity test of (U, AU) for every unit
+    A = aI + bJ + cK: witness is (coefficients, deviation) of the worst
+    structure and angles is None when it fails. `forms` are U's _forms when
+    the caller already has them.
 
-
-def _gate(U: Frame, check_samples: int, tol: float, seed: int, forms=None):
-    """(angles, witness): witness is (coefficients, deviation) of the first
-    failing pair, angles is None in that case. Every structure other than
-    I, J, K is tested through omega_A = a omega_I + b omega_J + c omega_K;
-    `forms` are U's _forms when the caller already has them."""
+    Entry (i, j) of the traceless part of omega_A omega_A^T is a^T Q_ij a
+    for the symmetric 3 x 3 matrix Q_ij of the traceless, symmetrised
+    blocks omega_p omega_q^T (the six pair identities), so the sup defect
+    over all structures is max_ij rho(Q_ij), attained at an eigenvector of
+    the worst entry. As rho <= ||Q||_F <= sqrt(3) rho, only entries in the
+    top Frobenius band get eigenvalues, and none do when every ||Q||_F <
+    tol. The verdict is the witness's own pair defect against tol.
+    """
     if U.dim % 2 == 1:
         raise DimensionError(
             "odd-dimensional isoclinic subspaces are exactly the real Hermitian "
@@ -156,57 +164,45 @@ def _gate(U: Frame, check_samples: int, tol: float, seed: int, forms=None):
         )
     if forms is None:
         forms = _forms(U)
-    defects, c2 = _pair_defects(forms)
-    for A, defect in zip((I, J, K), defects):
-        if defect >= tol:
-            return None, (A.coefficients(), float(defect))
-    if U.dim == 4:
-        # pair isoclinicity puts each form into the normal pattern; linear
-        # combinations stay isoclinic only under one COMMON sign choice.
-        # Without this check, sums of same-angle opposite-sign 2-planes
-        # would be falsely certified.
-        choices = {"upper", "lower"}
-        for A, w, defect in zip((I, J, K), forms, defects):
-            fits = _pattern_choices(w, tol)
-            if not fits:
-                return None, (A.coefficients(), float(defect))
-            if np.max(np.abs(w)) > tol:  # a zero form fits both choices
-                choices &= fits
-        if not choices:
-            # witness: the worst equal-weight mixture of two coordinate forms
-            mixes = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]) / np.sqrt(2.0)
-            defects, _ = _combined_defects(mixes, forms)
-            worst = int(np.argmax(defects))
-            return None, (mixes[worst], float(defects[worst]))
-    if U.dim > 4:
-        C = _sample_coefficients(check_samples, seed)
-        defects, _ = _combined_defects(C, forms)
-        failing = np.flatnonzero(defects >= tol)
-        if failing.size:
-            return None, (C[failing[0]].copy(), float(defects[failing[0]]))
-    return tuple(_angle(c) for c in c2), None
+    k = U.dim
+    # the diagonal blocks as _pair_defects forms them: the angles keep their bits
+    M = forms @ forms.swapaxes(1, 2)
+    angles = tuple(_angle(c) for c in np.trace(M, axis1=1, axis2=2) / k)
+    # blocks (p, q) in the order 00, 11, 22, 01, 02, 12
+    S = np.concatenate([M, forms[[0, 0, 1]] @ forms[[1, 2, 2]].swapaxes(1, 2)])
+    S = (S + S.swapaxes(1, 2)) / 2
+    S -= np.trace(S, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
+    fro = np.sqrt(np.sum(S[:3] ** 2, axis=0) + 2 * np.sum(S[3:] ** 2, axis=0))
+    top = float(np.max(fro))
+    if top < tol:
+        return angles, None
+    rows, cols = np.nonzero(fro >= max(tol, top / np.sqrt(3.0)))
+    band = S[:, rows, cols][[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3)
+    lam = _extreme_eigenvalue(band)
+    worst = int(np.argmax(np.abs(lam)))
+    a = _extreme_vector(band[worst], lam[worst])
+    deviation = float(_combined_defects(a[None], forms)[0][0])
+    if deviation < tol:  # the sup is below tol, or reaches it only by roundoff
+        return angles, None
+    return None, (a, deviation)
 
 
-def isoclinic_profile_angles(
-    U: Frame, check_samples: int = 8, tol: float = EPS_ISO, seed: int = 0
-) -> tuple[float, float, float] | None:
-    """(theta_I, theta_J, theta_K) if U passes the isoclinicity gate.
+def isoclinic_profile_angles(U: Frame, tol: float = EPS_ISO) -> tuple[float, float, float] | None:
+    """(theta_I, theta_J, theta_K) if (U, AU) is isoclinic within tol for
+    every compatible structure A = aI + bJ + cK, else None.
 
-    The three coordinate pairs are always tested. In dimension 4 a
-    deterministic sign-consistency test of the three normal forms then
-    settles every other structure exactly; above dimension 4
-    `check_samples` extra random unit structures are tested. Odd dimension
-    is rejected.
+    The test is exact over all unit (a, b, c) in every even dimension: the
+    largest pair defect of any structure is the largest spectral radius of
+    the 3 x 3 quadratic forms that give the entries of omega_A omega_A^T.
+    Odd dimension is rejected.
     """
-    angles, _ = _gate(U, check_samples, tol, seed)
-    return angles
+    return _gate(U, tol)[0]
 
 
-def certify_isoclinic(
-    U: Frame, check_samples: int = 8, tol: float = EPS_ISO, seed: int = 0
-) -> tuple[float, float, float]:
-    """Like isoclinic_profile_angles but raises with the failing witness."""
-    return _certified(_gate(U, check_samples, tol, seed), tol)
+def certify_isoclinic(U: Frame, tol: float = EPS_ISO) -> tuple[float, float, float]:
+    """Like isoclinic_profile_angles but raises NotIsoclinicError naming the
+    worst structure (`witness`) and its pair defect (`deviation`)."""
+    return _certified(_gate(U, tol), tol)
 
 
 def _certified(gated, tol: float) -> tuple[float, float, float]:
@@ -285,7 +281,7 @@ def _cos2_of(profile: IsoclinicProfile, C: np.ndarray) -> np.ndarray:
 # companions and chains
 
 
-def _check_member(U: Frame, x: np.ndarray, what: str, tol: float = 1e-8) -> np.ndarray:
+def _check_member(U: Frame, x: np.ndarray, what: str, tol: float = EPS_MEMBER) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     nx = np.linalg.norm(x)
     if abs(nx - 1.0) > tol:
@@ -790,7 +786,6 @@ def random_unit_in(U: Frame, rng: np.random.Generator) -> np.ndarray:
 
 def full_profile(
     U: Frame,
-    check_samples: int = 8,
     tol: float = EPS_ISO,
     leading: np.ndarray | None = None,
     seed: int | None = None,
@@ -800,7 +795,7 @@ def full_profile(
     The leading vector defaults to the first frame vector; pass `seed` to
     draw it at random instead, or `leading` to fix it.
     """
-    angles = certify_isoclinic(U, check_samples=check_samples, tol=tol)
+    angles = certify_isoclinic(U, tol=tol)
     return _measure(U, angles, leading, seed)
 
 

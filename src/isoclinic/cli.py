@@ -39,8 +39,8 @@ from .generators import (
     make_two_plane,
 )
 from .io import document_from_frame, parse_document, serialize_document
-from .orbits import _labelled, _same_orbit, canonical_matrices, decompose, orbit_label
-from .quaternions import basis_change_homothety, right_multiply
+from .orbits import _labelled, _same_orbit, canonical_matrices, decompose
+from .quaternions import AdmissibleBasis, basis_change_homothety, right_multiply
 from .subspaces import Frame
 
 DEFAULT_TOL = 1e-8
@@ -65,10 +65,14 @@ def _load_frame(path: str, basis_path: str | None = None) -> Frame:
     frame = doc.to_frame()
     basis = doc.admissible_basis
     if basis_path is not None:
-        raw = json.loads(_read_text(basis_path))
-        if isinstance(raw, dict):
-            raw = raw.get("admissible_basis")
-        basis = np.asarray(raw, dtype=float)
+        text = _read_text(basis_path)
+        try:
+            raw = json.loads(text)
+            if isinstance(raw, dict):
+                raw = raw.get("admissible_basis")
+            basis = AdmissibleBasis(np.asarray(raw, dtype=float))
+        except (ValueError, TypeError) as exc:  # bad JSON, entries or rotation
+            raise DocumentError(f"{basis_path}: admissible basis: {exc}") from exc
     if basis is not None:
         # measuring w.r.t. the rotated admissible triple equals measuring the
         # homothety image w.r.t. the coordinate triple
@@ -102,7 +106,7 @@ def _profile_obj(profile: IsoclinicProfile) -> dict:
 def _cmd_analyze(args) -> int:
     frame = _load_frame(args.file, args.basis)
     try:
-        profile = full_profile(frame, tol=args.tol)
+        label, profile = _labelled(frame, tol=args.tol)
     except NotIsoclinicError as exc:
         if args.json:
             print(json.dumps({
@@ -117,7 +121,6 @@ def _cmd_analyze(args) -> int:
                 print(f"defect: {_fmt(exc.deviation)}")
         return 2
     c_ij, c_ik = canonical_matrices(frame, profile)
-    label = orbit_label(frame)
     if args.json:
         print(json.dumps({
             "isoclinic": True,

@@ -11,7 +11,16 @@ class DimensionError(IsoclinicError):
 
 class FrameError(IsoclinicError, ValueError):
     """Vectors are not what the call needs: an orthonormal frame, a unit
-    vector of the subspace, or a non-degenerate pair spanning a 2-plane.
+    vector of the subspace, a non-degenerate pair spanning a 2-plane, or a
+    nonzero vector.
+
+    Also a ValueError, which these checks raised before this class existed.
+    """
+
+
+class StructureError(IsoclinicError, ValueError):
+    """Coefficients that define no compatible structure (not unit) or no
+    admissible basis (not a 3 x 3 rotation in SO(3)).
 
     Also a ValueError, which these checks raised before this class existed.
     """

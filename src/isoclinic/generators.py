@@ -20,9 +20,7 @@ from .analysis import (
     _forms,
     _gate,
     _measure,
-    _pair_defects,
     _pm1,
-    _unit_rows,
     certify_isoclinic,
     full_profile,
     isoclinic_profile_angles,
@@ -42,7 +40,7 @@ from .quaternions import (
     real_from_quaternion_vectors,
 )
 from .subspaces import Frame, orthonormalize
-from .tolerances import EPS_ANGLE, EPS_ISO, EPS_ORTH
+from .tolerances import EPS_ANGLE, EPS_BUILD, EPS_FEASIBLE, EPS_ISO, EPS_ORTH, EPS_REMAINDER
 
 __all__ = [
     "SpElement",
@@ -214,15 +212,15 @@ def make_two_plane(
     """
     _require_finite("make_two_plane", theta_i, theta_j, theta_k, xi, chi)
     cs = np.cos([theta_i, theta_j, theta_k])
-    if float(np.sum(cs**2)) > 1.0 + 1e-12:
+    if float(np.sum(cs**2)) > 1.0 + EPS_FEASIBLE:
         raise InfeasibleParametersError(
             "cos^2 theta_I + cos^2 theta_J + cos^2 theta_K must be <= 1"
         )
     for name, sgn, c in (("xi", xi, cs[1]), ("chi", chi, cs[2])):
-        if c > EPS_ANGLE and abs(abs(sgn) - 1.0) > 1e-12:
+        if c > EPS_ANGLE and abs(abs(sgn) - 1.0) > EPS_FEASIBLE:
             raise InfeasibleParametersError(f"{name} must be +/-1 when its cosine is nonzero")
     r2 = max(0.0, 1.0 - float(np.sum(cs**2)))
-    need_rest = r2 > 1e-14
+    need_rest = r2 > EPS_REMAINDER
     if n < 2 and need_rest:
         raise InfeasibleParametersError("remainder component needs n >= 2")
     x1 = _unit(n, 0)
@@ -238,7 +236,7 @@ def make_two_plane(
     want = np.array([cs[0], xi * cs[1], chi * cs[2]])
     got = orbit.im.as_array()[1:]
     mismatch = float(np.max(np.abs(got - want)))
-    if not mismatch <= 1e-9:
+    if not mismatch <= EPS_BUILD:
         raise FalsificationError(
             f"constructed 2-plane misses the requested parameters (mismatch {mismatch:.3e})"
         )
@@ -352,7 +350,7 @@ def make_profile_4(
         gamma, delta = 1.0, 0.0
     else:
         gamma = (eta - xi * chi) / np.sqrt((1 - xi**2) * (1 - chi**2))
-        if abs(gamma) > 1 + 1e-12:
+        if abs(gamma) > 1 + EPS_FEASIBLE:
             raise InfeasibleParametersError(f"(xi, chi, eta) give |Gamma| = {abs(gamma):.6f} > 1")
         gamma = float(np.clip(gamma, -1.0, 1.0))
         delta = float(delta_sign) * np.sqrt(max(0.0, 1.0 - gamma**2))
@@ -365,7 +363,7 @@ def make_profile_4(
     want = np.array([theta_i, theta_j, theta_k, xi, chi, eta, gamma, delta])
     got = _part_invariants(U)
     mismatch = float(np.max(np.abs(got - want)))
-    if not mismatch <= 1e-9:
+    if not mismatch <= EPS_BUILD:
         raise FalsificationError(
             f"constructed profile {np.round(got, 6)} does not match requested "
             f"{np.round(want, 6)} (mismatch {mismatch:.3e})"
@@ -441,6 +439,14 @@ def _profile_vector(p: IsoclinicProfile) -> np.ndarray:
     )
 
 
+def _unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count random unit coefficient rows (a, b, c): the stream and the
+    scaling of count draws v = rng.standard_normal(3), v / ||v||."""
+    C = rng.standard_normal((count, 3))
+    C /= np.sqrt(C[:, None] @ C[:, :, None])[:, 0]
+    return C
+
+
 def _cos2_angle(c2: np.ndarray) -> np.ndarray:
     """cos^2 of the angle analysis._angle gives each entry of c2."""
     return np.cos(np.arccos(np.sqrt(np.clip(c2, 0.0, 1.0)))) ** 2
@@ -473,7 +479,7 @@ def invariance_oracle(
         # full_profile(gU, seed=lead_seed), keeping the forms its gate builds
         forms = _forms(gU)
         try:
-            angles = _certified(_gate(gU, 8, EPS_ISO, 0, forms), EPS_ISO)
+            angles = _certified(_gate(gU, EPS_ISO, forms), EPS_ISO)
         except NotIsoclinicError as exc:
             failures.append(f"trial {t}: gate failure after motion: {exc}")
             continue
@@ -551,7 +557,8 @@ def search_irreducible_8(seed: int, iterations: int) -> SearchReport:
     Any witness is re-certified by a 100-trial invariance oracle before
     being returned; an empty result is a valid outcome (no witness is
     asserted to exist). The report carries the smallest isoclinicity
-    defect (protocol 1) and identity defect (protocol 2) seen.
+    defect of a rejected candidate (protocol 1; the gate's sup over all
+    structures) and identity defect (protocol 2) seen.
     """
     from .orbits import cij_block_8, cik_block_8
     from .analysis import standard_omega
@@ -569,10 +576,9 @@ def search_irreducible_8(seed: int, iterations: int) -> SearchReport:
                 cand = orthonormalize(base.vectors + noise)
             except RankDeficiencyError:
                 continue
-            if isoclinic_profile_angles(cand) is None:
-                best_defect = min(
-                    best_defect, float(np.max(_pair_defects(_forms(cand))[0]))
-                )
+            angles, witness = _gate(cand, EPS_ISO)
+            if angles is None:
+                best_defect = min(best_defect, witness[1])
                 continue
             gate_passes += 1
         else:

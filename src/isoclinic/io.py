@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DocumentError
+from .errors import DocumentError, StructureError
 from .quaternions import AdmissibleBasis
 from .subspaces import Frame, orthonormalize
 
@@ -105,7 +105,7 @@ def parse_document(source) -> SubspaceDocument:
         )
         try:
             basis = AdmissibleBasis(mat).rotation
-        except ValueError as exc:
+        except StructureError as exc:
             raise DocumentError(f"admissible_basis: {exc}") from exc
 
     label = obj.get("label")

@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .errors import DimensionError, FalsificationError
 from .subspaces import Frame, orthonormalize, principal_angles, restrict_complement
-from .tolerances import EPS_ORBIT, EPS_PM1, EPS_PRINCIPAL, EPS_RECERT, EPS_UNION
+from .tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_PRINCIPAL, EPS_RECERT, EPS_UNION
 
 __all__ = [
     "TypedSubspace",
@@ -359,9 +359,12 @@ def orbit_label(U: Frame, seed: int | None = None) -> OrbitLabel:
     return _labelled(U, seed)[0]
 
 
-def _labelled(U: Frame, seed: int | None = None) -> tuple[OrbitLabel, IsoclinicProfile]:
-    """orbit_label(U, seed) and the profile it was read from."""
-    angles = certify_isoclinic(U)
+def _labelled(
+    U: Frame, seed: int | None = None, tol: float = EPS_ISO
+) -> tuple[OrbitLabel, IsoclinicProfile]:
+    """orbit_label(U, seed) and the profile it was read from; `tol` is the
+    isoclinicity gate's."""
+    angles = certify_isoclinic(U, tol=tol)
     profile = _measure(U, angles, seed=seed)
     other = _measure(U, angles, seed=(seed or 0) + 101)
     drift = max(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, FrameError, StructureError
 from .tolerances import EPS_ORTH, EPS_UNIT
 
 __all__ = [
@@ -187,7 +187,7 @@ class CompatibleStructure:
     def __post_init__(self):
         coeffs = np.array([self.a, self.b, self.c], dtype=float)
         if abs(coeffs @ coeffs - 1.0) > EPS_UNIT:
-            raise ValueError(
+            raise StructureError(
                 f"coefficient vector {coeffs} is not unit (|a|^2+|b|^2+|c|^2 != 1)"
             )
 
@@ -236,7 +236,7 @@ def hermitian_angle(x: np.ndarray, y: np.ndarray) -> float:
     nx = float(np.linalg.norm(x))
     ny = float(np.linalg.norm(y))
     if nx == 0.0 or ny == 0.0:
-        raise ValueError("hermitian_angle of a zero vector")
+        raise FrameError("hermitian_angle of a zero vector")
     c = hermitian_product(x, y).norm() / (nx * ny)
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
@@ -257,11 +257,11 @@ class AdmissibleBasis:
     def __post_init__(self):
         C = np.asarray(self.rotation, dtype=float)
         if C.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {C.shape}")
+            raise StructureError(f"rotation must be 3x3, got {C.shape}")
         if np.max(np.abs(C.T @ C - np.eye(3))) > EPS_ORTH:
-            raise ValueError("rotation is not orthogonal within tolerance")
+            raise StructureError("rotation is not orthogonal within tolerance")
         if np.linalg.det(C) < 0.0:
-            raise ValueError("rotation has determinant -1; not in SO(3)")
+            raise StructureError("rotation has determinant -1; not in SO(3)")
         object.__setattr__(self, "rotation", C)
 
 

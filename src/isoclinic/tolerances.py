@@ -18,6 +18,18 @@ EPS_RANK = 1e-10
 # angle equality
 EPS_ANGLE = 1e-8
 
+# a leading vector's norm may miss 1, and its distance to the subspace 0, by this much
+EPS_MEMBER = 1e-8
+
+# slack of a generator's feasibility tests (sum of cos^2 <= 1, |xi| = 1, |Gamma| <= 1)
+EPS_FEASIBLE = 1e-12
+
+# squared length below which a 2-plane's companion gets no real remainder direction
+EPS_REMAINDER = 1e-14
+
+# a constructed example may miss its requested parameters by this much
+EPS_BUILD = 1e-9
+
 # an addend's re-certified angles may differ from the parent's by this much
 EPS_RECERT = EPS_ANGLE * 10
 

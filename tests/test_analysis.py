@@ -42,6 +42,13 @@ def random_structure(rng) -> CompatibleStructure:
     return CompatibleStructure(*(v / np.linalg.norm(v)))
 
 
+def perturbed_graph_sum(seed, parts):
+    """`parts` copies of one random graph subspace, moved by 3e-9 noise."""
+    rng = np.random.default_rng(seed)
+    base = direct_sum([graph_subspace(rng.standard_normal(4))] * parts)
+    return orthonormalize(base.vectors + 3e-9 * rng.standard_normal(base.vectors.shape))
+
+
 def quaternionic_chain_frame(n=2):
     e = unit(n, 0)
     return Frame(np.vstack([
@@ -131,7 +138,7 @@ class TestProfileAngles:
         assert isoclinic_pair(U, structure_image(A, U)) is None
 
     def test_mixed_sign_sum_rejected_in_dim8(self):
-        # the dim > 4 gate catches the same anomaly through random samples
+        # the same anomaly in dim 8, where no sign pattern of normal forms applies
         p_plus = make_two_plane(2, 0.9, 1.1, 1.2, +1.0, 1.0)
         p_minus = make_two_plane(2, 0.9, 1.1, 1.2, -1.0, 1.0)
         V = np.zeros((8, 32))
@@ -140,6 +147,31 @@ class TestProfileAngles:
         V[4:6, 16:24] = p_plus.vectors
         V[6:, 24:] = p_minus.vectors
         assert isoclinic_profile_angles(Frame(V)) is None
+
+
+    def test_sup_defect_above_tolerance_rejected(self, rng):
+        # sampled structures certified this input; its sup defect is 1.101e-8
+        U = perturbed_graph_sum(8, 2)
+        with pytest.raises(NotIsoclinicError) as err:
+            certify_isoclinic(U)
+        assert err.value.deviation == pytest.approx(1.10107e-8, rel=1e-5)
+        A = CompatibleStructure(*err.value.witness)
+        assert isoclinic_pair(U, structure_image(A, U)) is None
+        # no random structure does worse than the witness
+        for _ in range(50):
+            A = random_structure(rng)
+            G = omega_matrix(U, A)
+            M = G @ G.T
+            defect = np.max(np.abs(M - np.trace(M) / U.dim * np.eye(U.dim)))
+            assert defect <= err.value.deviation + 1e-15
+
+    def test_sup_defect_below_tolerance_certified(self, rng):
+        # the sign-pattern test rejected this input (J, defect 4.8e-9); its
+        # sup defect over all structures is 7.45e-9
+        U = perturbed_graph_sum(1, 1)
+        assert isoclinic_profile_angles(U) is not None
+        for A in [I, J, K] + [random_structure(rng) for _ in range(50)]:
+            assert isoclinic_pair(U, structure_image(A, U)) is not None
 
 
 class TestThetaOfA:

@@ -4,10 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from isoclinic import analysis
 from isoclinic.cli import main
 from isoclinic.errors import DocumentError
-from isoclinic.generators import make_quaternionic_line, make_rhp, make_two_plane
+from isoclinic.generators import graph_subspace, make_quaternionic_line, make_rhp, make_two_plane
 from isoclinic.io import document_from_frame, parse_document, serialize_document
+from isoclinic.subspaces import orthonormalize
 
 
 class TestDocuments:
@@ -87,6 +89,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def perturbed_graph_document(tmp_path):
+    """A graph subspace moved off isoclinicity: sup pair defect about 1.55e-8."""
+    base = graph_subspace(np.array([0.3, 0.4, -0.2, 0.6]))
+    rng = np.random.default_rng(1)
+    U = orthonormalize(base.vectors + 1e-8 * rng.standard_normal(base.vectors.shape))
+    path = tmp_path / "perturbed.json"
+    path.write_text(serialize_document(document_from_frame(U)))
+    return path
+
+
 class TestCli:
     def test_generate_then_analyze(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "generate", "qline", "--n", "2")
@@ -130,6 +142,36 @@ class TestCli:
         assert code == 2
         assert "not isoclinic" in out
         assert "witness" in out
+
+    def test_analyze_tol_applies_to_its_one_gate(self, capsys, tmp_path, monkeypatch):
+        path = perturbed_graph_document(tmp_path)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, err) == (2, "")
+        assert out.startswith("not isoclinic\n")
+        gated = []
+        real = analysis._gate
+
+        def counting(U, tol, *rest):
+            gated.append(tol)
+            return real(U, tol, *rest)
+
+        monkeypatch.setattr(analysis, "_gate", counting)
+        code, out, err = run_cli(capsys, "analyze", str(path), "--tol", "1e-6")
+        assert (code, err) == (0, "")
+        assert "isoclinic: yes" in out and "orbit label: [" in out
+        assert gated == [1e-6]
+
+    def test_bad_basis_file_is_document_error(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "generate", "icomplex4", "--theta", "0.8")
+        path = tmp_path / "ic.json"
+        path.write_text(out)
+        basis_path = tmp_path / "basis.json"
+        for text in ("[[1, 0, 0], [0, 1, 0], [0, 0, -1]]", "[[1, 0], [0, 1]]",
+                     '[[1, "a", 0], [0, 1, 0], [0, 0, 1]]', "not json"):
+            basis_path.write_text(text)
+            code, out, err = run_cli(capsys, "analyze", str(path), "--basis", str(basis_path))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {basis_path}: admissible basis: ")
 
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/file.json")

@@ -3,14 +3,17 @@ replace.
 
 Each reference below is the plain formulation: Gram-Schmidt one kept row
 at a time, the structure action as stacked signed slices, companions
-through the projector onto AU, the gate's and the oracle's sampled
-structures through a fresh image AU per structure, Sp(n) sampling as
-left-looking Gram-Schmidt one column pair at a time, and the orbit label
-and decision with a full profile (gate included) per leading vector and
-per canonical-matrix cross-check. Inputs are unit-norm and agreement is
-required to 1e-13 (bitwise where the kernel performs the same operations
-in the same order). The complement of W in U is checked against its
-characterisation instead, since its basis is not the Gram-Schmidt one.
+through the projector onto AU, the oracle's sampled structures through a
+fresh image AU per structure, Sp(n) sampling as left-looking
+Gram-Schmidt one column pair at a time, and the orbit label and decision
+with a full profile (gate included) per leading vector and per
+canonical-matrix cross-check. The gate's reference polarises the 3 x 3
+quadratic forms Q_ij of the pair defect from six fresh images AU and
+takes their sup over all structures with np.linalg.eigh. Inputs are
+unit-norm and agreement is required to 1e-13 (bitwise where the kernel
+performs the same operations in the same order). The complement of W in
+U is checked against its characterisation instead, since its basis is
+not the Gram-Schmidt one.
 """
 
 import json
@@ -18,16 +21,17 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from isoclinic import analysis, cli, generators, orbits
 from isoclinic.analysis import (
+    _angle,
+    _combined_defects,
     _companion,
     _forms,
     _gate,
-    _pattern_choices,
+    _pair_defects,
     _pm1,
-    _sample_coefficients,
     _third,
     full_profile,
     isoclinic_pair,
@@ -72,6 +76,7 @@ from isoclinic.subspaces import (
     Frame,
     _mgs,
     gram,
+    orthonormalize,
     project,
     random_frame,
     restrict_complement,
@@ -131,46 +136,38 @@ def pair_defect_reference(U, A):
     return float(np.max(np.abs(M - c2 * np.eye(U.dim))))
 
 
-def random_structures_reference(count, seed):
-    """The gate's seeded structures, drawn and normalized one at a time."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        out.append(CompatibleStructure(*v))
-    return out
+def defect_matrix_reference(U, coefficients):
+    """Traceless part of G G^T for G = <U, AU> on a fresh image AU."""
+    G = gram(U, structure_image(CompatibleStructure(*coefficients), U))
+    M = G @ G.T
+    return M - np.trace(M) / U.dim * np.eye(U.dim)
 
 
-def gate_reference(U, check_samples=8, tol=EPS_ISO, seed=0):
-    thetas = []
-    for A in (I, J, K):
-        th = isoclinic_pair(U, structure_image(A, U), tol)
-        if th is None:
-            return None, (A.coefficients(), pair_defect_reference(U, A))
-        thetas.append(th)
-    if U.dim == 4:
-        choices = {"upper", "lower"}
-        for A in (I, J, K):
-            w = omega_matrix(U, A)
-            fits = _pattern_choices(w, tol)
-            if not fits:
-                return None, (A.coefficients(), pair_defect_reference(U, A))
-            if np.max(np.abs(w)) > tol:
-                choices &= fits
-        if not choices:
-            worst = None
-            for A, B in ((I, J), (I, K), (J, K)):
-                coef = (A.coefficients() + B.coefficients()) / np.sqrt(2.0)
-                defect = pair_defect_reference(U, CompatibleStructure(*coef))
-                if worst is None or defect > worst[1]:
-                    worst = (coef, defect)
-            return None, worst
-    if U.dim > 4:
-        for A in random_structures_reference(check_samples, seed):
-            if isoclinic_pair(U, structure_image(A, U), tol) is None:
-                return None, (A.coefficients(), pair_defect_reference(U, A))
-    return tuple(thetas), None
+def sup_defect_reference(U):
+    """(max over unit (a, b, c) of the pair defect, a structure attaining it).
+
+    Entry (i, j) of the traceless G_A G_A^T is a^T Q_ij a. Each Q_ij is
+    polarised from six fresh images (I, J, K and the (e_p + e_q) / sqrt 2),
+    and np.linalg.eigh gives the sup max_ij rho(Q_ij) with its eigenvector.
+    """
+    k, E = U.dim, np.eye(3)
+    Q = np.zeros((k, k, 3, 3))
+    for p in range(3):
+        Q[:, :, p, p] = defect_matrix_reference(U, E[p])
+    for p, q in ((0, 1), (0, 2), (1, 2)):
+        mixed = defect_matrix_reference(U, (E[p] + E[q]) / np.sqrt(2.0))
+        Q[:, :, p, q] = Q[:, :, q, p] = mixed - (Q[:, :, p, p] + Q[:, :, q, q]) / 2
+    values, vectors = np.linalg.eigh(Q)
+    i, j, m = np.unravel_index(np.argmax(np.abs(values)), values.shape)
+    return float(abs(values[i, j, m])), vectors[i, j, :, m]
+
+
+def gate_reference(U, tol=EPS_ISO):
+    rho, vector = sup_defect_reference(U)
+    if rho >= tol:
+        return None, (vector, rho)
+    cos2 = [np.trace(G @ G.T) / U.dim for G in (gram(U, structure_image(A, U)) for A in (I, J, K))]
+    return tuple(float(np.arccos(np.sqrt(np.clip(c, 0.0, 1.0)))) for c in cos2), None
 
 
 def random_sp_reference(n, seed):
@@ -489,24 +486,95 @@ class TestCompanions:
             )
 
 
+def assert_gate_matches_reference(U):
+    """Same verdict as the eigh reference; a witness attains the sup and its
+    deviation is its own pair defect; certified angles are bitwise those of
+    trace(omega_p omega_p^T) / k."""
+    angles, witness = _gate(U, EPS_ISO)
+    angles_ref, witness_ref = gate_reference(U)
+    assert (angles is None) == (angles_ref is None)
+    if angles is None:
+        coeffs, deviation = witness
+        assert deviation == pytest.approx(witness_ref[1], rel=0, abs=TOL)
+        assert deviation == _combined_defects(coeffs[None], _forms(U))[0][0]
+        assert pair_defect_reference(U, CompatibleStructure(*coeffs)) == pytest.approx(
+            deviation, rel=0, abs=TOL)
+    else:
+        npt.assert_allclose(angles, angles_ref, rtol=0, atol=TOL)
+        assert angles == tuple(_angle(c) for c in _pair_defects(_forms(U))[1])
+    return angles, witness
+
+
+def perturbed(base, seed, eps):
+    rng = np.random.default_rng(seed)
+    return orthonormalize(base.vectors + eps * rng.standard_normal(base.vectors.shape))
+
+
+PERTURBED_BASES = {
+    4: lambda: moved(graph_sum(1), 61),
+    6: lambda: two_plane_sum(3, 62),
+    8: lambda: moved(graph_sum(2), 63),
+    16: lambda: moved(graph_sum(4), 64),
+}
+
+
 class TestGate:
     @pytest.mark.parametrize("name", sorted(GATE_INPUTS))
     def test_matches_image_per_structure(self, name):
-        U = GATE_INPUTS[name]()
-        angles, witness = _gate(U, 8, EPS_ISO, 0)
-        angles_ref, witness_ref = gate_reference(U)
-        assert (angles is None) == (angles_ref is None)
-        if angles is None:
-            npt.assert_array_equal(witness[0], witness_ref[0])
-            assert witness[1] == pytest.approx(witness_ref[1], rel=0, abs=TOL)
-        else:
-            npt.assert_allclose(angles, angles_ref, rtol=0, atol=TOL)
+        assert_gate_matches_reference(GATE_INPUTS[name]())
 
     def test_expected_verdicts(self):
-        verdicts = {name: _gate(make(), 8, EPS_ISO, 0)[0] is not None
+        verdicts = {name: _gate(make(), EPS_ISO)[0] is not None
                     for name, make in GATE_INPUTS.items()}
         assert {name for name, ok in verdicts.items() if ok} == {
             "graph-4", "graph-8", "graph-16"}
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.sampled_from(sorted(PERTURBED_BASES)), seed=st.integers(0, 2**32 - 1),
+           log_eps=st.floats(-10.0, -7.0))
+    def test_perturbed_sums_across_tolerance(self, dim, seed, log_eps):
+        U = perturbed(PERTURBED_BASES[dim](), seed, 10.0**log_eps)
+        # a sup within roundoff of the tolerance may be decided either way
+        assume(abs(sup_defect_reference(U)[0] - EPS_ISO) > 1e-15)
+        angles, witness = assert_gate_matches_reference(U)
+        if angles is None:
+            assert witness[1] >= EPS_ISO
+
+    @pytest.mark.parametrize("name", ["mixed-4", "mixed-8", "random-4", "random-8", "random-16"])
+    def test_verdict_flips_at_the_sup(self, name):
+        U = GATE_INPUTS[name]()
+        sup = sup_defect_reference(U)[0]
+        angles, (_, deviation) = _gate(U, sup * (1 - 1e-9))
+        assert angles is None and deviation == pytest.approx(sup, rel=0, abs=TOL)
+        assert _gate(U, sup * (1 + 1e-9))[0] is not None
+
+    def test_extreme_vector_repeated_eigenvalues(self, rng):
+        # the closed-form eigenvalue keeps about half the digits at a repeated
+        # root (arccos at +/-1); the vector is checked at the exact eigenvalue
+        n = unit_rows(rng, 1, 3)[0]
+        for Q, lam, eig_tol in [
+            (-2.0 * np.eye(3) + 1.5 * np.outer(n, n), -2.0, 1e-7),  # double, eigenspace n-perp
+            (np.diag([0.7, 0.7, -0.2]), 0.7, 1e-7),  # double, axes in its eigenspace
+            (0.4 * np.eye(3), 0.4, TOL),  # triple
+            (np.diag([0.1, -0.9, 0.3]), -0.9, TOL),  # simple, an axis
+        ]:
+            v = analysis._extreme_vector(Q, lam)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=TOL)
+            npt.assert_allclose(Q @ v, lam * v, rtol=0, atol=TOL)
+            assert v[np.argmax(np.abs(v))] > 0
+            assert analysis._extreme_eigenvalue(Q[None])[0] == pytest.approx(lam, abs=eig_tol)
+
+    def test_no_linalg_call(self, monkeypatch):
+        inputs = [make() for make in GATE_INPUTS.values()]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gate called numpy.linalg")
+
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)) and name[0].islower():
+                monkeypatch.setattr(np.linalg, name, refuse)
+        verdicts = [_gate(U, EPS_ISO)[0] is not None for U in inputs]
+        assert True in verdicts and False in verdicts
 
     @pytest.mark.parametrize("parts", [1, 2, 4])
     def test_sampled_forms_are_combinations(self, rng, parts):
@@ -799,29 +867,8 @@ BATCH_INPUTS = {
 class TestBatchedGate:
     @pytest.mark.parametrize("name", sorted(BATCH_INPUTS))
     def test_matches_per_structure_gate(self, name):
-        U = BATCH_INPUTS[name]()
-        angles, witness = _gate(U, 8, EPS_ISO, 0)
-        angles_ref, witness_ref = gate_reference(U)
-        assert (angles is None) == (angles_ref is None) == name.startswith("mixed")
+        angles, witness = assert_gate_matches_reference(BATCH_INPUTS[name]())
+        assert (angles is None) == name.startswith("mixed")
         if angles is None:
-            npt.assert_array_equal(witness[0], witness_ref[0])
-            # the coordinate pairs pass: a sampled structure is the witness
+            # the coordinate pairs pass: a mixed structure is the witness
             assert np.count_nonzero(witness[0]) > 1
-            assert abs(witness[1] - witness_ref[1]) <= 1e-15
-        else:
-            npt.assert_allclose(angles, angles_ref, rtol=0, atol=TOL)
-
-    @pytest.mark.parametrize("count,seed", [(8, 0), (3, 7), (0, 0), (64, 11)])
-    def test_sample_coefficients_cached_and_read_only(self, count, seed):
-        C = _sample_coefficients(count, seed)
-        assert C is _sample_coefficients(count, seed)
-        assert C.shape == (count, 3) and not C.flags.writeable
-        ref = [A.coefficients() for A in random_structures_reference(count, seed)]
-        npt.assert_array_equal(C, np.array(ref).reshape(-1, 3))
-
-    def test_witness_is_not_a_view_of_the_cache(self):
-        U = BATCH_INPUTS["mixed-8"]()
-        coeffs = _gate(U, 8, EPS_ISO, 0)[1][0]
-        kept = coeffs.copy()
-        coeffs[:] = 0.0
-        npt.assert_array_equal(_gate(U, 8, EPS_ISO, 0)[1][0], kept)

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from isoclinic.errors import FrameError, IsoclinicError, StructureError
 from isoclinic.quaternions import (
     AdmissibleBasis,
     CompatibleStructure,
@@ -77,8 +78,9 @@ class TestStructures:
         npt.assert_allclose(np.linalg.norm(apply_structure(A, x)), np.linalg.norm(x))
 
     def test_non_unit_coefficients_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StructureError) as info:
             CompatibleStructure(1.0, 1.0, 0.0)
+        assert isinstance(info.value, IsoclinicError) and isinstance(info.value, ValueError)
 
     def test_operator_hamilton_relations(self):
         mI, mJ, mK = (structure_matrix(A, 2) for A in (I, J, K))
@@ -141,7 +143,7 @@ class TestAngles:
         assert hermitian_angle(unit(2, 0), unit(2, 1)) == pytest.approx(np.pi / 2)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FrameError):
             hermitian_angle(np.zeros(8), unit(2, 0))
 
     def test_characteristic_from_fourth_power(self, rng):
@@ -186,10 +188,14 @@ class TestRotateBasis:
             npt.assert_allclose(mi @ mi, -np.eye(8), atol=1e-12)
 
     def test_improper_rotation_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StructureError, match="determinant"):
             AdmissibleBasis(np.diag([1.0, 1.0, -1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(StructureError, match="not orthogonal"):
             AdmissibleBasis(np.ones((3, 3)))
+
+    def test_non_square_rotation_rejected(self):
+        with pytest.raises(StructureError, match="3x3"):
+            AdmissibleBasis(np.eye(2))
 
     def test_product_components_rotate(self, rng):
         # imaginary components of X.Y in the rotated basis are the
