@@ -40,7 +40,6 @@ from .errors import (
 )
 from .generators import (
     OracleReport,
-    SearchReport,
     SpElement,
     direct_sum,
     graph_subspace,
@@ -52,7 +51,6 @@ from .generators import (
     make_totally_complex_4,
     make_two_plane,
     random_sp,
-    search_irreducible_8,
 )
 from .io import SubspaceDocument, document_from_frame, parse_document, serialize_document
 from .orbits import (

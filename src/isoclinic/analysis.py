@@ -61,7 +61,6 @@ __all__ = [
     "gamma_delta",
     "omega_pattern_4",
     "omega_pattern_lower_4",
-    "standard_omega",
     "cij_block_4",
     "cik_block_4",
     "canonical_matrices_4",
@@ -641,17 +640,6 @@ def omega_pattern_lower_4(a: float, b: float, c: float) -> np.ndarray:
             [-c, -b, a, 0.0],
         ]
     )
-
-
-def standard_omega(k: int, cos_theta: float) -> np.ndarray:
-    """Block-diagonal standard form of a skew form on a dim-k standard basis."""
-    if k % 2:
-        raise DimensionError("standard form needs even dimension")
-    out = np.zeros((k, k))
-    for p in range(0, k, 2):
-        out[p, p + 1] = cos_theta
-        out[p + 1, p] = -cos_theta
-    return out
 
 
 def cij_block_4(xi: float) -> np.ndarray:

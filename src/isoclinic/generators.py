@@ -23,12 +23,11 @@ from .analysis import (
     _pm1,
     certify_isoclinic,
     full_profile,
-    isoclinic_profile_angles,
     omega_pattern_4,
     two_plane_orbit,
 )
 from .errors import (DimensionError, FalsificationError, InfeasibleParametersError,
-                     NotIsoclinicError, RankDeficiencyError)
+                     NotIsoclinicError)
 from .quaternions import (
     I,
     J,
@@ -40,7 +39,8 @@ from .quaternions import (
     real_from_quaternion_vectors,
 )
 from .subspaces import Frame, orthonormalize
-from .tolerances import EPS_ANGLE, EPS_BUILD, EPS_FEASIBLE, EPS_ISO, EPS_ORTH, EPS_REMAINDER
+from .tolerances import (EPS_ANGLE, EPS_BUILD, EPS_FACTOR, EPS_FEASIBLE, EPS_ISO, EPS_ORTH,
+                         EPS_PIVOT, EPS_REMAINDER)
 
 __all__ = [
     "SpElement",
@@ -56,8 +56,6 @@ __all__ = [
     "embed",
     "OracleReport",
     "invariance_oracle",
-    "SearchReport",
-    "search_irreducible_8",
 ]
 
 
@@ -271,7 +269,7 @@ def graph_subspace(mu, n: int = 2) -> Frame:
 # arbitrary 4-dimensional profiles via quaternionic Cholesky
 
 
-def _quaternion_cholesky(H: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _quaternion_cholesky(H: np.ndarray, tol: float = EPS_PIVOT) -> np.ndarray:
     """Factor a quaternionic Hermitian PSD matrix as R* R (R upper triangular).
 
     H has shape (k, k, 4). Zero pivots are skipped, so quaternionic rank
@@ -297,7 +295,7 @@ def _quaternion_cholesky(H: np.ndarray, tol: float = 1e-10) -> np.ndarray:
             R[p, q] = acc / s
     # verify the factorization; catches indefinite H that slipped past pivots
     G = qarr_mul(qarr_conj(R)[:, :, None], R[:, None]).sum(axis=0)
-    if not np.max(np.abs(G - H)) <= 1e-8:
+    if not np.max(np.abs(G - H)) <= EPS_FACTOR:
         raise InfeasibleParametersError(
             "requested invariants are not realizable (Gram not PSD)"
         )
@@ -514,123 +512,3 @@ def invariance_oracle(
         max_eta_relation_error=max_eta,
         failures=tuple(failures),
     )
-
-
-# ---------------------------------------------------------------------------
-# randomized search for an 8-dimensional witness with Gamma^2 + Delta^2 < 1
-
-
-@dataclass(frozen=True, eq=False)
-class SearchReport:
-    """Statistics of a search run; `witness` is None when nothing was found."""
-
-    iterations: int
-    gate_passes: int
-    best_defect: float
-    best_identity_defect: float
-    witness: Frame | None = None
-    witness_value: float | None = None
-
-
-def _certified_witness(cand: Frame, seed: int) -> float | None:
-    """Measured Gamma^2 + Delta^2 if cand is a certified witness, else None."""
-    prof = full_profile(cand)
-    value = prof.gamma**2 + prof.delta**2
-    if value >= 1.0 - 1e-3:
-        return None
-    report = invariance_oracle(cand, trials=100, seed=seed)
-    return float(value) if report.passed else None
-
-
-def search_irreducible_8(seed: int, iterations: int) -> SearchReport:
-    """Best-effort randomized search for U in IC^8 with Gamma^2 + Delta^2 < 1.
-
-    Two protocols alternate per iteration:
-
-    1. perturb a direct sum of matched 4-dim subspaces, re-orthonormalize
-       and filter through the isoclinicity gate;
-    2. draw a candidate invariant set with Sigma^2 = 1 - Gamma^2 - Delta^2
-       bounded away from 0, build the canonical omega triple, keep it only
-       if it satisfies the necessary pair identities, and factor it into a
-       frame through the quaternionic Gram.
-
-    Any witness is re-certified by a 100-trial invariance oracle before
-    being returned; an empty result is a valid outcome (no witness is
-    asserted to exist). The report carries the smallest isoclinicity
-    defect of a rejected candidate (protocol 1; the gate's sup over all
-    structures) and identity defect (protocol 2) seen.
-    """
-    from .orbits import cij_block_8, cik_block_8
-    from .analysis import standard_omega
-
-    rng = np.random.default_rng(seed)
-    gate_passes = 0
-    best_defect = np.inf
-    best_identity = np.inf
-    for it in range(iterations):
-        if it % 2 == 0:
-            part = graph_subspace(rng.standard_normal(4))
-            base = direct_sum([part, part])
-            noise = rng.standard_normal(base.vectors.shape) * 10.0 ** rng.uniform(-10, -2)
-            try:
-                cand = orthonormalize(base.vectors + noise)
-            except RankDeficiencyError:
-                continue
-            angles, witness = _gate(cand, EPS_ISO)
-            if angles is None:
-                best_defect = min(best_defect, witness[1])
-                continue
-            gate_passes += 1
-        else:
-            cs = rng.uniform(0.05, 0.95, 3)
-            xi, chi = rng.uniform(-0.9, 0.9, 2)
-            gamma = rng.uniform(-0.9, 0.9)
-            room = np.sqrt(max(0.0, 1.0 - gamma**2 - 1e-3))
-            delta = rng.uniform(-room, room)
-            eta = xi * chi + np.sqrt((1 - xi**2) * (1 - chi**2)) * gamma
-            wI = standard_omega(8, cs[0])
-            cij = cij_block_8(xi)
-            cik = cik_block_8(chi, gamma, delta)
-            wJ = cij @ standard_omega(8, cs[1]) @ cij.T
-            wK = cik @ standard_omega(8, cs[2]) @ cik.T
-            lam = {
-                (0, 1): xi * cs[0] * cs[1],
-                (0, 2): chi * cs[0] * cs[2],
-                (1, 2): eta * cs[1] * cs[2],
-            }
-            ws = (wI, wJ, wK)
-            defect = 0.0
-            for p in range(3):
-                defect = max(defect, float(np.max(np.abs(
-                    ws[p] @ ws[p].T - cs[p] ** 2 * np.eye(8)
-                ))))
-            for (p, q), value in lam.items():
-                M = ws[p] @ ws[q].T + ws[q] @ ws[p].T
-                defect = max(defect, float(np.max(np.abs(M - 2 * value * np.eye(8)))))
-            best_identity = min(best_identity, defect)
-            if defect > 1e-10:
-                continue
-            try:
-                cand = _frame_from_omegas(ws, 8)
-            except (InfeasibleParametersError, DimensionError):
-                continue
-            if isoclinic_profile_angles(cand) is None:
-                continue
-            gate_passes += 1
-        value = _certified_witness(cand, seed + it + 1)
-        if value is not None:
-            return SearchReport(
-                iterations=it + 1,
-                gate_passes=gate_passes,
-                best_defect=0.0,
-                best_identity_defect=float(best_identity),
-                witness=cand,
-                witness_value=value,
-            )
-    return SearchReport(
-        iterations=iterations,
-        gate_passes=gate_passes,
-        best_defect=float(best_defect),
-        best_identity_defect=float(best_identity),
-    )
-

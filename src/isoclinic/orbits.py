@@ -4,9 +4,17 @@ Sp(n)-orbit decision.
 
 The decomposition follows the dimension class: dim = 2 mod 4 forces a
 2-planes decomposition (and invariants at +/-1), dim = 4 mod 8 forces
-4-dim addends with Gamma^2 + Delta^2 = 1, dim = 0 mod 8 uses the
-constructive 8-dim addend. A theorem-mandated identity failing beyond
-tolerance raises FalsificationError instead of being absorbed.
+4-dim addends, dim = 0 mod 8 uses 8-dim addends. Outside class 2 every
+labelled subspace has Sigma^2 = 1 - Gamma^2 - Delta^2 = 0: where all
+cos(theta_p) > 0, J_p = omega_p / cos(theta_p) make U a Cl_{0,3}-module
+whose volume element vol is central, symmetric and squares to Id, and
+Sigma^2 = (1 - Gamma^2)(1 - <x, vol x>^2) at the leading vector x. That
+vanishes when U carries one module type and depends on x when U mixes
+both, which is exactly when the orbit label is undefined; the +/-1 and
+cos = 0 conventions set (Gamma, Delta) = (1, 0). So the 8-dim addend is
+two 4-dim chain spans and the canonical matrices tile 4x4 blocks. A
+theorem-mandated identity failing beyond tolerance raises
+FalsificationError instead of being absorbed.
 """
 
 from __future__ import annotations
@@ -30,8 +38,8 @@ from .analysis import (
     random_unit_in,
 )
 from .errors import DimensionError, FalsificationError
-from .subspaces import Frame, orthonormalize, principal_angles, restrict_complement
-from .tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_PRINCIPAL, EPS_RECERT, EPS_UNION
+from .subspaces import Frame, orthonormalize, restrict_complement
+from .tolerances import EPS_FRAME, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RECERT, EPS_UNION
 
 __all__ = [
     "TypedSubspace",
@@ -40,8 +48,6 @@ __all__ = [
     "Decomposition",
     "decompose",
     "split_addend_4",
-    "cij_block_8",
-    "cik_block_8",
     "canonical_matrices",
     "OrbitLabel",
     "orbit_label",
@@ -73,20 +79,23 @@ def associated_subspaces(
     """
     chains = build_chains(U, X1, angles)
     return (
-        TypedSubspace(Frame(chains.chain_x), "UIJ", chains.leading),
-        TypedSubspace(Frame(chains.chain_xt), "UIK", chains.leading),
-        TypedSubspace(Frame(chains.chain_yt), "UJK", chains.leading),
+        TypedSubspace(_clean_union([chains.chain_x]), "UIJ", chains.leading),
+        TypedSubspace(_clean_union([chains.chain_xt]), "UIK", chains.leading),
+        TypedSubspace(_clean_union([chains.chain_yt]), "UJK", chains.leading),
     )
 
 
 def _clean_union(parts: list[np.ndarray], tol: float = EPS_UNION) -> Frame:
     """Stack chain blocks into one frame, absorbing roundoff only.
 
-    The blocks are orthogonal by theorem; a Gram defect beyond tol means
-    the construction's hypotheses failed.
+    The blocks are orthonormal by theorem: a Gram defect within EPS_FRAME
+    keeps the rows as they are, one within tol is orthonormalized away,
+    and one beyond tol means the construction's hypotheses failed.
     """
     V = np.vstack(parts)
     defect = np.max(np.abs(V @ V.T - np.eye(V.shape[0])))
+    if defect <= EPS_FRAME:
+        return Frame(V)
     if not defect <= tol:
         raise FalsificationError(
             f"addend blocks are not orthogonal (defect {defect:.3e}); "
@@ -95,9 +104,20 @@ def _clean_union(parts: list[np.ndarray], tol: float = EPS_UNION) -> Frame:
     return orthonormalize(V)
 
 
+def _require_sigma_zero(gamma: float, delta: float, dim: int) -> None:
+    """Refuse Sigma^2 = 1 - Gamma^2 - Delta^2 != 0 (see the module docstring):
+    a nonzero value measures how much U mixes the two Cl_{0,3}-module types."""
+    sigma2 = 1.0 - gamma**2 - delta**2
+    if not abs(sigma2) <= EPS_ORBIT:
+        raise FalsificationError(
+            f"dim {dim} mandates Sigma^2 = 1 - Gamma^2 - Delta^2 = 0, got "
+            f"Sigma^2 = {sigma2:.3e}: the subspace mixes both module types"
+        )
+
+
 def _standard_two_plane(U: Frame, X1: np.ndarray, angles) -> Frame:
     comp = companions(U, X1, angles)
-    return Frame(np.vstack([X1, comp.X2]))
+    return _clean_union([X1, comp.X2])
 
 
 def eight_dim_addend(
@@ -107,10 +127,9 @@ def eight_dim_addend(
 ) -> Frame:
     """8-dim isoclinic subspace through X1 with the parent's angles.
 
-    Branches follow the constructive proof: a 2-planes decomposable parent
-    sums four standard 2-planes; Gamma^2 + Delta^2 = 1 sums two 4-dim
-    chain spans; otherwise the two non-unit principal directions of the
-    pair of chain-span complements single out the second 4-dim block.
+    A 2-planes decomposable parent sums four standard 2-planes; otherwise
+    Sigma = 0 is required at X1 and the addend sums the omega^I chain
+    span through X1 and the one through a vector of its complement.
     """
     if U.dim < 8:
         raise DimensionError(f"eight_dim_addend needs dim >= 8, got {U.dim}")
@@ -118,6 +137,7 @@ def eight_dim_addend(
         angles = certify_isoclinic(U)
     chains = build_chains(U, X1, angles)
     gamma, delta = gamma_delta(chains)
+    _require_sigma_zero(gamma, delta, U.dim)
 
     if chains.convention == "decomposable":
         # peel standard 2-planes from a shrinking complement; companions of
@@ -132,29 +152,10 @@ def eight_dim_addend(
                 current = restrict_complement(current, plane, expect=current.dim - 2)
                 lead = current.vectors[0]
         addend = _clean_union([p.vectors for p in planes])
-    elif gamma**2 + delta**2 > 1.0 - EPS_PM1:
-        first = Frame(chains.chain_x)
+    else:
+        first = _clean_union([chains.chain_x])
         rest = restrict_complement(U, first, expect=U.dim - 4)
         second = build_chains(U, rest.vectors[0], angles)
-        addend = _clean_union([chains.chain_x, second.chain_x])
-    else:
-        u_ij = Frame(chains.chain_x)
-        u_ik = Frame(chains.chain_xt)
-        comp_ij = restrict_complement(U, u_ij, expect=U.dim - 4)
-        comp_ik = restrict_complement(U, u_ik, expect=U.dim - 4)
-        pa = principal_angles(comp_ij, comp_ik)
-        g = np.sqrt(gamma**2 + delta**2)
-        cos = pa.cosines
-        if (
-            np.max(np.abs(cos[-2:] - g)) > EPS_PRINCIPAL
-            or (len(cos) > 2 and cos[-3] < 1.0 - EPS_PRINCIPAL)
-        ):
-            raise FalsificationError(
-                "complement pair does not show the mandated principal cosines "
-                f"(1,...,1,g,g) with g = {g:.6f}; got {np.round(cos, 6)}"
-            )
-        x7 = pa.left_vectors[-2] if not pa.swapped else pa.right_vectors[-2]
-        second = build_chains(U, x7, angles)
         addend = _clean_union([chains.chain_x, second.chain_x])
 
     got = isoclinic_profile_angles(addend)
@@ -185,8 +186,9 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     """Decompose U into addends of the theorem-mandated dimension.
 
     dim = 2 mod 4: isoclinic 2-planes (requires xi, chi, eta at +/-1);
-    dim = 4 mod 8: 4-dim addends (requires Gamma^2 + Delta^2 = 1);
-    dim = 0 mod 8: 8-dim addends. Every addend is re-certified isoclinic
+    dim = 4 mod 8: 4-dim addends; dim = 0 mod 8: 8-dim addends, each
+    requiring Sigma = 0 at its own leading vector. Outside dim = 2 mod 4
+    the profile must have Sigma = 0. Every addend is re-certified isoclinic
     with the parent's angles. `seed` randomizes the leading vectors.
     """
     profile = full_profile(U, seed=seed)
@@ -201,11 +203,8 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
             f"dim {U.dim} = 2 mod 4 mandates xi, chi, eta in {{+1,-1}}, got "
             f"({profile.xi:.6f}, {profile.chi:.6f}, {profile.eta:.6f})"
         )
-    if klass == 4 and abs(profile.gamma**2 + profile.delta**2 - 1.0) > EPS_ORBIT:
-        raise FalsificationError(
-            f"dim {U.dim} = 4 mod 8 mandates Gamma^2 + Delta^2 = 1, got "
-            f"{profile.gamma**2 + profile.delta**2:.8f}"
-        )
+    if klass != 2:
+        _require_sigma_zero(profile.gamma, profile.delta, U.dim)
 
     addends: list[Frame] = []
     current: Frame | None = U
@@ -214,7 +213,7 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
         if klass == 2:
             addend = _standard_two_plane(current, x1, angles)
         elif klass == 4:
-            addend = Frame(build_chains(current, x1, angles).chain_x)
+            addend = _clean_union([build_chains(current, x1, angles).chain_x])
         else:
             addend = eight_dim_addend(current, x1, angles)
         if klass != 8:  # eight_dim_addend re-certifies its own addend
@@ -239,43 +238,13 @@ def split_addend_4(addend: Frame, seed: int | None = None) -> tuple[Frame, Frame
         return None
     angles = (profile.theta_i, profile.theta_j, profile.theta_k)
     rng = np.random.default_rng(seed) if seed is not None else None
-    first = Frame(build_chains(addend, _lead(addend, rng), angles).chain_x)
+    first = _clean_union([build_chains(addend, _lead(addend, rng), angles).chain_x])
     second = restrict_complement(addend, first, expect=4)
     return first, second
 
 
 # ---------------------------------------------------------------------------
 # block canonical matrices
-
-
-def cij_block_8(xi: float) -> np.ndarray:
-    out = np.zeros((8, 8))
-    out[:4, :4] = cij_block_4(xi)
-    out[4:, 4:] = cij_block_4(xi)
-    return out
-
-
-def cik_block_8(chi: float, gamma: float, delta: float) -> np.ndarray:
-    """8x8 canonical C_IK block; orthogonal for every admissible argument.
-
-    Sigma = sqrt(1 - Gamma^2 - Delta^2) couples the two 4-dim halves; at
-    Sigma = 0 the block is two copies of the 4x4 form. Values of Sigma^2
-    below EPS_PM1 are snapped to zero: the square root would otherwise
-    amplify measurement noise of (Gamma, Delta) at the boundary.
-    """
-    s = np.sqrt(max(0.0, 1.0 - chi**2))
-    sig2 = 1.0 - gamma**2 - delta**2
-    sig = np.sqrt(sig2) if sig2 > EPS_PM1 else 0.0
-    out = np.zeros((8, 8))
-    out[:4, :4] = cik_block_4(chi, gamma, delta)
-    out[4:, 4:] = cik_block_4(chi, gamma, delta)
-    out[2, 6] = -sig
-    out[3, 5] = sig * s
-    out[3, 7] = sig * chi
-    out[6, 2] = sig
-    out[7, 1] = -sig * s
-    out[7, 3] = -sig * chi
-    return out
 
 
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
@@ -297,24 +266,22 @@ def canonical_matrices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block-diagonal canonical matrices (C_IJ, C_IK) of an isoclinic U.
 
-    Block size follows the dimension class; entries are the closed-form
-    functions of (xi, chi, Gamma, Delta). The result depends only on the
-    measured invariants, hence not on the decomposition used.
+    dim = 2 mod 4 tiles 2x2 sign blocks; every other dimension requires
+    Sigma = 0 and tiles the 4x4 closed forms in (xi, chi, Gamma, Delta).
+    The result depends only on the measured invariants, hence not on the
+    decomposition used.
     """
     if profile is None:
         profile = full_profile(U)
-    klass = profile.dim_class
-    count = profile.dim // klass
-    if klass == 2:
+    if profile.dim_class == 2:
         xi, chi = _rounded_sign(profile.xi), _rounded_sign(profile.chi)
         bij = np.array([[1.0, 0.0], [0.0, xi]])
         bik = np.array([[1.0, 0.0], [0.0, chi]])
-    elif klass == 4:
+    else:
+        _require_sigma_zero(profile.gamma, profile.delta, profile.dim)
         bij = cij_block_4(profile.xi)
         bik = cik_block_4(profile.chi, profile.gamma, profile.delta)
-    else:
-        bij = cij_block_8(profile.xi)
-        bik = cik_block_8(profile.chi, profile.gamma, profile.delta)
+    count = profile.dim // bij.shape[0]
     return _block_diag([bij] * count), _block_diag([bik] * count)
 
 
@@ -351,7 +318,7 @@ def orbit_label(U: Frame, seed: int | None = None) -> OrbitLabel:
     """Orbit label per the classification theorem's three branches.
 
     dim = 2 mod 4 normalizes eta to xi*chi and Delta to 0 (after checking
-    xi, chi at +/-1); dim = 4 mod 8 checks Gamma^2 + Delta^2 = 1. After one
+    xi, chi at +/-1); every other dimension requires Sigma = 0. After one
     gate the invariants are measured at two independent leading vectors; a
     mismatch (possible only for inputs outside the theorem's reach, such
     as hand-built sums of opposite-Delta parts) raises FalsificationError.
@@ -389,11 +356,7 @@ def _labelled(
         xi, chi = _rounded_sign(xi), _rounded_sign(chi)
         eta, delta = xi * chi, 0.0
     else:
-        if profile.dim_class == 4 and abs(profile.gamma**2 + delta**2 - 1.0) > EPS_ORBIT:
-            raise FalsificationError(
-                f"dim {U.dim} = 4 mod 8 mandates Gamma^2 + Delta^2 = 1, got "
-                f"{profile.gamma**2 + delta**2:.8f}"
-            )
+        _require_sigma_zero(profile.gamma, delta, U.dim)
         if any(abs(v) > 1.0 - EPS_PM1 for v in (xi, chi, eta)):
             # chains collapse and Delta = 0; only components actually at
             # +/-1 are snapped to their exact sign

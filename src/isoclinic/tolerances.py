@@ -27,6 +27,13 @@ EPS_FEASIBLE = 1e-12
 # squared length below which a 2-plane's companion gets no real remainder direction
 EPS_REMAINDER = 1e-14
 
+# a quaternionic Cholesky pivot within this of 0 is skipped as rank deficiency;
+# one below -EPS_PIVOT makes the Gram infeasible
+EPS_PIVOT = 1e-10
+
+# a quaternionic Cholesky factor must reproduce its Gram to within this
+EPS_FACTOR = 1e-8
+
 # a constructed example may miss its requested parameters by this much
 EPS_BUILD = 1e-9
 
@@ -44,9 +51,6 @@ EPS_CHAIN = 1e-7
 
 # Gram defect of stacked chain blocks still absorbed as roundoff
 EPS_UNION = 1e-7
-
-# deviation of the 8-dim construction's principal cosines from (1,...,1,g,g)
-EPS_PRINCIPAL = 1e-6
 
 # orbit label comparison (loosest: labels accumulate error through chains)
 EPS_ORBIT = 1e-6

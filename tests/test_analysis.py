@@ -31,7 +31,7 @@ from isoclinic.generators import (
 )
 from isoclinic.quaternions import CompatibleStructure, I, J, K, apply_structure
 from isoclinic.subspaces import Frame, OrientedTwoPlane, orthonormalize, structure_image
-from conftest import unit
+from conftest import perturbed_graph_sum, unit
 
 
 GENERIC_MU = np.array([0.3, 0.4, -0.2, 0.6])
@@ -40,13 +40,6 @@ GENERIC_MU = np.array([0.3, 0.4, -0.2, 0.6])
 def random_structure(rng) -> CompatibleStructure:
     v = rng.standard_normal(3)
     return CompatibleStructure(*(v / np.linalg.norm(v)))
-
-
-def perturbed_graph_sum(seed, parts):
-    """`parts` copies of one random graph subspace, moved by 3e-9 noise."""
-    rng = np.random.default_rng(seed)
-    base = direct_sum([graph_subspace(rng.standard_normal(4))] * parts)
-    return orthonormalize(base.vectors + 3e-9 * rng.standard_normal(base.vectors.shape))
 
 
 def quaternionic_chain_frame(n=2):

@@ -28,7 +28,6 @@ from isoclinic.generators import (
     make_totally_complex_4,
     make_two_plane,
     random_sp,
-    search_irreducible_8,
 )
 from isoclinic.orbits import orbit_label
 from isoclinic.quaternions import (
@@ -351,21 +350,6 @@ class TestOracle:
         report = invariance_oracle(U, trials=2, seed=0, tol=1e-18)
         assert not report.passed
         assert report.failures
-
-
-class TestSearch:
-    def test_zero_iterations(self):
-        report = search_irreducible_8(seed=0, iterations=0)
-        assert report.witness is None
-        assert report.iterations == 0
-
-    def test_small_run_valid_either_way(self):
-        report = search_irreducible_8(seed=3, iterations=5)
-        if report.witness is not None:
-            prof = full_profile(report.witness)
-            assert prof.gamma**2 + prof.delta**2 < 1 - 1e-3
-        else:
-            assert report.best_defect >= 0.0
 
 
 class TestOrbitOfSums:

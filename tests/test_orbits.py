@@ -1,17 +1,22 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoclinic import analysis
 from isoclinic.analysis import (
+    _forms,
     certify_isoclinic,
+    cik_block_4,
     full_profile,
     isoclinic_pair,
     isoclinic_profile_angles,
+    random_unit_in,
 )
-from isoclinic.errors import DimensionError, FalsificationError
+from isoclinic.errors import DimensionError, FalsificationError, InfeasibleParametersError
 from isoclinic.generators import (
     direct_sum,
+    embed,
     graph_subspace,
     make_i_complex_4,
     make_profile_4,
@@ -23,9 +28,7 @@ from isoclinic.generators import (
 from isoclinic.orbits import (
     associated_subspaces,
     canonical_matrices,
-    cij_block_8,
     _clean_union,
-    cik_block_8,
     decompose,
     eight_dim_addend,
     orbit_label,
@@ -34,6 +37,7 @@ from isoclinic.orbits import (
 )
 from isoclinic.quaternions import I, J, K
 from isoclinic.subspaces import Frame, gram, principal_angles, structure_image
+from conftest import perturbed_graph_sum
 
 GENERIC_MU = np.array([0.3, 0.4, -0.2, 0.6])
 DUAL_ARGS = (1.3993, 1.4034, 0.815, -0.3497, 0.5168, 0.0656)
@@ -41,6 +45,42 @@ DUAL_ARGS = (1.3993, 1.4034, 0.815, -0.3497, 0.5168, 0.0656)
 
 def graph_sum(count, mu=GENERIC_MU):
     return direct_sum([graph_subspace(mu)] * count)
+
+
+def profile_sum(args, delta_signs):
+    """Hermitian-orthogonal sum of make_profile_4(*args) parts, one per sign;
+    mixed signs give an isoclinic sum that direct_sum refuses."""
+    parts = [make_profile_4(*args, delta_sign=sign) for sign in delta_signs]
+    n = sum(p.n for p in parts)
+    return Frame(np.vstack([embed(p, n, p.n * i).vectors for i, p in enumerate(parts)]))
+
+
+def random_profile_sum(rng, delta_signs):
+    """profile_sum at random generic invariants realizable with each sign."""
+    while True:
+        thetas = rng.uniform(0.7, 1.4, 3)
+        xi, chi, gamma = rng.uniform(-0.8, 0.8, 3)
+        eta = xi * chi + np.sqrt((1 - xi**2) * (1 - chi**2)) * gamma
+        try:
+            return profile_sum((*thetas, xi, chi, eta), delta_signs)
+        except InfeasibleParametersError:
+            continue
+
+
+def mixed_delta_sum():
+    return profile_sum(DUAL_ARGS, (+1, -1))
+
+
+def volume_element(U):
+    """vol = E_1 E_2 E_3 of the Cl_{0,3}-module structure on U's coordinates:
+    E = L^{-1} (omega_p / cos theta_p) with g = L L^T the Gram matrix of the
+    three normalized forms."""
+    forms = _forms(U)
+    k = U.dim
+    Js = forms / np.sqrt(np.einsum("pij,pij->p", forms, forms) / k)[:, None, None]
+    g = np.einsum("pij,qij->pq", Js, Js) / k
+    E = np.einsum("ap,pij->aij", np.linalg.inv(np.linalg.cholesky(g)), Js)
+    return E[0] @ E[1] @ E[2]
 
 
 class TestAssociatedSubspaces:
@@ -76,12 +116,7 @@ class TestAssociatedSubspaces:
     def test_generic_intersection_is_standard_plane(self, rng):
         # a hand-built sum of parts sharing only (angles, xi, chi, eta) has
         # leading vectors where the associated pair meets in exactly L(X1,X2)
-        up = make_profile_4(*DUAL_ARGS, delta_sign=+1)
-        um = make_profile_4(*DUAL_ARGS, delta_sign=-1)
-        vectors = np.zeros((8, 32))
-        vectors[:4, :16] = up.vectors
-        vectors[4:, 16:] = um.vectors
-        U = Frame(vectors)
+        U = mixed_delta_sum()
         x1 = rng.standard_normal(8) @ U.vectors
         x1 /= np.linalg.norm(x1)
         uij, uik, _ = associated_subspaces(U, x1)
@@ -228,47 +263,42 @@ class TestDecompose:
             assert got is not None
             npt.assert_allclose(np.cos(got), np.cos(angles), atol=1e-8)
 
-    def test_mixed_delta_sum_decomposes_but_unstable(self):
-        # a sum of opposite-Delta parts is isoclinic, so it may decompose
-        # as a single dim-8 addend, but its chain invariants depend on the
-        # leading vector and the orbit label refuses it (see TestOrbitLabel)
-        up = make_profile_4(*DUAL_ARGS, delta_sign=+1)
-        um = make_profile_4(*DUAL_ARGS, delta_sign=-1)
-        vectors = np.zeros((8, 32))
-        vectors[:4, :16] = up.vectors
-        vectors[4:, 16:] = um.vectors
-        hand_built = Frame(vectors)
-        assert isoclinic_profile_angles(hand_built) is not None
-        deltas = set()
+    def test_mixed_delta_sum_refused(self, rng):
+        # a sum of opposite-Delta parts is isoclinic, but it mixes both
+        # Cl_{0,3}-module types: Sigma^2 > 0 at a generic leading vector
+        U = mixed_delta_sum()
+        assert isoclinic_profile_angles(U) is not None
         for seed in range(4):
-            try:
-                dec = decompose(hand_built, seed=seed)
-            except FalsificationError:
-                continue  # also acceptable: the input is outside the theorems
-            assert dec.addend_dim == 8 and len(dec.addends) == 1
-            deltas.add(round(dec.profile.delta, 6))
-        assert len(deltas) > 1  # the measured Delta genuinely drifts
+            with pytest.raises(FalsificationError, match=r"dim 8 .*Sigma\^2 = [0-9.e+-]+"):
+                decompose(U, seed=seed)
+        with pytest.raises(FalsificationError, match=r"Sigma\^2"):
+            eight_dim_addend(U, random_unit_in(U, rng))
+        with pytest.raises(FalsificationError, match=r"Sigma\^2"):
+            canonical_matrices(U, full_profile(U, seed=1))
+
+    @pytest.mark.parametrize("seed,parts", [(None, 1), (1, 1), (2, 1), (None, 2)])
+    def test_certified_perturbed_sum_decomposes(self, seed, parts):
+        # certified with sup defect 7.45e-9 (parts = 1), yet the chain span
+        # it peels misses orthonormality by 1.4e-8 to 2.1e-8: more than a
+        # Frame accepts, well inside what an addend may absorb
+        U = perturbed_graph_sum(1, parts)
+        dec = decompose(U, seed=seed)
+        assert dec.addend_dim == 4 * parts and len(dec.addends) == 1
+
+    def test_uncertifiable_addend_still_refused(self):
+        with pytest.raises(FalsificationError, match="re-certification"):
+            decompose(perturbed_graph_sum(5, 3), seed=1)
 
 
 class TestCanonicalMatrices:
     def test_blocks_orthogonal(self, rng):
+        # C_IK is orthogonal exactly on Sigma = 0, the only admissible case
         for _ in range(10):
-            xi, chi = rng.uniform(-1, 1, 2)
-            gamma = rng.uniform(-1, 1)
-            delta = rng.uniform(-1, 1) * np.sqrt(1 - gamma**2)
-            bij = cij_block_8(xi)
-            bik = cik_block_8(chi, gamma, delta)
-            npt.assert_allclose(bij @ bij.T, np.eye(8), atol=1e-12)
-            npt.assert_allclose(bik @ bik.T, np.eye(8), atol=1e-12)
-
-    def test_sigma_zero_reduces_to_4x4_blocks(self):
-        from isoclinic.analysis import cik_block_4
-
-        chi, gamma = 0.3, 0.6
-        delta = -np.sqrt(1 - gamma**2)
-        B = cik_block_8(chi, gamma, delta)
-        npt.assert_allclose(B[:4, :4], cik_block_4(chi, gamma, delta), atol=1e-12)
-        npt.assert_allclose(B[:4, 4:], np.zeros((4, 4)), atol=1e-12)
+            chi, gamma = rng.uniform(-1, 1, 2)
+            for sign in (+1, -1):
+                delta = sign * np.sqrt(1 - gamma**2)
+                bik = cik_block_4(chi, gamma, delta)
+                npt.assert_allclose(bik @ bik.T, np.eye(4), atol=1e-12)
 
     def test_two_lines_reduce_to_i_complex_style_blocks(self):
         U = direct_sum([make_quaternionic_line(1), make_quaternionic_line(1)])
@@ -372,13 +402,8 @@ class TestOrbitLabel:
         assert label.agrees(orbit_label(g.apply_frame(U)))
 
     def test_mixed_delta_sum_has_no_label(self):
-        up = make_profile_4(*DUAL_ARGS, delta_sign=+1)
-        um = make_profile_4(*DUAL_ARGS, delta_sign=-1)
-        vectors = np.zeros((8, 32))
-        vectors[:4, :16] = up.vectors
-        vectors[4:, 16:] = um.vectors
         with pytest.raises(FalsificationError):
-            orbit_label(Frame(vectors))
+            orbit_label(mixed_delta_sum())
 
 
 class TestSameOrbit:
@@ -408,6 +433,31 @@ class TestSameOrbit:
         up = make_profile_4(*DUAL_ARGS, delta_sign=+1)
         um = make_profile_4(*DUAL_ARGS, delta_sign=-1)
         assert not same_orbit(up, um)
+
+
+class TestSigmaLaw:
+    SIGNS = [(1, 1), (-1, -1), (1, -1), (1, 1, 1, 1), (-1, -1, -1, -1),
+             (1, -1, 1, 1), (1, -1, -1, 1)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(signs=st.sampled_from(SIGNS), seed=st.integers(0, 2**32 - 1))
+    def test_sigma_squared_at_random_leading_vectors(self, signs, seed):
+        # Sigma^2 = (1 - Gamma^2)(1 - <x, vol x>^2): zero on sums of one
+        # module type (vol = +/-Id), leading-vector dependent on mixed sums
+        rng = np.random.default_rng(seed)
+        base = random_profile_sum(rng, signs)
+        U = random_sp(base.n, seed=seed).apply_frame(base)
+        vol = volume_element(U)
+        for _ in range(4):
+            x = random_unit_in(U, rng)
+            prof = full_profile(U, leading=x)
+            sigma2 = 1.0 - prof.gamma**2 - prof.delta**2
+            if len(set(signs)) == 1:
+                assert abs(sigma2) < 1e-12
+            else:
+                c = U.vectors @ x
+                want = (1.0 - prof.gamma**2) * (1.0 - (c @ vol @ c) ** 2)
+                assert sigma2 == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestStructuralProps:
