@@ -20,6 +20,7 @@ canonical chain map; the returned ChainSet is then flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -40,9 +41,8 @@ from .quaternions import (
 from .subspaces import (
     Frame,
     OrientedTwoPlane,
+    _householder_complement,
     gram,
-    project,
-    restrict_complement,
     structure_image,
 )
 from .tolerances import EPS_ANGLE, EPS_CHAIN, EPS_ISO, EPS_MEMBER, EPS_PM1
@@ -142,6 +142,20 @@ def _extreme_vector(Q: np.ndarray, lam: float) -> np.ndarray:
     return v * np.sign(v[np.argmax(np.abs(v))])
 
 
+def _witness(band: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the band entry (N, 3, 3) of largest spectral radius.
+    The closed form keeps about 8 digits at a repeated eigenvalue, so entries
+    within 1e-6 relative of the largest |lambda| are ranked by the Rayleigh
+    quotient of their own eigenvector; quotients within 1e-12 relative tie,
+    and a tie goes to the larger closed-form |lambda|, then the lower index."""
+    lam = _extreme_eigenvalue(band)
+    top = np.abs(lam)
+    near = [i for i in np.argsort(-top, kind="stable") if top[i] >= (1.0 - 1e-6) * top.max()]
+    vectors = [_extreme_vector(band[i], lam[i]) for i in near]
+    quotients = np.array([abs(v @ band[i] @ v) for i, v in zip(near, vectors)])
+    return vectors[int(np.argmax(quotients >= (1.0 - 1e-12) * quotients.max()))]
+
+
 def _gate(U: Frame, tol: float, forms=None):
     """(angles, witness) of the isoclinicity test of (U, AU) for every unit
     A = aI + bJ + cK: witness is (coefficients, deviation) of the worst
@@ -177,9 +191,7 @@ def _gate(U: Frame, tol: float, forms=None):
         return angles, None
     rows, cols = np.nonzero(fro >= max(tol, top / np.sqrt(3.0)))
     band = S[:, rows, cols][[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3)
-    lam = _extreme_eigenvalue(band)
-    worst = int(np.argmax(np.abs(lam)))
-    a = _extreme_vector(band[worst], lam[worst])
+    a = _witness(band)
     deviation = float(_combined_defects(a[None], forms)[0][0])
     if deviation < tol:  # the sup is below tol, or reaches it only by roundoff
         return angles, None
@@ -201,7 +213,13 @@ def isoclinic_profile_angles(U: Frame, tol: float = EPS_ISO) -> tuple[float, flo
 def certify_isoclinic(U: Frame, tol: float = EPS_ISO) -> tuple[float, float, float]:
     """Like isoclinic_profile_angles but raises NotIsoclinicError naming the
     worst structure (`witness`) and its pair defect (`deviation`)."""
-    return _certified(_gate(U, tol), tol)
+    return _certified_forms(U, tol)[0]
+
+
+def _certified_forms(U: Frame, tol: float = EPS_ISO):
+    """(certify_isoclinic(U, tol), U's _forms)."""
+    forms = _forms(U)
+    return _certified(_gate(U, tol, forms), tol), forms
 
 
 def _certified(gated, tol: float) -> tuple[float, float, float]:
@@ -280,26 +298,57 @@ def _cos2_of(profile: IsoclinicProfile, C: np.ndarray) -> np.ndarray:
 # companions and chains
 
 
-def _check_member(U: Frame, x: np.ndarray, what: str, tol: float = EPS_MEMBER) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class _Span:
+    """A subspace as the chain algebra sees it: orthonormal `rows` of a host
+    space, and act(p, x), structure p (0, 1, 2 for I, J, K) applied to a host
+    vector up to a projection onto a space containing the rows. The host is
+    R^{4n} with apply_structure, or a Frame U's coordinates with act(p, u) =
+    omega_p u, the coordinates of Pr_U(A_p x)."""
+
+    rows: np.ndarray
+    act: Callable[[int, np.ndarray], np.ndarray]
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[0]
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return self.rows.T @ (self.rows @ x)
+
+    def complement(self, W: np.ndarray, expect: int) -> "_Span":
+        """The span of the rows orthogonal to the rows of W (host vectors)."""
+        return _Span(_householder_complement(self.rows @ W.T, expect) @ self.rows, self.act)
+
+
+def _ambient_act(p: int, x: np.ndarray) -> np.ndarray:
+    return apply_structure((I, J, K)[p], x)
+
+
+def _ambient(U: Frame) -> _Span:
+    return _Span(U.vectors, _ambient_act)
+
+
+def _check_member(U: _Span, x: np.ndarray, what: str, tol: float = EPS_MEMBER) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     nx = np.linalg.norm(x)
     if abs(nx - 1.0) > tol:
         raise FrameError(f"{what} must be a unit vector (norm {nx:.6f})")
-    if np.linalg.norm(project(U, x) - x) > tol:
+    if np.linalg.norm(U.project(x) - x) > tol:
         raise FrameError(f"{what} does not lie in the subspace")
     return x
 
 
-def _companion(U: Frame, A: CompatibleStructure, cos_a: float, v: np.ndarray) -> np.ndarray:
+def _companion(U: _Span, p: int, cos_a: float, v: np.ndarray) -> np.ndarray:
     """A^{-1} Pr_{AU} v / cos_a = -Pr_U(A v) / cos_a, as A^{-1} = -A is an
-    isometry; the standard partner of v for the A-form."""
-    return -project(U, apply_structure(A, v)) / cos_a
+    isometry; the standard partner of v for the A_p-form."""
+    return -U.project(U.act(p, v)) / cos_a
 
 
-def _third(U: Frame, A: CompatibleStructure, cos_a: float, v4: np.ndarray) -> np.ndarray:
+def _third(U: _Span, p: int, cos_a: float, v4: np.ndarray) -> np.ndarray:
     """-A^{-1} Pr_{AU} v4 / cos_a = Pr_U(A v4) / cos_a; third chain element
     from the fourth."""
-    return project(U, apply_structure(A, v4)) / cos_a
+    return U.project(U.act(p, v4)) / cos_a
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,19 +376,21 @@ def companions(
     an available one (or an arbitrary unit vector orthogonal to X1 for
     triple orthogonality), which forces the matching invariants to 1.
     """
+    return _companions(_ambient(U), X1, angles, tol)
+
+
+def _companions(U: _Span, X1: np.ndarray, angles, tol: float = EPS_ANGLE) -> Companions:
+    """companions in any host (see _Span)."""
     X1 = _check_member(U, X1, "leading vector")
     cos_abc = np.cos(angles)
     have = cos_abc > tol
-    cI, cJ, cK = (float(c) for c in cos_abc)
-
-    X2 = _companion(U, I, cI, X1) if have[0] else None
-    Y2 = _companion(U, J, cJ, X1) if have[1] else None
-    Z2 = _companion(U, K, cK, X1) if have[2] else None
+    X2, Y2, Z2 = (_companion(U, p, float(c), X1) if h else None
+                  for p, (c, h) in enumerate(zip(cos_abc, have)))
 
     forced = []
     if X2 is None and Y2 is None and Z2 is None:
         # r.h.p. subspace: any unit vector orthogonal to X1 will do
-        X2 = restrict_complement(U, Frame(X1), expect=U.dim - 1).vectors[0]
+        X2 = U.complement(X1[None], expect=U.dim - 1).rows[0]
         Y2 = X2
         Z2 = X2
         forced.append("X2=Y2=Z2 arbitrary (triple orthogonality)")
@@ -424,11 +475,22 @@ def build_chains(
     flagged non-canonical (third element chosen deterministically from the
     frame, which is an admissible choice).
     """
-    if U.dim < 4:
-        raise DimensionError(f"chains need dim >= 4, got {U.dim}")
     if angles is None:
         angles = certify_isoclinic(U)
-    comp = companions(U, X1, angles, tol)
+    return _build_chains(_ambient(U), X1, angles, tol)
+
+
+def _fourths(P2: np.ndarray, Q2: np.ndarray, cos: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fourth elements of the chains through companions P2, Q2 with <P2, Q2> = cos."""
+    s = np.sqrt(1.0 - cos**2)
+    return (Q2 - cos * P2) / s, (-P2 + cos * Q2) / s
+
+
+def _build_chains(U: _Span, X1: np.ndarray, angles, tol: float = EPS_ANGLE) -> ChainSet:
+    """build_chains in any host (see _Span)."""
+    if U.dim < 4:
+        raise DimensionError(f"chains need dim >= 4, got {U.dim}")
+    comp = _companions(U, X1, angles, tol)
     X1 = np.asarray(X1, dtype=float)
     X2, Y2, Z2 = comp.X2, comp.Y2, comp.Z2
     xi, chi, eta = comp.xi, comp.chi, comp.eta
@@ -439,136 +501,54 @@ def build_chains(
     n_pm = sum(_pm1(v) for v in (xi, chi, eta))
 
     if n_pm == 0:
-        sx = np.sqrt(1.0 - xi**2)
-        X4 = (Y2 - xi * X2) / sx
-        Y4 = (-X2 + xi * Y2) / sx
-        X3 = _third(U, I, cI, X4)
-        Y3 = _third(U, J, cJ, Y4)
-        res["X3-Y3"] = float(np.linalg.norm(X3 - Y3))
-
-        sc = np.sqrt(1.0 - chi**2)
-        Xt4 = (Z2 - chi * X2) / sc
-        Z4 = (-X2 + chi * Z2) / sc
-        Xt3 = _third(U, I, cI, Xt4)
-        Z3 = _third(U, K, cK, Z4)
-        res["Xt3-Z3"] = float(np.linalg.norm(Xt3 - Z3))
-
-        se = np.sqrt(1.0 - eta**2)
-        Yt4 = (Z2 - eta * Y2) / se
-        Zt4 = (-Y2 + eta * Z2) / se
-        Yt3 = _third(U, J, cJ, Yt4)
-        Zt3 = _third(U, K, cK, Zt4)
-        res["Yt3-Zt3"] = float(np.linalg.norm(Yt3 - Zt3))
-
-        return ChainSet(
-            leading=X1,
-            chain_x=np.vstack([X1, X2, X3, X4]),
-            chain_y=np.vstack([X1, Y2, Y3, Y4]),
-            chain_xt=np.vstack([X1, X2, Xt3, Xt4]),
-            chain_z=np.vstack([X1, Z2, Z3, Z4]),
-            chain_yt=np.vstack([X1, Y2, Yt3, Yt4]),
-            chain_zt=np.vstack([X1, Z2, Zt3, Zt4]),
-            xi=xi,
-            chi=chi,
-            eta=eta,
-            angles=tuple(angles),
-            convention="generic",
-            non_canonical=False,
-            forced=comp.forced,
-            residuals=res,
-        )
-
-    if n_pm == 1:
+        X4, Y4 = _fourths(X2, Y2, xi)
+        Xt4, Z4 = _fourths(X2, Z2, chi)
+        Yt4, Zt4 = _fourths(Y2, Z2, eta)
+        X3, Y3 = _third(U, 0, cI, X4), _third(U, 1, cJ, Y4)
+        Xt3, Z3 = _third(U, 0, cI, Xt4), _third(U, 2, cK, Z4)
+        Yt3, Zt3 = _third(U, 1, cJ, Yt4), _third(U, 2, cK, Zt4)
+        for name, a, b in (("X3-Y3", X3, Y3), ("Xt3-Z3", Xt3, Z3), ("Yt3-Zt3", Yt3, Zt3)):
+            res[name] = float(np.linalg.norm(a - b))
+        chains = ([X1, X2, X3, X4], [X1, Y2, Y3, Y4], [X1, X2, Xt3, Xt4],
+                  [X1, Z2, Z3, Z4], [X1, Y2, Yt3, Yt4], [X1, Z2, Zt3, Zt4])
+        convention = "generic"
+    elif n_pm == 1:
         if _pm1(xi):
             # base route through the (X2, Z2) pair
-            s = np.sqrt(1.0 - chi**2)
-            four = (Z2 - chi * X2) / s
-            z4 = (-X2 + chi * Z2) / s
-            if have_i:
-                t = _third(U, I, cI, four)
-            else:
-                t = _third(U, K, cK, z4)
+            four, z4 = _fourths(X2, Z2, chi)
+            t = _third(U, 0, cI, four) if have_i else _third(U, 2, cK, z4)
             sgn = float(np.sign(xi))
-            chains = dict(
-                x=np.vstack([X1, X2, t, four]),
-                y=np.vstack([X1, sgn * X2, t, sgn * four]),
-                z=np.vstack([X1, Z2, t, z4]),
-            )
+            x, y, z = [X1, X2, t, four], [X1, sgn * X2, t, sgn * four], [X1, Z2, t, z4]
             convention = "xi"
         else:
             # base route through the (X2, Y2) pair
-            s = np.sqrt(1.0 - xi**2)
-            four = (Y2 - xi * X2) / s
-            y4 = (-X2 + xi * Y2) / s
-            if have_i:
-                t = _third(U, I, cI, four)
-            else:
-                t = _third(U, J, cJ, y4)
+            four, y4 = _fourths(X2, Y2, xi)
+            t = _third(U, 0, cI, four) if have_i else _third(U, 1, cJ, y4)
+            x, y = [X1, X2, t, four], [X1, Y2, t, y4]
             if _pm1(chi):
                 sgn = float(np.sign(chi))
-                zc = np.vstack([X1, sgn * X2, t, sgn * four])
-                convention = "chi"
+                z, convention = [X1, sgn * X2, t, sgn * four], "chi"
             else:
                 sgn = float(np.sign(eta))
-                zc = np.vstack([X1, sgn * Y2, t, sgn * y4])
-                convention = "eta"
-            chains = dict(
-                x=np.vstack([X1, X2, t, four]),
-                y=np.vstack([X1, Y2, t, y4]),
-                z=zc,
-            )
-        return ChainSet(
-            leading=X1,
-            chain_x=chains["x"],
-            chain_y=chains["y"],
-            chain_xt=chains["x"],
-            chain_z=chains["z"],
-            chain_yt=chains["y"],
-            chain_zt=chains["z"],
-            xi=xi,
-            chi=chi,
-            eta=eta,
-            angles=tuple(angles),
-            convention=convention,
-            non_canonical=False,
-            forced=comp.forced,
-            residuals=res,
-        )
-
-    # all three at +/-1: 2-planes decomposable, Sigma is not a function of X1
-    first = restrict_complement(U, Frame(np.vstack([X1, X2])), expect=U.dim - 2)
-    t = first.vectors[0]
-    if have_i:
-        X4 = _companion(U, I, cI, t)
-    elif have_j:
-        X4 = float(np.sign(xi)) * _companion(U, J, cJ, t)
-    elif have_k:
-        X4 = float(np.sign(chi)) * _companion(U, K, cK, t)
+                z, convention = [X1, sgn * Y2, t, sgn * y4], "eta"
+        chains = (x, y, x, z, y, z)
     else:
-        X4 = restrict_complement(
-            U, Frame(np.vstack([X1, X2, t])), expect=U.dim - 3
-        ).vectors[0]
-    sx, sc = float(np.sign(xi)), float(np.sign(chi))
-    cx = np.vstack([X1, X2, t, X4])
-    cy = np.vstack([X1, sx * X2, t, sx * X4])
-    cz = np.vstack([X1, sc * X2, t, sc * X4])
-    return ChainSet(
-        leading=X1,
-        chain_x=cx,
-        chain_y=cy,
-        chain_xt=cx,
-        chain_z=cz,
-        chain_yt=cy,
-        chain_zt=cz,
-        xi=xi,
-        chi=chi,
-        eta=eta,
-        angles=tuple(angles),
-        convention="decomposable",
-        non_canonical=True,
-        forced=comp.forced,
-        residuals=res,
-    )
+        # all three at +/-1: 2-planes decomposable, Sigma is not a function of X1
+        t = U.complement(np.vstack([X1, X2]), expect=U.dim - 2).rows[0]
+        if have_i:
+            X4 = _companion(U, 0, cI, t)
+        elif have_j:
+            X4 = float(np.sign(xi)) * _companion(U, 1, cJ, t)
+        elif have_k:
+            X4 = float(np.sign(chi)) * _companion(U, 2, cK, t)
+        else:
+            X4 = U.complement(np.vstack([X1, X2, t]), expect=U.dim - 3).rows[0]
+        sx, sc = float(np.sign(xi)), float(np.sign(chi))
+        x, y, z = [X1, X2, t, X4], [X1, sx * X2, t, sx * X4], [X1, sc * X2, t, sc * X4]
+        chains = (x, y, x, z, y, z)
+        convention = "decomposable"
+    return ChainSet(X1, *(np.array(c) for c in chains), xi, chi, eta, tuple(angles),
+                    convention, convention == "decomposable", comp.forced, res)
 
 
 def gamma_delta(chains: ChainSet, tol: float = EPS_CHAIN) -> tuple[float, float]:
@@ -580,6 +560,11 @@ def gamma_delta(chains: ChainSet, tol: float = EPS_CHAIN) -> tuple[float, float]
     recomputed through several equivalent expressions; disagreement
     beyond `tol` raises DegenerateChainError.
     """
+    return _gamma_delta(chains, _ambient_act, tol)
+
+
+def _gamma_delta(chains: ChainSet, act, tol: float = EPS_CHAIN) -> tuple[float, float]:
+    """gamma_delta of chains built in the host of the structure action `act`."""
     if chains.convention != "generic":
         return 1.0, 0.0
     X1 = chains.leading
@@ -596,12 +581,12 @@ def gamma_delta(chains: ChainSet, tol: float = EPS_CHAIN) -> tuple[float, float]
     s_chi = np.sqrt(1.0 - chi**2)
     alternates = {
         "formula(Gamma)": (gamma, gamma_formula),
-        "<X4,I Xt4>/cI": (delta, float(X4 @ apply_structure(I, Xt4)) / cI),
-        "<X3,I Xt3>/cI": (delta, float(X3 @ apply_structure(I, Xt3)) / cI),
+        "<X4,I Xt4>/cI": (delta, float(X4 @ act(0, Xt4)) / cI),
+        "<X3,I Xt3>/cI": (delta, float(X3 @ act(0, Xt3)) / cI),
         "-<X3,Z2>/s_chi": (delta, -float(X3 @ Z2) / s_chi),
         "-<X1,K X3>/(cK s_chi)": (
             delta,
-            -float(X1 @ apply_structure(K, X3)) / (cK * s_chi),
+            -float(X1 @ act(2, X3)) / (cK * s_chi),
         ),
         "Gram block": (float(X4 @ Xt4), gamma),
         "skew block": (float(X3 @ Xt4), -delta),

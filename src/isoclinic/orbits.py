@@ -12,7 +12,8 @@ Sigma^2 = (1 - Gamma^2)(1 - <x, vol x>^2) at the leading vector x. That
 vanishes when U carries one module type and depends on x when U mixes
 both, which is exactly when the orbit label is undefined; the +/-1 and
 cos = 0 conventions set (Gamma, Delta) = (1, 0). So the 8-dim addend is
-two 4-dim chain spans and the canonical matrices tile 4x4 blocks. A
+two 4-dim chain spans and the canonical matrices tile 4x4 blocks, and
+decompose tests vol = +/-Id itself, at no leading vector. A
 theorem-mandated identity failing beyond tolerance raises
 FalsificationError instead of being absorbed.
 """
@@ -26,20 +27,23 @@ import numpy as np
 
 from .analysis import (
     IsoclinicProfile,
+    _Span,
+    _ambient,
+    _build_chains,
+    _certified_forms,
+    _companions,
+    _gamma_delta,
     _measure,
     build_chains,
     certify_isoclinic,
     cij_block_4,
     cik_block_4,
-    companions,
     full_profile,
-    gamma_delta,
     isoclinic_profile_angles,
-    random_unit_in,
 )
 from .errors import DimensionError, FalsificationError
 from .subspaces import Frame, orthonormalize, restrict_complement
-from .tolerances import EPS_FRAME, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RECERT, EPS_UNION
+from .tolerances import EPS_ANGLE, EPS_FRAME, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RECERT, EPS_UNION
 
 __all__ = [
     "TypedSubspace",
@@ -115,9 +119,39 @@ def _require_sigma_zero(gamma: float, delta: float, dim: int) -> None:
         )
 
 
-def _standard_two_plane(U: Frame, X1: np.ndarray, angles) -> Frame:
-    comp = companions(U, X1, angles)
-    return _clean_union([X1, comp.X2])
+def _addend_rows(U: _Span, X1: np.ndarray, angles, klass: int) -> np.ndarray:
+    """Rows, in U's host (see analysis._Span), of the klass-dim addend of U
+    through X1: a standard 2-plane, the omega^I chain span, or (Sigma = 0 at
+    X1 required) four standard 2-planes of a 2-planes decomposable U or the
+    omega^I chain spans through X1 and through a vector of its complement."""
+    if klass == 2:
+        return np.vstack([X1, _companions(U, X1, angles).X2])
+    chains = _build_chains(U, X1, angles)
+    if klass == 4:
+        return chains.chain_x
+    gamma, delta = _gamma_delta(chains, U.act)
+    _require_sigma_zero(gamma, delta, U.dim)
+    if chains.convention != "decomposable":
+        rest = U.complement(chains.chain_x, expect=U.dim - 4)
+        return np.vstack([chains.chain_x, _build_chains(U, rest.rows[0], angles).chain_x])
+    # peel standard 2-planes from a shrinking complement; companions of
+    # a vector in the remainder stay in the remainder
+    planes = [_addend_rows(U, X1, angles, 2)]
+    for _ in range(3):
+        U = U.complement(planes[-1], expect=U.dim - 2)
+        planes.append(_addend_rows(U, U.rows[0], angles, 2))
+    return np.vstack(planes)
+
+
+def _recertified(addend: Frame, angles, what: str) -> Frame:
+    """The addend, once the gate finds it isoclinic with the parent's angles."""
+    got = isoclinic_profile_angles(addend)
+    if got is None or np.max(np.abs(np.array(got) - np.array(angles))) > EPS_RECERT:
+        raise FalsificationError(
+            f"{what} failed re-certification against the parent angles "
+            f"(got {got}, parent {tuple(angles)})"
+        )
+    return addend
 
 
 def eight_dim_addend(
@@ -135,36 +169,8 @@ def eight_dim_addend(
         raise DimensionError(f"eight_dim_addend needs dim >= 8, got {U.dim}")
     if angles is None:
         angles = certify_isoclinic(U)
-    chains = build_chains(U, X1, angles)
-    gamma, delta = gamma_delta(chains)
-    _require_sigma_zero(gamma, delta, U.dim)
-
-    if chains.convention == "decomposable":
-        # peel standard 2-planes from a shrinking complement; companions of
-        # a vector in the remainder stay in the remainder
-        current = U
-        lead = np.asarray(X1, dtype=float)
-        planes = []
-        for step in range(4):
-            plane = _standard_two_plane(current, lead, angles)
-            planes.append(plane)
-            if step < 3:
-                current = restrict_complement(current, plane, expect=current.dim - 2)
-                lead = current.vectors[0]
-        addend = _clean_union([p.vectors for p in planes])
-    else:
-        first = _clean_union([chains.chain_x])
-        rest = restrict_complement(U, first, expect=U.dim - 4)
-        second = build_chains(U, rest.vectors[0], angles)
-        addend = _clean_union([chains.chain_x, second.chain_x])
-
-    got = isoclinic_profile_angles(addend)
-    if got is None or np.max(np.abs(np.array(got) - np.array(angles))) > EPS_RECERT:
-        raise FalsificationError(
-            "constructed 8-dim addend failed re-certification against the "
-            f"parent angles (got {got}, parent {tuple(angles)})"
-        )
-    return addend
+    rows = _addend_rows(_ambient(U), np.asarray(X1, dtype=float), angles, 8)
+    return _recertified(_clean_union([rows]), angles, "constructed 8-dim addend")
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,10 +182,36 @@ class Decomposition:
     profile: IsoclinicProfile
 
 
-def _lead(current: Frame, rng: np.random.Generator | None) -> np.ndarray:
+def _require_one_type(forms: np.ndarray, profile: IsoclinicProfile) -> None:
+    """Refuse a U that mixes both Cl_{0,3}-module types where the forms
+    generate Cl_{0,3} (every cos(theta_p) > EPS_ANGLE, none of xi, chi, eta,
+    Gamma at +/-1): vol = E_1 E_2 E_3 must be +/-Id, where E = L^{-1} J for
+    J_p = omega_p / cos(theta_p) and g = L L^T, i.e. the Gram-Schmidt
+    orthonormalization of the forms under <X, Y> = tr(X^T Y) / dim. The
+    mixedness is max |s vol - Id| with s = tr(vol) / dim."""
+    invariants = (profile.xi, profile.chi, profile.eta, profile.gamma)
+    if min(profile.cosines) <= EPS_ANGLE or any(abs(v) > 1.0 - EPS_PM1 for v in invariants):
+        return
+    k = profile.dim
+    E: list[np.ndarray] = []
+    for J in forms:
+        for F in E:
+            J = J - np.sum(F * J) / k * F
+        E.append(J / np.sqrt(np.sum(J * J) / k))
+    vol = E[0] @ E[1] @ E[2]
+    mixed = float(np.max(np.abs(np.trace(vol) / k * vol - np.eye(k))))
+    if not mixed <= EPS_ORBIT:
+        raise FalsificationError(
+            f"dim {k}: the volume element is not +/-Id (mixedness "
+            f"max|s vol - Id| = {mixed:.3e}): the subspace mixes both module types"
+        )
+
+
+def _lead(rows: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
     if rng is None:
-        return current.vectors[0]
-    return random_unit_in(current, rng)
+        return rows[0]
+    v = rng.standard_normal(len(rows)) @ rows
+    return v / np.linalg.norm(v)
 
 
 def decompose(U: Frame, seed: int | None = None) -> Decomposition:
@@ -188,11 +220,14 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     dim = 2 mod 4: isoclinic 2-planes (requires xi, chi, eta at +/-1);
     dim = 4 mod 8: 4-dim addends; dim = 0 mod 8: 8-dim addends, each
     requiring Sigma = 0 at its own leading vector. Outside dim = 2 mod 4
-    the profile must have Sigma = 0. Every addend is re-certified isoclinic
-    with the parent's angles. `seed` randomizes the leading vectors.
+    the profile must have Sigma = 0, and U must not mix both module types.
+    `seed` randomizes the leading vectors. The addends are built in U's
+    coordinates from its three Kaehler forms (an addend and its complement
+    in U are submodules), become Frames at the end and are re-certified
+    isoclinic with the parent's angles.
     """
-    profile = full_profile(U, seed=seed)
-    angles = (profile.theta_i, profile.theta_j, profile.theta_k)
+    angles, forms = _certified_forms(U)
+    profile = _measure(U, angles, seed=seed)
     rng = np.random.default_rng(seed) if seed is not None else None
     klass = profile.dim_class
 
@@ -205,27 +240,17 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
         )
     if klass != 2:
         _require_sigma_zero(profile.gamma, profile.delta, U.dim)
+        _require_one_type(forms, profile)
 
     addends: list[Frame] = []
-    current: Frame | None = U
-    while current is not None:
-        x1 = _lead(current, rng)
-        if klass == 2:
-            addend = _standard_two_plane(current, x1, angles)
-        elif klass == 4:
-            addend = _clean_union([build_chains(current, x1, angles).chain_x])
-        else:
-            addend = eight_dim_addend(current, x1, angles)
-        if klass != 8:  # eight_dim_addend re-certifies its own addend
-            got = isoclinic_profile_angles(addend)
-            if got is None or np.max(np.abs(np.array(got) - np.array(angles))) > EPS_RECERT:
-                raise FalsificationError(
-                    f"addend {len(addends)} failed re-certification with parent angles"
-                )
-        addends.append(addend)
-        left = current.dim - addend.dim
-        current = restrict_complement(current, addend, expect=left) if left else None
-    return Decomposition(addends=tuple(addends), addend_dim=klass, profile=profile)
+    current = _Span(np.eye(U.dim), lambda p, u: forms[p] @ u)
+    while True:
+        rows = _addend_rows(current, _lead(current.rows, rng), angles, klass)
+        what = "constructed 8-dim addend" if klass == 8 else f"addend {len(addends)}"
+        addends.append(_recertified(_clean_union([rows @ U.vectors]), angles, what))
+        if current.dim == len(rows):
+            return Decomposition(addends=tuple(addends), addend_dim=klass, profile=profile)
+        current = current.complement(rows, expect=current.dim - len(rows))
 
 
 def split_addend_4(addend: Frame, seed: int | None = None) -> tuple[Frame, Frame] | None:
@@ -238,7 +263,7 @@ def split_addend_4(addend: Frame, seed: int | None = None) -> tuple[Frame, Frame
         return None
     angles = (profile.theta_i, profile.theta_j, profile.theta_k)
     rng = np.random.default_rng(seed) if seed is not None else None
-    first = _clean_union([build_chains(addend, _lead(addend, rng), angles).chain_x])
+    first = _clean_union([build_chains(addend, _lead(addend.vectors, rng), angles).chain_x])
     second = restrict_complement(addend, first, expect=4)
     return first, second
 

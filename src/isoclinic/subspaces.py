@@ -237,17 +237,21 @@ def complement(U: Frame) -> Frame:
 
 def restrict_complement(U: Frame, W: Frame, expect: int | None = None) -> Frame:
     """Orthonormal basis of {u in span(U) : u ⟂ span(W)}, of dimension
-    dim U - rank(U W^T); W need not lie in span(U).
+    dim U - rank(U W^T); W need not lie in span(U). `expect` asserts the
+    resulting dimension when the caller knows it."""
+    return Frame(_householder_complement(gram(U, W), expect) @ U.vectors)
 
-    Householder completion in U's coordinates: each column of G = U W^T
-    gets one reflector on the rows not yet used, and a column whose
-    remaining norm is at most EPS_RANK * 10 is dependent and skipped. The
-    rows of U mapped by the reflectors past the rank of G span the
-    complement. `expect` asserts the resulting dimension when the caller
-    knows it.
+
+def _householder_complement(G: np.ndarray, expect: int | None = None) -> np.ndarray:
+    """Orthonormal rows Q (k - rank G, k) with Q G = 0 for G (k, m), which
+    is overwritten: with G = U W^T, U's coordinates of its complement of W.
+
+    Householder completion: each column of G gets one reflector on the rows
+    not yet used, and a column whose remaining norm is at most EPS_RANK * 10
+    is dependent and skipped; the identity's rows mapped by the reflectors
+    past the rank of G are the result. `expect` asserts k - rank.
     """
-    G = gram(U, W)
-    k = U.dim
+    k = G.shape[0]
     Q = np.eye(k)
     rank = 0
     for j in range(G.shape[1]):
@@ -259,11 +263,11 @@ def restrict_complement(U: Frame, W: Frame, expect: int | None = None) -> Frame:
         v[0] += norm if x[0] >= 0 else -norm
         v *= np.sqrt(2.0) / np.sqrt(v @ v)  # the reflector is I - v v^T
         for M in (G[rank:, j + 1:], Q[rank:]):
-            M -= np.outer(v, v @ M)
+            M -= v[:, None] * (v @ M)  # np.outer's products, without its overhead
         rank += 1
     if expect is not None and k - rank != expect:
         raise RankDeficiencyError(detected_rank=k - rank, expected=expect)
-    return Frame(Q[rank:] @ U.vectors)
+    return Q[rank:]
 
 
 def random_frame(n: int, k: int, rng: np.random.Generator) -> Frame:

@@ -25,6 +25,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from isoclinic import analysis, cli, generators, orbits
 from isoclinic.analysis import (
+    _Span,
+    _ambient,
     _angle,
     _combined_defects,
     _companion,
@@ -33,9 +35,15 @@ from isoclinic.analysis import (
     _pair_defects,
     _pm1,
     _third,
+    _witness,
+    build_chains,
+    certify_isoclinic,
+    companions,
     full_profile,
     isoclinic_pair,
+    isoclinic_profile_angles,
     omega_matrix,
+    random_unit_in,
     theta_of_A,
 )
 from isoclinic.errors import (
@@ -52,6 +60,7 @@ from isoclinic.generators import (
     embed,
     graph_subspace,
     invariance_oracle,
+    make_i_complex_4,
     make_profile_4,
     make_rhp,
     make_totally_complex_4,
@@ -84,12 +93,15 @@ from isoclinic.subspaces import (
 )
 from isoclinic.orbits import (
     OrbitLabel,
+    _clean_union,
     _rounded_sign,
     canonical_matrices,
+    decompose,
     orbit_label,
     same_orbit,
 )
 from isoclinic.tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK
+from conftest import perturbed_graph_sum
 
 TOL = 1e-13
 
@@ -251,6 +263,44 @@ def same_orbit_reference(U, W, tol=EPS_ORBIT):
         return decision, None
     (cu_ij, cu_ik), (cw_ij, cw_ik) = canonical_matrices(U), canonical_matrices(W)
     return decision, max(np.max(np.abs(cu_ij - cw_ij)), np.max(np.abs(cu_ik - cw_ik)))
+
+
+def eight_dim_addend_reference(U, X1, angles):
+    """The 8-dim addend on 4n-dim chains: four standard 2-planes peeled from
+    shrinking complements, or two omega^I chain spans."""
+    chains = build_chains(U, X1, angles)
+    if chains.convention != "decomposable":
+        first = _clean_union([chains.chain_x])
+        rest = restrict_complement(U, first, expect=U.dim - 4)
+        return _clean_union([chains.chain_x, build_chains(U, rest.vectors[0], angles).chain_x])
+    current, lead, planes = U, X1, []
+    for step in range(4):
+        planes.append(_clean_union([lead, companions(current, lead, angles).X2]))
+        if step < 3:
+            current = restrict_complement(current, planes[-1], expect=current.dim - 2)
+            lead = current.vectors[0]
+    return _clean_union([p.vectors for p in planes])
+
+
+def decompose_reference(U, seed=None):
+    """decompose's addends built on 4n-dim chains, each complement a
+    restrict_complement of the ambient frames (no checks)."""
+    profile = full_profile(U, seed=seed)
+    angles = (profile.theta_i, profile.theta_j, profile.theta_k)
+    rng = np.random.default_rng(seed) if seed is not None else None
+    addends, current = [], U
+    while current is not None:
+        x1 = current.vectors[0] if rng is None else random_unit_in(current, rng)
+        if profile.dim_class == 2:
+            addend = _clean_union([x1, companions(current, x1, angles).X2])
+        elif profile.dim_class == 4:
+            addend = _clean_union([build_chains(current, x1, angles).chain_x])
+        else:
+            addend = eight_dim_addend_reference(current, x1, angles)
+        addends.append(addend)
+        left = current.dim - addend.dim
+        current = restrict_complement(current, addend, expect=left) if left else None
+    return addends
 
 
 def real_matrix_reference(g):
@@ -467,12 +517,17 @@ class TestCompanions:
     def test_against_projector_onto_image(self, rng, parts):
         U = moved(graph_sum(parts), parts)
         cosines = np.cos(gate_reference(U)[0])
-        for A, cos_a in zip((I, J, K), cosines):
-            v = rng.standard_normal(U.dim) @ U.vectors
-            v /= np.linalg.norm(v)
+        forms = _forms(U)
+        coords = _Span(np.eye(U.dim), lambda p, u: forms[p] @ u)
+        for p, (A, cos_a) in enumerate(zip((I, J, K), cosines)):
+            u = rng.standard_normal(U.dim)
+            u /= np.linalg.norm(u)
+            v = u @ U.vectors
             ref = companion_reference(U, A, cos_a, v)
-            npt.assert_allclose(_companion(U, A, cos_a, v), ref, rtol=0, atol=TOL)
-            npt.assert_allclose(_third(U, A, cos_a, v), -ref, rtol=0, atol=TOL)
+            npt.assert_allclose(_companion(_ambient(U), p, cos_a, v), ref, rtol=0, atol=TOL)
+            npt.assert_allclose(_third(_ambient(U), p, cos_a, v), -ref, rtol=0, atol=TOL)
+            # in U's coordinates Pr_U(A_p x) is omega_p u
+            npt.assert_allclose(_companion(coords, p, cos_a, u) @ U.vectors, ref, rtol=0, atol=TOL)
 
     def test_general_structure_any_subspace(self, rng):
         # the identity A^{-1} Pr_{AU} = -Pr_U A needs no isoclinicity
@@ -480,8 +535,9 @@ class TestCompanions:
         v = unit_rows(rng, 1, 16)[0]
         for _ in range(10):
             A = random_structure(rng)
+            span = _Span(U.vectors, lambda p, x: apply_structure(A, x))
             npt.assert_allclose(
-                _companion(U, A, 1.0, v), companion_reference(U, A, 1.0, v),
+                _companion(span, 0, 1.0, v), companion_reference(U, A, 1.0, v),
                 rtol=0, atol=TOL,
             )
 
@@ -563,6 +619,19 @@ class TestGate:
             npt.assert_allclose(Q @ v, lam * v, rtol=0, atol=TOL)
             assert v[np.argmax(np.abs(v))] > 0
             assert analysis._extreme_eigenvalue(Q[None])[0] == pytest.approx(lam, abs=eig_tol)
+
+    def test_witness_at_near_tied_band_entries(self):
+        # the closed form reads the double root 0.7 as ~0.7000000063, above
+        # the simple radius 0.700000003 of the other entry: the Rayleigh
+        # quotients pick the entry whose true radius is larger
+        double = np.diag([0.7, 0.7, -0.2])
+        simple = np.diag([0.1, -0.3, 0.700000003])
+        lam = analysis._extreme_eigenvalue(np.stack([double, simple]))
+        assert abs(lam[0]) > abs(lam[1])
+        for band in (np.stack([double, simple]), np.stack([simple, double])):
+            npt.assert_array_equal(_witness(band), [0.0, 0.0, 1.0])
+        # an exact tie keeps the closed form's choice, then the lower index
+        npt.assert_array_equal(_witness(np.stack([simple, simple[::-1, ::-1]])), [0.0, 0.0, 1.0])
 
     def test_no_linalg_call(self, monkeypatch):
         inputs = [make() for make in GATE_INPUTS.values()]
@@ -872,3 +941,77 @@ class TestBatchedGate:
         if angles is None:
             # the coordinate pairs pass: a mixed structure is the witness
             assert np.count_nonzero(witness[0]) > 1
+
+
+def profile_sum(args, parts, seed):
+    return moved(direct_sum([make_profile_4(*args)] * parts), seed)
+
+
+# every stratum of decompose: 2-plane sums of each class (decomposable),
+# generic graph and make_profile_4 sums, cos theta_p = 0 (i-complex and
+# r.h.p.), a single invariant at +/-1, and certified perturbed sums
+DECOMPOSE_INPUTS = {
+    "planes-10": lambda: two_plane_sum(5, 51),
+    "planes-12": lambda: two_plane_sum(6, 52),
+    "planes-16": lambda: two_plane_sum(8, 53),
+    "graph-12": lambda: moved(graph_sum(3), 54),
+    "graph-16": lambda: moved(graph_sum(4), 55),
+    "profile-16": lambda: profile_sum(PROFILE_4, 4, 56),
+    "icomplex-8": lambda: moved(direct_sum([make_i_complex_4(2, np.pi / 2)] * 2), 57),
+    "icomplex-12": lambda: moved(direct_sum([make_i_complex_4(2, 0.7)] * 3), 58),
+    "single-pm1-8": lambda: profile_sum((1.3091, 1.1711, 1.2413, 1.0, -0.849, -0.849), 2, 59),
+    "rhp-6": lambda: moved(make_rhp(6, 6), 60),
+    "rhp-12": lambda: moved(make_rhp(12, 12), 61),
+    "perturbed-4": lambda: perturbed_graph_sum(1, 1),
+    "perturbed-8": lambda: perturbed_graph_sum(1, 2),
+}
+
+
+def projector_distance(A, B):
+    return float(np.max(np.abs(A.vectors.T @ A.vectors - B.vectors.T @ B.vectors)))
+
+
+class TestDecomposeInCoordinates:
+    """decompose builds its addends in U's coordinates; they span what the
+    4n-dim chain route spans."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(DECOMPOSE_INPUTS))
+    def test_addends_match_chain_route(self, name, seed):
+        U = DECOMPOSE_INPUTS[name]()
+        ref = decompose_reference(U, seed)
+        try:
+            got = decompose(U, seed=seed).addends
+        except FalsificationError as exc:
+            # basis-dependent re-certification at the edge of EPS_ISO
+            assert name == "perturbed-8" and "re-certification" in str(exc)
+            return
+        assert [a.dim for a in got] == [a.dim for a in ref]
+        assert max(projector_distance(a, b) for a, b in zip(got, ref)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        part=st.sampled_from(["graph", "profile", "planes", "icomplex", "rhp"]),
+        count=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+        lead=st.sampled_from([None, 0, 1, 2]),
+    )
+    def test_addends_are_hermitian_orthogonal_isoclinic_parts(self, part, count, seed, lead):
+        base = {
+            "graph": lambda: graph_subspace(np.random.default_rng(seed).standard_normal(4)),
+            "profile": lambda: make_profile_4(*PROFILE_4),
+            "planes": lambda: make_two_plane(2, 0.9, 1.1, 1.2, -1.0, 1.0),
+            "icomplex": lambda: make_i_complex_4(2, 0.7),
+            "rhp": lambda: make_rhp(2, 2),
+        }[part]()
+        U = moved(direct_sum([base] * count), seed)
+        dec = decompose(U, seed=lead)
+        V = np.vstack([a.vectors for a in dec.addends])
+        npt.assert_allclose(V @ V.T, np.eye(U.dim), rtol=0, atol=1e-12)
+        assert np.max(np.abs(U.vectors - (U.vectors @ V.T) @ V)) <= 1e-12
+        parent = np.cos(certify_isoclinic(U))
+        for i, a in enumerate(dec.addends):
+            npt.assert_allclose(np.cos(isoclinic_profile_angles(a)), parent, rtol=0, atol=1e-12)
+            for b in dec.addends[i + 1:]:
+                for A in (I, J, K):
+                    assert np.max(np.abs(a.vectors @ apply_structure(A, b.vectors).T)) <= 1e-12

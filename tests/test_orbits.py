@@ -29,6 +29,7 @@ from isoclinic.orbits import (
     associated_subspaces,
     canonical_matrices,
     _clean_union,
+    _require_one_type,
     decompose,
     eight_dim_addend,
     orbit_label,
@@ -271,6 +272,10 @@ class TestDecompose:
         for seed in range(4):
             with pytest.raises(FalsificationError, match=r"dim 8 .*Sigma\^2 = [0-9.e+-]+"):
                 decompose(U, seed=seed)
+        # U.vectors[0] lies in one module type, so Sigma^2 = 0 there: the
+        # volume element refuses the mixed sum without a random leading vector
+        with pytest.raises(FalsificationError, match=r"dim 8: .*max\|s vol - Id\| = 1\.000e\+00"):
+            decompose(U)
         with pytest.raises(FalsificationError, match=r"Sigma\^2"):
             eight_dim_addend(U, random_unit_in(U, rng))
         with pytest.raises(FalsificationError, match=r"Sigma\^2"):
@@ -458,6 +463,12 @@ class TestSigmaLaw:
                 c = U.vectors @ x
                 want = (1.0 - prof.gamma**2) * (1.0 - (c @ vol @ c) ** 2)
                 assert sigma2 == pytest.approx(want, rel=0, abs=1e-12)
+        # decompose's deterministic test: vol = +/-Id exactly on one type
+        if len(set(signs)) == 1:
+            _require_one_type(_forms(U), prof)
+        else:
+            with pytest.raises(FalsificationError, match="mixes both module types"):
+                _require_one_type(_forms(U), prof)
 
 
 class TestStructuralProps:
