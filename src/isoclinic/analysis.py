@@ -20,7 +20,6 @@ canonical chain map; the returned ChainSet is then flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .subspaces import (
     OrientedTwoPlane,
     _householder_complement,
     gram,
+    project,
     structure_image,
 )
 from .tolerances import EPS_ANGLE, EPS_CHAIN, EPS_ISO, EPS_MEMBER, EPS_PM1
@@ -298,57 +298,31 @@ def _cos2_of(profile: IsoclinicProfile, C: np.ndarray) -> np.ndarray:
 # companions and chains
 
 
-@dataclass(frozen=True, eq=False)
-class _Span:
-    """A subspace as the chain algebra sees it: orthonormal `rows` of a host
-    space, and act(p, x), structure p (0, 1, 2 for I, J, K) applied to a host
-    vector up to a projection onto a space containing the rows. The host is
-    R^{4n} with apply_structure, or a Frame U's coordinates with act(p, u) =
-    omega_p u, the coordinates of Pr_U(A_p x)."""
-
-    rows: np.ndarray
-    act: Callable[[int, np.ndarray], np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[0]
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.rows.T @ (self.rows @ x)
-
-    def complement(self, W: np.ndarray, expect: int) -> "_Span":
-        """The span of the rows orthogonal to the rows of W (host vectors)."""
-        return _Span(_householder_complement(self.rows @ W.T, expect) @ self.rows, self.act)
-
-
-def _ambient_act(p: int, x: np.ndarray) -> np.ndarray:
-    return apply_structure((I, J, K)[p], x)
-
-
-def _ambient(U: Frame) -> _Span:
-    return _Span(U.vectors, _ambient_act)
-
-
-def _check_member(U: _Span, x: np.ndarray, what: str, tol: float = EPS_MEMBER) -> np.ndarray:
+def _check_member(U: Frame, x: np.ndarray, what: str, tol: float = EPS_MEMBER) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     nx = np.linalg.norm(x)
     if abs(nx - 1.0) > tol:
         raise FrameError(f"{what} must be a unit vector (norm {nx:.6f})")
-    if np.linalg.norm(U.project(x) - x) > tol:
+    if np.linalg.norm(project(U, x) - x) > tol:
         raise FrameError(f"{what} does not lie in the subspace")
     return x
 
 
-def _companion(U: _Span, p: int, cos_a: float, v: np.ndarray) -> np.ndarray:
+def _companion(U: Frame, A: CompatibleStructure, cos_a: float, v: np.ndarray) -> np.ndarray:
     """A^{-1} Pr_{AU} v / cos_a = -Pr_U(A v) / cos_a, as A^{-1} = -A is an
-    isometry; the standard partner of v for the A_p-form."""
-    return -U.project(U.act(p, v)) / cos_a
+    isometry; the standard partner of v for the A-form."""
+    return -project(U, apply_structure(A, v)) / cos_a
 
 
-def _third(U: _Span, p: int, cos_a: float, v4: np.ndarray) -> np.ndarray:
+def _third(U: Frame, A: CompatibleStructure, cos_a: float, v4: np.ndarray) -> np.ndarray:
     """-A^{-1} Pr_{AU} v4 / cos_a = Pr_U(A v4) / cos_a; third chain element
     from the fourth."""
-    return U.project(U.act(p, v4)) / cos_a
+    return project(U, apply_structure(A, v4)) / cos_a
+
+
+def _complement_row(U: Frame, W: np.ndarray) -> np.ndarray:
+    """First vector of the Householder complement in U of the rows W."""
+    return (_householder_complement(U.vectors @ W.T, U.dim - len(W)) @ U.vectors)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,21 +350,16 @@ def companions(
     an available one (or an arbitrary unit vector orthogonal to X1 for
     triple orthogonality), which forces the matching invariants to 1.
     """
-    return _companions(_ambient(U), X1, angles, tol)
-
-
-def _companions(U: _Span, X1: np.ndarray, angles, tol: float = EPS_ANGLE) -> Companions:
-    """companions in any host (see _Span)."""
     X1 = _check_member(U, X1, "leading vector")
     cos_abc = np.cos(angles)
     have = cos_abc > tol
-    X2, Y2, Z2 = (_companion(U, p, float(c), X1) if h else None
-                  for p, (c, h) in enumerate(zip(cos_abc, have)))
+    X2, Y2, Z2 = (_companion(U, A, float(c), X1) if h else None
+                  for A, c, h in zip((I, J, K), cos_abc, have))
 
     forced = []
     if X2 is None and Y2 is None and Z2 is None:
         # r.h.p. subspace: any unit vector orthogonal to X1 will do
-        X2 = U.complement(X1[None], expect=U.dim - 1).rows[0]
+        X2 = _complement_row(U, X1[None])
         Y2 = X2
         Z2 = X2
         forced.append("X2=Y2=Z2 arbitrary (triple orthogonality)")
@@ -462,6 +431,12 @@ def _pm1(v: float, tol: float = EPS_PM1) -> bool:
     return abs(v) > 1.0 - tol
 
 
+def _fourths(P2: np.ndarray, Q2: np.ndarray, cos: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fourth elements of the chains through companions P2, Q2 with <P2, Q2> = cos."""
+    s = np.sqrt(1.0 - cos**2)
+    return (Q2 - cos * P2) / s, (-P2 + cos * Q2) / s
+
+
 def build_chains(
     U: Frame,
     X1: np.ndarray,
@@ -477,20 +452,9 @@ def build_chains(
     """
     if angles is None:
         angles = certify_isoclinic(U)
-    return _build_chains(_ambient(U), X1, angles, tol)
-
-
-def _fourths(P2: np.ndarray, Q2: np.ndarray, cos: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fourth elements of the chains through companions P2, Q2 with <P2, Q2> = cos."""
-    s = np.sqrt(1.0 - cos**2)
-    return (Q2 - cos * P2) / s, (-P2 + cos * Q2) / s
-
-
-def _build_chains(U: _Span, X1: np.ndarray, angles, tol: float = EPS_ANGLE) -> ChainSet:
-    """build_chains in any host (see _Span)."""
     if U.dim < 4:
         raise DimensionError(f"chains need dim >= 4, got {U.dim}")
-    comp = _companions(U, X1, angles, tol)
+    comp = companions(U, X1, angles, tol)
     X1 = np.asarray(X1, dtype=float)
     X2, Y2, Z2 = comp.X2, comp.Y2, comp.Z2
     xi, chi, eta = comp.xi, comp.chi, comp.eta
@@ -504,9 +468,11 @@ def _build_chains(U: _Span, X1: np.ndarray, angles, tol: float = EPS_ANGLE) -> C
         X4, Y4 = _fourths(X2, Y2, xi)
         Xt4, Z4 = _fourths(X2, Z2, chi)
         Yt4, Zt4 = _fourths(Y2, Z2, eta)
-        X3, Y3 = _third(U, 0, cI, X4), _third(U, 1, cJ, Y4)
-        Xt3, Z3 = _third(U, 0, cI, Xt4), _third(U, 2, cK, Z4)
-        Yt3, Zt3 = _third(U, 1, cJ, Yt4), _third(U, 2, cK, Zt4)
+        X3, Y3 = _third(U, I, cI, X4), _third(U, J, cJ, Y4)
+        Xt3, Z3 = _third(U, I, cI, Xt4), _third(U, K, cK, Z4)
+        Yt3, Zt3 = _third(U, J, cJ, Yt4), _third(U, K, cK, Zt4)
+
+
         for name, a, b in (("X3-Y3", X3, Y3), ("Xt3-Z3", Xt3, Z3), ("Yt3-Zt3", Yt3, Zt3)):
             res[name] = float(np.linalg.norm(a - b))
         chains = ([X1, X2, X3, X4], [X1, Y2, Y3, Y4], [X1, X2, Xt3, Xt4],
@@ -516,14 +482,14 @@ def _build_chains(U: _Span, X1: np.ndarray, angles, tol: float = EPS_ANGLE) -> C
         if _pm1(xi):
             # base route through the (X2, Z2) pair
             four, z4 = _fourths(X2, Z2, chi)
-            t = _third(U, 0, cI, four) if have_i else _third(U, 2, cK, z4)
+            t = _third(U, I, cI, four) if have_i else _third(U, K, cK, z4)
             sgn = float(np.sign(xi))
             x, y, z = [X1, X2, t, four], [X1, sgn * X2, t, sgn * four], [X1, Z2, t, z4]
             convention = "xi"
         else:
             # base route through the (X2, Y2) pair
             four, y4 = _fourths(X2, Y2, xi)
-            t = _third(U, 0, cI, four) if have_i else _third(U, 1, cJ, y4)
+            t = _third(U, I, cI, four) if have_i else _third(U, J, cJ, y4)
             x, y = [X1, X2, t, four], [X1, Y2, t, y4]
             if _pm1(chi):
                 sgn = float(np.sign(chi))
@@ -534,15 +500,15 @@ def _build_chains(U: _Span, X1: np.ndarray, angles, tol: float = EPS_ANGLE) -> C
         chains = (x, y, x, z, y, z)
     else:
         # all three at +/-1: 2-planes decomposable, Sigma is not a function of X1
-        t = U.complement(np.vstack([X1, X2]), expect=U.dim - 2).rows[0]
+        t = _complement_row(U, np.vstack([X1, X2]))
         if have_i:
-            X4 = _companion(U, 0, cI, t)
+            X4 = _companion(U, I, cI, t)
         elif have_j:
-            X4 = float(np.sign(xi)) * _companion(U, 1, cJ, t)
+            X4 = float(np.sign(xi)) * _companion(U, J, cJ, t)
         elif have_k:
-            X4 = float(np.sign(chi)) * _companion(U, 2, cK, t)
+            X4 = float(np.sign(chi)) * _companion(U, K, cK, t)
         else:
-            X4 = U.complement(np.vstack([X1, X2, t]), expect=U.dim - 3).rows[0]
+            X4 = _complement_row(U, np.vstack([X1, X2, t]))
         sx, sc = float(np.sign(xi)), float(np.sign(chi))
         x, y, z = [X1, X2, t, X4], [X1, sx * X2, t, sx * X4], [X1, sc * X2, t, sc * X4]
         chains = (x, y, x, z, y, z)
@@ -560,11 +526,6 @@ def gamma_delta(chains: ChainSet, tol: float = EPS_CHAIN) -> tuple[float, float]
     recomputed through several equivalent expressions; disagreement
     beyond `tol` raises DegenerateChainError.
     """
-    return _gamma_delta(chains, _ambient_act, tol)
-
-
-def _gamma_delta(chains: ChainSet, act, tol: float = EPS_CHAIN) -> tuple[float, float]:
-    """gamma_delta of chains built in the host of the structure action `act`."""
     if chains.convention != "generic":
         return 1.0, 0.0
     X1 = chains.leading
@@ -581,12 +542,12 @@ def _gamma_delta(chains: ChainSet, act, tol: float = EPS_CHAIN) -> tuple[float, 
     s_chi = np.sqrt(1.0 - chi**2)
     alternates = {
         "formula(Gamma)": (gamma, gamma_formula),
-        "<X4,I Xt4>/cI": (delta, float(X4 @ act(0, Xt4)) / cI),
-        "<X3,I Xt3>/cI": (delta, float(X3 @ act(0, Xt3)) / cI),
+        "<X4,I Xt4>/cI": (delta, float(X4 @ apply_structure(I, Xt4)) / cI),
+        "<X3,I Xt3>/cI": (delta, float(X3 @ apply_structure(I, Xt3)) / cI),
         "-<X3,Z2>/s_chi": (delta, -float(X3 @ Z2) / s_chi),
         "-<X1,K X3>/(cK s_chi)": (
             delta,
-            -float(X1 @ act(2, X3)) / (cK * s_chi),
+            -float(X1 @ apply_structure(K, X3)) / (cK * s_chi),
         ),
         "Gram block": (float(X4 @ Xt4), gamma),
         "skew block": (float(X3 @ Xt4), -delta),

@@ -2,37 +2,32 @@
 decomposition into isoclinic addends, block canonical matrices and the
 Sp(n)-orbit decision.
 
-The decomposition follows the dimension class: dim = 2 mod 4 forces a
-2-planes decomposition (and invariants at +/-1), dim = 4 mod 8 forces
-4-dim addends, dim = 0 mod 8 uses 8-dim addends. Outside class 2 every
-labelled subspace has Sigma^2 = 1 - Gamma^2 - Delta^2 = 0: where all
-cos(theta_p) > 0, J_p = omega_p / cos(theta_p) make U a Cl_{0,3}-module
-whose volume element vol is central, symmetric and squares to Id, and
-Sigma^2 = (1 - Gamma^2)(1 - <x, vol x>^2) at the leading vector x. That
-vanishes when U carries one module type and depends on x when U mixes
-both, which is exactly when the orbit label is undefined; the +/-1 and
-cos = 0 conventions set (Gamma, Delta) = (1, 0). So the 8-dim addend is
-two 4-dim chain spans and the canonical matrices tile 4x4 blocks, and
-decompose tests vol = +/-Id itself, at no leading vector. A
-theorem-mandated identity failing beyond tolerance raises
-FalsificationError instead of being absorbed.
+The addend dimension follows dim mod 8: 2 (which forces invariants at +/-1),
+4 or 8. In U's coordinates the Kaehler forms, orthonormalized to r <= 3
+generators E_p, make U a Clifford module (Atiyah-Bott-Shapiro); a form is
+dropped where cos(theta_p) = 0 or an invariant is at +/-1. Every addend is a
+sum of cyclic submodules span{u, E_1 u, E_2 u, E_1 E_2 u} (the omega^I chain
+through u, cut to 1 or 2 vectors when r < 2), and so is its complement.
+For r = 3, vol = E_1 E_2 E_3 is central with vol^2 = Id, and at a leading
+vector x, Sigma^2 = 1 - Gamma^2 - Delta^2 = (1 - Gamma^2)(1 - <x, vol x>^2):
+0 on one module type (vol = +/-Id), x-dependent when U mixes both, which is
+exactly when the orbit label is undefined. So outside class 2 Sigma = 0,
+the canonical matrices tile 4x4 blocks, and decompose tests vol = +/-Id at
+no leading vector. A theorem-mandated identity failing beyond tolerance
+raises FalsificationError instead of being absorbed.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import (
     IsoclinicProfile,
-    _Span,
-    _ambient,
-    _build_chains,
     _certified_forms,
-    _companions,
-    _gamma_delta,
+    _check_member,
+    _forms,
     _measure,
     build_chains,
     certify_isoclinic,
@@ -42,8 +37,8 @@ from .analysis import (
     isoclinic_profile_angles,
 )
 from .errors import DimensionError, FalsificationError
-from .subspaces import Frame, orthonormalize, restrict_complement
-from .tolerances import EPS_ANGLE, EPS_FRAME, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RECERT, EPS_UNION
+from .subspaces import Frame, _householder_complement, _mgs, orthonormalize, restrict_complement
+from .tolerances import EPS_ANGLE, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RECERT, EPS_UNION
 
 __all__ = [
     "TypedSubspace",
@@ -57,8 +52,6 @@ __all__ = [
     "orbit_label",
     "same_orbit",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +85,13 @@ def associated_subspaces(
 def _clean_union(parts: list[np.ndarray], tol: float = EPS_UNION) -> Frame:
     """Stack chain blocks into one frame, absorbing roundoff only.
 
-    The blocks are orthonormal by theorem: a Gram defect within EPS_FRAME
-    keeps the rows as they are, one within tol is orthonormalized away,
-    and one beyond tol means the construction's hypotheses failed.
+    The blocks are orthonormal by theorem: a Gram defect within tol is
+    orthonormalized away, whatever its size, so the frame does not depend on
+    how close to orthonormal the rows came out; one beyond tol means the
+    construction's hypotheses failed.
     """
     V = np.vstack(parts)
     defect = np.max(np.abs(V @ V.T - np.eye(V.shape[0])))
-    if defect <= EPS_FRAME:
-        return Frame(V)
     if not defect <= tol:
         raise FalsificationError(
             f"addend blocks are not orthogonal (defect {defect:.3e}); "
@@ -119,28 +111,56 @@ def _require_sigma_zero(gamma: float, delta: float, dim: int) -> None:
         )
 
 
-def _addend_rows(U: _Span, X1: np.ndarray, angles, klass: int) -> np.ndarray:
-    """Rows, in U's host (see analysis._Span), of the klass-dim addend of U
-    through X1: a standard 2-plane, the omega^I chain span, or (Sigma = 0 at
-    X1 required) four standard 2-planes of a 2-planes decomposable U or the
-    omega^I chain spans through X1 and through a vector of its complement."""
-    if klass == 2:
-        return np.vstack([X1, _companions(U, X1, angles).X2])
-    chains = _build_chains(U, X1, angles)
-    if klass == 4:
-        return chains.chain_x
-    gamma, delta = _gamma_delta(chains, U.act)
-    _require_sigma_zero(gamma, delta, U.dim)
-    if chains.convention != "decomposable":
-        rest = U.complement(chains.chain_x, expect=U.dim - 4)
-        return np.vstack([chains.chain_x, _build_chains(U, rest.rows[0], angles).chain_x])
-    # peel standard 2-planes from a shrinking complement; companions of
-    # a vector in the remainder stay in the remainder
-    planes = [_addend_rows(U, X1, angles, 2)]
-    for _ in range(3):
-        U = U.complement(planes[-1], expect=U.dim - 2)
-        planes.append(_addend_rows(U, U.rows[0], angles, 2))
-    return np.vstack(planes)
+def _generators(forms: np.ndarray) -> np.ndarray:
+    """E (r, k, k): the Kaehler forms (3, k, k) Gram-Schmidt orthonormalized
+    under <X, Y> = tr(X^T Y) / k, so E_1 = omega_I / cos(theta_I) when that
+    cosine is positive. A form whose residual is at most EPS_ANGLE is dropped:
+    a cos(theta_p) = 0, or an invariant xi, chi, eta or Gamma at +/-1."""
+    k = forms.shape[-1]
+    E, _ = _mgs(forms.reshape(3, -1) / np.sqrt(k), EPS_ANGLE)
+    return E.reshape(-1, k, k) * np.sqrt(k)
+
+
+def _require_one_type(E: np.ndarray) -> None:
+    """Refuse a U that mixes both Cl_{0,3}-module types. With fewer than three
+    generators the algebra (R, C or H) has one module type; with three,
+    vol = E_1 E_2 E_3 must be +/-Id. The mixedness is max |s vol - Id| with
+    s = tr(vol) / dim."""
+    if len(E) < 3:
+        return
+    k = E.shape[-1]
+    vol = E[0] @ E[1] @ E[2]
+    mixed = float(np.max(np.abs(np.trace(vol) / k * vol - np.eye(k))))
+    if not mixed <= EPS_ORBIT:
+        raise FalsificationError(
+            f"dim {k}: the volume element is not +/-Id (mixedness "
+            f"max|s vol - Id| = {mixed:.3e}): the subspace mixes both module types"
+        )
+
+
+def _piece(E: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows u, -E_1 u, -E_1 E_2 u, -E_2 u of the cyclic submodule through u,
+    cut to u or u, -E_1 u when 0 or 1 generators survive: the omega^I chain
+    [X1, X2, X3, X4] through u."""
+    if len(E) == 0:
+        return u[None]
+    if len(E) == 1:
+        return np.vstack([u, -E[0] @ u])
+    x4 = -E[1] @ u
+    return np.vstack([u, -E[0] @ u, E[0] @ x4, x4])
+
+
+def _addend_rows(E: np.ndarray, Q: np.ndarray, u: np.ndarray, dim: int) -> np.ndarray:
+    """Coordinate rows of the dim-dim addend through u inside the span of the
+    orthonormal coordinate rows Q: the piece through u, grown with the piece
+    through the first row of the Householder complement of what is built.
+    Each piece is projected onto span Q, which it leaves only by the
+    input's isoclinicity defect, so addends come out mutually orthogonal."""
+    rows = _piece(E, u)[:dim] @ Q.T @ Q
+    while len(rows) < dim:
+        rest = _householder_complement(Q @ rows.T, len(Q) - len(rows))[0] @ Q
+        rows = np.vstack([rows, _piece(E, rest)[: dim - len(rows)] @ Q.T @ Q])
+    return rows
 
 
 def _recertified(addend: Frame, angles, what: str) -> Frame:
@@ -161,16 +181,22 @@ def eight_dim_addend(
 ) -> Frame:
     """8-dim isoclinic subspace through X1 with the parent's angles.
 
-    A 2-planes decomposable parent sums four standard 2-planes; otherwise
-    Sigma = 0 is required at X1 and the addend sums the omega^I chain
-    span through X1 and the one through a vector of its complement.
+    U must carry one Cl_{0,3}-module type. The addend is the submodule
+    through X1 built in U's coordinates (see decompose): the 4-dim piece
+    through X1 and the one through a vector of its complement, or as many
+    2-dim or 1-dim pieces when the forms generate only C or R.
     """
     if U.dim < 8:
         raise DimensionError(f"eight_dim_addend needs dim >= 8, got {U.dim}")
     if angles is None:
-        angles = certify_isoclinic(U)
-    rows = _addend_rows(_ambient(U), np.asarray(X1, dtype=float), angles, 8)
-    return _recertified(_clean_union([rows]), angles, "constructed 8-dim addend")
+        angles, forms = _certified_forms(U)
+    else:
+        forms = _forms(U)
+    E = _generators(forms)
+    _require_one_type(E)
+    u = U.vectors @ _check_member(U, X1, "leading vector")
+    rows = _addend_rows(E, np.eye(U.dim), u, 8)
+    return _recertified(_clean_union([rows @ U.vectors]), angles, "constructed 8-dim addend")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,31 +206,6 @@ class Decomposition:
     addends: tuple[Frame, ...]
     addend_dim: int
     profile: IsoclinicProfile
-
-
-def _require_one_type(forms: np.ndarray, profile: IsoclinicProfile) -> None:
-    """Refuse a U that mixes both Cl_{0,3}-module types where the forms
-    generate Cl_{0,3} (every cos(theta_p) > EPS_ANGLE, none of xi, chi, eta,
-    Gamma at +/-1): vol = E_1 E_2 E_3 must be +/-Id, where E = L^{-1} J for
-    J_p = omega_p / cos(theta_p) and g = L L^T, i.e. the Gram-Schmidt
-    orthonormalization of the forms under <X, Y> = tr(X^T Y) / dim. The
-    mixedness is max |s vol - Id| with s = tr(vol) / dim."""
-    invariants = (profile.xi, profile.chi, profile.eta, profile.gamma)
-    if min(profile.cosines) <= EPS_ANGLE or any(abs(v) > 1.0 - EPS_PM1 for v in invariants):
-        return
-    k = profile.dim
-    E: list[np.ndarray] = []
-    for J in forms:
-        for F in E:
-            J = J - np.sum(F * J) / k * F
-        E.append(J / np.sqrt(np.sum(J * J) / k))
-    vol = E[0] @ E[1] @ E[2]
-    mixed = float(np.max(np.abs(np.trace(vol) / k * vol - np.eye(k))))
-    if not mixed <= EPS_ORBIT:
-        raise FalsificationError(
-            f"dim {k}: the volume element is not +/-Id (mixedness "
-            f"max|s vol - Id| = {mixed:.3e}): the subspace mixes both module types"
-        )
 
 
 def _lead(rows: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
@@ -218,18 +219,22 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     """Decompose U into addends of the theorem-mandated dimension.
 
     dim = 2 mod 4: isoclinic 2-planes (requires xi, chi, eta at +/-1);
-    dim = 4 mod 8: 4-dim addends; dim = 0 mod 8: 8-dim addends, each
-    requiring Sigma = 0 at its own leading vector. Outside dim = 2 mod 4
-    the profile must have Sigma = 0, and U must not mix both module types.
-    `seed` randomizes the leading vectors. The addends are built in U's
-    coordinates from its three Kaehler forms (an addend and its complement
-    in U are submodules), become Frames at the end and are re-certified
-    isoclinic with the parent's angles.
+    dim = 4 mod 8: 4-dim addends; dim = 0 mod 8: 8-dim addends. Outside
+    dim = 2 mod 4 the profile must have Sigma = 0, and U must not mix both
+    module types. `seed` randomizes the leading vectors.
+
+    Everything happens in U's coordinates, where the gate's three Kaehler
+    forms, orthonormalized to generators E, make U a Clifford module: each
+    addend is a sum of cyclic submodules span{u, E_1 u, E_2 u, E_1 E_2 u}
+    (cut to span{u, E_1 u} or span{u} when fewer generators survive), and
+    its complement in U is again a submodule. The addends become Frames at
+    the end and are re-certified isoclinic with the parent's angles.
     """
     angles, forms = _certified_forms(U)
     profile = _measure(U, angles, seed=seed)
     rng = np.random.default_rng(seed) if seed is not None else None
     klass = profile.dim_class
+    E = _generators(forms)
 
     if klass == 2 and not all(
         abs(v) > 1.0 - EPS_PM1 for v in (profile.xi, profile.chi, profile.eta)
@@ -240,30 +245,32 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
         )
     if klass != 2:
         _require_sigma_zero(profile.gamma, profile.delta, U.dim)
-        _require_one_type(forms, profile)
+        _require_one_type(E)
 
     addends: list[Frame] = []
-    current = _Span(np.eye(U.dim), lambda p, u: forms[p] @ u)
+    Q = np.eye(U.dim)
     while True:
-        rows = _addend_rows(current, _lead(current.rows, rng), angles, klass)
+        rows = _addend_rows(E, Q, _lead(Q, rng), klass)
         what = "constructed 8-dim addend" if klass == 8 else f"addend {len(addends)}"
         addends.append(_recertified(_clean_union([rows @ U.vectors]), angles, what))
-        if current.dim == len(rows):
+        if len(Q) == len(rows):
             return Decomposition(addends=tuple(addends), addend_dim=klass, profile=profile)
-        current = current.complement(rows, expect=current.dim - len(rows))
+        Q = _householder_complement(Q @ rows.T, len(Q) - len(rows)) @ Q
 
 
 def split_addend_4(addend: Frame, seed: int | None = None) -> tuple[Frame, Frame] | None:
     """Split an 8-dim addend with Gamma^2 + Delta^2 = 1 into two 4-dim
-    isoclinic halves; None when the addend does not split that way."""
+    isoclinic halves, the submodule through a leading vector and its
+    complement; None when the addend does not split that way."""
     if addend.dim != 8:
         raise DimensionError("split_addend_4 expects an 8-dim addend")
-    profile = full_profile(addend, seed=seed)
+    angles, forms = _certified_forms(addend)
+    profile = _measure(addend, angles, seed=seed)
     if abs(profile.gamma**2 + profile.delta**2 - 1.0) > EPS_ORBIT:
         return None
-    angles = (profile.theta_i, profile.theta_j, profile.theta_k)
     rng = np.random.default_rng(seed) if seed is not None else None
-    first = _clean_union([build_chains(addend, _lead(addend.vectors, rng), angles).chain_x])
+    Q = np.eye(8)
+    first = _clean_union([_addend_rows(_generators(forms), Q, _lead(Q, rng), 4) @ addend.vectors])
     second = restrict_complement(addend, first, expect=4)
     return first, second
 
@@ -403,11 +410,9 @@ def _labelled(
 def same_orbit(U: Frame, W: Frame, tol: float = EPS_ORBIT) -> bool:
     """Sp(n)-orbit equivalence by orbit-label equality.
 
-    Both inputs must be isoclinic and of equal dimension. When the labels
-    agree, the canonical matrices are compared as an advisory cross-check
-    of the mutual-position condition and any discrepancy is logged; the
-    decision itself is the label comparison. Each input is certified once:
-    the cross-check reuses the profile its label was read from.
+    Both inputs must be isoclinic and of equal dimension; each is certified
+    once. The canonical matrices are closed forms of a label's own numbers,
+    so equal labels already give equal canonical matrices.
     """
     return _same_orbit(U, W, tol)
 
@@ -419,15 +424,5 @@ def _same_orbit(U: Frame, W: Frame, tol: float, labelled=None) -> bool:
         raise DimensionError(f"same_orbit needs equal dims, got {U.dim} != {W.dim}")
     if U.ambient != W.ambient:
         raise DimensionError("subspaces live in different ambient spaces")
-    (label_u, profile_u), (label_w, profile_w) = labelled or (_labelled(U), _labelled(W))
-    decision = label_u.agrees(label_w, tol)
-    if decision:
-        cu_ij, cu_ik = canonical_matrices(U, profile_u)
-        cw_ij, cw_ik = canonical_matrices(W, profile_w)
-        dev = max(np.max(np.abs(cu_ij - cw_ij)), np.max(np.abs(cu_ik - cw_ik)))
-        if dev > 100 * tol:
-            log.warning(
-                "same_orbit: labels agree but canonical matrices deviate by %.3e",
-                dev,
-            )
-    return decision
+    (label_u, _), (label_w, _) = labelled or (_labelled(U), _labelled(W))
+    return label_u.agrees(label_w, tol)

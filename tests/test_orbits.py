@@ -29,6 +29,7 @@ from isoclinic.orbits import (
     associated_subspaces,
     canonical_matrices,
     _clean_union,
+    _generators,
     _require_one_type,
     decompose,
     eight_dim_addend,
@@ -276,7 +277,8 @@ class TestDecompose:
         # volume element refuses the mixed sum without a random leading vector
         with pytest.raises(FalsificationError, match=r"dim 8: .*max\|s vol - Id\| = 1\.000e\+00"):
             decompose(U)
-        with pytest.raises(FalsificationError, match=r"Sigma\^2"):
+        # eight_dim_addend tests vol too, whatever the leading vector
+        with pytest.raises(FalsificationError, match=r"dim 8: .*max\|s vol - Id\| = 1\.000e\+00"):
             eight_dim_addend(U, random_unit_in(U, rng))
         with pytest.raises(FalsificationError, match=r"Sigma\^2"):
             canonical_matrices(U, full_profile(U, seed=1))
@@ -290,9 +292,18 @@ class TestDecompose:
         dec = decompose(U, seed=seed)
         assert dec.addend_dim == 4 * parts and len(dec.addends) == 1
 
+    @pytest.mark.parametrize("seed,parts", [(None, 1), (0, 2), (1, 3)])
+    def test_recertification_independent_of_the_basis(self, seed, parts):
+        # certified inputs whose addends pass re-certification only in an
+        # orthonormalized basis (the gate's sup norm depends on the basis),
+        # which every stack within EPS_UNION is given
+        dec = decompose(perturbed_graph_sum(5, parts), seed=seed)
+        assert sum(a.dim for a in dec.addends) == 4 * parts
+
     def test_uncertifiable_addend_still_refused(self):
-        with pytest.raises(FalsificationError, match="re-certification"):
-            decompose(perturbed_graph_sum(5, 3), seed=1)
+        # certified, yet its first 4-dim addend fails the gate at EPS_ISO
+        with pytest.raises(FalsificationError, match="addend 0 failed re-certification"):
+            decompose(perturbed_graph_sum(9, 3), seed=0)
 
 
 class TestCanonicalMatrices:
@@ -465,10 +476,10 @@ class TestSigmaLaw:
                 assert sigma2 == pytest.approx(want, rel=0, abs=1e-12)
         # decompose's deterministic test: vol = +/-Id exactly on one type
         if len(set(signs)) == 1:
-            _require_one_type(_forms(U), prof)
+            _require_one_type(_generators(_forms(U)))
         else:
             with pytest.raises(FalsificationError, match="mixes both module types"):
-                _require_one_type(_forms(U), prof)
+                _require_one_type(_generators(_forms(U)))
 
 
 class TestStructuralProps:
