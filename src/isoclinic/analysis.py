@@ -1,14 +1,12 @@
 """Isoclinicity detection, the invariant set and the associated chains.
 
 For a subspace U with (U, AU) isoclinic for every compatible complex
-structure A, and a fixed leading unit vector X1 in U, the companions
-
-    X2 = I^{-1} Pr_{IU} X1 / cos(theta_I)   (and Y2, Z2 for J, K)
-
-span the standard 2-planes through X1. The cosines xi = <X2,Y2>,
-chi = <X2,Z2>, eta = <Y2,Z2> do not depend on X1. The six chains built
-on X1 give two further invariants (Gamma, Delta); together with the
-angles of isoclinicity these label the Sp(n)-orbit.
+structure A, and a leading unit vector X1 in U, the companions
+X2 = I^{-1} Pr_{IU} X1 / cos(theta_I) (and Y2, Z2 for J, K) span the
+standard 2-planes through X1. The cosines xi = <X2,Y2>, chi = <X2,Z2>,
+eta = <Y2,Z2> and the (Gamma, Delta) of the six chains on X1 do not
+depend on X1; with the angles they label the Sp(n)-orbit. full_profile
+reads them all off the gate's Kaehler forms, at no leading vector.
 
 Degenerate conventions: when an angle is pi/2 the missing companion is
 identified with an existing one (forcing the matching invariant to 1),
@@ -68,7 +66,6 @@ __all__ = [
     "TwoPlaneOrbit",
     "two_plane_orbit",
     "full_profile",
-    "random_unit_in",
 ]
 
 
@@ -159,8 +156,9 @@ def _witness(band: np.ndarray) -> np.ndarray:
 def _gate(U: Frame, tol: float, forms=None):
     """(angles, witness) of the isoclinicity test of (U, AU) for every unit
     A = aI + bJ + cK: witness is (coefficients, deviation) of the worst
-    structure and angles is None when it fails. `forms` are U's _forms when
-    the caller already has them.
+    structure, or (None, max ||Q||_F) when no entry reaches the band; the
+    deviation bounds every pair defect, and angles is None when it fails.
+    `forms` are U's _forms when the caller already has them.
 
     Entry (i, j) of the traceless part of omega_A omega_A^T is a^T Q_ij a
     for the symmetric 3 x 3 matrix Q_ij of the traceless, symmetrised
@@ -188,14 +186,13 @@ def _gate(U: Frame, tol: float, forms=None):
     fro = np.sqrt(np.sum(S[:3] ** 2, axis=0) + 2 * np.sum(S[3:] ** 2, axis=0))
     top = float(np.max(fro))
     if top < tol:
-        return angles, None
+        return angles, (None, top)
     rows, cols = np.nonzero(fro >= max(tol, top / np.sqrt(3.0)))
     band = S[:, rows, cols][[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3)
     a = _witness(band)
     deviation = float(_combined_defects(a[None], forms)[0][0])
-    if deviation < tol:  # the sup is below tol, or reaches it only by roundoff
-        return angles, None
-    return None, (a, deviation)
+    # the sup is below tol, or reaches it only by roundoff
+    return (angles if deviation < tol else None), (a, deviation)
 
 
 def isoclinic_profile_angles(U: Frame, tol: float = EPS_ISO) -> tuple[float, float, float] | None:
@@ -217,17 +214,10 @@ def certify_isoclinic(U: Frame, tol: float = EPS_ISO) -> tuple[float, float, flo
 
 
 def _certified_forms(U: Frame, tol: float = EPS_ISO):
-    """(certify_isoclinic(U, tol), U's _forms)."""
+    """(certify_isoclinic(U, tol), U's _forms, the gate's defect bound)."""
     forms = _forms(U)
-    return _certified(_gate(U, tol, forms), tol), forms
-
-
-def _certified(gated, tol: float) -> tuple[float, float, float]:
-    """The angles of a _gate result; NotIsoclinicError with its witness when
-    the gate failed."""
-    angles, witness = gated
+    angles, (coeffs, dev) = _gate(U, tol, forms)
     if angles is None:
-        coeffs, dev = witness
         coeffs = [float(c) for c in coeffs]
         raise NotIsoclinicError(
             f"pair (U, AU) is not isoclinic for A = {[round(c, 6) for c in coeffs]} "
@@ -235,7 +225,7 @@ def _certified(gated, tol: float) -> tuple[float, float, float]:
             witness=coeffs,
             deviation=dev,
         )
-    return angles
+    return angles, forms, dev
 
 
 @dataclass(frozen=True)
@@ -712,50 +702,40 @@ def two_plane_orbit(P: OrientedTwoPlane | Frame) -> TwoPlaneOrbit:
 # full profile
 
 
-def random_unit_in(U: Frame, rng: np.random.Generator) -> np.ndarray:
-    """Random unit vector of span(U)."""
-    v = rng.standard_normal(U.dim) @ U.vectors
-    return v / np.linalg.norm(v)
-
-
-def full_profile(
-    U: Frame,
-    tol: float = EPS_ISO,
-    leading: np.ndarray | None = None,
-    seed: int | None = None,
-) -> IsoclinicProfile:
+def full_profile(U: Frame, tol: float = EPS_ISO) -> IsoclinicProfile:
     """Measure the complete invariant set of U (raises if not isoclinic).
 
-    The leading vector defaults to the first frame vector; pass `seed` to
-    draw it at random instead, or `leading` to fix it.
+    One gate, then its Kaehler forms: where c_p = cos(theta_p) > 0,
+    J_p = omega_p / c_p (a missing J_p identified as in companions), and
+    xi, chi, eta = -tr(J_p J_q) / k. Off dim 2 and +/-1, Gamma =
+    (eta - xi chi) / (s_xi s_chi), Delta = tr(J_I J_J J_K) / (k s_xi s_chi)
+    with s_v = sqrt(1 - v^2); else (Gamma, Delta) = (1, 0).
     """
-    angles = certify_isoclinic(U, tol=tol)
-    return _measure(U, angles, leading, seed)
+    angles, forms, _ = _certified_forms(U, tol)
+    return _profile(U, angles, forms)
 
 
-def _measure(U: Frame, angles, leading=None, seed=None) -> IsoclinicProfile:
-    """full_profile after its gate, from the certified angles."""
-    if leading is None:
-        if seed is not None:
-            leading = random_unit_in(U, np.random.default_rng(seed))
-        else:
-            leading = U.vectors[0]
-    if U.dim == 2:
-        comp = companions(U, leading, angles)
-        xi, chi, eta = comp.xi, comp.chi, comp.eta
-        gamma, delta = 1.0, 0.0
+def _profile(U: Frame, angles, forms, snaps=None) -> IsoclinicProfile:
+    """full_profile after its gate, from the certified angles and U's
+    _forms; snaps[p] says whether invariant p counts as +/-1 (default: its
+    measured side of 1 - EPS_PM1), which decides the (Gamma, Delta) branch."""
+    k = U.dim
+    JI, JJ, JK = (w / c if c > EPS_ANGLE else None for w, c in zip(forms, np.cos(angles)))
+    JI = next((J for J in (JI, JJ, JK) if J is not None), None)
+    JJ, JK = (JI if J is None else J for J in (JJ, JK))
+    if JI is None:  # r.h.p.: every companion is one arbitrary vector
+        xi = chi = eta = 1.0
     else:
-        chains = build_chains(U, leading, angles)
-        xi, chi, eta = chains.xi, chains.chi, chains.eta
-        gamma, delta = gamma_delta(chains)
-    return IsoclinicProfile(
-        dim=U.dim,
-        theta_i=angles[0],
-        theta_j=angles[1],
-        theta_k=angles[2],
-        xi=xi,
-        chi=chi,
-        eta=eta,
-        gamma=gamma,
-        delta=delta,
-    )
+        # -tr(J_p J_q) = <J_p, J_q>_F, as each J is skew
+        xi, chi, eta = (float(np.sum(a * b)) / k for a, b in ((JI, JJ), (JI, JK), (JJ, JK)))
+    if snaps is None:
+        snaps = [_pm1(v) for v in (xi, chi, eta)]
+    gamma, delta = 1.0, 0.0
+    if k > 2 and not any(snaps):
+        # the parts of J_J, J_K orthogonal to J_I give eta - xi chi and
+        # s_xi, s_chi with no cancellation near +/-1, and tr(J_I J_J J_K)
+        PJ, PK = JJ - xi * JI, JK - chi * JI
+        s = np.sqrt(np.sum(PJ * PJ) * np.sum(PK * PK)) / k
+        gamma = float(np.sum(PJ * PK) / (k * s))
+        delta = float(np.sum((JI @ PJ) * PK.T) / (k * s))
+    return IsoclinicProfile(k, *angles, xi, chi, eta, gamma, delta)

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import IsoclinicProfile, full_profile
+from .analysis import IsoclinicProfile
 from .errors import (
     DimensionError,
     DocumentError,
@@ -39,7 +39,7 @@ from .generators import (
     make_two_plane,
 )
 from .io import document_from_frame, parse_document, serialize_document
-from .orbits import _labelled, _same_orbit, canonical_matrices, decompose
+from .orbits import _measured, _same_orbit, canonical_matrices, decompose
 from .quaternions import AdmissibleBasis, basis_change_homothety, right_multiply
 from .subspaces import Frame
 
@@ -106,7 +106,7 @@ def _profile_obj(profile: IsoclinicProfile) -> dict:
 def _cmd_analyze(args) -> int:
     frame = _load_frame(args.file, args.basis)
     try:
-        label, profile = _labelled(frame, tol=args.tol)
+        measured = _measured(frame, args.tol)
     except NotIsoclinicError as exc:
         if args.json:
             print(json.dumps({
@@ -120,6 +120,7 @@ def _cmd_analyze(args) -> int:
                 print(f"witness structure coefficients: {list(exc.witness)}")
                 print(f"defect: {_fmt(exc.deviation)}")
         return 2
+    label, profile = measured.decided(), measured.profile
     c_ij, c_ik = canonical_matrices(frame, profile)
     if args.json:
         print(json.dumps({
@@ -168,9 +169,9 @@ def _cmd_compare(args) -> int:
     # documents of different quaternionic dimension embed into the larger
     # common ambient space before comparison
     U, W = _pad_to_common_ambient(_load_frame(args.file_a), _load_frame(args.file_b))
-    labelled = _labelled(U), _labelled(W)
-    (label_u, _), (label_w, _) = labelled
-    verdict = _same_orbit(U, W, args.tol, labelled)
+    measured = _measured(U), _measured(W)
+    verdict = _same_orbit(*measured, args.tol)
+    label_u, label_w = (m.label() for m in measured)
     if args.json:
         print(json.dumps({
             "same_orbit": verdict,
@@ -193,10 +194,10 @@ def _cmd_decompose(args) -> int:
         "addends": [],
         "addend_profiles": [],
     }
-    for i, addend in enumerate(dec.addends):
+    for i, (addend, profile) in enumerate(zip(dec.addends, dec.addend_profiles)):
         doc = document_from_frame(addend, label=f"addend {i}")
         out["addends"].append(json.loads(serialize_document(doc)))
-        out["addend_profiles"].append(_profile_obj(full_profile(addend)))
+        out["addend_profiles"].append(_profile_obj(profile))
     print(json.dumps(out, indent=2))
     return 0
 

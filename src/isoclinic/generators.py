@@ -14,13 +14,11 @@ import numpy as np
 
 from .analysis import (
     IsoclinicProfile,
-    _certified,
+    _certified_forms,
     _combined_defects,
     _cos2_of,
-    _forms,
-    _gate,
-    _measure,
     _pm1,
+    _profile,
     certify_isoclinic,
     full_profile,
     omega_pattern_4,
@@ -336,15 +334,16 @@ def make_profile_4(
 ) -> Frame:
     """4-dim isoclinic subspace with the full prescribed invariant set.
 
-    Gamma is the closed-form function of (xi, chi, eta) and
-    Delta = delta_sign * sqrt(1 - Gamma^2). Infeasible parameter sets
-    (non-PSD quaternionic Gram) raise InfeasibleParametersError.
+    Gamma is the closed-form function of (xi, chi, eta) and Delta =
+    delta_sign * sqrt(1 - Gamma^2), or (1, 0) with an invariant exactly
+    +/-1. Infeasible parameter sets (non-PSD quaternionic Gram) raise
+    InfeasibleParametersError.
     """
     _require_finite("make_profile_4", theta_i, theta_j, theta_k, xi, chi, eta)
     cI, cJ, cK = np.cos([theta_i, theta_j, theta_k])
     if abs(xi) > 1 or abs(chi) > 1 or abs(eta) > 1:
         raise InfeasibleParametersError("xi, chi, eta must lie in [-1, 1]")
-    if any(_pm1(v) for v in (xi, chi, eta)):
+    if 1.0 in (abs(xi), abs(chi), abs(eta)):
         gamma, delta = 1.0, 0.0
     else:
         gamma = (eta - xi * chi) / np.sqrt((1 - xi**2) * (1 - chi**2))
@@ -358,8 +357,10 @@ def make_profile_4(
     wJ = omega_pattern_4(xi * cJ, 0.0, s_xi * cJ)
     wK = omega_pattern_4(chi * cK, -delta * s_chi * cK, gamma * s_chi * cK)
     U = _frame_from_omegas((wI, wJ, wK), n)
-    want = np.array([theta_i, theta_j, theta_k, xi, chi, eta, gamma, delta])
     got = _part_invariants(U)
+    if any(_pm1(v) for v in got[3:6]):
+        gamma, delta = 1.0, 0.0
+    want = np.array([theta_i, theta_j, theta_k, xi, chi, eta, gamma, delta])
     mismatch = float(np.max(np.abs(got - want)))
     if not mismatch <= EPS_BUILD:
         raise FalsificationError(
@@ -374,11 +375,8 @@ def make_profile_4(
 
 
 def _part_invariants(U: Frame) -> np.ndarray:
-    prof = full_profile(U)
-    return np.array(
-        [prof.theta_i, prof.theta_j, prof.theta_k, prof.xi, prof.chi, prof.eta,
-         prof.gamma, prof.delta]
-    )
+    p = full_profile(U)
+    return np.array([p.theta_i, p.theta_j, p.theta_k, p.xi, p.chi, p.eta, p.gamma, p.delta])
 
 
 def direct_sum(parts: list[Frame], tol: float = EPS_ANGLE) -> Frame:
@@ -386,9 +384,8 @@ def direct_sum(parts: list[Frame], tol: float = EPS_ANGLE) -> Frame:
 
     All parts must carry one full IsoclinicProfile within tol. Matching the
     angles and (xi, chi, eta) already makes the sum isoclinic, but parts
-    with opposite Delta would leave the sum without well-defined chain
-    invariants (Delta then depends on the leading vector), so the whole
-    profile is required to agree.
+    with opposite Delta would mix both module types and leave the sum
+    without an orbit label, so the whole profile is required to agree.
     """
     if not parts:
         raise DimensionError("empty direct sum")
@@ -432,9 +429,7 @@ class OracleReport:
 def _profile_vector(p: IsoclinicProfile) -> np.ndarray:
     # angle components enter through their cosines: the arccos at an exact-0
     # angle would turn double-precision noise into sqrt-scale angle noise
-    return np.array(
-        [*p.cosines, p.xi, p.chi, p.eta, p.gamma, p.delta]
-    )
+    return np.array([*p.cosines, p.xi, p.chi, p.eta, p.gamma, p.delta])
 
 
 def _unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -473,15 +468,13 @@ def invariance_oracle(
     for t in range(trials):
         g = random_sp(U.n, seed=int(rng.integers(0, 2**63 - 1)))
         gU = g.apply_frame(U)
-        lead_seed = int(rng.integers(0, 2**63 - 1))
-        # full_profile(gU, seed=lead_seed), keeping the forms its gate builds
-        forms = _forms(gU)
+        # full_profile(gU), keeping the forms its gate builds
         try:
-            angles = _certified(_gate(gU, EPS_ISO, forms), EPS_ISO)
+            angles, forms, _ = _certified_forms(gU)
         except NotIsoclinicError as exc:
             failures.append(f"trial {t}: gate failure after motion: {exc}")
             continue
-        prof = _measure(gU, angles, seed=lead_seed)
+        prof = _profile(gU, angles, forms)
         dev = float(np.max(np.abs(_profile_vector(prof) - base_vec)))
         max_dev = max(max_dev, dev)
         if dev > tol:

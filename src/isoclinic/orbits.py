@@ -8,18 +8,21 @@ generators E_p, make U a Clifford module (Atiyah-Bott-Shapiro); a form is
 dropped where cos(theta_p) = 0 or an invariant is at +/-1. Every addend is a
 sum of cyclic submodules span{u, E_1 u, E_2 u, E_1 E_2 u} (the omega^I chain
 through u, cut to 1 or 2 vectors when r < 2), and so is its complement.
-For r = 3, vol = E_1 E_2 E_3 is central with vol^2 = Id, and at a leading
-vector x, Sigma^2 = 1 - Gamma^2 - Delta^2 = (1 - Gamma^2)(1 - <x, vol x>^2):
-0 on one module type (vol = +/-Id), x-dependent when U mixes both, which is
-exactly when the orbit label is undefined. So outside class 2 Sigma = 0,
-the canonical matrices tile 4x4 blocks, and decompose tests vol = +/-Id at
-no leading vector. A theorem-mandated identity failing beyond tolerance
-raises FalsificationError instead of being absorbed.
+For r = 3, vol = E_1 E_2 E_3 is central with vol^2 = Id, and the profile
+of the forms (full_profile) has Sigma^2 = 1 - Gamma^2 - Delta^2 =
+(1 - Gamma^2)(1 - (tr vol / dim)^2): 0 on one module type (vol = +/-Id),
+positive when U mixes both, which is exactly when the orbit label is
+undefined. So outside class 2 Sigma = 0, the canonical matrices tile 4x4
+blocks, and labels and decompose also test vol = +/-Id. A theorem-mandated
+identity failing beyond tolerance, or a label on an undecided side of the
++/-1 convention, raises FalsificationError instead of being absorbed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,15 +31,14 @@ from .analysis import (
     _certified_forms,
     _check_member,
     _forms,
-    _measure,
+    _pm1,
+    _profile,
     build_chains,
-    certify_isoclinic,
     cij_block_4,
     cik_block_4,
     full_profile,
-    isoclinic_profile_angles,
 )
-from .errors import DimensionError, FalsificationError
+from .errors import DimensionError, FalsificationError, NotIsoclinicError
 from .subspaces import Frame, _householder_complement, _mgs, orthonormalize, restrict_complement
 from .tolerances import EPS_ANGLE, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RECERT, EPS_UNION
 
@@ -100,13 +102,19 @@ def _clean_union(parts: list[np.ndarray], tol: float = EPS_UNION) -> Frame:
     return orthonormalize(V)
 
 
-def _require_sigma_zero(gamma: float, delta: float, dim: int) -> None:
-    """Refuse Sigma^2 = 1 - Gamma^2 - Delta^2 != 0 (see the module docstring):
-    a nonzero value measures how much U mixes the two Cl_{0,3}-module types."""
-    sigma2 = 1.0 - gamma**2 - delta**2
-    if not abs(sigma2) <= EPS_ORBIT:
+def _require_mandates(profile: IsoclinicProfile, snaps=None) -> None:
+    """xi, chi, eta all at +/-1 (as snaps says, default by their measured
+    side) in dim = 2 mod 4, else Sigma^2 = 1 - Gamma^2 - Delta^2 = 0."""
+    values = (profile.xi, profile.chi, profile.eta)
+    sigma2 = 1.0 - profile.gamma**2 - profile.delta**2
+    if profile.dim_class == 2 and not all([_pm1(v) for v in values] if snaps is None else snaps):
         raise FalsificationError(
-            f"dim {dim} mandates Sigma^2 = 1 - Gamma^2 - Delta^2 = 0, got "
+            f"dim {profile.dim} = 2 mod 4 mandates xi, chi, eta in {{+1,-1}}, got "
+            "(%.6f, %.6f, %.6f)" % values
+        )
+    if profile.dim_class != 2 and not abs(sigma2) <= EPS_ORBIT:
+        raise FalsificationError(
+            f"dim {profile.dim} mandates Sigma^2 = 1 - Gamma^2 - Delta^2 = 0, got "
             f"Sigma^2 = {sigma2:.3e}: the subspace mixes both module types"
         )
 
@@ -119,6 +127,16 @@ def _generators(forms: np.ndarray) -> np.ndarray:
     k = forms.shape[-1]
     E, _ = _mgs(forms.reshape(3, -1) / np.sqrt(k), EPS_ANGLE)
     return E.reshape(-1, k, k) * np.sqrt(k)
+
+
+def _union_tol(E: np.ndarray) -> float:
+    """EPS_UNION plus max |E_p E_q + E_q E_p + 2 delta_pq Id|, which bounds
+    the Gram defect of a cyclic piece: on a certified input, its defect
+    times the conditioning of the forms. E_q E_p = (E_p E_q)^T, as E is skew."""
+    p, q = np.triu_indices(len(E))
+    P = E[p] @ E[q]
+    P += P.swapaxes(1, 2) + 2 * (p == q)[:, None, None] * np.eye(E.shape[-1])
+    return EPS_UNION + float(np.max(np.abs(P), initial=0.0))
 
 
 def _require_one_type(E: np.ndarray) -> None:
@@ -163,15 +181,18 @@ def _addend_rows(E: np.ndarray, Q: np.ndarray, u: np.ndarray, dim: int) -> np.nd
     return rows
 
 
-def _recertified(addend: Frame, angles, what: str) -> Frame:
-    """The addend, once the gate finds it isoclinic with the parent's angles."""
-    got = isoclinic_profile_angles(addend)
+def _recertified(addend: Frame, angles, what: str):
+    """The (angles, forms) of the addend's gate, once it finds the parent's."""
+    try:
+        got, forms, _ = _certified_forms(addend)
+    except NotIsoclinicError:
+        got = None
     if got is None or np.max(np.abs(np.array(got) - np.array(angles))) > EPS_RECERT:
         raise FalsificationError(
             f"{what} failed re-certification against the parent angles "
             f"(got {got}, parent {tuple(angles)})"
         )
-    return addend
+    return got, forms
 
 
 def eight_dim_addend(
@@ -189,23 +210,32 @@ def eight_dim_addend(
     if U.dim < 8:
         raise DimensionError(f"eight_dim_addend needs dim >= 8, got {U.dim}")
     if angles is None:
-        angles, forms = _certified_forms(U)
+        angles, forms, _ = _certified_forms(U)
     else:
         forms = _forms(U)
     E = _generators(forms)
     _require_one_type(E)
     u = U.vectors @ _check_member(U, X1, "leading vector")
     rows = _addend_rows(E, np.eye(U.dim), u, 8)
-    return _recertified(_clean_union([rows @ U.vectors]), angles, "constructed 8-dim addend")
+    addend = _clean_union([rows @ U.vectors], _union_tol(E))
+    _recertified(addend, angles, "constructed 8-dim addend")
+    return addend
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Orthogonal decomposition into isoclinic addends of one dimension."""
+    """Orthogonal decomposition into isoclinic addends of one dimension;
+    `gated` holds each addend's (angles, forms) from its re-certification."""
 
     addends: tuple[Frame, ...]
     addend_dim: int
     profile: IsoclinicProfile
+    gated: tuple = field(repr=False)
+
+    @cached_property
+    def addend_profiles(self) -> tuple[IsoclinicProfile, ...]:
+        """Each addend's profile, read off the forms of its one gate."""
+        return tuple(_profile(a, *g) for a, g in zip(self.addends, self.gated))
 
 
 def _lead(rows: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
@@ -228,33 +258,24 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     addend is a sum of cyclic submodules span{u, E_1 u, E_2 u, E_1 E_2 u}
     (cut to span{u, E_1 u} or span{u} when fewer generators survive), and
     its complement in U is again a submodule. The addends become Frames at
-    the end and are re-certified isoclinic with the parent's angles.
+    the end, each gated once against the parent's angles; addend_profiles
+    reads that gate's forms.
     """
-    angles, forms = _certified_forms(U)
-    profile = _measure(U, angles, seed=seed)
+    measured = _measured(U)
     rng = np.random.default_rng(seed) if seed is not None else None
-    klass = profile.dim_class
-    E = _generators(forms)
+    klass = measured.profile.dim_class
+    E = _generators(measured.forms)
+    tol = _union_tol(E)
 
-    if klass == 2 and not all(
-        abs(v) > 1.0 - EPS_PM1 for v in (profile.xi, profile.chi, profile.eta)
-    ):
-        raise FalsificationError(
-            f"dim {U.dim} = 2 mod 4 mandates xi, chi, eta in {{+1,-1}}, got "
-            f"({profile.xi:.6f}, {profile.chi:.6f}, {profile.eta:.6f})"
-        )
-    if klass != 2:
-        _require_sigma_zero(profile.gamma, profile.delta, U.dim)
-        _require_one_type(E)
-
-    addends: list[Frame] = []
+    addends, gated = [], []
     Q = np.eye(U.dim)
     while True:
         rows = _addend_rows(E, Q, _lead(Q, rng), klass)
         what = "constructed 8-dim addend" if klass == 8 else f"addend {len(addends)}"
-        addends.append(_recertified(_clean_union([rows @ U.vectors]), angles, what))
+        addends.append(_clean_union([rows @ U.vectors], tol))
+        gated.append(_recertified(addends[-1], measured.angles, what))
         if len(Q) == len(rows):
-            return Decomposition(addends=tuple(addends), addend_dim=klass, profile=profile)
+            return Decomposition(tuple(addends), klass, measured.profile, tuple(gated))
         Q = _householder_complement(Q @ rows.T, len(Q) - len(rows)) @ Q
 
 
@@ -264,13 +285,14 @@ def split_addend_4(addend: Frame, seed: int | None = None) -> tuple[Frame, Frame
     complement; None when the addend does not split that way."""
     if addend.dim != 8:
         raise DimensionError("split_addend_4 expects an 8-dim addend")
-    angles, forms = _certified_forms(addend)
-    profile = _measure(addend, angles, seed=seed)
+    angles, forms, _ = _certified_forms(addend)
+    profile = _profile(addend, angles, forms)
     if abs(profile.gamma**2 + profile.delta**2 - 1.0) > EPS_ORBIT:
         return None
     rng = np.random.default_rng(seed) if seed is not None else None
     Q = np.eye(8)
-    first = _clean_union([_addend_rows(_generators(forms), Q, _lead(Q, rng), 4) @ addend.vectors])
+    E = _generators(forms)
+    first = _clean_union([_addend_rows(E, Q, _lead(Q, rng), 4) @ addend.vectors], _union_tol(E))
     second = restrict_complement(addend, first, expect=4)
     return first, second
 
@@ -305,12 +327,12 @@ def canonical_matrices(
     """
     if profile is None:
         profile = full_profile(U)
+    _require_mandates(profile)
     if profile.dim_class == 2:
         xi, chi = _rounded_sign(profile.xi), _rounded_sign(profile.chi)
         bij = np.array([[1.0, 0.0], [0.0, xi]])
         bik = np.array([[1.0, 0.0], [0.0, chi]])
     else:
-        _require_sigma_zero(profile.gamma, profile.delta, profile.dim)
         bij = cij_block_4(profile.xi)
         bik = cik_block_4(profile.chi, profile.gamma, profile.delta)
     count = profile.dim // bij.shape[0]
@@ -335,10 +357,8 @@ class OrbitLabel:
     delta: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.theta_i, self.theta_j, self.theta_k, self.xi, self.chi,
-             self.eta, self.delta]
-        )
+        return np.array([self.theta_i, self.theta_j, self.theta_k, self.xi, self.chi,
+                         self.eta, self.delta])
 
     def agrees(self, other: "OrbitLabel", tol: float = EPS_ORBIT) -> bool:
         if self.dim != other.dim:
@@ -346,83 +366,88 @@ class OrbitLabel:
         return bool(np.max(np.abs(self.as_array() - other.as_array())) < tol)
 
 
-def orbit_label(U: Frame, seed: int | None = None) -> OrbitLabel:
-    """Orbit label per the classification theorem's three branches.
-
-    dim = 2 mod 4 normalizes eta to xi*chi and Delta to 0 (after checking
-    xi, chi at +/-1); every other dimension requires Sigma = 0. After one
-    gate the invariants are measured at two independent leading vectors; a
-    mismatch (possible only for inputs outside the theorem's reach, such
-    as hand-built sums of opposite-Delta parts) raises FalsificationError.
-    """
-    return _labelled(U, seed)[0]
+def orbit_label(U: Frame) -> OrbitLabel:
+    """Orbit label per the classification theorem's three branches: dim =
+    2 mod 4 normalizes eta to xi*chi and Delta to 0 (xi, chi, eta at +/-1
+    required); other dimensions require Sigma = 0 and vol = +/-Id, and an
+    invariant at +/-1 snaps to its sign and sets Delta = 0. From one gate's
+    forms; an invariant within its error bound (1e-14 + 10 x the gate's
+    defect) of 1 - EPS_PM1 raises FalsificationError naming its distance."""
+    return _measured(U).decided()
 
 
-def _labelled(
-    U: Frame, seed: int | None = None, tol: float = EPS_ISO
-) -> tuple[OrbitLabel, IsoclinicProfile]:
-    """orbit_label(U, seed) and the profile it was read from; `tol` is the
-    isoclinicity gate's."""
-    angles = certify_isoclinic(U, tol=tol)
-    profile = _measure(U, angles, seed=seed)
-    other = _measure(U, angles, seed=(seed or 0) + 101)
-    drift = max(
-        abs(profile.xi - other.xi),
-        abs(profile.chi - other.chi),
-        abs(profile.eta - other.eta),
-        abs(profile.gamma - other.gamma),
-        abs(profile.delta - other.delta),
-    )
-    if drift > EPS_ORBIT:
-        raise FalsificationError(
-            f"invariants drift {drift:.3e} between leading vectors; "
-            "no well-defined orbit label"
-        )
-    xi, chi, eta, delta = profile.xi, profile.chi, profile.eta, profile.delta
-    if profile.dim_class == 2:
-        if not all(abs(v) > 1.0 - EPS_PM1 for v in (xi, chi, eta)):
-            raise FalsificationError(
-                f"dim {U.dim} = 2 mod 4 mandates xi, chi, eta in {{+1,-1}}, got "
-                f"({xi:.6f}, {chi:.6f}, {eta:.6f})"
-            )
-        xi, chi = _rounded_sign(xi), _rounded_sign(chi)
-        eta, delta = xi * chi, 0.0
-    else:
-        _require_sigma_zero(profile.gamma, delta, U.dim)
-        if any(abs(v) > 1.0 - EPS_PM1 for v in (xi, chi, eta)):
-            # chains collapse and Delta = 0; only components actually at
-            # +/-1 are snapped to their exact sign
-            snap = lambda v: _rounded_sign(v) if abs(v) > 1.0 - EPS_PM1 else v
-            xi, chi, eta = snap(xi), snap(chi), snap(eta)
-            delta = 0.0
-    return OrbitLabel(
-        dim=U.dim,
-        theta_i=profile.theta_i,
-        theta_j=profile.theta_j,
-        theta_k=profile.theta_k,
-        xi=xi,
-        chi=chi,
-        eta=eta,
-        delta=delta,
-    ), profile
+@dataclass(frozen=True, eq=False)
+class _Measured:
+    """U's profile from one gate, meeting the mandates, with the angles and
+    forms it came from; `near` maps each of xi, chi, eta (0, 1, 2) whose
+    |.| lies within `bound` of 1 - EPS_PM1 to that distance."""
+
+    frame: Frame
+    angles: tuple[float, float, float]
+    forms: np.ndarray
+    profile: IsoclinicProfile
+    bound: float
+    near: dict
+
+    def label(self, choice=None) -> OrbitLabel:
+        """The label with each near invariant counted as +/-1 or not as
+        `choice` (index -> bool) says, and every other by its measured side."""
+        p = self.profile
+        values = (p.xi, p.chi, p.eta)
+        measured = [_pm1(v) for v in values]
+        snaps = [(choice or {}).get(i, m) if i in self.near else m for i, m in enumerate(measured)]
+        if snaps != measured:
+            p = _profile(self.frame, self.angles, self.forms, snaps)
+            _require_mandates(p, snaps)
+        xi, chi, eta = (_rounded_sign(v) if snap else v for v, snap in zip(values, snaps))
+        if p.dim_class == 2:
+            eta = xi * chi
+        delta = 0.0 if any(snaps) else p.delta
+        return OrbitLabel(p.dim, p.theta_i, p.theta_j, p.theta_k, xi, chi, eta, delta)
+
+    def decided(self) -> OrbitLabel:
+        """label(); FalsificationError naming the margins when an invariant is near."""
+        if self.near:
+            raise FalsificationError(f"no decided orbit label: {self.margins()}")
+        return self.label()
+
+    def margins(self) -> str:
+        return "; ".join(f"|{('xi', 'chi', 'eta')[i]}| lies {gap:.3e} from 1 - EPS_PM1, within "
+                         f"its error bound {self.bound:.3e}" for i, gap in self.near.items())
+
+
+def _measured(U: Frame, tol: float = EPS_ISO) -> _Measured:
+    """U's _Measured from one gate at `tol`."""
+    angles, forms, defect = _certified_forms(U, tol)
+    profile = _profile(U, angles, forms)
+    _require_mandates(profile)
+    if profile.dim_class != 2:
+        _require_one_type(_generators(forms))
+    bound = 1e-14 + 10.0 * defect  # how far roundoff and the defect move xi, chi, eta
+    gaps = enumerate(abs(abs(v) - (1.0 - EPS_PM1)) for v in (profile.xi, profile.chi, profile.eta))
+    return _Measured(U, angles, forms, profile, bound, {i: g for i, g in gaps if g <= bound})
 
 
 def same_orbit(U: Frame, W: Frame, tol: float = EPS_ORBIT) -> bool:
-    """Sp(n)-orbit equivalence by orbit-label equality.
+    """Sp(n)-orbit equivalence of two isoclinic subspaces of one dimension
+    by orbit-label equality, one gate per input. Invariants near the +/-1
+    convention (see orbit_label) take each side in turn, the same in both
+    inputs; differing verdicts raise FalsificationError with the margins.
+    Equal labels give equal canonical matrices (closed forms of them)."""
+    return _same_orbit(_measured(U), _measured(W), tol)
 
-    Both inputs must be isoclinic and of equal dimension; each is certified
-    once. The canonical matrices are closed forms of a label's own numbers,
-    so equal labels already give equal canonical matrices.
-    """
-    return _same_orbit(U, W, tol)
 
-
-def _same_orbit(U: Frame, W: Frame, tol: float, labelled=None) -> bool:
-    """same_orbit(U, W, tol); `labelled` is (_labelled(U), _labelled(W)) when
-    the caller has already labelled both inputs."""
+def _same_orbit(mu: _Measured, mw: _Measured, tol: float) -> bool:
+    """same_orbit of the frames of mu and mw."""
+    U, W = mu.frame, mw.frame
     if U.dim != W.dim:
         raise DimensionError(f"same_orbit needs equal dims, got {U.dim} != {W.dim}")
     if U.ambient != W.ambient:
         raise DimensionError("subspaces live in different ambient spaces")
-    (label_u, _), (label_w, _) = labelled or (_labelled(U), _labelled(W))
-    return label_u.agrees(label_w, tol)
+    near = sorted(set(mu.near) | set(mw.near))
+    choices = (dict(zip(near, s)) for s in itertools.product((False, True), repeat=len(near)))
+    verdicts = {mu.label(choice).agrees(mw.label(choice), tol) for choice in choices}
+    if len(verdicts) > 1:
+        raise FalsificationError("the verdict depends on the +/-1 convention: " + "; ".join(
+            f"{name}: {m.margins()}" for name, m in (("U", mu), ("W", mw)) if m.near))
+    return verdicts.pop()

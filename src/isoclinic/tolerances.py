@@ -52,5 +52,5 @@ EPS_CHAIN = 1e-7
 # Gram defect of stacked chain blocks still absorbed as roundoff
 EPS_UNION = 1e-7
 
-# orbit label comparison (loosest: labels accumulate error through chains)
+# orbit label comparison
 EPS_ORBIT = 1e-6

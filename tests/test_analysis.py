@@ -22,6 +22,7 @@ from isoclinic.errors import DimensionError, FrameError, IsoclinicError, NotIsoc
 from isoclinic.generators import (
     direct_sum,
     graph_subspace,
+    random_sp,
     make_i_complex_4,
     make_profile_4,
     make_quaternionic_line,
@@ -31,7 +32,7 @@ from isoclinic.generators import (
 )
 from isoclinic.quaternions import CompatibleStructure, I, J, K, apply_structure
 from isoclinic.subspaces import Frame, OrientedTwoPlane, orthonormalize, structure_image
-from conftest import perturbed_graph_sum, unit
+from conftest import bench_workloads, chain_profile, perturbed_graph_sum, random_unit_in, unit
 
 
 GENERIC_MU = np.array([0.3, 0.4, -0.2, 0.6])
@@ -495,4 +496,43 @@ class TestProfileDegenerateConventions:
                 [base.theta_i, base.theta_j, base.theta_k, base.xi, base.chi,
                  base.eta, base.gamma, base.delta],
                 atol=1e-9,
+            )
+
+
+W = bench_workloads()
+# every input family of the benchmark's catalog, wide and oracle workloads
+# except the non-isoclinic and near-threshold ones, with the part counts used
+BENCH_FAMILIES = {
+    "two-plane": W.two_plane,
+    "two-plane-pi/2": lambda rng: W.two_plane(rng, theta_i=np.pi / 2),
+    "two-plane-unit-sum-3": lambda rng: W.direct_sum(*W.two_plane(rng, n=1, unit=True), 3),
+    "profile-4": W.profile_4,
+    "graph": W.graph,
+    "qline": lambda rng: W.quaternionic_line(),
+    "icomplex": W.i_complex,
+    "tcomplex": lambda rng: W.totally_complex(),
+    "rhp-2": lambda rng: W.rhp(2, 2),
+    "rhp-4": lambda rng: W.rhp(4, 4),
+    **{f"graph-sum-{c}": lambda rng, c=c: W.direct_sum(*W.graph(rng), c) for c in (2, 3, 5)},
+    **{f"two-plane-sum-{c}": lambda rng, c=c: W.direct_sum(*W.two_plane(rng), c) for c in (4, 9)},
+    **{f"profile-sum-{c}": lambda rng, c=c: W.direct_sum(*W.profile_4(rng), c) for c in (4, 8)},
+}
+
+
+class TestFormsProfile:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("family", sorted(BENCH_FAMILIES))
+    def test_equals_chain_profile(self, family, seed):
+        # the forms give what the chains measure, at any leading vector
+        rng = np.random.default_rng(seed)
+        U, _ = BENCH_FAMILIES[family](rng)
+        U = random_sp(U.n, seed=seed).apply_frame(U)
+        got = full_profile(U)
+        for x in (U.vectors[0], random_unit_in(U, rng)):
+            want = chain_profile(U, x)
+            assert got.dim == want.dim
+            npt.assert_allclose(
+                [*got.cosines, got.xi, got.chi, got.eta, got.gamma, got.delta],
+                [*want.cosines, want.xi, want.chi, want.eta, want.gamma, want.delta],
+                rtol=0, atol=1e-12,
             )

@@ -233,12 +233,10 @@ class TestMakeProfile4:
             make_profile_4(0.5, 0.9, 1.1, 0.2, -0.3, 1.5)
 
     def test_self_check_failure_is_package_error(self):
-        # xi just inside the +/-1 convention band: the requested Gamma = 0.5
-        # is replaced by the convention's (1, 0), so the measured eta misses
-        xi, chi, gamma = 1 - 1e-9, 0.2, 0.5
-        eta = xi * chi + np.sqrt((1 - xi**2) * (1 - chi**2)) * gamma
-        with pytest.raises(FalsificationError, match=r"mismatch \d\.\d{3}e-\d+"):
-            make_profile_4(1.2, 1.3, 1.4, xi, chi, eta)
+        # eta exactly -1 with chi = -xi needs Gamma = -1, but an invariant
+        # exactly at +/-1 builds the convention's (1, 0): the measured eta misses
+        with pytest.raises(FalsificationError, match=r"mismatch \d\.\d{3}e[+-]\d+"):
+            make_profile_4(1.2, 1.3, 1.4, 0.3, -0.3, -1.0)
 
     def test_quaternionic_line_reproduced(self):
         U = make_profile_4(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, delta_sign=-1, n=2)

@@ -236,6 +236,32 @@ class TestCli:
         assert len(result["addends"]) == 1
         assert len(result["addend_profiles"]) == 1
 
+    def test_decompose_gates_each_frame_once(self, capsys, tmp_path, monkeypatch):
+        # one gate for the input and one for its 8-dim addend, whose profile
+        # is read off that re-certification's forms
+        code, out, _ = run_cli(capsys, "generate", "sum", "--part", '{"family":"graph","n":2}',
+                               "--part", '{"family":"graph","n":2}', "--seed", "1")
+        path = tmp_path / "sum.json"
+        path.write_text(out)
+        gated = []
+        real = analysis._gate
+
+        def counting(U, *args):
+            gated.append(U.dim)
+            return real(U, *args)
+
+        monkeypatch.setattr(analysis, "_gate", counting)
+        code, out, _ = run_cli(capsys, "decompose", str(path), "--seed", "1")
+        assert code == 0 and gated == [8, 8]
+        result = json.loads(out)
+        addend = parse_document(json.dumps(result["addends"][0])).to_frame()
+        want = analysis.full_profile(addend)
+        got = result["addend_profiles"][0]
+        npt.assert_allclose([*got["angles"], got["xi"], got["chi"], got["eta"], got["gamma"],
+                             got["delta"]],
+                            [want.theta_i, want.theta_j, want.theta_k, want.xi, want.chi,
+                             want.eta, want.gamma, want.delta], rtol=0, atol=1e-12)
+
     def test_verify_command(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "generate", "icomplex4", "--theta", "0.8")
         path = tmp_path / "ic.json"

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoclinic import analysis
+from isoclinic import analysis, generators, orbits
 from isoclinic.analysis import (
     _forms,
     certify_isoclinic,
@@ -11,13 +13,13 @@ from isoclinic.analysis import (
     full_profile,
     isoclinic_pair,
     isoclinic_profile_angles,
-    random_unit_in,
 )
 from isoclinic.errors import DimensionError, FalsificationError, InfeasibleParametersError
 from isoclinic.generators import (
     direct_sum,
     embed,
     graph_subspace,
+    invariance_oracle,
     make_i_complex_4,
     make_profile_4,
     make_quaternionic_line,
@@ -38,8 +40,9 @@ from isoclinic.orbits import (
     split_addend_4,
 )
 from isoclinic.quaternions import I, J, K
+from isoclinic.tolerances import EPS_ORBIT, EPS_PM1
 from isoclinic.subspaces import Frame, gram, principal_angles, structure_image
-from conftest import perturbed_graph_sum
+from conftest import bench_workloads, chain_profile, perturbed_graph_sum, random_unit_in
 
 GENERIC_MU = np.array([0.3, 0.4, -0.2, 0.6])
 DUAL_ARGS = (1.3993, 1.4034, 0.815, -0.3497, 0.5168, 0.0656)
@@ -267,21 +270,31 @@ class TestDecompose:
 
     def test_mixed_delta_sum_refused(self, rng):
         # a sum of opposite-Delta parts is isoclinic, but it mixes both
-        # Cl_{0,3}-module types: Sigma^2 > 0 at a generic leading vector
+        # Cl_{0,3}-module types: tr(J_I J_J J_K) cancels between the parts,
+        # so the profile reads Delta = 0 and Sigma^2 = 1 - Gamma^2 > 0
         U = mixed_delta_sum()
         assert isoclinic_profile_angles(U) is not None
-        for seed in range(4):
+        prof = full_profile(U)
+        assert prof.delta == pytest.approx(0.0, abs=1e-12)
+        for seed in (None, 0, 1, 2, 3):
             with pytest.raises(FalsificationError, match=r"dim 8 .*Sigma\^2 = [0-9.e+-]+"):
                 decompose(U, seed=seed)
-        # U.vectors[0] lies in one module type, so Sigma^2 = 0 there: the
-        # volume element refuses the mixed sum without a random leading vector
-        with pytest.raises(FalsificationError, match=r"dim 8: .*max\|s vol - Id\| = 1\.000e\+00"):
-            decompose(U)
-        # eight_dim_addend tests vol too, whatever the leading vector
+        # eight_dim_addend tests the volume element, whatever the leading vector
         with pytest.raises(FalsificationError, match=r"dim 8: .*max\|s vol - Id\| = 1\.000e\+00"):
             eight_dim_addend(U, random_unit_in(U, rng))
         with pytest.raises(FalsificationError, match=r"Sigma\^2"):
-            canonical_matrices(U, full_profile(U, seed=1))
+            canonical_matrices(U, prof)
+
+    @pytest.mark.parametrize("gap", [1e-7, 1e-9])
+    def test_mixed_sum_with_gamma_near_one_refused(self, gap):
+        # Sigma^2 = 1 - Gamma^2 ~ 2 gap passes the Sigma mandate, though the
+        # parts' Delta differ by ~2 sqrt(2 gap): the volume element refuses
+        xi, chi = DUAL_ARGS[3:5]
+        eta = xi * chi + np.sqrt((1 - xi**2) * (1 - chi**2)) * (1 - gap)
+        U = profile_sum((*DUAL_ARGS[:3], xi, chi, eta), (+1, -1))
+        for call in (orbit_label, lambda V: same_orbit(V, V), decompose):
+            with pytest.raises(FalsificationError, match=r"max\|s vol - Id\| = 1\.000e\+00"):
+                call(U)
 
     @pytest.mark.parametrize("seed,parts", [(None, 1), (1, 1), (2, 1), (None, 2)])
     def test_certified_perturbed_sum_decomposes(self, seed, parts):
@@ -376,9 +389,10 @@ class TestCanonicalMatrices:
         npt.assert_allclose(bx @ bz.T, cik, atol=1e-8)
 
     def test_independent_decompositions_agree(self):
+        # chain profiles at two random leading vectors give one set of blocks
         U = graph_sum(4)
-        c1 = canonical_matrices(U, full_profile(U, seed=11))
-        c2 = canonical_matrices(U, full_profile(U, seed=23))
+        leads = (random_unit_in(U, np.random.default_rng(s)) for s in (11, 23))
+        c1, c2 = (canonical_matrices(U, chain_profile(U, x)) for x in leads)
         assert np.max(np.abs(c1[0] - c2[0])) < 1e-8
         assert np.max(np.abs(c1[1] - c2[1])) < 1e-8
 
@@ -451,6 +465,78 @@ class TestSameOrbit:
         assert not same_orbit(up, um)
 
 
+class TestChainsLeaveMainPaths:
+    def test_no_chain_is_built(self, monkeypatch):
+        # the profile, label, decision, decomposition, oracle and generators
+        # read the forms; the chains stay the paper's construction only
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a main path built a chain")
+
+        plane = make_two_plane(2, 0.9, 1.1, 1.2, 1.0, -1.0)
+        inputs = plane, direct_sum([plane] * 3), random_sp(4, seed=1).apply_frame(graph_sum(2))
+        for module in (analysis, orbits, generators):
+            for name in ("build_chains", "gamma_delta", "companions"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        for U in inputs:
+            full_profile(U)
+            orbit_label(U)
+            assert same_orbit(U, U)
+            decompose(U, seed=1)
+            invariance_oracle(U, 2, seed=1)
+        assert split_addend_4(graph_sum(2)) is not None
+        direct_sum([make_profile_4(*DUAL_ARGS)] * 2)
+
+
+class TestCertifiedNearPm1:
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_perturbed_sums_are_measured(self, parts):
+        # certified with 3e-9 noise, xi = -0.9945 and chi = -0.9972: the chain
+        # cross-checks divided that defect by s_xi s_chi ~ 0.008 and refused
+        U = perturbed_graph_sum(7, parts)
+        prof = full_profile(U)
+        assert (prof.gamma, prof.delta) == pytest.approx((0.639964, -0.7684049), abs=1e-6)
+        assert abs(1.0 - prof.gamma**2 - prof.delta**2) < 1e-12
+        dec = decompose(U)
+        assert sum(a.dim for a in dec.addends) == U.dim
+
+    def test_labels_agree_across_part_counts(self):
+        labels = [orbit_label(perturbed_graph_sum(7, parts)).as_array() for parts in (1, 2, 3)]
+        for a in labels:
+            for b in labels:
+                assert np.max(np.abs(a - b)) < EPS_ORBIT
+
+
+class TestNearThreshold:
+    """make_profile_4(1.2, 1.3, 1.4, xi, 0.2, eta) with Gamma = 0.5 and xi
+    around the +/-1 threshold 1 - EPS_PM1, under Sp(n) motions."""
+
+    label_from_invariants = staticmethod(bench_workloads().label_from_invariants)
+
+    @pytest.mark.parametrize("sign, e", [(s, e) for s in (-1, 1) for e in range(9, 16)] + [(0, 0)])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 2))
+    def test_never_a_wrong_label(self, sign, e, seed):
+        xi, chi, gamma = 1.0 - EPS_PM1 + sign * 10.0**-e, 0.2, 0.5
+        eta = xi * chi + np.sqrt((1 - xi**2) * (1 - chi**2)) * gamma
+        U = make_profile_4(1.2, 1.3, 1.4, xi, chi, eta)
+        want = self.label_from_invariants([1.2, 1.3, 1.4], xi, chi, eta, -np.sqrt(1 - gamma**2))
+        A, B = (random_sp(U.n, seed=s).apply_frame(U) for s in (seed, seed + 1))
+        try:
+            got = orbit_label(A)
+        except FalsificationError as exc:
+            # refused only where the side is within reach of roundoff
+            assert sign == 0 or e > 12
+            assert re.search(r"\|xi\| lies \d\.\d{3}e[+-]\d+ from 1 - EPS_PM1, within "
+                             r"its error bound \d\.\d{3}e-\d+", str(exc))
+        else:
+            assert np.max(np.abs(got.as_array() - want)) < EPS_ORBIT
+        try:
+            assert same_orbit(A, B) is True
+        except FalsificationError as exc:
+            assert "the verdict depends on the +/-1 convention" in str(exc)
+
+
 class TestSigmaLaw:
     SIGNS = [(1, 1), (-1, -1), (1, -1), (1, 1, 1, 1), (-1, -1, -1, -1),
              (1, -1, 1, 1), (1, -1, -1, 1)]
@@ -466,7 +552,7 @@ class TestSigmaLaw:
         vol = volume_element(U)
         for _ in range(4):
             x = random_unit_in(U, rng)
-            prof = full_profile(U, leading=x)
+            prof = chain_profile(U, x)
             sigma2 = 1.0 - prof.gamma**2 - prof.delta**2
             if len(set(signs)) == 1:
                 assert abs(sigma2) < 1e-12
