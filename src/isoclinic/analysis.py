@@ -8,11 +8,12 @@ eta = <Y2,Z2> and the (Gamma, Delta) of the six chains on X1 do not
 depend on X1; with the angles they label the Sp(n)-orbit. full_profile
 reads them all off the gate's Kaehler forms, at no leading vector.
 
-Degenerate conventions: when an angle is pi/2 the missing companion is
-identified with an existing one (forcing the matching invariant to 1),
-and when an invariant reaches +/-1 the chains collapse as in the
-dedicated definitions below. A 2-planes-decomposable subspace has no
-canonical chain map; the returned ChainSet is then flagged.
+In U's coordinates u of X1 the companions are -J_p u, J_p = omega_p /
+cos(theta_p), and each chain is a Clifford piece (u, -E_1 u, -E_1 E_2 u,
+-E_2 u) of two J_p, orthonormalized to E. A missing J_p (angle pi/2) is
+identified with a present one, forcing the matching invariant to 1; an
+invariant at +/-1 counts as its sign, and X~ = X, Y~ = Y, Z~ = Z. A
+2-planes-decomposable subspace has no canonical chain map (flagged).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .subspaces import (
     Frame,
     OrientedTwoPlane,
     _householder_complement,
+    _mgs,
     gram,
     project,
     structure_image,
@@ -298,21 +300,56 @@ def _check_member(U: Frame, x: np.ndarray, what: str, tol: float = EPS_MEMBER) -
     return x
 
 
-def _companion(U: Frame, A: CompatibleStructure, cos_a: float, v: np.ndarray) -> np.ndarray:
-    """A^{-1} Pr_{AU} v / cos_a = -Pr_U(A v) / cos_a, as A^{-1} = -A is an
-    isometry; the standard partner of v for the A-form."""
-    return -project(U, apply_structure(A, v)) / cos_a
+def _normalised(forms: np.ndarray, angles, tol: float = EPS_ANGLE):
+    """(J, forced): J_p = omega_p / c_p for forms (3, ...) where c_p =
+    cos(theta_p) > tol. A missing J_p is identified with a present one
+    (J_I := J_J or J_K, then J_J, J_K := J_I), forcing the matching
+    invariants to 1, as forced records; none present (r.h.p.) gives zeros."""
+    cos = np.cos(angles)
+    have = [c > tol for c in cos]
+    if all(have):
+        return (forms.T / cos).T, ()
+    if not any(have):
+        return np.zeros_like(forms), ("X2=Y2=Z2 arbitrary (triple orthogonality)",)
+    src = [p if h else have.index(True) for p, h in enumerate(have)]
+    forced = tuple(f"{x}2 identified (cos theta_{p} = 0)"
+                   for x, p, h in zip("XYZ", "IJK", have) if not h)
+    return (forms[src].T / cos[src]).T, forced
 
 
-def _third(U: Frame, A: CompatibleStructure, cos_a: float, v4: np.ndarray) -> np.ndarray:
-    """-A^{-1} Pr_{AU} v4 / cos_a = Pr_U(A v4) / cos_a; third chain element
-    from the fourth."""
-    return project(U, apply_structure(A, v4)) / cos_a
+def _generators(forms: np.ndarray) -> np.ndarray:
+    """E (r, k, k): the forms (m, k, k) Gram-Schmidt orthonormalized under
+    <X, Y> = tr(X^T Y) / k (of the Kaehler forms, E_1 = J_I where c_I > 0).
+    A form whose residual is at most EPS_ANGLE is dropped: a cos(theta_p) =
+    0, or an invariant xi, chi, eta or Gamma at +/-1."""
+    k = forms.shape[-1]
+    E, _ = _mgs(forms.reshape(len(forms), -1) / np.sqrt(k), EPS_ANGLE)
+    return E.reshape(-1, k, k) * np.sqrt(k)
 
 
-def _complement_row(U: Frame, W: np.ndarray) -> np.ndarray:
-    """First vector of the Householder complement in U of the rows W."""
-    return (_householder_complement(U.vectors @ W.T, U.dim - len(W)) @ U.vectors)[0]
+def _piece(E: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows u, -E_1 u, -E_1 E_2 u, -E_2 u of the cyclic submodule through u,
+    cut to u or u, -E_1 u when 0 or 1 generators survive: the omega^I chain
+    [X1, X2, X3, X4] through u."""
+    if len(E) == 0:
+        return u[None]
+    if len(E) == 1:
+        return np.vstack([u, -E[0] @ u])
+    x4 = -E[1] @ u
+    return np.vstack([u, -E[0] @ u, E[0] @ x4, x4])
+
+
+def _addend_rows(E: np.ndarray, Q: np.ndarray, u: np.ndarray, dim: int) -> np.ndarray:
+    """Coordinate rows of the dim-dim addend through u inside the span of the
+    orthonormal coordinate rows Q: the piece through u, grown with the piece
+    through the first row of the Householder complement of what is built.
+    Each piece is projected onto span Q, which it leaves only by the
+    input's isoclinicity defect, so addends come out mutually orthogonal."""
+    rows = _piece(E, u)[:dim] @ Q.T @ Q
+    while len(rows) < dim:
+        rest = _householder_complement(Q @ rows.T, len(Q) - len(rows))[0] @ Q
+        rows = np.vstack([rows, _piece(E, rest)[: dim - len(rows)] @ Q.T @ Q])
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,43 +373,21 @@ def companions(
 ) -> Companions:
     """Companions (X2, Y2, Z2) of X1 and the invariants (xi, chi, eta).
 
-    When an angle is pi/2 the corresponding companion is identified with
-    an available one (or an arbitrary unit vector orthogonal to X1 for
-    triple orthogonality), which forces the matching invariants to 1.
+    X2 = I^{-1} Pr_{IU} X1 / cos(theta_I) is -J_I u in U's coordinates u of
+    X1 (Y2, Z2 likewise); a missing J_p is identified as in _normalised,
+    forcing the matching invariants to 1, and with all three missing
+    (r.h.p.) X2 = Y2 = Z2 is the first Householder complement row of u.
     """
     X1 = _check_member(U, X1, "leading vector")
-    cos_abc = np.cos(angles)
-    have = cos_abc > tol
-    X2, Y2, Z2 = (_companion(U, A, float(c), X1) if h else None
-                  for A, c, h in zip((I, J, K), cos_abc, have))
-
-    forced = []
-    if X2 is None and Y2 is None and Z2 is None:
-        # r.h.p. subspace: any unit vector orthogonal to X1 will do
-        X2 = _complement_row(U, X1[None])
-        Y2 = X2
-        Z2 = X2
-        forced.append("X2=Y2=Z2 arbitrary (triple orthogonality)")
+    # the forms applied to u: (omega_p u)_a = <X_a, A_p X1>
+    Ju, forced = _normalised(np.array([U.vectors @ apply_structure(A, X1) for A in (I, J, K)]),
+                             angles, tol)
+    if Ju.any():
+        rows = -Ju
     else:
-        if X2 is None:
-            X2 = Y2 if Y2 is not None else Z2
-            forced.append("X2 identified (cos theta_I = 0)")
-        if Y2 is None:
-            Y2 = X2
-            forced.append("Y2 identified (cos theta_J = 0)")
-        if Z2 is None:
-            Z2 = X2
-            forced.append("Z2 identified (cos theta_K = 0)")
-
-    return Companions(
-        X2=X2,
-        Y2=Y2,
-        Z2=Z2,
-        xi=float(X2 @ Y2),
-        chi=float(X2 @ Z2),
-        eta=float(Y2 @ Z2),
-        forced=tuple(forced),
-    )
+        rows = _householder_complement((U.vectors @ X1)[:, None], U.dim - 1)[[0, 0, 0]]
+    X2, Y2, Z2 = rows @ U.vectors
+    return Companions(X2, Y2, Z2, float(X2 @ Y2), float(X2 @ Z2), float(Y2 @ Z2), forced)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,25 +421,9 @@ class ChainSet:
     forced: tuple[str, ...] = ()
     residuals: dict = field(default_factory=dict, compare=False)
 
-    def frames(self) -> dict:
-        return {
-            "X": Frame(self.chain_x),
-            "Y": Frame(self.chain_y),
-            "Xt": Frame(self.chain_xt),
-            "Z": Frame(self.chain_z),
-            "Yt": Frame(self.chain_yt),
-            "Zt": Frame(self.chain_zt),
-        }
-
 
 def _pm1(v: float, tol: float = EPS_PM1) -> bool:
     return abs(v) > 1.0 - tol
-
-
-def _fourths(P2: np.ndarray, Q2: np.ndarray, cos: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fourth elements of the chains through companions P2, Q2 with <P2, Q2> = cos."""
-    s = np.sqrt(1.0 - cos**2)
-    return (Q2 - cos * P2) / s, (-P2 + cos * Q2) / s
 
 
 def build_chains(
@@ -435,76 +434,52 @@ def build_chains(
 ) -> ChainSet:
     """The six chains of U centered on X1 (dimension of U at least 4).
 
-    If all of (xi, chi, eta) are at +/-1 the subspace is 2-planes
-    decomposable, the chain map is not a function of X1, and the result is
-    flagged non-canonical (third element chosen deterministically from the
-    frame, which is an admissible choice).
+    Each chain is the Clifford piece through X1 (see decompose) of the
+    _normalised forms in its own order, of which the first two that survive
+    Gram-Schmidt are used: X of (J_I, J_J, J_K), Y of (J_J, -J_I, s_xi J_K),
+    X~ of (J_I, J_K, J_J), Z of (J_K, -s_eta J_I, s_chi J_J), Y~ of (J_J,
+    J_K, J_I), Z~ of (J_K, -J_J, J_I). An invariant v at +/-1 counts as its
+    sign s_v (else s_v = 1): J_J := s_xi J_I, J_K := s_chi J_I or s_eta J_J,
+    so its chain falls through to the next form, and X~ = X, Y~ = Y, Z~ = Z.
+    With all three at +/-1 the subspace is 2-planes decomposable: one form
+    survives, the third element is a Householder complement row, the chain
+    map is not a function of X1 and the result is flagged non-canonical.
     """
     if angles is None:
-        angles = certify_isoclinic(U)
+        angles, forms, _ = _certified_forms(U)
+    else:
+        forms = _forms(U)
     if U.dim < 4:
         raise DimensionError(f"chains need dim >= 4, got {U.dim}")
     comp = companions(U, X1, angles, tol)
     X1 = np.asarray(X1, dtype=float)
-    X2, Y2, Z2 = comp.X2, comp.Y2, comp.Z2
-    xi, chi, eta = comp.xi, comp.chi, comp.eta
-    cI, cJ, cK = (float(c) for c in np.cos(angles))
-    have_i, have_j, have_k = (c > tol for c in (cI, cJ, cK))
-    res: dict = {}
-
-    n_pm = sum(_pm1(v) for v in (xi, chi, eta))
-
-    if n_pm == 0:
-        X4, Y4 = _fourths(X2, Y2, xi)
-        Xt4, Z4 = _fourths(X2, Z2, chi)
-        Yt4, Zt4 = _fourths(Y2, Z2, eta)
-        X3, Y3 = _third(U, I, cI, X4), _third(U, J, cJ, Y4)
-        Xt3, Z3 = _third(U, I, cI, Xt4), _third(U, K, cK, Z4)
-        Yt3, Zt3 = _third(U, J, cJ, Yt4), _third(U, K, cK, Zt4)
-
-
-        for name, a, b in (("X3-Y3", X3, Y3), ("Xt3-Z3", Xt3, Z3), ("Yt3-Zt3", Yt3, Zt3)):
-            res[name] = float(np.linalg.norm(a - b))
-        chains = ([X1, X2, X3, X4], [X1, Y2, Y3, Y4], [X1, X2, Xt3, Xt4],
-                  [X1, Z2, Z3, Z4], [X1, Y2, Yt3, Yt4], [X1, Z2, Zt3, Zt4])
-        convention = "generic"
-    elif n_pm == 1:
-        if _pm1(xi):
-            # base route through the (X2, Z2) pair
-            four, z4 = _fourths(X2, Z2, chi)
-            t = _third(U, I, cI, four) if have_i else _third(U, K, cK, z4)
-            sgn = float(np.sign(xi))
-            x, y, z = [X1, X2, t, four], [X1, sgn * X2, t, sgn * four], [X1, Z2, t, z4]
-            convention = "xi"
-        else:
-            # base route through the (X2, Y2) pair
-            four, y4 = _fourths(X2, Y2, xi)
-            t = _third(U, I, cI, four) if have_i else _third(U, J, cJ, y4)
-            x, y = [X1, X2, t, four], [X1, Y2, t, y4]
-            if _pm1(chi):
-                sgn = float(np.sign(chi))
-                z, convention = [X1, sgn * X2, t, sgn * four], "chi"
-            else:
-                sgn = float(np.sign(eta))
-                z, convention = [X1, sgn * Y2, t, sgn * y4], "eta"
-        chains = (x, y, x, z, y, z)
-    else:
-        # all three at +/-1: 2-planes decomposable, Sigma is not a function of X1
-        t = _complement_row(U, np.vstack([X1, X2]))
-        if have_i:
-            X4 = _companion(U, I, cI, t)
-        elif have_j:
-            X4 = float(np.sign(xi)) * _companion(U, J, cJ, t)
-        elif have_k:
-            X4 = float(np.sign(chi)) * _companion(U, K, cK, t)
-        else:
-            X4 = _complement_row(U, np.vstack([X1, X2, t]))
-        sx, sc = float(np.sign(xi)), float(np.sign(chi))
-        x, y, z = [X1, X2, t, X4], [X1, sx * X2, t, sx * X4], [X1, sc * X2, t, sc * X4]
-        chains = (x, y, x, z, y, z)
-        convention = "decomposable"
-    return ChainSet(X1, *(np.array(c) for c in chains), xi, chi, eta, tuple(angles),
-                    convention, convention == "decomposable", comp.forced, res)
+    u = U.vectors @ X1
+    J = _normalised(forms, angles, tol)[0]
+    values = (comp.xi, comp.chi, comp.eta)
+    snaps = [_pm1(v) for v in values]
+    if sum(snaps) > 1:  # two at +/-1 leave the third within 4 EPS_PM1 of it
+        snaps = [True] * 3
+    sx, sc, se = (float(np.sign(v)) if snap else 1.0 for v, snap in zip(values, snaps))
+    if snaps[0]:
+        J[1] = sx * J[0]
+    if snaps[1]:
+        J[2] = sc * J[0]
+    elif snaps[2]:
+        J[2] = se * J[1]
+    orders = [(J[0], J[1], J[2]), (J[1], -J[0], sx * J[2]), (J[2], -se * J[0], sc * J[1])]
+    if not any(snaps):
+        orders += [(J[0], J[2], J[1]), (J[1], J[2], J[0]), (J[2], -J[1], J[0])]
+    x, y, z, *tilde = (_addend_rows(_generators(np.array(o)), np.eye(U.dim), u, 4) @ U.vectors
+                       for o in orders)
+    xt, yt, zt = tilde or (x, y, z)
+    res = {} if any(snaps) else {"X3-Y3": float(np.linalg.norm(x[2] - y[2])),
+                                 "Xt3-Z3": float(np.linalg.norm(xt[2] - z[2])),
+                                 "Yt3-Zt3": float(np.linalg.norm(yt[2] - zt[2]))}
+    n_pm = sum(snaps)
+    convention = ("generic" if n_pm == 0 else ("xi", "chi", "eta")[snaps.index(True)]
+                  if n_pm == 1 else "decomposable")
+    return ChainSet(X1, x, y, xt, z, yt, zt, *values, tuple(angles), convention,
+                    convention == "decomposable", comp.forced, res)
 
 
 def gamma_delta(chains: ChainSet, tol: float = EPS_CHAIN) -> tuple[float, float]:
@@ -720,10 +695,8 @@ def _profile(U: Frame, angles, forms, snaps=None) -> IsoclinicProfile:
     _forms; snaps[p] says whether invariant p counts as +/-1 (default: its
     measured side of 1 - EPS_PM1), which decides the (Gamma, Delta) branch."""
     k = U.dim
-    JI, JJ, JK = (w / c if c > EPS_ANGLE else None for w, c in zip(forms, np.cos(angles)))
-    JI = next((J for J in (JI, JJ, JK) if J is not None), None)
-    JJ, JK = (JI if J is None else J for J in (JJ, JK))
-    if JI is None:  # r.h.p.: every companion is one arbitrary vector
+    JI, JJ, JK = _normalised(forms, angles)[0]
+    if not JI.any():  # r.h.p.: every companion is one arbitrary vector
         xi = chi = eta = 1.0
     else:
         # -tr(J_p J_q) = <J_p, J_q>_F, as each J is skew

@@ -454,12 +454,15 @@ def invariance_oracle(
     """Re-derive the full profile under random Sp(n) motions of U.
 
     Refuses (raises NotIsoclinicError) if U itself fails the isoclinicity
-    gate. Each trial also validates the quadratic form for theta_A against
-    measured angles for 8 random structures, and the eta relation
-    eta = xi chi + sqrt(1-xi^2) sqrt(1-chi^2) Gamma.
+    gate. Every motion is profiled on U's side of the +/-1 convention, so
+    roundoff that moves an invariant across 1 - EPS_PM1 flips no (Gamma,
+    Delta). Each trial also validates the quadratic form for theta_A against
+    measured angles for 8 random structures, and, with no invariant at +/-1,
+    the eta relation eta = xi chi + sqrt(1-xi^2) sqrt(1-chi^2) Gamma.
     """
     base = full_profile(U)
     base_vec = _profile_vector(base)
+    snaps = [_pm1(v) for v in (base.xi, base.chi, base.eta)]
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     max_theta = 0.0
@@ -468,13 +471,13 @@ def invariance_oracle(
     for t in range(trials):
         g = random_sp(U.n, seed=int(rng.integers(0, 2**63 - 1)))
         gU = g.apply_frame(U)
-        # full_profile(gU), keeping the forms its gate builds
+        # full_profile(gU) on U's side of +/-1, keeping the forms its gate builds
         try:
             angles, forms, _ = _certified_forms(gU)
         except NotIsoclinicError as exc:
             failures.append(f"trial {t}: gate failure after motion: {exc}")
             continue
-        prof = _profile(gU, angles, forms)
+        prof = _profile(gU, angles, forms, snaps)
         dev = float(np.max(np.abs(_profile_vector(prof) - base_vec)))
         max_dev = max(max_dev, dev)
         if dev > tol:
@@ -489,7 +492,7 @@ def invariance_oracle(
             max_theta = max(max_theta, float(err))
             if err > tol:
                 failures.append(f"trial {t}: theta_A formula error {err:.3e}")
-        if not any(_pm1(v) for v in (prof.xi, prof.chi, prof.eta)):
+        if not any(snaps):
             res = abs(
                 prof.eta
                 - prof.xi * prof.chi

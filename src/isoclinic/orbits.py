@@ -28,9 +28,11 @@ import numpy as np
 
 from .analysis import (
     IsoclinicProfile,
+    _addend_rows,
     _certified_forms,
     _check_member,
     _forms,
+    _generators,
     _pm1,
     _profile,
     build_chains,
@@ -39,8 +41,8 @@ from .analysis import (
     full_profile,
 )
 from .errors import DimensionError, FalsificationError, NotIsoclinicError
-from .subspaces import Frame, _householder_complement, _mgs, orthonormalize, restrict_complement
-from .tolerances import EPS_ANGLE, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RECERT, EPS_UNION
+from .subspaces import Frame, _householder_complement, orthonormalize, restrict_complement
+from .tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RECERT, EPS_UNION
 
 __all__ = [
     "TypedSubspace",
@@ -119,16 +121,6 @@ def _require_mandates(profile: IsoclinicProfile, snaps=None) -> None:
         )
 
 
-def _generators(forms: np.ndarray) -> np.ndarray:
-    """E (r, k, k): the Kaehler forms (3, k, k) Gram-Schmidt orthonormalized
-    under <X, Y> = tr(X^T Y) / k, so E_1 = omega_I / cos(theta_I) when that
-    cosine is positive. A form whose residual is at most EPS_ANGLE is dropped:
-    a cos(theta_p) = 0, or an invariant xi, chi, eta or Gamma at +/-1."""
-    k = forms.shape[-1]
-    E, _ = _mgs(forms.reshape(3, -1) / np.sqrt(k), EPS_ANGLE)
-    return E.reshape(-1, k, k) * np.sqrt(k)
-
-
 def _union_tol(E: np.ndarray) -> float:
     """EPS_UNION plus max |E_p E_q + E_q E_p + 2 delta_pq Id|, which bounds
     the Gram defect of a cyclic piece: on a certified input, its defect
@@ -154,31 +146,6 @@ def _require_one_type(E: np.ndarray) -> None:
             f"dim {k}: the volume element is not +/-Id (mixedness "
             f"max|s vol - Id| = {mixed:.3e}): the subspace mixes both module types"
         )
-
-
-def _piece(E: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Rows u, -E_1 u, -E_1 E_2 u, -E_2 u of the cyclic submodule through u,
-    cut to u or u, -E_1 u when 0 or 1 generators survive: the omega^I chain
-    [X1, X2, X3, X4] through u."""
-    if len(E) == 0:
-        return u[None]
-    if len(E) == 1:
-        return np.vstack([u, -E[0] @ u])
-    x4 = -E[1] @ u
-    return np.vstack([u, -E[0] @ u, E[0] @ x4, x4])
-
-
-def _addend_rows(E: np.ndarray, Q: np.ndarray, u: np.ndarray, dim: int) -> np.ndarray:
-    """Coordinate rows of the dim-dim addend through u inside the span of the
-    orthonormal coordinate rows Q: the piece through u, grown with the piece
-    through the first row of the Householder complement of what is built.
-    Each piece is projected onto span Q, which it leaves only by the
-    input's isoclinicity defect, so addends come out mutually orthogonal."""
-    rows = _piece(E, u)[:dim] @ Q.T @ Q
-    while len(rows) < dim:
-        rest = _householder_complement(Q @ rows.T, len(Q) - len(rows))[0] @ Q
-        rows = np.vstack([rows, _piece(E, rest)[: dim - len(rows)] @ Q.T @ Q])
-    return rows
 
 
 def _recertified(addend: Frame, angles, what: str):

@@ -2,7 +2,7 @@
 
 All angle comparisons go through EPS_ANGLE; raw cosines are clamped into
 [-1, 1] before any arccos. EPS_PM1 decides when an invariant counts as
-+/-1 and triggers the degenerate chain conventions.
++/-1, which collapses the chains and sets (Gamma, Delta) = (1, 0).
 """
 
 # structure / rotation validation (unit coefficient vectors, SO(3) input)
@@ -43,7 +43,7 @@ EPS_RECERT = EPS_ANGLE * 10
 # default isoclinicity test tolerance (sup norm of G G^T - cos^2 Id)
 EPS_ISO = 1e-8
 
-# |xi| > 1 - EPS_PM1 triggers the +/-1 chain conventions
+# |v| > 1 - EPS_PM1 counts xi, chi or eta as its sign: X~ = X, Y~ = Y, Z~ = Z
 EPS_PM1 = 1e-8
 
 # gate for agreement of equivalent chain expressions

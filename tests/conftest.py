@@ -7,14 +7,19 @@ import numpy as np
 import pytest
 
 from isoclinic.analysis import (
+    ChainSet,
+    Companions,
     IsoclinicProfile,
-    build_chains,
+    _check_member,
+    _pm1,
     certify_isoclinic,
-    companions,
     gamma_delta,
 )
+from isoclinic.errors import DimensionError
 from isoclinic.generators import direct_sum, graph_subspace
-from isoclinic.subspaces import orthonormalize
+from isoclinic.quaternions import I, J, K, apply_structure
+from isoclinic.subspaces import _householder_complement, orthonormalize, project
+from isoclinic.tolerances import EPS_ANGLE
 
 
 def unit(n: int, q: int) -> np.ndarray:
@@ -48,15 +53,140 @@ def bench_workloads():
     return module
 
 
+# --- the chains in ambient R^{4n}, one hand-coded branch per convention ------
+#
+# The references for companions and build_chains, which build the same rows
+# as Clifford pieces in U's coordinates: every companion is a projection
+# A^{-1} Pr_{AU} onto U, and each +/-1 convention has its own branch.
+
+
+def projected_companion(U, A, cos_a, v):
+    """A^{-1} Pr_{AU} v / cos_a = -Pr_U(A v) / cos_a, as A^{-1} = -A is an
+    isometry; the standard partner of v for the A-form."""
+    return -project(U, apply_structure(A, v)) / cos_a
+
+
+def projected_third(U, A, cos_a, v4):
+    """-A^{-1} Pr_{AU} v4 / cos_a = Pr_U(A v4) / cos_a; third chain element
+    from the fourth."""
+    return project(U, apply_structure(A, v4)) / cos_a
+
+
+def complement_row(U, W):
+    """First vector of the Householder complement in U of the rows W."""
+    return (_householder_complement(U.vectors @ W.T, U.dim - len(W)) @ U.vectors)[0]
+
+
+def fourths(P2, Q2, cos):
+    """Fourth elements of the chains through companions P2, Q2 with <P2, Q2> = cos."""
+    s = np.sqrt(1.0 - cos**2)
+    return (Q2 - cos * P2) / s, (-P2 + cos * Q2) / s
+
+
+def companions_reference(U, X1, angles, tol=EPS_ANGLE):
+    """companions through the projector onto U, one structure at a time."""
+    X1 = _check_member(U, X1, "leading vector")
+    cos_abc = np.cos(angles)
+    have = cos_abc > tol
+    X2, Y2, Z2 = (projected_companion(U, A, float(c), X1) if h else None
+                  for A, c, h in zip((I, J, K), cos_abc, have))
+    forced = []
+    if X2 is None and Y2 is None and Z2 is None:
+        # r.h.p. subspace: any unit vector orthogonal to X1 will do
+        X2 = Y2 = Z2 = complement_row(U, X1[None])
+        forced.append("X2=Y2=Z2 arbitrary (triple orthogonality)")
+    else:
+        if X2 is None:
+            X2 = Y2 if Y2 is not None else Z2
+            forced.append("X2 identified (cos theta_I = 0)")
+        if Y2 is None:
+            Y2 = X2
+            forced.append("Y2 identified (cos theta_J = 0)")
+        if Z2 is None:
+            Z2 = X2
+            forced.append("Z2 identified (cos theta_K = 0)")
+    return Companions(X2=X2, Y2=Y2, Z2=Z2, xi=float(X2 @ Y2), chi=float(X2 @ Z2),
+                      eta=float(Y2 @ Z2), forced=tuple(forced))
+
+
+def build_chains_reference(U, X1, angles=None, tol=EPS_ANGLE):
+    """build_chains with fourths from pairs of companions, thirds projected
+    back through a structure, and a branch per convention: none at +/-1,
+    exactly one of xi, chi, eta at +/-1 (its chains collapse onto the
+    others), or all three (the third element a complement row)."""
+    if angles is None:
+        angles = certify_isoclinic(U)
+    if U.dim < 4:
+        raise DimensionError(f"chains need dim >= 4, got {U.dim}")
+    comp = companions_reference(U, X1, angles, tol)
+    X1 = np.asarray(X1, dtype=float)
+    X2, Y2, Z2 = comp.X2, comp.Y2, comp.Z2
+    xi, chi, eta = comp.xi, comp.chi, comp.eta
+    cI, cJ, cK = (float(c) for c in np.cos(angles))
+    have_i, have_j, have_k = (c > tol for c in (cI, cJ, cK))
+    third = projected_third
+    res = {}
+    n_pm = sum(_pm1(v) for v in (xi, chi, eta))
+    if n_pm == 0:
+        X4, Y4 = fourths(X2, Y2, xi)
+        Xt4, Z4 = fourths(X2, Z2, chi)
+        Yt4, Zt4 = fourths(Y2, Z2, eta)
+        X3, Y3 = third(U, I, cI, X4), third(U, J, cJ, Y4)
+        Xt3, Z3 = third(U, I, cI, Xt4), third(U, K, cK, Z4)
+        Yt3, Zt3 = third(U, J, cJ, Yt4), third(U, K, cK, Zt4)
+        for name, a, b in (("X3-Y3", X3, Y3), ("Xt3-Z3", Xt3, Z3), ("Yt3-Zt3", Yt3, Zt3)):
+            res[name] = float(np.linalg.norm(a - b))
+        chains = ([X1, X2, X3, X4], [X1, Y2, Y3, Y4], [X1, X2, Xt3, Xt4],
+                  [X1, Z2, Z3, Z4], [X1, Y2, Yt3, Yt4], [X1, Z2, Zt3, Zt4])
+        convention = "generic"
+    elif n_pm == 1:
+        if _pm1(xi):
+            # base route through the (X2, Z2) pair
+            four, z4 = fourths(X2, Z2, chi)
+            t = third(U, I, cI, four) if have_i else third(U, K, cK, z4)
+            sgn = float(np.sign(xi))
+            x, y, z = [X1, X2, t, four], [X1, sgn * X2, t, sgn * four], [X1, Z2, t, z4]
+            convention = "xi"
+        else:
+            # base route through the (X2, Y2) pair
+            four, y4 = fourths(X2, Y2, xi)
+            t = third(U, I, cI, four) if have_i else third(U, J, cJ, y4)
+            x, y = [X1, X2, t, four], [X1, Y2, t, y4]
+            if _pm1(chi):
+                sgn = float(np.sign(chi))
+                z, convention = [X1, sgn * X2, t, sgn * four], "chi"
+            else:
+                sgn = float(np.sign(eta))
+                z, convention = [X1, sgn * Y2, t, sgn * y4], "eta"
+        chains = (x, y, x, z, y, z)
+    else:
+        # all three at +/-1: 2-planes decomposable, Sigma is not a function of X1
+        t = complement_row(U, np.vstack([X1, X2]))
+        if have_i:
+            X4 = projected_companion(U, I, cI, t)
+        elif have_j:
+            X4 = float(np.sign(xi)) * projected_companion(U, J, cJ, t)
+        elif have_k:
+            X4 = float(np.sign(chi)) * projected_companion(U, K, cK, t)
+        else:
+            X4 = complement_row(U, np.vstack([X1, X2, t]))
+        sx, sc = float(np.sign(xi)), float(np.sign(chi))
+        x, y, z = [X1, X2, t, X4], [X1, sx * X2, t, sx * X4], [X1, sc * X2, t, sc * X4]
+        chains = (x, y, x, z, y, z)
+        convention = "decomposable"
+    return ChainSet(X1, *(np.array(c) for c in chains), xi, chi, eta, tuple(angles),
+                    convention, convention == "decomposable", comp.forced, res)
+
+
 def chain_profile(U, leading):
-    """The invariant set measured on the chains centred on `leading`: the
-    companions in dim 2, build_chains and gamma_delta otherwise."""
+    """The invariant set measured on the reference chains centred on
+    `leading`: the companions in dim 2, the chains and gamma_delta otherwise."""
     angles = certify_isoclinic(U)
     if U.dim == 2:
-        comp = companions(U, leading, angles)
+        comp = companions_reference(U, leading, angles)
         xi, chi, eta, gamma, delta = comp.xi, comp.chi, comp.eta, 1.0, 0.0
     else:
-        chains = build_chains(U, leading, angles)
+        chains = build_chains_reference(U, leading, angles)
         xi, chi, eta = chains.xi, chains.chi, chains.eta
         gamma, delta = gamma_delta(chains)
     return IsoclinicProfile(U.dim, *angles, xi, chi, eta, gamma, delta)

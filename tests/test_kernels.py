@@ -7,9 +7,11 @@ through the projector onto AU, the oracle's sampled structures through a
 fresh image AU per structure, Sp(n) sampling as left-looking
 Gram-Schmidt one column pair at a time, the profile, orbit label and
 decision measured on 4n-dim chains (the label at two leading vectors),
-and decompose on 4n-dim chains. The gate's reference polarises the 3 x 3
-quadratic forms Q_ij of the pair defect from six fresh images AU and
-takes their sup over all structures with np.linalg.eigh. Inputs are
+decompose on 4n-dim chains, and the chains themselves through projected
+companions with one branch per +/-1 convention (conftest). The gate's
+reference polarises the 3 x 3 quadratic forms Q_ij of the pair defect
+from six fresh images AU and takes their sup over all structures with
+np.linalg.eigh. Inputs are
 unit-norm and agreement is required to 1e-13 (bitwise where the kernel
 performs the same operations in the same order). The complement of W in
 U is checked against its characterisation instead, since its basis is
@@ -27,12 +29,10 @@ from isoclinic import analysis, cli, generators, orbits
 from isoclinic.analysis import (
     _angle,
     _combined_defects,
-    _companion,
     _forms,
     _gate,
     _pair_defects,
     _pm1,
-    _third,
     _witness,
     build_chains,
     certify_isoclinic,
@@ -59,6 +59,7 @@ from isoclinic.generators import (
     invariance_oracle,
     make_i_complex_4,
     make_profile_4,
+    make_quaternionic_line,
     make_rhp,
     make_totally_complex_4,
     make_two_plane,
@@ -97,7 +98,8 @@ from isoclinic.orbits import (
     same_orbit,
 )
 from isoclinic.tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK
-from conftest import chain_profile, perturbed_graph_sum, random_unit_in
+from conftest import (build_chains_reference, chain_profile, companions_reference,
+                      perturbed_graph_sum, random_unit_in)
 
 TOL = 1e-13
 
@@ -273,14 +275,15 @@ def same_orbit_reference(U, W, tol=EPS_ORBIT):
 def eight_dim_addend_reference(U, X1, angles):
     """The 8-dim addend on 4n-dim chains: four standard 2-planes peeled from
     shrinking complements, or two omega^I chain spans."""
-    chains = build_chains(U, X1, angles)
+    chains = build_chains_reference(U, X1, angles)
     if chains.convention != "decomposable":
         first = _clean_union([chains.chain_x])
         rest = restrict_complement(U, first, expect=U.dim - 4)
-        return _clean_union([chains.chain_x, build_chains(U, rest.vectors[0], angles).chain_x])
+        return _clean_union([chains.chain_x,
+                             build_chains_reference(U, rest.vectors[0], angles).chain_x])
     current, lead, planes = U, X1, []
     for step in range(4):
-        planes.append(_clean_union([lead, companions(current, lead, angles).X2]))
+        planes.append(_clean_union([lead, companions_reference(current, lead, angles).X2]))
         if step < 3:
             current = restrict_complement(current, planes[-1], expect=current.dim - 2)
             lead = current.vectors[0]
@@ -297,9 +300,9 @@ def decompose_reference(U, seed=None):
     while current is not None:
         x1 = current.vectors[0] if rng is None else random_unit_in(current, rng)
         if profile.dim_class == 2:
-            addend = _clean_union([x1, companions(current, x1, angles).X2])
+            addend = _clean_union([x1, companions_reference(current, x1, angles).X2])
         elif profile.dim_class == 4:
-            addend = _clean_union([build_chains(current, x1, angles).chain_x])
+            addend = _clean_union([build_chains_reference(current, x1, angles).chain_x])
         else:
             addend = eight_dim_addend_reference(current, x1, angles)
         addends.append(addend)
@@ -337,10 +340,10 @@ def graph_sum(parts):
     return direct_sum([graph_subspace(np.array([0.3, 0.4, -0.2, 0.6]))] * parts)
 
 
-def near_pm1_profile():
-    """xi = 1 - 1e-8, at the +/-1 convention edge: Delta snaps under motions,
-    so the oracle records profile deviations."""
-    xi, chi, gamma = 1 - 1e-8, 0.2, 0.5
+def near_pm1_profile(gap=0.0, gamma=0.5):
+    """xi = 1 - 1e-8 + gap, at the +/-1 convention edge: whether xi counts
+    as +/-1, and with it (Gamma, Delta), is decided by roundoff under motions."""
+    xi, chi = 1 - 1e-8 + gap, 0.2
     eta = xi * chi + np.sqrt((1 - xi**2) * (1 - chi**2)) * gamma
     return make_profile_4(1.2, 1.3, 1.4, xi, chi, eta)
 
@@ -522,27 +525,30 @@ class TestCompanions:
     @pytest.mark.parametrize("parts", [1, 2, 4])
     def test_against_projector_onto_image(self, rng, parts):
         U = moved(graph_sum(parts), parts)
-        cosines = np.cos(gate_reference(U)[0])
+        angles = gate_reference(U)[0]
         forms = _forms(U)
-        for p, (A, cos_a) in enumerate(zip((I, J, K), cosines)):
-            u = rng.standard_normal(U.dim)
-            u /= np.linalg.norm(u)
-            v = u @ U.vectors
+        u = rng.standard_normal(U.dim)
+        u /= np.linalg.norm(u)
+        v = u @ U.vectors
+        comp = companions(U, v, angles)
+        for p, (A, cos_a) in enumerate(zip((I, J, K), np.cos(angles))):
             ref = companion_reference(U, A, cos_a, v)
-            npt.assert_allclose(_companion(U, A, cos_a, v), ref, rtol=0, atol=TOL)
-            npt.assert_allclose(_third(U, A, cos_a, v), -ref, rtol=0, atol=TOL)
+            npt.assert_allclose((comp.X2, comp.Y2, comp.Z2)[p], ref, rtol=0, atol=TOL)
             # in U's coordinates Pr_U(A_p x) is omega_p u
             npt.assert_allclose(-(forms[p] @ u) / cos_a @ U.vectors, ref, rtol=0, atol=TOL)
 
     def test_general_structure_any_subspace(self, rng):
-        # the identity A^{-1} Pr_{AU} = -Pr_U A needs no isoclinicity
+        # the identity A^{-1} Pr_{AU} = -Pr_U A needs no isoclinicity, and it
+        # is linear in A: the companion for aI + bJ + cK (all cosines 1) is
+        # a X2 + b Y2 + c Z2
         U = random_frame(4, 6, rng)
-        v = unit_rows(rng, 1, 16)[0]
+        v = random_unit_in(U, rng)
+        comp = companions(U, v, (0.0, 0.0, 0.0))
         for _ in range(10):
             A = random_structure(rng)
             npt.assert_allclose(
-                _companion(U, A, 1.0, v), companion_reference(U, A, 1.0, v),
-                rtol=0, atol=TOL,
+                A.coefficients() @ np.array([comp.X2, comp.Y2, comp.Z2]),
+                companion_reference(U, A, 1.0, v), rtol=0, atol=TOL,
             )
 
 
@@ -722,13 +728,13 @@ class TestOracle:
         max_dev, max_theta, max_eta, failures = oracle_reference(U, trials, seed)
         assert report.trials == trials
         if make is near_pm1_profile:
-            # each route's side of the +/-1 convention, hence Delta, is decided
-            # by roundoff: the same deviation, at trials of its own; the eta
-            # relation, evaluated through 1 - xi^2 ~ 2e-8, keeps ~8 digits
-            kinds = [{f.split(": ", 1)[1] for f in fs} for fs in (report.failures, failures)]
-            assert kinds == [{"profile deviation 8.660e-01"}] * 2
-            npt.assert_allclose([report.max_profile_deviation, report.max_theta_formula_error],
-                                [max_dev, max_theta], rtol=0, atol=1e-14)
+            # the chains' side of the +/-1 convention, hence Delta, is decided
+            # by roundoff at each motion; the oracle takes every motion on the
+            # input's own side, so it passes with the same theta_A errors; the
+            # eta relation, evaluated through 1 - xi^2 ~ 2e-8, keeps ~8 digits
+            assert {f.split(": ", 1)[1] for f in failures} == {"profile deviation 8.660e-01"}
+            assert report.passed and report.max_profile_deviation < 1e-6
+            npt.assert_allclose(report.max_theta_formula_error, max_theta, rtol=0, atol=1e-14)
             assert max(report.max_eta_relation_error, max_eta) < 1e-6
             return
         assert report.failures == failures
@@ -752,8 +758,13 @@ class TestOracle:
         # one for the input's own gate, then one per trial
         assert built == [8] * 4
 
-    def test_near_pm1_records_failures(self):
-        assert invariance_oracle(near_pm1_profile(), 10, 1).failures
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, -1e-12, 1e-10, -1e-10])
+    def test_near_pm1_passes(self, gap):
+        # every motion is profiled on the input's side of 1 - EPS_PM1, so a
+        # side flipped by roundoff is no profile deviation
+        for seed, gamma in enumerate((0.5, -0.3, 0.9)):
+            report = invariance_oracle(moved(near_pm1_profile(gap, gamma), seed), 10, seed)
+            assert report.passed, report.failures
 
 
 def two_plane_sum(count, seed):
@@ -1054,3 +1065,92 @@ class TestDecomposeInCoordinates:
             for b in dec.addends[i + 1:]:
                 for A in (I, J, K):
                     assert np.max(np.abs(a.vectors @ apply_structure(A, b.vectors).T)) <= 1e-12
+
+
+TH_XI, TH_ETA = (1.3091, 1.1711, 1.2413), (1.2042, 1.3262, 1.1837)
+
+
+def plane_sum(theta_i, xi, chi):
+    return direct_sum([make_two_plane(2, theta_i, 1.1, 1.2, xi, chi)] * 2)
+
+
+def chi_eta_pm1():
+    """chi and eta within EPS_PM1 of 1 and xi 3.5e-8 from it, the most
+    that two invariants at +/-1 leave the third: 2-planes decomposable."""
+    xi, chi = 1 - 3.5e-8, 1 - 0.9e-8
+    eta = xi * chi + np.sqrt((1 - xi**2) * (1 - chi**2)) * (1 - 1e-9)
+    return make_profile_4(1.2, 1.3, 1.4, xi, chi, eta)
+
+
+# every chain convention and forced companion: generic (graph, profile,
+# quaternionic line, i-complex at 0.7), exactly one invariant at +/-1 with
+# either sign (make_profile_4 sets Gamma = 1 for an eta given as exactly
+# -1, so eta = -1 is requested 1e-13 inside), and two or three at +/-1
+# (i-complex at pi/2, totally complex, r.h.p., 2-plane sums, cos theta_I = 0)
+CHAIN_STRATA = {
+    "graph-4": lambda: graph_sum(1),
+    "profile-4": lambda: make_profile_4(*PROFILE_4),
+    "xi+1": lambda: make_profile_4(*TH_XI, 1.0, -0.849, -0.849),
+    "xi-1": lambda: make_profile_4(*TH_XI, -1.0, -0.849, 0.849),
+    "chi+1": lambda: make_profile_4(*TH_ETA, 0.1697, 1.0, 0.1697),
+    "chi-1": lambda: make_profile_4(*TH_ETA, 0.1697, -1.0, -0.1697),
+    "chi-1,xi<0": lambda: make_profile_4(*TH_ETA, -0.1697, -1.0, 0.1697),
+    "eta+1": lambda: make_profile_4(*TH_ETA, 0.1697, 0.1697, 1.0),
+    "eta-1": lambda: make_profile_4(*TH_ETA, 0.1697, -0.1697, -1.0 + 1e-13),
+    "chi,eta+1": chi_eta_pm1,
+    "qline": lambda: make_quaternionic_line(2),
+    "icomplex-0.7": lambda: make_i_complex_4(2, 0.7),
+    "icomplex-pi/2": lambda: make_i_complex_4(2, np.pi / 2),
+    "tcomplex": lambda: make_totally_complex_4(2),
+    "rhp": lambda: make_rhp(4, 4),
+    "planes+-": lambda: plane_sum(0.9, 1.0, -1.0),
+    "planes--": lambda: plane_sum(0.9, -1.0, -1.0),
+    "planes-cosI=0": lambda: direct_sum([make_two_plane(2, np.pi / 2, 0.9, 1.1)] * 2),
+    "graph-8": lambda: graph_sum(2),
+    "xi-1-8": lambda: direct_sum([make_profile_4(*TH_XI, -1.0, -0.849, 0.849)] * 2),
+    "eta-1-8": lambda: direct_sum([make_profile_4(*TH_ETA, 0.1697, -0.1697, -1.0 + 1e-13)] * 2),
+}
+
+CHAIN_FIELDS = ("chain_x", "chain_y", "chain_xt", "chain_z", "chain_yt", "chain_zt")
+
+
+class TestChainsAsPieces:
+    """build_chains and companions, built as Clifford pieces of the
+    normalised forms in U's coordinates, against the ambient chains."""
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_STRATA))
+    @settings(max_examples=10, deadline=None)
+    @given(motion=st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+           lead=st.one_of(st.none(), st.integers(0, 2**31 - 1)))
+    def test_equal_to_reference(self, name, motion, lead):
+        U = CHAIN_STRATA[name]()
+        if motion is not None:
+            U = moved(U, motion)
+        x = U.vectors[0] if lead is None else random_unit_in(U, np.random.default_rng(lead))
+        angles = certify_isoclinic(U)
+        ref = build_chains_reference(U, x, angles)
+        # roundoff picks the convention at the threshold itself
+        assume(all(abs(abs(v) - (1 - EPS_PM1)) > 1e-12 for v in (ref.xi, ref.chi, ref.eta)))
+        got = build_chains(U, x, angles)
+        for field in CHAIN_FIELDS:
+            npt.assert_allclose(getattr(got, field), getattr(ref, field), rtol=0, atol=1e-12)
+        npt.assert_allclose([got.xi, got.chi, got.eta], [ref.xi, ref.chi, ref.eta],
+                            rtol=0, atol=1e-12)
+        assert (got.convention, got.non_canonical, got.forced, sorted(got.residuals)) == (
+            ref.convention, ref.non_canonical, ref.forced, sorted(ref.residuals))
+        comp, comp_ref = companions(U, x, angles), companions_reference(U, x, angles)
+        npt.assert_allclose([comp.X2, comp.Y2, comp.Z2], [comp_ref.X2, comp_ref.Y2, comp_ref.Z2],
+                            rtol=0, atol=1e-12)
+        assert comp.forced == comp_ref.forced
+
+    @pytest.mark.parametrize("gap", [-1e-10, -1e-9])
+    def test_orthonormal_next_to_threshold(self, gap):
+        # xi just off +/-1: the fourth elements divide by s_xi ~ 1.4e-4; the
+        # ambient reference's rows miss orthonormality by about 1e-7 there
+        for seed in range(3):
+            U = moved(near_pm1_profile(gap), seed)
+            ch = build_chains(U, U.vectors[0])
+            assert ch.convention == "generic"
+            for field in CHAIN_FIELDS:
+                C = getattr(ch, field)
+                npt.assert_allclose(C @ C.T, np.eye(4), rtol=0, atol=1e-10)
