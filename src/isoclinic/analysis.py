@@ -155,12 +155,12 @@ def _witness(band: np.ndarray) -> np.ndarray:
     return vectors[int(np.argmax(quotients >= (1.0 - 1e-12) * quotients.max()))]
 
 
-def _gate(U: Frame, tol: float, forms=None):
+def _gate(forms: np.ndarray, tol: float):
     """(angles, witness) of the isoclinicity test of (U, AU) for every unit
-    A = aI + bJ + cK: witness is (coefficients, deviation) of the worst
-    structure, or (None, max ||Q||_F) when no entry reaches the band; the
-    deviation bounds every pair defect, and angles is None when it fails.
-    `forms` are U's _forms when the caller already has them.
+    A = aI + bJ + cK, from U's _forms (3, k, k): witness is (coefficients,
+    deviation) of the worst structure, or (None, max ||Q||_F) when no entry
+    reaches the band; the deviation bounds every pair defect, and angles is
+    None when it fails.
 
     Entry (i, j) of the traceless part of omega_A omega_A^T is a^T Q_ij a
     for the symmetric 3 x 3 matrix Q_ij of the traceless, symmetrised
@@ -170,14 +170,12 @@ def _gate(U: Frame, tol: float, forms=None):
     top Frobenius band get eigenvalues, and none do when every ||Q||_F <
     tol. The verdict is the witness's own pair defect against tol.
     """
-    if U.dim % 2 == 1:
+    k = forms.shape[-1]
+    if k % 2 == 1:
         raise DimensionError(
             "odd-dimensional isoclinic subspaces are exactly the real Hermitian "
             "product subspaces and share a single orbit; even dimension required"
         )
-    if forms is None:
-        forms = _forms(U)
-    k = U.dim
     # the diagonal blocks as _pair_defects forms them: the angles keep their bits
     M = forms @ forms.swapaxes(1, 2)
     angles = tuple(_angle(c) for c in np.trace(M, axis1=1, axis2=2) / k)
@@ -206,7 +204,7 @@ def isoclinic_profile_angles(U: Frame, tol: float = EPS_ISO) -> tuple[float, flo
     the 3 x 3 quadratic forms that give the entries of omega_A omega_A^T.
     Odd dimension is rejected.
     """
-    return _gate(U, tol)[0]
+    return _gate(_forms(U), tol)[0]
 
 
 def certify_isoclinic(U: Frame, tol: float = EPS_ISO) -> tuple[float, float, float]:
@@ -218,7 +216,7 @@ def certify_isoclinic(U: Frame, tol: float = EPS_ISO) -> tuple[float, float, flo
 def _certified_forms(U: Frame, tol: float = EPS_ISO):
     """(certify_isoclinic(U, tol), U's _forms, the gate's defect bound)."""
     forms = _forms(U)
-    angles, (coeffs, dev) = _gate(U, tol, forms)
+    angles, (coeffs, dev) = _gate(forms, tol)
     if angles is None:
         coeffs = [float(c) for c in coeffs]
         raise NotIsoclinicError(
@@ -339,17 +337,25 @@ def _piece(E: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.vstack([u, -E[0] @ u, E[0] @ x4, x4])
 
 
-def _addend_rows(E: np.ndarray, Q: np.ndarray, u: np.ndarray, dim: int) -> np.ndarray:
-    """Coordinate rows of the dim-dim addend through u inside the span of the
-    orthonormal coordinate rows Q: the piece through u, grown with the piece
-    through the first row of the Householder complement of what is built.
-    Each piece is projected onto span Q, which it leaves only by the
-    input's isoclinicity defect, so addends come out mutually orthogonal."""
-    rows = _piece(E, u)[:dim] @ Q.T @ Q
-    while len(rows) < dim:
-        rest = _householder_complement(Q @ rows.T, len(Q) - len(rows))[0] @ Q
-        rows = np.vstack([rows, _piece(E, rest)[: dim - len(rows)] @ Q.T @ Q])
-    return rows
+def _adapted(E: np.ndarray, u, dim: int, cut: int, rng=None) -> np.ndarray:
+    """dim coordinate rows adapted to the module of the generators E, in
+    blocks of cut rows: pieces cut at the next multiple of cut, each
+    projected onto span Q, the complement of what is built, and then taken
+    out of Q by Householder completion; a piece leaves span Q only by the
+    input's isoclinicity defect, so blocks come out mutually orthogonal. The
+    first lead is u, each next one Q[0], or at a block start with rng a
+    Gaussian combination of Q's rows."""
+    Q, rows, n = np.eye(E.shape[-1]), [], 0
+    while True:
+        if u is None and rng is not None and n % cut == 0:
+            u = rng.standard_normal(len(Q)) @ Q
+            u /= np.linalg.norm(u)
+        rows.append(_piece(E, Q[0] if u is None else u)[: cut - n % cut] @ Q.T @ Q)
+        n += len(rows[-1])
+        if n >= dim:
+            return np.vstack(rows)
+        Q = _householder_complement(Q @ rows[-1].T, len(Q) - len(rows[-1])) @ Q
+        u = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,16 +382,14 @@ def companions(
     X2 = I^{-1} Pr_{IU} X1 / cos(theta_I) is -J_I u in U's coordinates u of
     X1 (Y2, Z2 likewise); a missing J_p is identified as in _normalised,
     forcing the matching invariants to 1, and with all three missing
-    (r.h.p.) X2 = Y2 = Z2 is the first Householder complement row of u.
+    (r.h.p.) X2 = Y2 = Z2 is the second row of the sweep from u (_adapted).
     """
     X1 = _check_member(U, X1, "leading vector")
     # the forms applied to u: (omega_p u)_a = <X_a, A_p X1>
     Ju, forced = _normalised(np.array([U.vectors @ apply_structure(A, X1) for A in (I, J, K)]),
                              angles, tol)
-    if Ju.any():
-        rows = -Ju
-    else:
-        rows = _householder_complement((U.vectors @ X1)[:, None], U.dim - 1)[[0, 0, 0]]
+    no_generators = np.zeros((0, U.dim, U.dim))
+    rows = -Ju if Ju.any() else _adapted(no_generators, U.vectors @ X1, 2, 2)[[1, 1, 1]]
     X2, Y2, Z2 = rows @ U.vectors
     return Companions(X2, Y2, Z2, float(X2 @ Y2), float(X2 @ Z2), float(Y2 @ Z2), forced)
 
@@ -469,8 +473,7 @@ def build_chains(
     orders = [(J[0], J[1], J[2]), (J[1], -J[0], sx * J[2]), (J[2], -se * J[0], sc * J[1])]
     if not any(snaps):
         orders += [(J[0], J[2], J[1]), (J[1], J[2], J[0]), (J[2], -J[1], J[0])]
-    x, y, z, *tilde = (_addend_rows(_generators(np.array(o)), np.eye(U.dim), u, 4) @ U.vectors
-                       for o in orders)
+    x, y, z, *tilde = (_adapted(_generators(np.array(o)), u, 4, 4) @ U.vectors for o in orders)
     xt, yt, zt = tilde or (x, y, z)
     res = {} if any(snaps) else {"X3-Y3": float(np.linalg.norm(x[2] - y[2])),
                                  "Xt3-Z3": float(np.linalg.norm(xt[2] - z[2])),

@@ -335,7 +335,7 @@ def make_profile_4(
     """4-dim isoclinic subspace with the full prescribed invariant set.
 
     Gamma is the closed-form function of (xi, chi, eta) and Delta =
-    delta_sign * sqrt(1 - Gamma^2), or (1, 0) with an invariant exactly
+    delta_sign * sqrt(1 - Gamma^2), or (1, 0) with xi or chi exactly
     +/-1. Infeasible parameter sets (non-PSD quaternionic Gram) raise
     InfeasibleParametersError.
     """
@@ -343,7 +343,7 @@ def make_profile_4(
     cI, cJ, cK = np.cos([theta_i, theta_j, theta_k])
     if abs(xi) > 1 or abs(chi) > 1 or abs(eta) > 1:
         raise InfeasibleParametersError("xi, chi, eta must lie in [-1, 1]")
-    if 1.0 in (abs(xi), abs(chi), abs(eta)):
+    if 1.0 in (abs(xi), abs(chi)):
         gamma, delta = 1.0, 0.0
     else:
         gamma = (eta - xi * chi) / np.sqrt((1 - xi**2) * (1 - chi**2))

@@ -7,7 +7,8 @@ The addend dimension follows dim mod 8: 2 (which forces invariants at +/-1),
 generators E_p, make U a Clifford module (Atiyah-Bott-Shapiro); a form is
 dropped where cos(theta_p) = 0 or an invariant is at +/-1. Every addend is a
 sum of cyclic submodules span{u, E_1 u, E_2 u, E_1 E_2 u} (the omega^I chain
-through u, cut to 1 or 2 vectors when r < 2), and so is its complement.
+through u, cut to 1 or 2 vectors when r < 2), and so is its complement: all
+addends are blocks of one sweep of such pieces (analysis._adapted).
 For r = 3, vol = E_1 E_2 E_3 is central with vol^2 = Id, and the profile
 of the forms (full_profile) has Sigma^2 = 1 - Gamma^2 - Delta^2 =
 (1 - Gamma^2)(1 - (tr vol / dim)^2): 0 on one module type (vol = +/-Id),
@@ -26,9 +27,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import analysis
 from .analysis import (
     IsoclinicProfile,
-    _addend_rows,
+    _adapted,
     _certified_forms,
     _check_member,
     _forms,
@@ -40,9 +42,9 @@ from .analysis import (
     cik_block_4,
     full_profile,
 )
-from .errors import DimensionError, FalsificationError, NotIsoclinicError
-from .subspaces import Frame, _householder_complement, orthonormalize, restrict_complement
-from .tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RECERT, EPS_UNION
+from .errors import DimensionError, FalsificationError, RankDeficiencyError
+from .subspaces import Frame, _mgs
+from .tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK, EPS_RECERT, EPS_UNION
 
 __all__ = [
     "TypedSubspace",
@@ -87,21 +89,25 @@ def associated_subspaces(
 
 
 def _clean_union(parts: list[np.ndarray], tol: float = EPS_UNION) -> Frame:
-    """Stack chain blocks into one frame, absorbing roundoff only.
+    """Stack chain blocks into one frame, absorbing roundoff only (_clean)."""
+    return Frame(_clean(np.vstack(parts), tol))
 
-    The blocks are orthonormal by theorem: a Gram defect within tol is
-    orthonormalized away, whatever its size, so the frame does not depend on
-    how close to orthonormal the rows came out; one beyond tol means the
-    construction's hypotheses failed.
-    """
-    V = np.vstack(parts)
+
+def _clean(V: np.ndarray, tol: float = EPS_UNION) -> np.ndarray:
+    """Rows V, orthonormal by theorem, orthonormalized: a Gram defect within
+    tol is absorbed, whatever its size, so the result does not depend on how
+    close to orthonormal the rows came out; one beyond tol means the
+    construction's hypotheses failed."""
     defect = np.max(np.abs(V @ V.T - np.eye(V.shape[0])))
     if not defect <= tol:
         raise FalsificationError(
             f"addend blocks are not orthogonal (defect {defect:.3e}); "
             "construction hypotheses violated"
         )
-    return orthonormalize(V)
+    Q, kept = _mgs(V, EPS_RANK)
+    if len(kept) != len(V):
+        raise RankDeficiencyError(detected_rank=len(kept), expected=len(V))
+    return Q
 
 
 def _require_mandates(profile: IsoclinicProfile, snaps=None) -> None:
@@ -148,12 +154,17 @@ def _require_one_type(E: np.ndarray) -> None:
         )
 
 
-def _recertified(addend: Frame, angles, what: str):
-    """The (angles, forms) of the addend's gate, once it finds the parent's."""
-    try:
-        got, forms, _ = _certified_forms(addend)
-    except NotIsoclinicError:
-        got = None
+def _submodules(U: Frame, forms: np.ndarray, E: np.ndarray, u, dim: int, cut: int, rng=None):
+    """(Frames B V, forms B omega B^T) of the blocks B of the rows
+    _adapted(E, u, dim, cut, rng) of U's coordinates, checked against
+    _union_tol(E) and orthonormalized once; omega are U's forms."""
+    blocks = np.split(_clean(_adapted(E, u, dim, cut, rng), _union_tol(E)), dim // cut)
+    return [Frame(B @ U.vectors) for B in blocks], [B @ forms @ B.T for B in blocks]
+
+
+def _recertified(forms: np.ndarray, angles, what: str):
+    """(angles, forms) of an addend's gate on its forms, once it finds the parent's."""
+    got = analysis._gate(forms, EPS_ISO)[0]  # via the module: a wrapped gate sees it
     if got is None or np.max(np.abs(np.array(got) - np.array(angles))) > EPS_RECERT:
         raise FalsificationError(
             f"{what} failed re-certification against the parent angles "
@@ -169,10 +180,10 @@ def eight_dim_addend(
 ) -> Frame:
     """8-dim isoclinic subspace through X1 with the parent's angles.
 
-    U must carry one Cl_{0,3}-module type. The addend is the submodule
-    through X1 built in U's coordinates (see decompose): the 4-dim piece
-    through X1 and the one through a vector of its complement, or as many
-    2-dim or 1-dim pieces when the forms generate only C or R.
+    U must carry one Cl_{0,3}-module type. The addend is the first block of
+    decompose's sweep, started from X1: the 4-dim piece through X1 and the
+    one through a vector of its complement, or as many 2-dim or 1-dim
+    pieces when the forms generate only C or R.
     """
     if U.dim < 8:
         raise DimensionError(f"eight_dim_addend needs dim >= 8, got {U.dim}")
@@ -183,9 +194,8 @@ def eight_dim_addend(
     E = _generators(forms)
     _require_one_type(E)
     u = U.vectors @ _check_member(U, X1, "leading vector")
-    rows = _addend_rows(E, np.eye(U.dim), u, 8)
-    addend = _clean_union([rows @ U.vectors], _union_tol(E))
-    _recertified(addend, angles, "constructed 8-dim addend")
+    (addend,), (block,) = _submodules(U, forms, E, u, 8, 8)
+    _recertified(block, angles, "constructed 8-dim addend")
     return addend
 
 
@@ -205,13 +215,6 @@ class Decomposition:
         return tuple(_profile(a, *g) for a, g in zip(self.addends, self.gated))
 
 
-def _lead(rows: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
-    if rng is None:
-        return rows[0]
-    v = rng.standard_normal(len(rows)) @ rows
-    return v / np.linalg.norm(v)
-
-
 def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     """Decompose U into addends of the theorem-mandated dimension.
 
@@ -221,29 +224,22 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     module types. `seed` randomizes the leading vectors.
 
     Everything happens in U's coordinates, where the gate's three Kaehler
-    forms, orthonormalized to generators E, make U a Clifford module: each
-    addend is a sum of cyclic submodules span{u, E_1 u, E_2 u, E_1 E_2 u}
-    (cut to span{u, E_1 u} or span{u} when fewer generators survive), and
-    its complement in U is again a submodule. The addends become Frames at
-    the end, each gated once against the parent's angles; addend_profiles
-    reads that gate's forms.
+    forms, orthonormalized to generators E, make U a Clifford module. One
+    sweep (analysis._adapted) grows cyclic submodules span{u, E_1 u, E_2 u,
+    E_1 E_2 u} (or span{u, E_1 u}, span{u} with fewer generators), each in
+    the complement of the last, and cuts them into addends. Its rows are
+    checked and orthonormalized once; an addend is a Frame B V, gated once
+    on its block B omega B^T of U's forms against the parent's angles, and
+    addend_profiles reads that gate's forms.
     """
     measured = _measured(U)
     rng = np.random.default_rng(seed) if seed is not None else None
     klass = measured.profile.dim_class
     E = _generators(measured.forms)
-    tol = _union_tol(E)
-
-    addends, gated = [], []
-    Q = np.eye(U.dim)
-    while True:
-        rows = _addend_rows(E, Q, _lead(Q, rng), klass)
-        what = "constructed 8-dim addend" if klass == 8 else f"addend {len(addends)}"
-        addends.append(_clean_union([rows @ U.vectors], tol))
-        gated.append(_recertified(addends[-1], measured.angles, what))
-        if len(Q) == len(rows):
-            return Decomposition(tuple(addends), klass, measured.profile, tuple(gated))
-        Q = _householder_complement(Q @ rows.T, len(Q) - len(rows)) @ Q
+    addends, forms = _submodules(U, measured.forms, E, None, U.dim, klass, rng)
+    gated = tuple(_recertified(f, measured.angles, "constructed 8-dim addend" if klass == 8
+                               else f"addend {i}") for i, f in enumerate(forms))
+    return Decomposition(tuple(addends), klass, measured.profile, gated)
 
 
 def split_addend_4(addend: Frame, seed: int | None = None) -> tuple[Frame, Frame] | None:
@@ -257,11 +253,8 @@ def split_addend_4(addend: Frame, seed: int | None = None) -> tuple[Frame, Frame
     if abs(profile.gamma**2 + profile.delta**2 - 1.0) > EPS_ORBIT:
         return None
     rng = np.random.default_rng(seed) if seed is not None else None
-    Q = np.eye(8)
     E = _generators(forms)
-    first = _clean_union([_addend_rows(E, Q, _lead(Q, rng), 4) @ addend.vectors], _union_tol(E))
-    second = restrict_complement(addend, first, expect=4)
-    return first, second
+    return tuple(_submodules(addend, forms, E, None, 8, 4, rng)[0])
 
 
 # ---------------------------------------------------------------------------

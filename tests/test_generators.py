@@ -232,11 +232,25 @@ class TestMakeProfile4:
         with pytest.raises(InfeasibleParametersError):
             make_profile_4(0.5, 0.9, 1.1, 0.2, -0.3, 1.5)
 
-    def test_self_check_failure_is_package_error(self):
-        # eta exactly -1 with chi = -xi needs Gamma = -1, but an invariant
-        # exactly at +/-1 builds the convention's (1, 0): the measured eta misses
-        with pytest.raises(FalsificationError, match=r"mismatch \d\.\d{3}e[+-]\d+"):
-            make_profile_4(1.2, 1.3, 1.4, 0.3, -0.3, -1.0)
+    def test_self_check_failure_is_package_error(self, monkeypatch):
+        # a built subspace whose measured eta misses the request by 1e-3
+        real = generators._part_invariants
+        monkeypatch.setattr(generators, "_part_invariants",
+                            lambda U: real(U) + np.eye(8)[5] * 1e-3)
+        with pytest.raises(FalsificationError, match=r"mismatch 1\.000e-03"):
+            make_profile_4(1.2, 1.3, 1.4, 0.3, -0.3, 0.2)
+
+    @pytest.mark.parametrize("delta_sign", [+1, -1])
+    @pytest.mark.parametrize("xi,chi,eta", [(0.1697, -0.1697, -1.0), (0.3, -0.3, -1.0),
+                                            (0.1697, 0.1697, 1.0), (-0.6, -0.6, 1.0),
+                                            (0.0, 0.0, -1.0)])
+    def test_eta_exactly_pm1(self, xi, chi, eta, delta_sign):
+        # eta = +/-1 with |xi|, |chi| < 1 needs chi = eta xi and Gamma = eta;
+        # the profile then counts eta as its sign, with (Gamma, Delta) = (1, 0)
+        prof = full_profile(make_profile_4(1.2042, 1.3262, 1.1837, xi, chi, eta,
+                                           delta_sign=delta_sign))
+        npt.assert_allclose([prof.xi, prof.chi, prof.eta], [xi, chi, eta], rtol=0, atol=1e-12)
+        assert (prof.gamma, prof.delta) == (1.0, 0.0)
 
     def test_quaternionic_line_reproduced(self):
         U = make_profile_4(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, delta_sign=-1, n=2)

@@ -246,9 +246,9 @@ class TestCli:
         gated = []
         real = analysis._gate
 
-        def counting(U, *args):
-            gated.append(U.dim)
-            return real(U, *args)
+        def counting(forms, *args):
+            gated.append(forms.shape[-1])
+            return real(forms, *args)
 
         monkeypatch.setattr(analysis, "_gate", counting)
         code, out, _ = run_cli(capsys, "decompose", str(path), "--seed", "1")

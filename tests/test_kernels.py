@@ -94,6 +94,7 @@ from isoclinic.orbits import (
     _clean_union,
     _rounded_sign,
     decompose,
+    eight_dim_addend,
     orbit_label,
     same_orbit,
 )
@@ -556,7 +557,7 @@ def assert_gate_matches_reference(U):
     """Same verdict as the eigh reference; a witness attains the sup and its
     deviation is its own pair defect; certified angles are bitwise those of
     trace(omega_p omega_p^T) / k."""
-    angles, witness = _gate(U, EPS_ISO)
+    angles, witness = _gate(_forms(U), EPS_ISO)
     angles_ref, witness_ref = gate_reference(U)
     assert (angles is None) == (angles_ref is None)
     if angles is None:
@@ -590,7 +591,7 @@ class TestGate:
         assert_gate_matches_reference(GATE_INPUTS[name]())
 
     def test_expected_verdicts(self):
-        verdicts = {name: _gate(make(), EPS_ISO)[0] is not None
+        verdicts = {name: _gate(_forms(make()), EPS_ISO)[0] is not None
                     for name, make in GATE_INPUTS.items()}
         assert {name for name, ok in verdicts.items() if ok} == {
             "graph-4", "graph-8", "graph-16"}
@@ -610,9 +611,9 @@ class TestGate:
     def test_verdict_flips_at_the_sup(self, name):
         U = GATE_INPUTS[name]()
         sup = sup_defect_reference(U)[0]
-        angles, (_, deviation) = _gate(U, sup * (1 - 1e-9))
+        angles, (_, deviation) = _gate(_forms(U), sup * (1 - 1e-9))
         assert angles is None and deviation == pytest.approx(sup, rel=0, abs=TOL)
-        assert _gate(U, sup * (1 + 1e-9))[0] is not None
+        assert _gate(_forms(U), sup * (1 + 1e-9))[0] is not None
 
     def test_extreme_vector_repeated_eigenvalues(self, rng):
         # the closed-form eigenvalue keeps about half the digits at a repeated
@@ -652,7 +653,7 @@ class TestGate:
         for name in np.linalg.__all__:
             if callable(getattr(np.linalg, name)) and name[0].islower():
                 monkeypatch.setattr(np.linalg, name, refuse)
-        verdicts = [_gate(U, EPS_ISO)[0] is not None for U in inputs]
+        verdicts = [_gate(_forms(U), EPS_ISO)[0] is not None for U in inputs]
         assert True in verdicts and False in verdicts
 
     @pytest.mark.parametrize("parts", [1, 2, 4])
@@ -871,20 +872,20 @@ class TestOrbitDecision:
         gated = []
         real = analysis._gate
 
-        def counting(V, *args):
-            gated.append(id(V))
-            return real(V, *args)
+        def counting(forms, *args):
+            gated.append(forms.shape[-1])
+            return real(forms, *args)
 
         monkeypatch.setattr(analysis, "_gate", counting)
         orbit_label(U)
         orbit_label(W)
-        assert gated == [id(U), id(W)]
+        assert gated == [U.dim, W.dim]
         gated.clear()
         assert same_orbit(U, W)
-        assert gated == [id(U), id(W)]
+        assert gated == [U.dim, W.dim]
         gated.clear()
         full_profile(U)
-        assert gated == [id(U)]
+        assert gated == [U.dim]
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     @pytest.mark.parametrize("u,w", ORBIT_PAIRS)
@@ -923,9 +924,9 @@ class TestOrbitDecision:
         gated = []
         real = analysis._gate
 
-        def counting(V, *args):
-            gated.append(V.dim)
-            return real(V, *args)
+        def counting(forms, *args):
+            gated.append(forms.shape[-1])
+            return real(forms, *args)
 
         monkeypatch.setattr(analysis, "_gate", counting)
         code = cli.main(["compare", *paths, *json_flag])
@@ -1019,6 +1020,36 @@ class TestDecomposeInCoordinates:
         assert [a.dim for a in got] == [a.dim for a in ref]
         assert max(projector_distance(a, b) for a, b in zip(got, ref)) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [None, 1])
+    @pytest.mark.parametrize("name", ["graph-12", "graph-16", "planes-10", "rhp-12"])
+    def test_forms_built_once(self, monkeypatch, name, seed):
+        # the addends' forms are blocks of the input's
+        U = DECOMPOSE_INPUTS[name]()
+        built = []
+        real = analysis._forms
+
+        def counting(V):
+            built.append(V.dim)
+            return real(V)
+
+        monkeypatch.setattr(analysis, "_forms", counting)
+        dec = decompose(U, seed=seed)
+        assert len(dec.addends) > 1 and built == [U.dim]
+
+    @pytest.mark.parametrize("name", sorted(n for n in DECOMPOSE_INPUTS
+                                            if n.endswith(("-8", "-16"))))
+    def test_eight_dim_addend_is_the_first_addend(self, name):
+        # both are the first block of one sweep from the first frame vector
+        U = DECOMPOSE_INPUTS[name]()
+        try:
+            first = decompose(U).addends[0]
+        except FalsificationError as exc:
+            assert name == "perturbed-8" and "re-certification" in str(exc)
+            with pytest.raises(FalsificationError, match="re-certification"):
+                eight_dim_addend(U, U.vectors[0])
+            return
+        assert projector_distance(eight_dim_addend(U, U.vectors[0]), first) <= 1e-12
+
     @pytest.mark.parametrize("name", sorted(DECOMPOSE_INPUTS))
     def test_generators_per_stratum(self, name):
         E = orbits._generators(_forms(DECOMPOSE_INPUTS[name]()))
@@ -1084,8 +1115,8 @@ def chi_eta_pm1():
 
 # every chain convention and forced companion: generic (graph, profile,
 # quaternionic line, i-complex at 0.7), exactly one invariant at +/-1 with
-# either sign (make_profile_4 sets Gamma = 1 for an eta given as exactly
-# -1, so eta = -1 is requested 1e-13 inside), and two or three at +/-1
+# either sign (eta = -1 requested 1e-13 inside, within EPS_PM1 of it; the
+# exact -1 is test_generators' case), and two or three at +/-1
 # (i-complex at pi/2, totally complex, r.h.p., 2-plane sums, cos theta_I = 0)
 CHAIN_STRATA = {
     "graph-4": lambda: graph_sum(1),

@@ -245,9 +245,9 @@ class TestDecompose:
         gated = []
         real = analysis._gate
 
-        def counting(V, *args):
-            gated.append(V.dim)
-            return real(V, *args)
+        def counting(forms, *args):
+            gated.append(forms.shape[-1])
+            return real(forms, *args)
 
         monkeypatch.setattr(analysis, "_gate", counting)
         decompose(U, seed=0)
