@@ -6,6 +6,8 @@ infeasible parameters, falsified mandate), 1 on I/O or document errors.
 '-' reads the document from standard input. Identical invocations with
 identical seeds produce byte-identical output. The only environment
 variable consulted is ISOCLINIC_SEED, a fallback for omitted --seed.
+A --seed below 0 or --trials below 1 is a usage error (exit 2), a bad
+ISOCLINIC_SEED a document error (exit 1).
 """
 
 from __future__ import annotations
@@ -46,11 +48,26 @@ from .subspaces import Frame
 DEFAULT_TOL = 1e-8
 
 
+def _at_least(minimum: int):
+    """argparse type of an integer >= minimum; anything else is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= minimum:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+    return parse
+
+
 def _resolve_seed(given: int | None) -> int | None:
-    if given is not None:
-        return given
     raw = os.environ.get("ISOCLINIC_SEED")
-    return int(raw) if raw else None
+    if given is not None or not raw:
+        return given
+    try:
+        return _at_least(0)(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise DocumentError(f"ISOCLINIC_SEED: {exc}") from None
 
 
 def _read_text(path: str) -> str:
@@ -312,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="orthogonal decomposition into isoclinic addends")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("generate", help="emit an example-family subspace document")
@@ -331,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=float)
     p.add_argument("--mu", type=float, nargs=4, metavar=("RE", "I", "J", "K"))
     p.add_argument("--part", action="append", help="JSON spec of a summand (repeatable)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("verify", help="randomized invariance oracle report")
     p.add_argument("file")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=_at_least(1), required=True)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

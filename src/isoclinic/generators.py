@@ -27,9 +27,12 @@ from .analysis import (
 from .errors import (DimensionError, FalsificationError, InfeasibleParametersError,
                      NotIsoclinicError)
 from .quaternions import (
+    _CONJ,
     I,
     J,
     K,
+    _hamilton,
+    _signed_table,
     apply_structure,
     left_mult_matrix,
     qarr_conj,
@@ -103,14 +106,16 @@ def random_sp(n: int, seed: int) -> SpElement:
     if n < 1:
         raise DimensionError("n must be a positive integer")
     rng = np.random.default_rng(seed)
-    M = rng.standard_normal((n, n, 4))
+    # M[p, c, q]: component c of entry (p, q), the kernel's layout
+    M = rng.standard_normal((n, n, 4)).transpose(0, 2, 1).copy()
     # right-looking Gram-Schmidt on columns: each final column is projected out
     # of all later ones at once; scalar coefficients multiply on the right
     for r in range(n):
-        M[:, r] /= np.sqrt(np.sum(M[:, r] ** 2))
-        coef = qarr_mul(qarr_conj(M[:, r, None]), M[:, r + 1 :]).sum(axis=0)
-        M[:, r + 1 :] -= qarr_mul(M[:, r, None], coef)
-    el = SpElement(M)
+        M[:, :, r] /= np.sqrt((M[:, :, r] ** 2).sum())
+        T = _signed_table(M[:, :, r, None])
+        coef = _hamilton(T * _CONJ[:, None, None, None], M[:, :, r + 1 :]).sum(axis=0)
+        M[:, :, r + 1 :] -= _hamilton(T, coef)
+    el = SpElement(np.ascontiguousarray(M.transpose(0, 2, 1)))
     R = el.real_matrix()
     defect = float(np.max(np.abs(R.T @ R - np.eye(4 * n))))
     if not defect <= EPS_ORTH * 100:

@@ -235,8 +235,7 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     measured = _measured(U)
     rng = np.random.default_rng(seed) if seed is not None else None
     klass = measured.profile.dim_class
-    E = _generators(measured.forms)
-    addends, forms = _submodules(U, measured.forms, E, None, U.dim, klass, rng)
+    addends, forms = _submodules(U, measured.forms, measured.generators, None, U.dim, klass, rng)
     gated = tuple(_recertified(f, measured.angles, "constructed 8-dim addend" if klass == 8
                                else f"addend {i}") for i, f in enumerate(forms))
     return Decomposition(tuple(addends), klass, measured.profile, gated)
@@ -349,6 +348,11 @@ class _Measured:
     bound: float
     near: dict
 
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """The forms' generators E, built on first use."""
+        return analysis._generators(self.forms)  # via the module: a wrapped one sees it
+
     def label(self, choice=None) -> OrbitLabel:
         """The label with each near invariant counted as +/-1 or not as
         `choice` (index -> bool) says, and every other by its measured side."""
@@ -381,11 +385,12 @@ def _measured(U: Frame, tol: float = EPS_ISO) -> _Measured:
     angles, forms, defect = _certified_forms(U, tol)
     profile = _profile(U, angles, forms)
     _require_mandates(profile)
-    if profile.dim_class != 2:
-        _require_one_type(_generators(forms))
     bound = 1e-14 + 10.0 * defect  # how far roundoff and the defect move xi, chi, eta
     gaps = enumerate(abs(abs(v) - (1.0 - EPS_PM1)) for v in (profile.xi, profile.chi, profile.eta))
-    return _Measured(U, angles, forms, profile, bound, {i: g for i, g in gaps if g <= bound})
+    measured = _Measured(U, angles, forms, profile, bound, {i: g for i, g in gaps if g <= bound})
+    if profile.dim_class != 2:
+        _require_one_type(measured.generators)
+    return measured
 
 
 def same_orbit(U: Frame, W: Frame, tol: float = EPS_ORBIT) -> bool:

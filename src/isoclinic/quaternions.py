@@ -30,7 +30,6 @@ __all__ = [
     "J",
     "K",
     "ambient_dim",
-    "quaternionic_dim",
     "apply_structure",
     "structure_matrix",
     "hermitian_product",
@@ -67,30 +66,12 @@ class Quaternion:
     def norm(self) -> float:
         return float(np.sqrt(self.re**2 + self.im_i**2 + self.im_j**2 + self.im_k**2))
 
-    def imag(self) -> "Quaternion":
-        return Quaternion(0.0, self.im_i, self.im_j, self.im_k)
-
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.re + other.re, self.im_i + other.im_i,
                           self.im_j + other.im_j, self.im_k + other.im_k)
 
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.re - other.re, self.im_i - other.im_i,
-                          self.im_j - other.im_j, self.im_k - other.im_k)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.re, -self.im_i, -self.im_j, -self.im_k)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return qmul(self, other)
-        return Quaternion(self.re * other, self.im_i * other,
-                          self.im_j * other, self.im_k * other)
-
-    def __rmul__(self, other):
-        # scalar * quaternion; quaternion * quaternion goes through __mul__
-        return Quaternion(self.re * other, self.im_i * other,
-                          self.im_j * other, self.im_k * other)
+    def __mul__(self, other: "Quaternion") -> "Quaternion":
+        return qmul(self, other)
 
     def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(self.as_array() - other.as_array()) <= tol))
@@ -98,38 +79,51 @@ class Quaternion:
 
 def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product, i^2 = j^2 = k^2 = -1 and i j = -j i = k."""
-    return Quaternion(
-        p.re * q.re - p.im_i * q.im_i - p.im_j * q.im_j - p.im_k * q.im_k,
-        p.re * q.im_i + p.im_i * q.re + p.im_j * q.im_k - p.im_k * q.im_j,
-        p.re * q.im_j - p.im_i * q.im_k + p.im_j * q.re + p.im_k * q.im_i,
-        p.re * q.im_k + p.im_i * q.im_j - p.im_j * q.im_i + p.im_k * q.re,
-    )
+    return Quaternion.from_array(qarr_mul(p.as_array(), q.as_array()))
 
 
 # --- array quaternion helpers (last axis of length 4 holds 1,i,j,k parts) ---
 
+# The Hamilton product as a table: term t of component k of a b is
+# _SIGN[t, k] * a[t] * b[_TERM_B[t, k]].
+_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
+                  [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+_TERM_B = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])  # t ^ k
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _signed_table(a: np.ndarray) -> np.ndarray:
+    """T[..., t, k1, k0, :] = _SIGN[t, k] * a[..., t, :], k = 2 k1 + k0, for a
+    with its components on axis -2."""
+    return a[..., :, None, None, :] * _SIGN.reshape(4, 2, 2, 1)
+
+
+def _hamilton(T: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b from a's signed table T, components on axis -2 of b and of the result.
+
+    With b's axis -2 split as (k1, k0), b[_TERM_B[t]] is b reversed on the
+    axes of t's set bits, a view, and four broadcast multiply-adds run along
+    the last axis. Adding the terms in t order with += rounds as the
+    written-out a0 b0 - a1 b1 - a2 b2 - a3 b3 does. The result is
+    C-contiguous, so a sum over a leading axis adds its rows in turn (on
+    other layouts numpy may sum pairwise).
+    """
+    b = b.reshape(b.shape[:-2] + (2, 2, b.shape[-1]))
+    out = np.multiply(T[..., 0, :, :, :], b, order="C")
+    for t in (1, 2, 3):
+        out += T[..., t, :, :, :] * b[..., :: 1 - 2 * (t >> 1), :: 1 - 2 * (t & 1), :]
+    return out.reshape(out.shape[:-3] + (4, out.shape[-1]))
+
+
 def qarr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of (...,4) quaternion arrays, broadcasting."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        ],
-        axis=-1,
-    )
+    """Hamilton product of (...,4) quaternion arrays, broadcasting; C-contiguous."""
+    return _hamilton(_signed_table(np.asarray(a, dtype=float)[..., None]),
+                     np.asarray(b, dtype=float)[..., None])[..., 0]
 
 
 def qarr_conj(a: np.ndarray) -> np.ndarray:
     """Conjugate of a (...,4) quaternion array."""
-    out = np.array(a, dtype=float, copy=True)
-    out[..., 1:] *= -1.0
-    return out
+    return np.asarray(a, dtype=float) * _CONJ
 
 
 def ambient_dim(x: np.ndarray) -> int:
@@ -137,10 +131,6 @@ def ambient_dim(x: np.ndarray) -> int:
     if d % 4 != 0 or d == 0:
         raise DimensionError(f"ambient dimension {d} is not a positive multiple of 4")
     return d
-
-
-def quaternionic_dim(x: np.ndarray) -> int:
-    return ambient_dim(x) // 4
 
 
 def real_from_quaternion_vectors(cols: np.ndarray) -> np.ndarray:
@@ -278,25 +268,18 @@ def rotate_basis(basis) -> tuple[CompatibleStructure, CompatibleStructure, Compa
 
 
 def left_mult_matrix(m: np.ndarray) -> np.ndarray:
-    """Real 4x4 matrix of q -> m*q (left multiplication) on one block."""
-    m0, m1, m2, m3 = (float(v) for v in np.asarray(m, dtype=float))
-    return np.array(
-        [
-            [m0, -m1, -m2, -m3],
-            [m1, m0, -m3, m2],
-            [m2, m3, m0, -m1],
-            [m3, -m2, m1, m0],
-        ]
-    )
+    """Real 4x4 matrix of q -> m*q (left multiplication) on one block: entry
+    (k, t ^ k) is _SIGN[t, k] * m[t]."""
+    L = np.empty((4, 4))
+    L[np.arange(4), _TERM_B] = _SIGN * np.asarray(m, dtype=float)[:, None]
+    return L
 
 
 def right_multiply(x: np.ndarray, q) -> np.ndarray:
     """Right scalar multiplication X q, blockwise on quaternionic coordinates."""
     if isinstance(q, Quaternion):
         q = q.as_array()
-    q = np.asarray(q, dtype=float)
-    b = _blocks(x)
-    return _unblocks(qarr_mul(b, q))
+    return _unblocks(qarr_mul(_blocks(x), q))
 
 
 def quaternion_from_rotation(C: np.ndarray) -> np.ndarray:
@@ -310,25 +293,14 @@ def quaternion_from_rotation(C: np.ndarray) -> np.ndarray:
     cand = np.array([1.0 + t, 1.0 + 2 * C[0, 0] - t, 1.0 + 2 * C[1, 1] - t,
                      1.0 + 2 * C[2, 2] - t])
     k = int(np.argmax(cand))
-    q = np.empty(4)
+    # entry (i, j), i != j, is 4 q_i q_j
+    P = np.array([[0.0, C[2, 1] - C[1, 2], C[0, 2] - C[2, 0], C[1, 0] - C[0, 1]],
+                  [C[2, 1] - C[1, 2], 0.0, C[0, 1] + C[1, 0], C[0, 2] + C[2, 0]],
+                  [C[0, 2] - C[2, 0], C[0, 1] + C[1, 0], 0.0, C[1, 2] + C[2, 1]],
+                  [C[1, 0] - C[0, 1], C[0, 2] + C[2, 0], C[1, 2] + C[2, 1], 0.0]])
     s = np.sqrt(cand[k]) / 2.0
+    q = P[k] / (4 * s)
     q[k] = s
-    if k == 0:
-        q[1] = (C[2, 1] - C[1, 2]) / (4 * s)
-        q[2] = (C[0, 2] - C[2, 0]) / (4 * s)
-        q[3] = (C[1, 0] - C[0, 1]) / (4 * s)
-    elif k == 1:
-        q[0] = (C[2, 1] - C[1, 2]) / (4 * s)
-        q[2] = (C[0, 1] + C[1, 0]) / (4 * s)
-        q[3] = (C[0, 2] + C[2, 0]) / (4 * s)
-    elif k == 2:
-        q[0] = (C[0, 2] - C[2, 0]) / (4 * s)
-        q[1] = (C[0, 1] + C[1, 0]) / (4 * s)
-        q[3] = (C[1, 2] + C[2, 1]) / (4 * s)
-    else:
-        q[0] = (C[1, 0] - C[0, 1]) / (4 * s)
-        q[1] = (C[0, 2] + C[2, 0]) / (4 * s)
-        q[2] = (C[1, 2] + C[2, 1]) / (4 * s)
     return q / np.linalg.norm(q)
 
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import isoclinic
 from isoclinic import analysis
 from isoclinic.cli import main
 from isoclinic.errors import DocumentError
@@ -84,9 +89,18 @@ class TestDocuments:
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def graph_document(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(serialize_document(document_from_frame(graph_subspace(0.5))))
+    return path
 
 
 def perturbed_graph_document(tmp_path):
@@ -282,6 +296,46 @@ class TestCli:
             capsys, "verify", str(path), "--trials", "3", "--seed", "1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "DOC", "--trials", "2", "--seed=-1"),
+        ("decompose", "DOC", "--seed=-3"),
+        ("generate", "graph", "--seed=-1"),
+        ("verify", "DOC", "--trials", "-1", "--seed", "1"),
+        ("verify", "DOC", "--trials", "0", "--seed", "1"),
+        ("verify", "DOC", "--trials", "2", "--seed", "1.5"),
+        ("verify", "DOC", "--trials", "two", "--seed", "1"),
+    ])
+    def test_bad_seed_or_trials_is_usage_error(self, capsys, tmp_path, argv):
+        path = graph_document(tmp_path)
+        code, out, err = run_cli(capsys, *(str(path) if a == "DOC" else a for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("usage: isoclinic") and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_seed_variable_is_document_error(self, capsys, tmp_path, monkeypatch, value):
+        path = graph_document(tmp_path)
+        monkeypatch.setenv("ISOCLINIC_SEED", value)
+        for argv in (("verify", str(path), "--trials", "2"), ("decompose", str(path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err == f"error: ISOCLINIC_SEED: expected an integer >= 0, got {value!r}\n"
+
+    def test_bad_seed_variable_reaches_the_shell_without_traceback(self, tmp_path):
+        path = graph_document(tmp_path)
+        env = {**os.environ, "ISOCLINIC_SEED": "abc",
+               "PYTHONPATH": str(Path(isoclinic.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "isoclinic.cli", "verify", str(path),
+                               "--trials", "2"], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 1 and done.stdout == ""
+        assert "ISOCLINIC_SEED" in done.stderr and "Traceback" not in done.stderr
+
+    def test_seed_variable_stands_in_for_seed(self, capsys, tmp_path, monkeypatch):
+        path = graph_document(tmp_path)
+        code, want, _ = run_cli(capsys, "verify", str(path), "--trials", "2", "--seed", "4")
+        monkeypatch.setenv("ISOCLINIC_SEED", "4")
+        assert run_cli(capsys, "verify", str(path), "--trials", "2") == (code, want, "")
 
     def test_infeasible_generate_rejected(self, capsys):
         code, _, err = run_cli(

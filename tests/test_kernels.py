@@ -4,8 +4,9 @@ replace.
 Each reference below is the plain formulation: Gram-Schmidt one kept row
 at a time, the structure action as stacked signed slices, companions
 through the projector onto AU, the oracle's sampled structures through a
-fresh image AU per structure, Sp(n) sampling as left-looking
-Gram-Schmidt one column pair at a time, the profile, orbit label and
+fresh image AU per structure, the Hamilton product written out one
+component at a time, Sp(n) sampling as left-looking Gram-Schmidt one
+column pair at a time on that product, the profile, orbit label and
 decision measured on 4n-dim chains (the label at two leading vectors),
 decompose on 4n-dim chains, and the chains themselves through projected
 companions with one branch per +/-1 convention (conftest). The gate's
@@ -24,6 +25,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from isoclinic import analysis, cli, generators, orbits
 from isoclinic.analysis import (
@@ -188,13 +190,34 @@ def gate_reference(U, tol=EPS_ISO):
     return tuple(float(np.arccos(np.sqrt(np.clip(c, 0.0, 1.0)))) for c in cos2), None
 
 
+def qarr_mul_reference(a, b):
+    """The Hamilton product written out, one component at a time."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+        ],
+        axis=-1,
+    )
+
+
+def qarr_conj_reference(a):
+    return np.asarray(a, dtype=float) * [1.0, -1.0, -1.0, -1.0]
+
+
 def random_sp_reference(n, seed):
     """Column q is orthogonalized against the final columns r < q in turn."""
     M = np.random.default_rng(seed).standard_normal((n, n, 4))
     for q in range(n):
         for r in range(q):
-            coef = qarr_mul(qarr_conj(M[:, r]), M[:, q]).sum(axis=0)
-            M[:, q] -= qarr_mul(M[:, r], coef)
+            coef = qarr_mul_reference(qarr_conj_reference(M[:, r]), M[:, q]).sum(axis=0)
+            M[:, q] -= qarr_mul_reference(M[:, r], coef)
         M[:, q] /= np.sqrt(np.sum(M[:, q] ** 2))
     return M
 
@@ -688,6 +711,43 @@ class TestRealMatrix:
         npt.assert_array_equal(g.apply_frame(U).vectors, U.vectors @ R.T)
 
 
+def _quaternion_arrays(shapes):
+    """(a, b) of the given shapes, each optionally a column slice, a
+    reversed-stride view or a Fortran-ordered copy."""
+    def array(shape, view):
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        return hnp.arrays(float, shape[:-1] + (2 * shape[-1] if view == "slice" else 4,),
+                          elements=values).map(VIEWS[view])
+    return st.tuples(*(st.sampled_from(sorted(VIEWS)).flatmap(lambda v, s=s: array(s, v))
+                       for s in shapes))
+
+
+VIEWS = {
+    "contiguous": lambda x: x,
+    "slice": lambda x: x[..., 1::2],  # components 1, 3, 5, 7 of eight: strided
+    "reversed": lambda x: np.flip(np.flip(x).copy()),  # x's values, every stride negative
+    "fortran": np.asfortranarray,
+}
+
+
+class TestQarrMul:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), m=st.integers(1, 5),
+           form=st.sampled_from(["n1 x m", "nm x nm", "scalar x n"]))
+    def test_bitwise_equal_to_written_out_product(self, data, n, m, form):
+        shapes = {"n1 x m": [(n, 1, 4), (m, 4)], "nm x nm": [(n, m, 4), (n, m, 4)],
+                  "scalar x n": [(4,), (n, 4)]}[form]
+        a, b = data.draw(_quaternion_arrays(shapes))
+        for x, y in ((a, b), (b, a)):
+            got = qarr_mul(x, y)
+            npt.assert_array_equal(got, qarr_mul_reference(x, y))
+            assert got.flags.c_contiguous
+
+    def test_conjugate_is_the_sign_row(self):
+        a = np.random.default_rng(0).standard_normal((3, 4))
+        npt.assert_array_equal(qarr_conj(a), qarr_conj_reference(a))
+
+
 class TestRandomSp:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 64])
     def test_bitwise_equal_to_left_looking_loop(self, n):
@@ -1035,6 +1095,21 @@ class TestDecomposeInCoordinates:
         monkeypatch.setattr(analysis, "_forms", counting)
         dec = decompose(U, seed=seed)
         assert len(dec.addends) > 1 and built == [U.dim]
+
+    @pytest.mark.parametrize("name", ["graph-12", "graph-16", "planes-10", "rhp-12"])
+    def test_generators_built_once(self, monkeypatch, name):
+        # the one-type check and the sweep read the same generators
+        U = DECOMPOSE_INPUTS[name]()
+        built = []
+        real = analysis._generators
+
+        def counting(forms):
+            built.append(forms.shape[-1])
+            return real(forms)
+
+        monkeypatch.setattr(analysis, "_generators", counting)
+        decompose(U)
+        assert built == [U.dim]
 
     @pytest.mark.parametrize("name", sorted(n for n in DECOMPOSE_INPUTS
                                             if n.endswith(("-8", "-16"))))
