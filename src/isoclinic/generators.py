@@ -27,19 +27,15 @@ from .analysis import (
 from .errors import (DimensionError, FalsificationError, InfeasibleParametersError,
                      NotIsoclinicError)
 from .quaternions import (
-    _CONJ,
     I,
     J,
     K,
-    _hamilton,
-    _signed_table,
     apply_structure,
-    left_mult_matrix,
     qarr_conj,
     qarr_mul,
     real_from_quaternion_vectors,
 )
-from .subspaces import Frame, orthonormalize
+from .subspaces import Frame, orthonormalize, _seeded_rng
 from .tolerances import (EPS_ANGLE, EPS_BUILD, EPS_FACTOR, EPS_FEASIBLE, EPS_ISO, EPS_ORTH,
                          EPS_PIVOT, EPS_REMAINDER)
 
@@ -64,8 +60,11 @@ __all__ = [
 # Sp(n)
 
 
-# left_mult_matrix(m) = sum_c m[c] * _LEFT_BASIS[c], flattened to (4, 16)
-_LEFT_BASIS = np.array([left_mult_matrix(e).ravel() for e in np.eye(4)])
+# left_mult_matrix(m) = sum_c m[c] * _LEFT_BASIS[c], flattened to (4, 16); literal as _B_I
+_LEFT_BASIS = np.array([[1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
+                        [0, -1, 0, 0, 1, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1, 0],
+                        [0, 0, -1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, -1, 0, 0],
+                        [0, 0, 0, -1, 0, 0, -1, 0, 0, 1, 0, 0, 1, 0, 0, 0]], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,20 +101,20 @@ class SpElement:
 
 
 def random_sp(n: int, seed: int) -> SpElement:
-    """Orthogonalization of an entrywise-Gaussian quaternionic matrix."""
+    """Quaternionic Gram-Schmidt of the columns of a Gaussian Z = A + B j,
+    as one QR of the complex matrix C with columns (A_q; conj B_q) for Z_q
+    and (-B_q; conj A_q) for Z_q j in turn: C's first 2q columns span over
+    C what Z_0..Z_{q-1} span over H. Q's even columns, turned to a positive
+    real diagonal of R, read back as entries a + conj(b) j of (a; b)."""
     if n < 1:
         raise DimensionError("n must be a positive integer")
-    rng = np.random.default_rng(seed)
-    # M[p, c, q]: component c of entry (p, q), the kernel's layout
-    M = rng.standard_normal((n, n, 4)).transpose(0, 2, 1).copy()
-    # right-looking Gram-Schmidt on columns: each final column is projected out
-    # of all later ones at once; scalar coefficients multiply on the right
-    for r in range(n):
-        M[:, :, r] /= np.sqrt((M[:, :, r] ** 2).sum())
-        T = _signed_table(M[:, :, r, None])
-        coef = _hamilton(T * _CONJ[:, None, None, None], M[:, :, r + 1 :]).sum(axis=0)
-        M[:, :, r + 1 :] -= _hamilton(T, coef)
-    el = SpElement(np.ascontiguousarray(M.transpose(0, 2, 1)))
+    W = _seeded_rng(seed).standard_normal((n, n, 4)).view(complex)  # entries (A, B)
+    C = np.empty((2 * n, 2 * n), dtype=complex)
+    C[:n, 0::2], C[n:, 0::2] = W[..., 0], W[..., 1].conj()
+    C[:n, 1::2], C[n:, 1::2] = -W[..., 1], W[..., 0].conj()
+    Q, R = np.linalg.qr(C)
+    Q = Q[:, 0::2] * np.sign(R.diagonal()[0::2].real)
+    el = SpElement(np.stack([Q[:n], Q[n:].conj()], axis=-1).view(float))
     R = el.real_matrix()
     defect = float(np.max(np.abs(R.T @ R - np.eye(4 * n))))
     if not defect <= EPS_ORTH * 100:
@@ -458,17 +457,20 @@ def invariance_oracle(
 ) -> OracleReport:
     """Re-derive the full profile under random Sp(n) motions of U.
 
-    Refuses (raises NotIsoclinicError) if U itself fails the isoclinicity
-    gate. Every motion is profiled on U's side of the +/-1 convention, so
-    roundoff that moves an invariant across 1 - EPS_PM1 flips no (Gamma,
-    Delta). Each trial also validates the quadratic form for theta_A against
-    measured angles for 8 random structures, and, with no invariant at +/-1,
-    the eta relation eta = xi chi + sqrt(1-xi^2) sqrt(1-chi^2) Gamma.
+    Refuses a U that fails the isoclinicity gate (NotIsoclinicError), and
+    trials < 1 or a seed numpy refuses (InfeasibleParametersError). Every
+    motion is profiled on U's side of the +/-1 convention, so roundoff that
+    moves an invariant across 1 - EPS_PM1 flips no (Gamma, Delta). Each
+    trial also validates the quadratic form for theta_A against measured
+    angles for 8 random structures, and, with no invariant at +/-1, the eta
+    relation eta = xi chi + sqrt(1-xi^2) sqrt(1-chi^2) Gamma.
     """
+    if trials < 1:
+        raise InfeasibleParametersError(f"invariance_oracle needs trials >= 1, got {trials}")
+    rng = _seeded_rng(seed)
     base = full_profile(U)
     base_vec = _profile_vector(base)
     snaps = [_pm1(v) for v in (base.xi, base.chi, base.eta)]
-    rng = np.random.default_rng(seed)
     max_dev = 0.0
     max_theta = 0.0
     max_eta = 0.0

@@ -43,7 +43,7 @@ from .analysis import (
     full_profile,
 )
 from .errors import DimensionError, FalsificationError, RankDeficiencyError
-from .subspaces import Frame, _mgs
+from .subspaces import Frame, _mgs, _seeded_rng
 from .tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK, EPS_RECERT, EPS_UNION
 
 __all__ = [
@@ -232,8 +232,8 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     on its block B omega B^T of U's forms against the parent's angles, and
     addend_profiles reads that gate's forms.
     """
+    rng = _seeded_rng(seed) if seed is not None else None
     measured = _measured(U)
-    rng = np.random.default_rng(seed) if seed is not None else None
     klass = measured.profile.dim_class
     addends, forms = _submodules(U, measured.forms, measured.generators, None, U.dim, klass, rng)
     gated = tuple(_recertified(f, measured.angles, "constructed 8-dim addend" if klass == 8
@@ -247,11 +247,11 @@ def split_addend_4(addend: Frame, seed: int | None = None) -> tuple[Frame, Frame
     complement; None when the addend does not split that way."""
     if addend.dim != 8:
         raise DimensionError("split_addend_4 expects an 8-dim addend")
+    rng = _seeded_rng(seed) if seed is not None else None
     angles, forms, _ = _certified_forms(addend)
     profile = _profile(addend, angles, forms)
     if abs(profile.gamma**2 + profile.delta**2 - 1.0) > EPS_ORBIT:
         return None
-    rng = np.random.default_rng(seed) if seed is not None else None
     E = _generators(forms)
     return tuple(_submodules(addend, forms, E, None, 8, 4, rng)[0])
 

@@ -92,33 +92,23 @@ _TERM_B = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])  # 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _signed_table(a: np.ndarray) -> np.ndarray:
-    """T[..., t, k1, k0, :] = _SIGN[t, k] * a[..., t, :], k = 2 k1 + k0, for a
-    with its components on axis -2."""
-    return a[..., :, None, None, :] * _SIGN.reshape(4, 2, 2, 1)
-
-
-def _hamilton(T: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b from a's signed table T, components on axis -2 of b and of the result.
-
-    With b's axis -2 split as (k1, k0), b[_TERM_B[t]] is b reversed on the
-    axes of t's set bits, a view, and four broadcast multiply-adds run along
-    the last axis. Adding the terms in t order with += rounds as the
-    written-out a0 b0 - a1 b1 - a2 b2 - a3 b3 does. The result is
-    C-contiguous, so a sum over a leading axis adds its rows in turn (on
-    other layouts numpy may sum pairwise).
-    """
-    b = b.reshape(b.shape[:-2] + (2, 2, b.shape[-1]))
-    out = np.multiply(T[..., 0, :, :, :], b, order="C")
-    for t in (1, 2, 3):
-        out += T[..., t, :, :, :] * b[..., :: 1 - 2 * (t >> 1), :: 1 - 2 * (t & 1), :]
-    return out.reshape(out.shape[:-3] + (4, out.shape[-1]))
-
-
 def qarr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of (...,4) quaternion arrays, broadcasting; C-contiguous."""
-    return _hamilton(_signed_table(np.asarray(a, dtype=float)[..., None]),
-                     np.asarray(b, dtype=float)[..., None])[..., 0]
+    """Hamilton product of (...,4) quaternion arrays, broadcasting; C-contiguous.
+
+    T[..., t, k1, k0] = _SIGN[t, k] * a[..., t], k = 2 k1 + k0. With b's
+    last axis split as (k1, k0), b[_TERM_B[t]] is b reversed on the axes of
+    t's set bits, a view, so each term is one broadcast multiply-add.
+    Adding the terms in t order with += rounds as the written-out
+    a0 b0 - a1 b1 - a2 b2 - a3 b3 does. The result is C-contiguous, so a
+    sum over a leading axis adds its rows in turn (on other layouts numpy
+    may sum pairwise).
+    """
+    T = np.asarray(a, dtype=float)[..., None, None] * _SIGN.reshape(4, 2, 2)
+    b = np.asarray(b, dtype=float).reshape(np.shape(b)[:-1] + (2, 2))
+    out = np.multiply(T[..., 0, :, :], b, order="C")
+    for t in (1, 2, 3):
+        out += T[..., t, :, :] * b[..., :: 1 - 2 * (t >> 1), :: 1 - 2 * (t & 1)]
+    return out.reshape(out.shape[:-2] + (4,))
 
 
 def qarr_conj(a: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FrameError, RankDeficiencyError
+from .errors import DimensionError, FrameError, InfeasibleParametersError, RankDeficiencyError
 from .quaternions import CompatibleStructure, apply_structure, hermitian_product, Quaternion
 from .tolerances import EPS_FRAME, EPS_RANK
 
@@ -273,3 +273,11 @@ def _householder_complement(G: np.ndarray, expect: int | None = None) -> np.ndar
 def random_frame(n: int, k: int, rng: np.random.Generator) -> Frame:
     """Random k-frame in R^{4n} (orthonormalized Gaussian rows)."""
     return orthonormalize(rng.standard_normal((k, 4 * n)))
+
+
+def _seeded_rng(seed) -> np.random.Generator:
+    """numpy's generator for seed, refusing a negative or non-integer seed by name."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise InfeasibleParametersError(f"seed {seed!r} is not a non-negative integer") from None

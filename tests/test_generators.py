@@ -29,7 +29,7 @@ from isoclinic.generators import (
     make_two_plane,
     random_sp,
 )
-from isoclinic.orbits import orbit_label
+from isoclinic.orbits import decompose, orbit_label, split_addend_4
 from isoclinic.quaternions import (
     I,
     J,
@@ -362,6 +362,25 @@ class TestOracle:
         report = invariance_oracle(U, trials=2, seed=0, tol=1e-18)
         assert not report.passed
         assert report.failures
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        # a report of no motions would pass with nothing checked
+        with pytest.raises(InfeasibleParametersError, match=f"trials >= 1, got {trials}"):
+            invariance_oracle(graph_subspace(0.5), trials=trials, seed=1)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("call,seed", [
+        (lambda s: random_sp(2, s), -1),
+        (lambda s: random_sp(2, s), 1.5),
+        (lambda s: invariance_oracle(graph_subspace(0.5), 2, s), -1),
+        (lambda s: decompose(graph_subspace(0.5), seed=s), -1),
+        (lambda s: split_addend_4(direct_sum([graph_subspace(0.5)] * 2), seed=s), -1),
+    ])
+    def test_refused_seed_is_named(self, call, seed):
+        with pytest.raises(InfeasibleParametersError, match=f"seed {seed} is not"):
+            call(seed)
 
 
 class TestOrbitOfSums:

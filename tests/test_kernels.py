@@ -702,6 +702,10 @@ class TestRealMatrix:
         g = SpElement(np.random.default_rng(n).standard_normal((n, n, 4)))
         npt.assert_array_equal(g.real_matrix(), real_matrix_reference(g))
 
+    def test_left_basis_is_left_multiplication_by_the_units(self):
+        npt.assert_array_equal(generators._LEFT_BASIS,
+                               [left_mult_matrix(e).ravel() for e in np.eye(4)])
+
     def test_built_once_and_read_only(self):
         g = random_sp(3, 1)
         R = g.real_matrix()
@@ -750,9 +754,26 @@ class TestQarrMul:
 
 class TestRandomSp:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 64])
-    def test_bitwise_equal_to_left_looking_loop(self, n):
+    def test_agrees_with_left_looking_loop(self, n):
+        # one LAPACK QR orthogonalizes in another order: equal to roundoff
         for seed in range(20):
-            npt.assert_array_equal(random_sp(n, seed).matrix, random_sp_reference(n, seed))
+            npt.assert_allclose(random_sp(n, seed).matrix, random_sp_reference(n, seed),
+                                rtol=0, atol=TOL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 24), seed=st.integers(0, 2**63 - 1))
+    def test_triangular_factor_of_the_draws(self, n, seed):
+        # Z = Q R with R = Q^* Z upper triangular and a real positive
+        # diagonal pins the Gram-Schmidt convention: a sign flip or another
+        # column order breaks it
+        Z = np.random.default_rng(seed).standard_normal((n, n, 4))
+        Q = random_sp(n, seed).matrix
+        R = qarr_mul_reference(qarr_conj_reference(Q)[:, :, None], Z[:, None]).sum(axis=0)
+        p, q = np.indices((n, n))
+        npt.assert_allclose(R[p > q], 0.0, rtol=0, atol=1e-12)
+        diagonal = R[np.arange(n), np.arange(n)]
+        npt.assert_allclose(diagonal[:, 1:], 0.0, rtol=0, atol=1e-12)
+        assert np.all(diagonal[:, 0] > 1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 24), seed=st.integers(0, 2**63 - 1))
