@@ -114,45 +114,14 @@ def isoclinic_pair(U: Frame, W: Frame, tol: float = EPS_ISO) -> float | None:
     return None if defect >= tol else _angle(c2)
 
 
-def _extreme_eigenvalue(Q: np.ndarray) -> np.ndarray:
-    """The eigenvalue of largest modulus of each symmetric 3 x 3 matrix in Q
-    (N, 3, 3), from the trigonometric solution of the characteristic cubic."""
-    q = np.trace(Q, axis1=1, axis2=2) / 3
-    B = Q - q[:, None, None] * np.eye(3)
-    p = np.sqrt(np.sum(B * B, axis=(1, 2)) / 6)
-    B /= np.where(p > 0, p, 1.0)[:, None, None]
-    half_det = np.sum(B[:, 0] * np.cross(B[:, 1], B[:, 2]), axis=1) / 2
-    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3
-    hi, lo = q + 2 * p * np.cos(phi), q + 2 * p * np.cos(phi + 2 * np.pi / 3)
-    return np.where(hi >= -lo, hi, lo)
-
-
-def _extreme_vector(Q: np.ndarray, lam: float) -> np.ndarray:
-    """Unit eigenvector of the symmetric 3 x 3 Q for its eigenvalue lam: of
-    the cross products of two rows of Q - lam Id (lam simple), of its longest
-    row with each axis (lam double) and the axes (Q = lam Id), the one with
-    the largest |v^T Q v|, signed so that its largest entry is positive."""
-    R = Q - lam * np.eye(3)
-    longest = R[np.argmax(np.sum(R * R, axis=1))]
-    V = np.vstack([np.cross(R[[0, 0, 1]], R[[1, 2, 2]]), np.cross(longest, np.eye(3)), np.eye(3)])
-    norms = np.sqrt(np.sum(V * V, axis=1))
-    V = V[norms > 0] / norms[norms > 0, None]
-    v = V[np.argmax(np.abs(np.sum((V @ Q) * V, axis=1)))]
-    return v * np.sign(v[np.argmax(np.abs(v))])
-
-
 def _witness(band: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the band entry (N, 3, 3) of largest spectral radius.
-    The closed form keeps about 8 digits at a repeated eigenvalue, so entries
-    within 1e-6 relative of the largest |lambda| are ranked by the Rayleigh
-    quotient of their own eigenvector; quotients within 1e-12 relative tie,
-    and a tie goes to the larger closed-form |lambda|, then the lower index."""
-    lam = _extreme_eigenvalue(band)
-    top = np.abs(lam)
-    near = [i for i in np.argsort(-top, kind="stable") if top[i] >= (1.0 - 1e-6) * top.max()]
-    vectors = [_extreme_vector(band[i], lam[i]) for i in near]
-    quotients = np.array([abs(v @ band[i] @ v) for i, v in zip(near, vectors)])
-    return vectors[int(np.argmax(quotients >= (1.0 - 1e-12) * quotients.max()))]
+    """Unit eigenvector of the eigenvalue of largest modulus over the band
+    entries (N, 3, 3), from one batched eigh (the lowest entry on a tie),
+    signed so that its largest coefficient is positive."""
+    values, vectors = np.linalg.eigh(band)
+    entry, m = np.unravel_index(np.argmax(np.abs(values)), values.shape)
+    a = vectors[entry, :, m]
+    return a * np.sign(a[np.argmax(np.abs(a))])
 
 
 def _gate(forms: np.ndarray, tol: float):
@@ -188,8 +157,7 @@ def _gate(forms: np.ndarray, tol: float):
     if top < tol:
         return angles, (None, top)
     rows, cols = np.nonzero(fro >= max(tol, top / np.sqrt(3.0)))
-    band = S[:, rows, cols][[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3)
-    a = _witness(band)
+    a = _witness(S[:, rows, cols][[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3))
     deviation = float(_combined_defects(a[None], forms)[0][0])
     # the sup is below tol, or reaches it only by roundoff
     return (angles if deviation < tol else None), (a, deviation)
@@ -354,7 +322,7 @@ def _adapted(E: np.ndarray, u, dim: int, cut: int, rng=None) -> np.ndarray:
         n += len(rows[-1])
         if n >= dim:
             return np.vstack(rows)
-        Q = _householder_complement(Q @ rows[-1].T, len(Q) - len(rows[-1])) @ Q
+        Q = _householder_complement(Q @ rows[-1].T) @ Q
         u = None
 
 

@@ -229,22 +229,42 @@ def _parse_part(text: str):
     return spec
 
 
+_FAMILIES = ("rhp", "qline", "tcomplex4", "icomplex4", "twoplane", "graph", "sum")
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a number", lambda v: type(v) in (int, float))
+# what each key of a generate spec must be; the required keys have no default
+_FIELDS = {
+    "n": _INTEGER, "k": _INTEGER, "index": _INTEGER, "theta": _NUMBER, "theta_i": _NUMBER,
+    "theta_j": _NUMBER, "theta_k": _NUMBER, "xi": _NUMBER, "chi": _NUMBER,
+    "mu": ("a list of 4 numbers",
+           lambda v: type(v) is list and len(v) == 4 and all(_NUMBER[1](x) for x in v)),
+    "parts": ("a list of objects", lambda v: type(v) is list and all(type(p) is dict for p in v)),
+}
+_REQUIRED = {"icomplex4": ("theta",), "twoplane": ("theta_i", "theta_j", "theta_k"),
+             "sum": ("parts",)}
+
+
 def _generate(spec: dict, seed: int | None) -> Frame:
     family = spec.get("family")
-    n = spec.get("n")
+    if family not in _FAMILIES:
+        raise DocumentError(f"unknown family {family!r}")
+    spec = {key: value for key, value in spec.items() if value is not None}
+    for key, (kind, valid) in _FIELDS.items():
+        if (key in spec or key in _REQUIRED.get(family, ())) and not valid(spec.get(key)):
+            raise DocumentError(f"{family}: {key!r} must be {kind}, got {spec.get(key)!r}")
     if any(isinstance(v, float) and not np.isfinite(v) for v in spec.values()):
         raise InfeasibleParametersError(f"{family}: parameters must be finite")
     if family == "rhp":
-        return make_rhp(n or 4, spec.get("k", 4))
+        return make_rhp(spec.get("n", 4), spec.get("k", 4))
     if family == "qline":
-        return make_quaternionic_line(n or 1, spec.get("index", 0))
+        return make_quaternionic_line(spec.get("n", 1), spec.get("index", 0))
     if family == "tcomplex4":
-        return make_totally_complex_4(n or 2)
+        return make_totally_complex_4(spec.get("n", 2))
     if family == "icomplex4":
-        return make_i_complex_4(n or 2, spec["theta"])
+        return make_i_complex_4(spec.get("n", 2), spec["theta"])
     if family == "twoplane":
         return make_two_plane(
-            n or 2,
+            spec.get("n", 2),
             spec["theta_i"],
             spec["theta_j"],
             spec["theta_k"],
@@ -257,11 +277,8 @@ def _generate(spec: dict, seed: int | None) -> Frame:
             if seed is None:
                 raise InfeasibleParametersError("graph family needs mu or a seed")
             mu = np.random.default_rng(seed).standard_normal(4)
-        return graph_subspace(np.asarray(mu, dtype=float), n or 2)
-    if family == "sum":
-        parts = [_generate(p, seed) for p in spec["parts"]]
-        return direct_sum(parts)
-    raise DocumentError(f"unknown family {family!r}")
+        return graph_subspace(np.asarray(mu, dtype=float), spec.get("n", 2))
+    return direct_sum([_generate(p, seed) for p in spec["parts"]])
 
 
 def _cmd_generate(args) -> int:
@@ -335,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit an example-family subspace document")
     p.add_argument(
         "family",
-        choices=["rhp", "qline", "tcomplex4", "icomplex4", "twoplane", "graph", "sum"],
+        choices=_FAMILIES,
     )
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)

@@ -35,7 +35,7 @@ from .quaternions import (
     qarr_mul,
     real_from_quaternion_vectors,
 )
-from .subspaces import Frame, orthonormalize, _seeded_rng
+from .subspaces import Frame, orthonormalize, _count, _seeded_rng
 from .tolerances import (EPS_ANGLE, EPS_BUILD, EPS_FACTOR, EPS_FEASIBLE, EPS_ISO, EPS_ORTH,
                          EPS_PIVOT, EPS_REMAINDER)
 
@@ -106,8 +106,7 @@ def random_sp(n: int, seed: int) -> SpElement:
     and (-B_q; conj A_q) for Z_q j in turn: C's first 2q columns span over
     C what Z_0..Z_{q-1} span over H. Q's even columns, turned to a positive
     real diagonal of R, read back as entries a + conj(b) j of (a; b)."""
-    if n < 1:
-        raise DimensionError("n must be a positive integer")
+    n = _count(n, "n", 1, DimensionError)
     W = _seeded_rng(seed).standard_normal((n, n, 4)).view(complex)  # entries (A, B)
     C = np.empty((2 * n, 2 * n), dtype=complex)
     C[:n, 0::2], C[n:, 0::2] = W[..., 0], W[..., 1].conj()
@@ -141,11 +140,11 @@ def _require_finite(name: str, *values: float) -> None:
 
 def embed(U: Frame, n: int, block_offset: int) -> Frame:
     """Embed a frame of H^m into H^n with its blocks shifted by block_offset."""
-    m = U.n
-    if block_offset + m > n:
+    end = _count(block_offset, "block_offset", 0, DimensionError) + U.n
+    if end > _count(n, "n", 1, DimensionError):
         raise DimensionError("embedding does not fit")
     V = np.zeros((U.dim, 4 * n))
-    V[:, 4 * block_offset : 4 * (block_offset + m)] = U.vectors
+    V[:, 4 * block_offset : 4 * end] = U.vectors
     return Frame(V)
 
 
@@ -155,14 +154,14 @@ def embed(U: Frame, n: int, block_offset: int) -> Frame:
 
 def make_rhp(n: int, k: int) -> Frame:
     """Real Hermitian product subspace of dimension k (needs k <= n)."""
-    if k < 1 or k > n:
+    if _count(k, "k", 1) > _count(n, "n", 1, DimensionError):
         raise InfeasibleParametersError(f"r.h.p. of dim {k} needs 1 <= k <= n={n}")
     return Frame(np.vstack([_unit(n, q) for q in range(k)]))
 
 
 def make_quaternionic_line(n: int, index: int = 0) -> Frame:
     """The characteristic line H*e_index, i.e. one quaternionic coordinate."""
-    if not 0 <= index < n:
+    if _count(index, "index", 0) >= _count(n, "n", 1, DimensionError):
         raise InfeasibleParametersError(f"index {index} out of range for n={n}")
     V = np.zeros((4, 4 * n))
     V[:, 4 * index : 4 * index + 4] = np.eye(4)
@@ -171,8 +170,7 @@ def make_quaternionic_line(n: int, index: int = 0) -> Frame:
 
 def make_totally_complex_4(n: int) -> Frame:
     """I-invariant 4-dim subspace orthogonal to its J and K images."""
-    if n < 2:
-        raise InfeasibleParametersError("totally complex 4-dim subspace needs n >= 2")
+    _count(n, "n", 2)
     e0, e1 = _unit(n, 0), _unit(n, 1)
     return Frame(
         np.vstack([e0, -apply_structure(I, e0), e1, -apply_structure(I, e1)])
@@ -186,8 +184,7 @@ def make_i_complex_4(n: int, theta: float) -> Frame:
     subspace; the adapted-basis invariants are xi = chi = eta = 0.
     """
     _require_finite("make_i_complex_4", theta)
-    if n < 2:
-        raise InfeasibleParametersError("I-complex 4-dim subspace needs n >= 2")
+    _count(n, "n", 2)
     x1 = _unit(n, 0)
     y2 = np.cos(theta) * (-apply_structure(J, x1)) + np.sin(theta) * _unit(n, 1)
     return Frame(
@@ -210,6 +207,7 @@ def make_two_plane(
     remainder, so feasibility requires the squared cosines to sum to at
     most 1; xi and chi must be +/-1 where the matching cosine is nonzero.
     """
+    _count(n, "n", 1, DimensionError)
     _require_finite("make_two_plane", theta_i, theta_j, theta_k, xi, chi)
     cs = np.cos([theta_i, theta_j, theta_k])
     if float(np.sum(cs**2)) > 1.0 + EPS_FEASIBLE:
@@ -250,8 +248,7 @@ def graph_subspace(mu, n: int = 2) -> Frame:
     sphere and commutes with I, J, K, which forces isoclinicity with every
     compatible structure.
     """
-    if n < 2:
-        raise DimensionError("graph subspace lives in H^2 at least")
+    _count(n, "n", 2, DimensionError)
     if isinstance(mu, (int, float)):
         mu = np.array([float(mu), 0.0, 0.0, 0.0])
     mu = np.asarray(mu, dtype=float)
@@ -319,8 +316,7 @@ def _frame_from_omegas(omegas: tuple[np.ndarray, np.ndarray, np.ndarray], n: int
     H[..., 3] = wK
     R = _quaternion_cholesky(H)
     used = [p for p in range(k) if np.max(np.abs(R[p])) > 0.0]
-    if n < len(used):
-        raise DimensionError(f"need n >= {len(used)} quaternionic coordinates")
+    _count(n, "n", len(used), DimensionError)
     cols = np.zeros((n, k, 4))
     cols[: len(used)] = R[used]
     return Frame(real_from_quaternion_vectors(cols))
@@ -465,8 +461,7 @@ def invariance_oracle(
     angles for 8 random structures, and, with no invariant at +/-1, the eta
     relation eta = xi chi + sqrt(1-xi^2) sqrt(1-chi^2) Gamma.
     """
-    if trials < 1:
-        raise InfeasibleParametersError(f"invariance_oracle needs trials >= 1, got {trials}")
+    _count(trials, "trials", 1)
     rng = _seeded_rng(seed)
     base = full_profile(U)
     base_vec = _profile_vector(base)

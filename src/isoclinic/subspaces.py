@@ -8,6 +8,7 @@ from the SVD of the mutual Gram matrix, with singular values clamped into
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,6 @@ __all__ = [
     "imaginary_measure",
     "structure_image",
     "complement",
-    "restrict_complement",
     "random_frame",
 ]
 
@@ -235,44 +235,32 @@ def complement(U: Frame) -> Frame:
     return Frame(vh[U.dim:])
 
 
-def restrict_complement(U: Frame, W: Frame, expect: int | None = None) -> Frame:
-    """Orthonormal basis of {u in span(U) : u ⟂ span(W)}, of dimension
-    dim U - rank(U W^T); W need not lie in span(U). `expect` asserts the
-    resulting dimension when the caller knows it."""
-    return Frame(_householder_complement(gram(U, W), expect) @ U.vectors)
-
-
-def _householder_complement(G: np.ndarray, expect: int | None = None) -> np.ndarray:
-    """Orthonormal rows Q (k - rank G, k) with Q G = 0 for G (k, m), which
-    is overwritten: with G = U W^T, U's coordinates of its complement of W.
-
-    Householder completion: each column of G gets one reflector on the rows
-    not yet used, and a column whose remaining norm is at most EPS_RANK * 10
-    is dependent and skipped; the identity's rows mapped by the reflectors
-    past the rank of G are the result. `expect` asserts k - rank.
-    """
-    k = G.shape[0]
-    Q = np.eye(k)
-    rank = 0
-    for j in range(G.shape[1]):
-        x = G[rank:, j]
-        norm = float(np.sqrt(x @ x))
-        if norm <= EPS_RANK * 10:
-            continue
-        v = x.copy()
-        v[0] += norm if x[0] >= 0 else -norm
-        v *= np.sqrt(2.0) / np.sqrt(v @ v)  # the reflector is I - v v^T
-        for M in (G[rank:, j + 1:], Q[rank:]):
-            M -= v[:, None] * (v @ M)  # np.outer's products, without its overhead
-        rank += 1
-    if expect is not None and k - rank != expect:
-        raise RankDeficiencyError(detected_rank=k - rank, expected=expect)
-    return Q[rank:]
+def _householder_complement(G: np.ndarray) -> np.ndarray:
+    """Orthonormal rows Q (k - m, k) with Q G = 0 for G (k, m): with G = U W^T,
+    U's coordinates of its complement of W. They are the trailing columns of
+    the complete Householder QR of G; a column whose |R_jj| is at most
+    EPS_RANK * 10 is dependent and raises RankDeficiencyError."""
+    Q, R = np.linalg.qr(G, mode="complete")
+    rank = int(np.sum(np.abs(R.diagonal()) > EPS_RANK * 10))
+    if rank < min(G.shape):
+        raise RankDeficiencyError(detected_rank=rank, expected=G.shape[1])
+    return Q[:, G.shape[1]:].T
 
 
 def random_frame(n: int, k: int, rng: np.random.Generator) -> Frame:
     """Random k-frame in R^{4n} (orthonormalized Gaussian rows)."""
     return orthonormalize(rng.standard_normal((k, 4 * n)))
+
+
+def _count(value, name: str, least: int, error=InfeasibleParametersError) -> int:
+    """value as an int, refusing a non-integer or one below least by name."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise error(f"expected an integer {name} >= {least}, got {value!r}")
+    return count
 
 
 def _seeded_rng(seed) -> np.random.Generator:

@@ -18,7 +18,7 @@ from isoclinic.analysis import (
 from isoclinic.errors import DimensionError
 from isoclinic.generators import direct_sum, graph_subspace
 from isoclinic.quaternions import I, J, K, apply_structure
-from isoclinic.subspaces import _householder_complement, orthonormalize, project
+from isoclinic.subspaces import Frame, orthonormalize, project
 from isoclinic.tolerances import EPS_ANGLE
 
 
@@ -72,9 +72,17 @@ def projected_third(U, A, cos_a, v4):
     return project(U, apply_structure(A, v4)) / cos_a
 
 
+def complement_in(U, W):
+    """Frame of the complement in span U of the rows W, which lie in span U
+    with full rank: the trailing columns of the complete QR of U W^T, the
+    Householder completion whose first row the sweep takes as its next lead."""
+    G = U.vectors @ np.atleast_2d(W).T
+    return Frame(np.linalg.qr(G, mode="complete")[0][:, G.shape[1]:].T @ U.vectors)
+
+
 def complement_row(U, W):
     """First vector of the Householder complement in U of the rows W."""
-    return (_householder_complement(U.vectors @ W.T, U.dim - len(W)) @ U.vectors)[0]
+    return complement_in(U, W).vectors[0]
 
 
 def fourths(P2, Q2, cos):

@@ -19,6 +19,7 @@ from isoclinic.errors import (
 from isoclinic.generators import (
     _quaternion_cholesky,
     direct_sum,
+    embed,
     graph_subspace,
     invariance_oracle,
     make_i_complex_4,
@@ -381,6 +382,33 @@ class TestSeeds:
     def test_refused_seed_is_named(self, call, seed):
         with pytest.raises(InfeasibleParametersError, match=f"seed {seed} is not"):
             call(seed)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("call,error,name", [
+        (lambda: random_sp(2.5, 1), DimensionError, "n"),
+        (lambda: invariance_oracle(graph_subspace(0.5), 2.5, 1), InfeasibleParametersError,
+         "trials"),
+        (lambda: make_rhp(2.5, 1), DimensionError, "n"),
+        (lambda: make_rhp(4, 2.5), InfeasibleParametersError, "k"),
+        (lambda: make_rhp(4, "2"), InfeasibleParametersError, "k"),
+        (lambda: make_two_plane(0, 0.0, np.pi / 2, np.pi / 2), DimensionError, "n"),
+        (lambda: make_two_plane(-1, 0.0, np.pi / 2, np.pi / 2), DimensionError, "n"),
+        (lambda: make_quaternionic_line(2.5), DimensionError, "n"),
+        (lambda: make_quaternionic_line(2, 0.5), InfeasibleParametersError, "index"),
+        (lambda: make_totally_complex_4(2.5), InfeasibleParametersError, "n"),
+        (lambda: make_i_complex_4(2.5, 0.3), InfeasibleParametersError, "n"),
+        (lambda: graph_subspace(0.5, 2.5), DimensionError, "n"),
+        (lambda: make_profile_4(1.2, 1.3, 1.4, 0.3, 0.2, 0.1, n=4.5), DimensionError, "n"),
+        (lambda: embed(graph_subspace(0.5), 2.5, 0), DimensionError, "n"),
+        (lambda: embed(graph_subspace(0.5), 3, 0.5), DimensionError, "block_offset"),
+    ], ids=["random_sp", "oracle", "rhp-n", "rhp-k", "rhp-k-str", "twoplane-0", "twoplane-neg",
+            "qline-n", "qline-index", "tcomplex4", "icomplex4", "graph", "profile4", "embed-n",
+            "embed-offset"])
+    def test_bad_count_is_refused_by_name(self, call, error, name):
+        # not a bare TypeError, IndexError or ValueError from numpy
+        with pytest.raises(error, match=f"expected an integer {name} >= "):
+            call()
 
 
 class TestOrbitOfSums:

@@ -337,6 +337,30 @@ class TestCli:
         monkeypatch.setenv("ISOCLINIC_SEED", "4")
         assert run_cli(capsys, "verify", str(path), "--trials", "2") == (code, want, "")
 
+    @pytest.mark.parametrize("argv,family,key", [
+        (["twoplane"], "twoplane", "theta_i"),
+        (["twoplane", "--theta-i", "1", "--theta-j", "1"], "twoplane", "theta_k"),
+        (["icomplex4"], "icomplex4", "theta"),
+        (["sum", "--part", '{"family":"rhp","k":"4"}'], "rhp", "k"),
+        (["sum", "--part", '{"family":"rhp","k":2.5}'], "rhp", "k"),
+        (["sum", "--part", '{"family":"graph","mu":[1,2]}'], "graph", "mu"),
+        (["sum", "--part", '{"family":"icomplex4","theta":"x"}'], "icomplex4", "theta"),
+        (["sum", "--part", '{"family":"sum","parts":"x"}'], "sum", "parts"),
+        (["sum", "--part", '{"family":"sum","parts":["x"]}'], "sum", "parts"),
+        (["sum", "--part", '{"family":"sum"}'], "sum", "parts"),
+    ])
+    def test_bad_generate_parameter_is_document_error(self, capsys, argv, family, key):
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {family}: {key!r} must be ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("family", ["rhp", "qline", "tcomplex4", "graph"])
+    def test_zero_n_is_refused(self, capsys, family):
+        # n = 0 is passed on, not replaced by the family's default
+        code, out, err = run_cli(capsys, "generate", family, "--n", "0", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("rejected: expected an integer n >= ")
+
     def test_infeasible_generate_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "generate", "twoplane",

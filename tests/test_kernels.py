@@ -9,14 +9,17 @@ component at a time, Sp(n) sampling as left-looking Gram-Schmidt one
 column pair at a time on that product, the profile, orbit label and
 decision measured on 4n-dim chains (the label at two leading vectors),
 decompose on 4n-dim chains, and the chains themselves through projected
-companions with one branch per +/-1 convention (conftest). The gate's
-reference polarises the 3 x 3 quadratic forms Q_ij of the pair defect
-from six fresh images AU and takes their sup over all structures with
-np.linalg.eigh. Inputs are
-unit-norm and agreement is required to 1e-13 (bitwise where the kernel
-performs the same operations in the same order). The complement of W in
-U is checked against its characterisation instead, since its basis is
-not the Gram-Schmidt one.
+companions with one branch per +/-1 convention (conftest), and the
+complement of W in U as Householder completion one reflector per column,
+with decompose's complements taken of the ambient frames (conftest). The
+gate's reference polarises the 3 x 3 quadratic forms Q_ij of the pair
+defect from six fresh images AU and takes their sup over all structures
+with np.linalg.eigh, which the gate's witness also calls: its tests check
+that the witness attains that sup. Inputs are unit-norm and agreement is
+required to 1e-13 (bitwise where the kernel performs the same operations
+in the same order). The complement is also checked against its
+characterisation: orthonormal rows that annihilate U W^T, spanning the
+null space of its transpose.
 """
 
 import json
@@ -46,7 +49,6 @@ from isoclinic.analysis import (
     theta_of_A,
 )
 from isoclinic.errors import (
-    DimensionError,
     FalsificationError,
     IsoclinicError,
     NotIsoclinicError,
@@ -83,12 +85,12 @@ from isoclinic.quaternions import (
 )
 from isoclinic.subspaces import (
     Frame,
+    _householder_complement,
     _mgs,
     gram,
     orthonormalize,
     project,
     random_frame,
-    restrict_complement,
     structure_image,
 )
 from isoclinic.orbits import (
@@ -102,7 +104,7 @@ from isoclinic.orbits import (
 )
 from isoclinic.tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK
 from conftest import (build_chains_reference, chain_profile, companions_reference,
-                      perturbed_graph_sum, random_unit_in)
+                      complement_in, perturbed_graph_sum, random_unit_in)
 
 TOL = 1e-13
 
@@ -125,11 +127,21 @@ def mgs_reference(rows, tol):
     return (np.array(out) if out else np.zeros((0, rows.shape[1]))), kept
 
 
-def residual_reference(U, W):
-    """The rows of U projected against W twice: one pass leaves roundoff
-    of the reference's own up to about 1e-13 in the projector."""
-    rows = U.vectors - (U.vectors @ W.vectors.T) @ W.vectors
-    return rows - (rows @ W.vectors.T) @ W.vectors
+def householder_reference(G):
+    """The complement rows of G (k, m) by Householder completion, one
+    reflector per column on the rows not yet used, applied to the rows of
+    the identity; the rows past m are the result."""
+    G = np.array(G, dtype=float)
+    k, m = G.shape
+    Q = np.eye(k)
+    for j in range(min(k, m)):
+        x = G[j:, j]
+        v = x.copy()
+        v[0] += np.linalg.norm(x) if x[0] >= 0 else -np.linalg.norm(x)
+        v /= np.linalg.norm(v)
+        for M in (G[j:, j + 1:], Q[j:]):
+            M -= 2.0 * np.outer(v, v @ M)
+    return Q[m:]
 
 
 def apply_structure_reference(A, x):
@@ -302,21 +314,21 @@ def eight_dim_addend_reference(U, X1, angles):
     chains = build_chains_reference(U, X1, angles)
     if chains.convention != "decomposable":
         first = _clean_union([chains.chain_x])
-        rest = restrict_complement(U, first, expect=U.dim - 4)
+        rest = complement_in(U, first.vectors)
         return _clean_union([chains.chain_x,
                              build_chains_reference(U, rest.vectors[0], angles).chain_x])
     current, lead, planes = U, X1, []
     for step in range(4):
         planes.append(_clean_union([lead, companions_reference(current, lead, angles).X2]))
         if step < 3:
-            current = restrict_complement(current, planes[-1], expect=current.dim - 2)
+            current = complement_in(current, planes[-1].vectors)
             lead = current.vectors[0]
     return _clean_union([p.vectors for p in planes])
 
 
 def decompose_reference(U, seed=None):
-    """decompose's addends built on 4n-dim chains, each complement a
-    restrict_complement of the ambient frames (no checks)."""
+    """decompose's addends built on 4n-dim chains, each complement taken of
+    the ambient frames (conftest's complement_in, no checks)."""
     profile = chain_profile(U, U.vectors[0])
     angles = (profile.theta_i, profile.theta_j, profile.theta_k)
     rng = np.random.default_rng(seed) if seed is not None else None
@@ -331,7 +343,7 @@ def decompose_reference(U, seed=None):
             addend = eight_dim_addend_reference(current, x1, angles)
         addends.append(addend)
         left = current.dim - addend.dim
-        current = restrict_complement(current, addend, expect=left) if left else None
+        current = complement_in(current, addend.vectors) if left else None
     return addends
 
 
@@ -403,14 +415,6 @@ GATE_INPUTS = {
 }
 
 
-def assert_complement(U, W, V, rank):
-    """V is an orthonormal basis of {u in span U : u orthogonal to W}."""
-    assert V.dim == U.dim - rank
-    npt.assert_allclose(V.vectors @ V.vectors.T, np.eye(V.dim), rtol=0, atol=TOL)
-    assert np.linalg.norm(V.vectors - V.vectors @ U.vectors.T @ U.vectors) <= TOL
-    assert np.linalg.norm(V.vectors @ W.vectors.T) <= TOL
-
-
 def complement_case(seed, case, n, k, m):
     """(U, W, rank of U W^T) for one kind of overlap of W with span U."""
     rng = np.random.default_rng(seed)
@@ -473,23 +477,8 @@ class TestGramSchmidt:
         rows = np.vstack([1e3 * r[0], r[1], r[1] + 1e-8 * r[2]])
         assert _mgs(rows, EPS_RANK)[1] == mgs_reference(rows, EPS_RANK)[1] == [0, 1]
 
-    def test_rank_deficient_restrict_complement(self, rng):
-        Q0, _ = np.linalg.qr(rng.standard_normal((16, 16)))
-        basis = Q0.T
-        # rows 0, 2 and 5 of U lie in W, so their residuals vanish
-        U = Frame(basis[[0, 5, 1, 6, 7, 2]])
-        W = Frame(basis[[0, 1, 2, 3]])
-        rows = residual_reference(U, W)
-        _, kept = _mgs(rows, EPS_RANK * 10)
-        Q_ref, kept_ref = mgs_reference(rows, EPS_RANK * 10)
-        assert kept == kept_ref == [1, 3, 4]
-        V = restrict_complement(U, W, expect=3)
-        assert_complement(U, W, V, rank=3)
-        # W lies in span U here, so the Gram-Schmidt residuals span the same set
-        npt.assert_allclose(V.vectors.T @ V.vectors, Q_ref.T @ Q_ref, rtol=0, atol=TOL)
 
-
-class TestRestrictComplement:
+class TestHouseholderComplement:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -501,27 +490,28 @@ class TestRestrictComplement:
     @example(seed=4294967295, case="inside", n=3, k=3, m=1)
     def test_characterised(self, seed, case, n, k, m):
         U, W, rank = complement_case(seed, case, n, k, m)
-        if rank == k:
-            with pytest.raises(DimensionError):
-                restrict_complement(U, W, expect=0)
+        G = gram(U, W)
+        if rank < min(G.shape):
+            # a column of G depends on the ones before it
+            with pytest.raises(RankDeficiencyError) as info:
+                _householder_complement(G)
+            assert info.value.detected_rank == rank
             return
-        V = restrict_complement(U, W, expect=k - rank)
-        assert_complement(U, W, V, rank)
-        # the complement is the null space of G^T in U's coordinates
-        N = np.linalg.svd(gram(W, U))[2][rank:] @ U.vectors
-        npt.assert_allclose(V.vectors.T @ V.vectors, N.T @ N, rtol=0, atol=TOL)
-        if case != "partial":
-            # each row of W lies in span U or is orthogonal to it, so the
-            # Gram-Schmidt residuals stay in span U
-            rows = residual_reference(U, W)
-            Q_ref, _ = mgs_reference(rows, EPS_RANK * 10)
-            npt.assert_allclose(V.vectors.T @ V.vectors, Q_ref.T @ Q_ref, rtol=0, atol=TOL)
+        Q = _householder_complement(G)
+        assert Q.shape == (k - rank, k)
+        npt.assert_allclose(Q @ Q.T, np.eye(k - rank), rtol=0, atol=TOL)
+        npt.assert_allclose(Q @ G, 0.0, rtol=0, atol=TOL)
+        # the complement is the null space of G^T, in the loop's basis
+        N = np.linalg.svd(G.T)[2][rank:]
+        npt.assert_allclose(Q.T @ Q, N.T @ N, rtol=0, atol=TOL)
+        npt.assert_allclose(Q, householder_reference(G), rtol=0, atol=TOL)
 
-    def test_wrong_expectation_raises(self):
-        U, W, rank = complement_case(1, "inside", 4, 6, 2)
-        with pytest.raises(RankDeficiencyError) as info:
-            restrict_complement(U, W, expect=5)
-        assert info.value.detected_rank == 4
+    def test_dependent_column_raises(self, rng):
+        G = rng.standard_normal((6, 3))
+        for column in (G[:, 0] - 2.0 * G[:, 2], np.zeros(6)):
+            with pytest.raises(RankDeficiencyError) as info:
+                _householder_complement(np.column_stack([G, column]))
+            assert (info.value.detected_rank, info.value.expected) == (3, 4)
 
 
 class TestApplyStructure:
@@ -638,46 +628,23 @@ class TestGate:
         assert angles is None and deviation == pytest.approx(sup, rel=0, abs=TOL)
         assert _gate(_forms(U), sup * (1 + 1e-9))[0] is not None
 
-    def test_extreme_vector_repeated_eigenvalues(self, rng):
-        # the closed-form eigenvalue keeps about half the digits at a repeated
-        # root (arccos at +/-1); the vector is checked at the exact eigenvalue
+    def test_witness_at_repeated_and_tied_eigenvalues(self, rng):
         n = unit_rows(rng, 1, 3)[0]
-        for Q, lam, eig_tol in [
-            (-2.0 * np.eye(3) + 1.5 * np.outer(n, n), -2.0, 1e-7),  # double, eigenspace n-perp
-            (np.diag([0.7, 0.7, -0.2]), 0.7, 1e-7),  # double, axes in its eigenspace
-            (0.4 * np.eye(3), 0.4, TOL),  # triple
-            (np.diag([0.1, -0.9, 0.3]), -0.9, TOL),  # simple, an axis
-        ]:
-            v = analysis._extreme_vector(Q, lam)
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=TOL)
-            npt.assert_allclose(Q @ v, lam * v, rtol=0, atol=TOL)
-            assert v[np.argmax(np.abs(v))] > 0
-            assert analysis._extreme_eigenvalue(Q[None])[0] == pytest.approx(lam, abs=eig_tol)
-
-    def test_witness_at_near_tied_band_entries(self):
-        # the closed form reads the double root 0.7 as ~0.7000000063, above
-        # the simple radius 0.700000003 of the other entry: the Rayleigh
-        # quotients pick the entry whose true radius is larger
-        double = np.diag([0.7, 0.7, -0.2])
-        simple = np.diag([0.1, -0.3, 0.700000003])
-        lam = analysis._extreme_eigenvalue(np.stack([double, simple]))
-        assert abs(lam[0]) > abs(lam[1])
-        for band in (np.stack([double, simple]), np.stack([simple, double])):
-            npt.assert_array_equal(_witness(band), [0.0, 0.0, 1.0])
-        # an exact tie keeps the closed form's choice, then the lower index
+        double = -2.0 * np.eye(3) + 1.5 * np.outer(n, n)  # -2 twice, eigenspace n-perp
+        double_axes = np.diag([0.7, 0.7, -0.2])
+        triple = 0.4 * np.eye(3)
+        near = np.diag([0.1, -0.3, 0.700000003])  # 3e-9 above double_axes' radius
+        for band in (double[None], triple[None], np.stack([triple, double]),
+                     np.stack([double_axes, near]), np.stack([near, double_axes])):
+            a = _witness(band)
+            assert np.linalg.norm(a) == pytest.approx(1.0, abs=TOL)
+            assert a[np.argmax(np.abs(a))] > 0
+            sup = np.max(np.abs(np.linalg.eigvalsh(band)))
+            assert np.max(np.abs(a @ band @ a)) == pytest.approx(sup, rel=0, abs=TOL)
+        # an exact tie goes to the lower entry
+        simple = np.diag([0.1, -0.3, 0.7])
         npt.assert_array_equal(_witness(np.stack([simple, simple[::-1, ::-1]])), [0.0, 0.0, 1.0])
-
-    def test_no_linalg_call(self, monkeypatch):
-        inputs = [make() for make in GATE_INPUTS.values()]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the gate called numpy.linalg")
-
-        for name in np.linalg.__all__:
-            if callable(getattr(np.linalg, name)) and name[0].islower():
-                monkeypatch.setattr(np.linalg, name, refuse)
-        verdicts = [_gate(_forms(U), EPS_ISO)[0] is not None for U in inputs]
-        assert True in verdicts and False in verdicts
+        npt.assert_array_equal(_witness(np.stack([simple[::-1, ::-1], simple])), [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("parts", [1, 2, 4])
     def test_sampled_forms_are_combinations(self, rng, parts):

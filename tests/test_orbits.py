@@ -42,7 +42,8 @@ from isoclinic.orbits import (
 from isoclinic.quaternions import I, J, K
 from isoclinic.tolerances import EPS_ORBIT, EPS_PM1
 from isoclinic.subspaces import Frame, gram, principal_angles, structure_image
-from conftest import bench_workloads, chain_profile, perturbed_graph_sum, random_unit_in
+from conftest import (bench_workloads, chain_profile, complement_in, perturbed_graph_sum,
+                      random_unit_in)
 
 GENERIC_MU = np.array([0.3, 0.4, -0.2, 0.6])
 DUAL_ARGS = (1.3993, 1.4034, 0.815, -0.3497, 0.5168, 0.0656)
@@ -582,12 +583,11 @@ class TestStructuralProps:
             npt.assert_allclose(sorted(cos, reverse=True), [1, 1, g, g], atol=1e-8)
 
     def test_complement_of_uij_is_type_uij(self):
-        from isoclinic.subspaces import restrict_complement
-
         U = graph_sum(3)
         angles = certify_isoclinic(U)
         uij, _, _ = associated_subspaces(U, U.vectors[0], angles)
-        W = restrict_complement(U, uij.frame, expect=8)
+        W = complement_in(U, uij.frame.vectors)
+        assert W.dim == 8
         for A, th in zip((I, J), angles[:2]):
             got = isoclinic_pair(W, structure_image(A, W))
             assert got is not None and abs(got - th) < 1e-8
