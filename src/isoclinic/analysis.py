@@ -34,6 +34,7 @@ from .quaternions import (
     J,
     K,
     Quaternion,
+    _complex_rows,
     apply_structure,
 )
 from .subspaces import (
@@ -43,7 +44,6 @@ from .subspaces import (
     _mgs,
     gram,
     project,
-    structure_image,
 )
 from .tolerances import EPS_ANGLE, EPS_CHAIN, EPS_ISO, EPS_MEMBER, EPS_PM1
 
@@ -73,13 +73,18 @@ __all__ = [
 
 def omega_matrix(U: Frame, A: CompatibleStructure) -> np.ndarray:
     """Skew matrix of the A-Kaehler form on U: entries <X_p, A X_q>."""
-    return gram(U, structure_image(A, U))
+    return np.tensordot(A.coefficients(), _forms(U), 1)
 
 
 def _forms(U: Frame) -> np.ndarray:
-    """(omega_I, omega_J, omega_K) as (3, k, k): omega_matrix without image Frames."""
-    V = U.vectors
-    return np.array([V @ apply_structure(A, V).T for A in (I, J, K)])
+    """(omega_I, omega_J, omega_K) as (3, k, k): Im H, Re B and -Im B of U's
+    complex rows C = (Z, W'), as in the quaternions module docstring."""
+    C = _complex_rows(U.vectors)
+    n = C.shape[1] // 2
+    H = C.conj() @ C.T
+    ZW = C[:, :n] @ C[:, n:].T
+    B = ZW - ZW.T
+    return np.array([H.imag, B.real, -B.imag])
 
 
 def _pair_defects(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -619,22 +624,12 @@ class TwoPlaneOrbit:
 def two_plane_orbit(P: OrientedTwoPlane | Frame) -> TwoPlaneOrbit:
     """Sp(n)-orbit data of a 2-plane (oriented if given an oriented pair)."""
     oriented = isinstance(P, OrientedTwoPlane)
-    if oriented:
-        V1, V2 = P.X, P.Y
-    else:
-        if P.dim != 2:
-            raise DimensionError(f"two_plane_orbit needs a 2-plane, got dim {P.dim}")
-        V1, V2 = P.vectors
-    cs = np.array(
-        [
-            V1 @ apply_structure(I, V2),
-            V1 @ apply_structure(J, V2),
-            V1 @ apply_structure(K, V2),
-        ]
-    )
+    plane = P.frame() if oriented else P
+    if plane.dim != 2:
+        raise DimensionError(f"two_plane_orbit needs a 2-plane, got dim {plane.dim}")
+    cs = _forms(plane)[:, 0, 1]
     thetas = tuple(float(t) for t in np.arccos(np.clip(np.abs(cs), 0.0, 1.0)))
-    plane = Frame(np.vstack([V1, V2]))
-    comp = companions(plane, V1, thetas)
+    comp = companions(plane, plane.vectors[0], thetas)
     return TwoPlaneOrbit(
         im=Quaternion(0.0, *cs),
         thetas=thetas,

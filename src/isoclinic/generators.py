@@ -30,10 +30,11 @@ from .quaternions import (
     I,
     J,
     K,
+    _complex_rows,
+    _real_rows,
     apply_structure,
     qarr_conj,
     qarr_mul,
-    real_from_quaternion_vectors,
 )
 from .subspaces import Frame, orthonormalize, _count, _seeded_rng
 from .tolerances import (EPS_ANGLE, EPS_BUILD, EPS_FACTOR, EPS_FEASIBLE, EPS_ISO, EPS_ORTH,
@@ -60,44 +61,41 @@ __all__ = [
 # Sp(n)
 
 
-# left_mult_matrix(m) = sum_c m[c] * _LEFT_BASIS[c], flattened to (4, 16); literal as _B_I
-_LEFT_BASIS = np.array([[1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
-                        [0, -1, 0, 0, 1, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1, 0],
-                        [0, 0, -1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, -1, 0, 0],
-                        [0, 0, 0, -1, 0, 0, -1, 0, 0, 1, 0, 0, 1, 0, 0, 0]], dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class SpElement:
-    """Quaternionic unitary matrix acting on H^n by left multiplication.
-
-    `matrix` has shape (n, n, 4). The real representation is a 4n x 4n
-    orthogonal matrix commuting with I, J, K entrywise.
-    """
+    """g = P + R j in Sp(n) as its complex matrix [[P, -R], [conj R, conj P]],
+    acting on complex rows (see the quaternions module); checked unitary and
+    of this form within EPS_ORTH * 100 on construction."""
 
     matrix: np.ndarray
 
+    def __post_init__(self):
+        M = np.asarray(self.matrix)
+        object.__setattr__(self, "matrix", M)
+        if M.dtype != complex or M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
+            raise DimensionError(f"expected a complex (2n, 2n) matrix, got {M.dtype} {M.shape}")
+        n = M.shape[0] // 2
+        unitary = float(np.max(np.abs(M.conj().T @ M - np.eye(2 * n))))
+        P, R = M[:n, :n], M[n:, :n].conj()
+        form = float(np.max(np.abs(M[n:, n:] - P.conj()) + np.abs(M[:n, n:] + R)))
+        if not (unitary <= EPS_ORTH * 100 and form <= EPS_ORTH * 100):
+            raise FalsificationError(f"not an element of Sp({n}): unitarity defect {unitary:.3e}, "
+                                     f"[[P, -R], [conj R, conj P]] defect {form:.3e}")
+
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def real_matrix(self) -> np.ndarray:
-        """Block (p, q) is left_mult_matrix(matrix[p, q]); built on first use
-        and shared read-only afterwards."""
-        R = self.__dict__.get("_real")
-        if R is None:
-            n = self.n
-            blocks = (self.matrix.reshape(-1, 4) @ _LEFT_BASIS).reshape(n, n, 4, 4)
-            R = blocks.transpose(0, 2, 1, 3).reshape(4 * n, 4 * n)
-            R.flags.writeable = False
-            object.__setattr__(self, "_real", R)
-        return R
+        return self.matrix.shape[0] // 2
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.real_matrix() @ np.asarray(x, dtype=float)
+        """g x for real vectors x (last axis 4n)."""
+        return _real_rows(_complex_rows(x) @ self.matrix.T)
+
+    def real_matrix(self) -> np.ndarray:
+        """The real orthogonal 4n x 4n matrix of g, built on each call."""
+        return self.apply(np.eye(4 * self.n)).T
 
     def apply_frame(self, U: Frame) -> Frame:
-        return Frame(U.vectors @ self.real_matrix().T)
+        return Frame(self.apply(U.vectors))
 
 
 def random_sp(n: int, seed: int) -> SpElement:
@@ -105,20 +103,19 @@ def random_sp(n: int, seed: int) -> SpElement:
     as one QR of the complex matrix C with columns (A_q; conj B_q) for Z_q
     and (-B_q; conj A_q) for Z_q j in turn: C's first 2q columns span over
     C what Z_0..Z_{q-1} span over H. Q's even columns, turned to a positive
-    real diagonal of R, read back as entries a + conj(b) j of (a; b)."""
+    real diagonal of R, are the columns (P; conj R) of g = P + R j, and
+    the rest of its matrix [[P, -R], [conj R, conj P]] is sliced from them."""
     n = _count(n, "n", 1, DimensionError)
     W = _seeded_rng(seed).standard_normal((n, n, 4)).view(complex)  # entries (A, B)
     C = np.empty((2 * n, 2 * n), dtype=complex)
     C[:n, 0::2], C[n:, 0::2] = W[..., 0], W[..., 1].conj()
     C[:n, 1::2], C[n:, 1::2] = -W[..., 1], W[..., 0].conj()
     Q, R = np.linalg.qr(C)
-    Q = Q[:, 0::2] * np.sign(R.diagonal()[0::2].real)
-    el = SpElement(np.stack([Q[:n], Q[n:].conj()], axis=-1).view(float))
-    R = el.real_matrix()
-    defect = float(np.max(np.abs(R.T @ R - np.eye(4 * n))))
-    if not defect <= EPS_ORTH * 100:
-        raise FalsificationError(f"random_sp failed orthogonalization (defect {defect:.3e})")
-    return el
+    M = np.empty_like(Q)
+    M[:, :n] = Q[:, 0::2] * np.sign(R.diagonal()[0::2].real)
+    M[:n, n:] = -M[n:, :n].conj()
+    M[n:, n:] = M[:n, :n].conj()
+    return SpElement(M)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +316,7 @@ def _frame_from_omegas(omegas: tuple[np.ndarray, np.ndarray, np.ndarray], n: int
     _count(n, "n", len(used), DimensionError)
     cols = np.zeros((n, k, 4))
     cols[: len(used)] = R[used]
-    return Frame(real_from_quaternion_vectors(cols))
+    return Frame(cols.transpose(1, 0, 2).reshape(k, 4 * n))
 
 
 def make_profile_4(

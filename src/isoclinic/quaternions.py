@@ -10,6 +10,15 @@ multiplications
 which anticommute, satisfy I J = K as operator composition, and are
 isometries of the Euclidean metric. Sp(n) acts by quaternionic matrices
 on the *left*, so it commutes with I, J, K.
+
+One complex layout of H^n, known only to _complex_rows and _real_rows,
+serves the forms and Sp(n). A block x = z + j w' (z = x0 + i x1, w' =
+conj(x2 + i x3)) is the complex pair (z, w'), so with q = V.reshape(k, n,
+4).view(complex) the rows V are C = (q[..., 0], conj q[..., 1]), (k, 2n).
+I is multiplication by -i. With H = conj(C) C^T and B = Z W'^T - W' Z^T
+for the halves Z, W' of C: omega_I = Im H, omega_J = Re B, omega_K = -Im B.
+g = P + R j in Sp(n) acts C-linearly, C -> C M^T with SpElement.matrix
+M = [[P, -R], [conj R, conj P]].
 """
 
 from __future__ import annotations
@@ -38,8 +47,6 @@ __all__ = [
     "rotate_basis",
     "qarr_mul",
     "qarr_conj",
-    "real_from_quaternion_vectors",
-    "left_mult_matrix",
 ]
 
 
@@ -85,10 +92,9 @@ def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
 # --- array quaternion helpers (last axis of length 4 holds 1,i,j,k parts) ---
 
 # The Hamilton product as a table: term t of component k of a b is
-# _SIGN[t, k] * a[t] * b[_TERM_B[t, k]].
+# _SIGN[t, k] * a[t] * b[t ^ k].
 _SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
                   [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
-_TERM_B = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])  # t ^ k
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
@@ -96,7 +102,7 @@ def qarr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of (...,4) quaternion arrays, broadcasting; C-contiguous.
 
     T[..., t, k1, k0] = _SIGN[t, k] * a[..., t], k = 2 k1 + k0. With b's
-    last axis split as (k1, k0), b[_TERM_B[t]] is b reversed on the axes of
+    last axis split as (k1, k0), b[t ^ k] is b reversed on the axes of
     t's set bits, a view, so each term is one broadcast multiply-add.
     Adding the terms in t order with += rounds as the written-out
     a0 b0 - a1 b1 - a2 b2 - a3 b3 does. The result is C-contiguous, so a
@@ -123,15 +129,20 @@ def ambient_dim(x: np.ndarray) -> int:
     return d
 
 
-def real_from_quaternion_vectors(cols: np.ndarray) -> np.ndarray:
-    """Real row vectors from quaternionic column vectors.
+def _complex_rows(x: np.ndarray) -> np.ndarray:
+    """Complex rows (z, w') of real rows x (last axis 4n): (..., 2n)."""
+    x = np.ascontiguousarray(x, dtype=float)
+    q = x.reshape(x.shape[:-1] + (x.shape[-1] // 4, 4)).view(complex)
+    return np.concatenate([q[..., 0], q[..., 1].conj()], axis=-1)
 
-    `cols` has shape (n, m, 4): m vectors in H^n. Returns (m, 4n) with the
-    4q+c coordinate layout.
-    """
-    cols = np.asarray(cols, dtype=float)
-    n, m, _ = cols.shape
-    return cols.transpose(1, 0, 2).reshape(m, 4 * n)
+
+def _real_rows(c: np.ndarray) -> np.ndarray:
+    """Real rows (last axis 4n) of complex rows (z, w'): _complex_rows inverted."""
+    n = c.shape[-1] // 2
+    q = np.empty(c.shape[:-1] + (n, 2), dtype=complex)
+    q[..., 0] = c[..., :n]
+    q[..., 1] = c[..., n:].conj()
+    return q.view(float).reshape(c.shape[:-1] + (4 * n,))
 
 
 # structure action on quaternionic blocks: X -> X * (-i) etc., per block
@@ -255,14 +266,6 @@ def rotate_basis(basis) -> tuple[CompatibleStructure, CompatibleStructure, Compa
         basis = AdmissibleBasis(np.asarray(basis, dtype=float))
     C = basis.rotation
     return tuple(CompatibleStructure(*C[:, alpha]) for alpha in range(3))
-
-
-def left_mult_matrix(m: np.ndarray) -> np.ndarray:
-    """Real 4x4 matrix of q -> m*q (left multiplication) on one block: entry
-    (k, t ^ k) is _SIGN[t, k] * m[t]."""
-    L = np.empty((4, 4))
-    L[np.arange(4), _TERM_B] = _SIGN * np.asarray(m, dtype=float)[:, None]
-    return L
 
 
 def right_multiply(x: np.ndarray, q) -> np.ndarray:

@@ -42,7 +42,8 @@ class Frame:
     tol: float = field(default=EPS_FRAME, compare=False)
 
     def __post_init__(self):
-        V = np.atleast_2d(np.asarray(self.vectors, dtype=float))
+        # stored in C order: every kernel, the complex row view included, sees one layout
+        V = np.atleast_2d(np.ascontiguousarray(self.vectors, dtype=float))
         if V.shape[0] == 0:
             raise DimensionError("dim-0 subspace is rejected")
         if V.shape[1] % 4 != 0:

@@ -42,6 +42,58 @@ def random_unit_in(U, rng):
     return v / np.linalg.norm(v)
 
 
+def omega_reference(U, A):
+    """The A-Kaehler form on U through the real structure action: entries
+    <X_p, A X_q> = V (A V)^T, with no complex layout."""
+    V = U.vectors
+    return V @ apply_structure(A, V).T
+
+
+def qarr_mul_reference(a, b):
+    """The Hamilton product written out, one component at a time."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+        ],
+        axis=-1,
+    )
+
+
+def qarr_conj_reference(a):
+    return np.asarray(a, dtype=float) * [1.0, -1.0, -1.0, -1.0]
+
+
+def sp_entries(g):
+    """The (n, n, 4) quaternion entries P + R j of an SpElement, read from the
+    first n columns (P; conj R) of its complex matrix."""
+    n = g.n
+    return np.stack([g.matrix[:n, :n], g.matrix[n:, :n].conj()], axis=-1).view(float)
+
+
+def sp_matrix(entries):
+    """The complex matrix [[P, -R], [conj R, conj P]] of the (n, n, 4)
+    quaternion entries P + R j."""
+    q = np.ascontiguousarray(entries, dtype=float).view(complex)
+    P, R = q[..., 0], q[..., 1]
+    return np.block([[P, -R], [R.conj(), P.conj()]])
+
+
+def real_matrix_reference(g):
+    """Real 4n x 4n matrix of x -> g x: column 4q + c is g applied to the unit
+    (1, i, j, k)[c] at coordinate q, entry by entry with the written-out
+    Hamilton product."""
+    n = g.n
+    T = qarr_mul_reference(sp_entries(g)[:, :, None, :], np.eye(4))  # (p, q, c, d)
+    return T.transpose(0, 3, 1, 2).reshape(4 * n, 4 * n)
+
+
 @functools.cache
 def bench_workloads():
     """bench/workloads.py, loaded by path: the benchmark's input families

@@ -17,6 +17,7 @@ from isoclinic.errors import (
     NotIsoclinicError,
 )
 from isoclinic.generators import (
+    SpElement,
     _quaternion_cholesky,
     direct_sum,
     embed,
@@ -61,7 +62,8 @@ class TestRandomSp:
 
     def test_n1_is_left_unit_quaternion(self):
         g = random_sp(1, 3)
-        assert abs(np.linalg.norm(g.matrix[0, 0]) - 1.0) < 1e-12
+        # the first column (P; conj R) holds the one entry P + R j
+        assert abs(np.linalg.norm(g.matrix[:, 0]) - 1.0) < 1e-12
         # preserves the characteristic line H (trivially all of H^1) and norms
         x = np.array([1.0, 2.0, -0.5, 0.25])
         npt.assert_allclose(np.linalg.norm(g.apply(x)), np.linalg.norm(x))
@@ -81,6 +83,39 @@ class TestRandomSp:
         monkeypatch.setattr(generators.np.random, "default_rng", lambda seed: NanRng())
         with pytest.raises(FalsificationError, match="defect nan"):
             random_sp(3, 1)
+
+
+class TestSpElement:
+    """The constructor refuses a matrix that is not the complex
+    [[P, -R], [conj R, conj P]] of a quaternionic unitary g = P + R j."""
+
+    @pytest.mark.parametrize("matrix", [
+        np.eye(4),  # real
+        np.eye(3, dtype=complex),  # odd size
+        np.eye(4, dtype=complex)[:, :2],  # not square
+        np.eye(4, dtype=complex)[None],  # not a matrix
+    ])
+    def test_shape_and_type_refused(self, matrix):
+        with pytest.raises(DimensionError, match="complex"):
+            SpElement(matrix)
+
+    def test_not_unitary_refused(self):
+        with pytest.raises(FalsificationError, match="unitarity defect"):
+            SpElement(1.001 * random_sp(3, 1).matrix)
+
+    def test_unitary_of_another_form_refused(self):
+        # complex unitaries that are no quaternionic matrix: a phase on one
+        # diagonal block only, and a Haar unitary of U(4)
+        with pytest.raises(FalsificationError, match=r"conj P\]\] defect 1\.414"):
+            SpElement(np.diag([1.0, 1j]))
+        Z = np.random.default_rng(0).standard_normal((4, 8)).view(complex)
+        with pytest.raises(FalsificationError, match=r"not an element of Sp\(2\)"):
+            SpElement(np.linalg.qr(Z)[0])
+
+    def test_accepts_within_tolerance(self):
+        M = random_sp(4, 2).matrix
+        assert SpElement(M + 1e-12 * np.eye(8)).n == 4
+        assert SpElement([[1.0 + 0j, 0.0], [0.0, 1.0]]).n == 1
 
 
 class TestNanSelfChecks:

@@ -6,8 +6,11 @@ at a time, the structure action as stacked signed slices, companions
 through the projector onto AU, the oracle's sampled structures through a
 fresh image AU per structure, the Hamilton product written out one
 component at a time, Sp(n) sampling as left-looking Gram-Schmidt one
-column pair at a time on that product, the profile, orbit label and
-decision measured on 4n-dim chains (the label at two leading vectors),
+column pair at a time on that product, an element's real 4n x 4n matrix
+entry by entry through that product and the Kaehler forms through the
+real structure action (conftest; neither uses the complex layout), the
+profile, orbit label and decision measured on 4n-dim chains (the label
+at two leading vectors),
 decompose on 4n-dim chains, and the chains themselves through projected
 companions with one branch per +/-1 convention (conftest), and the
 complement of W in U as Householder completion one reflector per column,
@@ -30,7 +33,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from isoclinic import analysis, cli, generators, orbits
+from isoclinic import analysis, cli, orbits
 from isoclinic.analysis import (
     _angle,
     _combined_defects,
@@ -78,7 +81,6 @@ from isoclinic.quaternions import (
     _blocks,
     _unblocks,
     apply_structure,
-    left_mult_matrix,
     qarr_conj,
     qarr_mul,
     structure_matrix,
@@ -104,7 +106,9 @@ from isoclinic.orbits import (
 )
 from isoclinic.tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK
 from conftest import (build_chains_reference, chain_profile, companions_reference,
-                      complement_in, perturbed_graph_sum, random_unit_in)
+                      complement_in, omega_reference, perturbed_graph_sum, qarr_conj_reference,
+                      qarr_mul_reference, random_unit_in, real_matrix_reference, sp_entries,
+                      sp_matrix)
 
 TOL = 1e-13
 
@@ -200,27 +204,6 @@ def gate_reference(U, tol=EPS_ISO):
         return None, (vector, rho)
     cos2 = [np.trace(G @ G.T) / U.dim for G in (gram(U, structure_image(A, U)) for A in (I, J, K))]
     return tuple(float(np.arccos(np.sqrt(np.clip(c, 0.0, 1.0)))) for c in cos2), None
-
-
-def qarr_mul_reference(a, b):
-    """The Hamilton product written out, one component at a time."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        ],
-        axis=-1,
-    )
-
-
-def qarr_conj_reference(a):
-    return np.asarray(a, dtype=float) * [1.0, -1.0, -1.0, -1.0]
 
 
 def random_sp_reference(n, seed):
@@ -345,15 +328,6 @@ def decompose_reference(U, seed=None):
         left = current.dim - addend.dim
         current = complement_in(current, addend.vectors) if left else None
     return addends
-
-
-def real_matrix_reference(g):
-    n = g.n
-    R = np.zeros((4 * n, 4 * n))
-    for p in range(n):
-        for q in range(n):
-            R[4 * p : 4 * p + 4, 4 * q : 4 * q + 4] = left_mult_matrix(g.matrix[p, q])
-    return R
 
 
 # --- inputs -----------------------------------------------------------------
@@ -666,20 +640,16 @@ class TestRealMatrix:
         for seed in range(4):
             g = random_sp(n, seed)
             npt.assert_array_equal(g.real_matrix(), real_matrix_reference(g))
-        g = SpElement(np.random.default_rng(n).standard_normal((n, n, 4)))
+        g = SpElement(sp_matrix(random_sp_reference(n, n)))
         npt.assert_array_equal(g.real_matrix(), real_matrix_reference(g))
 
-    def test_left_basis_is_left_multiplication_by_the_units(self):
-        npt.assert_array_equal(generators._LEFT_BASIS,
-                               [left_mult_matrix(e).ravel() for e in np.eye(4)])
-
-    def test_built_once_and_read_only(self):
+    def test_apply_frame_is_the_real_matrix(self):
         g = random_sp(3, 1)
-        R = g.real_matrix()
-        assert g.real_matrix() is R
-        assert not R.flags.writeable
         U = random_frame(3, 4, np.random.default_rng(2))
-        npt.assert_array_equal(g.apply_frame(U).vectors, U.vectors @ R.T)
+        npt.assert_allclose(g.apply_frame(U).vectors, U.vectors @ g.real_matrix().T,
+                            rtol=0, atol=1e-15)
+        x = np.random.default_rng(3).standard_normal(12)
+        npt.assert_allclose(g.apply(x), real_matrix_reference(g) @ x, rtol=0, atol=1e-14)
 
 
 def _quaternion_arrays(shapes):
@@ -724,7 +694,7 @@ class TestRandomSp:
     def test_agrees_with_left_looking_loop(self, n):
         # one LAPACK QR orthogonalizes in another order: equal to roundoff
         for seed in range(20):
-            npt.assert_allclose(random_sp(n, seed).matrix, random_sp_reference(n, seed),
+            npt.assert_allclose(sp_entries(random_sp(n, seed)), random_sp_reference(n, seed),
                                 rtol=0, atol=TOL)
 
     @settings(max_examples=40, deadline=None)
@@ -734,7 +704,7 @@ class TestRandomSp:
         # diagonal pins the Gram-Schmidt convention: a sign flip or another
         # column order breaks it
         Z = np.random.default_rng(seed).standard_normal((n, n, 4))
-        Q = random_sp(n, seed).matrix
+        Q = sp_entries(random_sp(n, seed))
         R = qarr_mul_reference(qarr_conj_reference(Q)[:, :, None], Z[:, None]).sum(axis=0)
         p, q = np.indices((n, n))
         npt.assert_allclose(R[p > q], 0.0, rtol=0, atol=1e-12)
@@ -755,11 +725,32 @@ class TestRandomSp:
 class TestForms:
     @pytest.mark.parametrize("name", sorted(GATE_INPUTS))
     def test_equal_to_omega_matrix(self, name):
+        # the complex layout against the real structure action; omega_matrix
+        # reads its coordinate structures off the same forms, bit for bit
         U = GATE_INPUTS[name]()
         forms = _forms(U)
         assert forms.shape == (3, U.dim, U.dim)
         for A, w in zip((I, J, K), forms):
+            npt.assert_allclose(w, omega_reference(U, A), rtol=0, atol=1e-15)
             npt.assert_array_equal(w, omega_matrix(U, A))
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("name", ["graph-8", "graph-16"])
+    def test_forms_motion_and_profile_bitwise_equal(self, view, name):
+        # one frame in four memory layouts: Frame stores it C-ordered, so
+        # the complex row view and every kernel see the same bits
+        X = GATE_INPUTS[name]().vectors
+        Y = VIEWS[view](np.repeat(X, 2, axis=1) if view == "slice" else X)
+        npt.assert_array_equal(Y, X)
+        U, W = Frame(X), Frame(Y)
+        assert W.vectors.flags.c_contiguous
+        g = random_sp(U.n, 5)
+        npt.assert_array_equal(_forms(W), _forms(U))
+        npt.assert_array_equal(g.apply_frame(W).vectors, g.apply_frame(U).vectors)
+        npt.assert_array_equal(g.apply(Y), g.apply(X))
+        assert full_profile(W) == full_profile(U)
 
 
 class TestOracle:
