@@ -42,6 +42,7 @@ from .subspaces import (
     OrientedTwoPlane,
     _householder_complement,
     _mgs,
+    _tolerance,
     gram,
     project,
 )
@@ -77,14 +78,22 @@ def omega_matrix(U: Frame, A: CompatibleStructure) -> np.ndarray:
 
 
 def _forms(U: Frame) -> np.ndarray:
-    """(omega_I, omega_J, omega_K) as (3, k, k): Im H, Re B and -Im B of U's
-    complex rows C = (Z, W'), as in the quaternions module docstring."""
-    C = _complex_rows(U.vectors)
-    n = C.shape[1] // 2
-    H = C.conj() @ C.T
-    ZW = C[:, :n] @ C[:, n:].T
-    B = ZW - ZW.T
-    return np.array([H.imag, B.real, -B.imag])
+    """(omega_I, omega_J, omega_K) as (3, k, k): _gram_forms of U's complex rows."""
+    return _gram_forms(_complex_rows(U.vectors))[1:]
+
+
+def _gram_forms(C: np.ndarray) -> np.ndarray:
+    """(Re H, Im H, Re B, -Im B), the Gram and the three forms, as (4, ..., k, k)
+    for complex rows C = (Z, W') (..., k, 2n), as in the quaternions module."""
+    n = C.shape[-1] // 2
+    H = C.conj() @ C.swapaxes(-1, -2)
+    ZW = C[..., :n] @ C[..., n:].swapaxes(-1, -2)
+    B = ZW - ZW.swapaxes(-1, -2)
+    return np.array([H.real, H.imag, B.real, -B.imag])
+
+
+# the pairs (p, q) = (I, J), (I, K), (J, K) of the forms
+_P, _Q = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 
 def _pair_defects(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,18 +102,22 @@ def _pair_defects(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = G.shape[-1]
     M = G @ G.swapaxes(-1, -2)
     c2 = np.trace(M, axis1=-2, axis2=-1) / k
-    return np.max(np.abs(M - c2[..., None, None] * np.eye(k)), axis=(-2, -1)), c2
+    M.reshape(M.shape[:-2] + (k * k,))[..., :: k + 1] -= c2[..., None]  # the diagonal, in place
+    return np.max(np.abs(M, out=M), axis=(-2, -1)), c2
 
 
 def _combined_defects(C: np.ndarray, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_pair_defects of a omega_I + b omega_J + c omega_K per row (a, b, c) of C;
-    one vector-matrix product per row, as a single row's tensordot does."""
+    """_pair_defects (..., m) of a omega_I + b omega_J + c omega_K per row (a, b,
+    c) of C (..., m, 3), for forms (..., 3, k, k); one vector-matrix product
+    per row, as a single row's tensordot does."""
     k = forms.shape[-1]
-    return _pair_defects((C[:, None] @ forms.reshape(3, -1)).reshape(-1, k, k))
+    G = C[..., None, :] @ forms.reshape(forms.shape[:-3] + (1, 3, k * k))
+    return _pair_defects(G.reshape(C.shape[:-1] + (k, k)))
 
 
-def _angle(c2: float) -> float:
-    return float(np.arccos(np.sqrt(np.clip(c2, 0.0, 1.0))))
+def _angle(c2):
+    """The angle of each cos^2 in c2, clamped into [0, 1]."""
+    return np.arccos(np.sqrt(np.clip(c2, 0.0, 1.0)))
 
 
 def isoclinic_pair(U: Frame, W: Frame, tol: float = EPS_ISO) -> float | None:
@@ -116,7 +129,7 @@ def isoclinic_pair(U: Frame, W: Frame, tol: float = EPS_ISO) -> float | None:
     if U.dim != W.dim:
         raise DimensionError(f"isoclinic_pair needs equal dims, got {U.dim} != {W.dim}")
     defect, c2 = _pair_defects(gram(U, W))
-    return None if defect >= tol else _angle(c2)
+    return None if defect >= tol else float(_angle(c2))
 
 
 def _witness(band: np.ndarray) -> np.ndarray:
@@ -130,20 +143,27 @@ def _witness(band: np.ndarray) -> np.ndarray:
 
 
 def _gate(forms: np.ndarray, tol: float):
+    """_gates of U's _forms (3, k, k) alone."""
+    return _gates(forms[None], tol)[0]
+
+
+def _gates(forms: np.ndarray, tol: float) -> list:
     """(angles, witness) of the isoclinicity test of (U, AU) for every unit
-    A = aI + bJ + cK, from U's _forms (3, k, k): witness is (coefficients,
-    deviation) of the worst structure, or (None, max ||Q||_F) when no entry
-    reaches the band; the deviation bounds every pair defect, and angles is
-    None when it fails.
+    A = aI + bJ + cK, for each U of a stack of _forms (T, 3, k, k): witness is
+    (coefficients, deviation) of the worst structure, or (None, max ||Q||_F)
+    when no entry reaches the band; the deviation bounds every pair defect,
+    and angles is None when it fails.
 
     Entry (i, j) of the traceless part of omega_A omega_A^T is a^T Q_ij a
     for the symmetric 3 x 3 matrix Q_ij of the traceless, symmetrised
     blocks omega_p omega_q^T (the six pair identities), so the sup defect
     over all structures is max_ij rho(Q_ij), attained at an eigenvector of
     the worst entry. As rho <= ||Q||_F <= sqrt(3) rho, only entries in the
-    top Frobenius band get eigenvalues, and none do when every ||Q||_F <
-    tol. The verdict is the witness's own pair defect against tol.
+    top Frobenius band get eigenvalues, and only stack entries whose top
+    ||Q||_F reaches tol get an eigh. The verdict is the witness's own pair
+    defect against tol.
     """
+    tol = _tolerance(tol)
     k = forms.shape[-1]
     if k % 2 == 1:
         raise DimensionError(
@@ -151,21 +171,27 @@ def _gate(forms: np.ndarray, tol: float):
             "product subspaces and share a single orbit; even dimension required"
         )
     # the diagonal blocks as _pair_defects forms them: the angles keep their bits
-    M = forms @ forms.swapaxes(1, 2)
-    angles = tuple(_angle(c) for c in np.trace(M, axis1=1, axis2=2) / k)
+    M = forms @ forms.swapaxes(-1, -2)
+    angles = _angle(M.trace(axis1=-2, axis2=-1) / k)
     # blocks (p, q) in the order 00, 11, 22, 01, 02, 12
-    S = np.concatenate([M, forms[[0, 0, 1]] @ forms[[1, 2, 2]].swapaxes(1, 2)])
-    S = (S + S.swapaxes(1, 2)) / 2
-    S -= np.trace(S, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
-    fro = np.sqrt(np.sum(S[:3] ** 2, axis=0) + 2 * np.sum(S[3:] ** 2, axis=0))
-    top = float(np.max(fro))
-    if top < tol:
-        return angles, (None, top)
-    rows, cols = np.nonzero(fro >= max(tol, top / np.sqrt(3.0)))
-    a = _witness(S[:, rows, cols][[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3))
-    deviation = float(_combined_defects(a[None], forms)[0][0])
-    # the sup is below tol, or reaches it only by roundoff
-    return (angles if deviation < tol else None), (a, deviation)
+    S = np.concatenate([M, forms[:, _P] @ forms[:, _Q].swapaxes(-1, -2)], axis=1)
+    S += S.swapaxes(-1, -2)
+    S /= 2
+    trace = S.trace(axis1=-2, axis2=-1)
+    S.reshape(S.shape[:-2] + (k * k,))[..., :: k + 1] -= trace[..., None] / k  # the diagonal
+    fro = np.sqrt(np.add.reduce(S[:, :3] ** 2, axis=1) + 2 * np.add.reduce(S[:, 3:] ** 2, axis=1))
+    gates = []
+    for a, f, s, w in zip(angles.tolist(), fro, S, forms):
+        top = float(f.max())
+        if top < tol:
+            gates.append((tuple(a), (None, top)))
+            continue
+        rows, cols = np.nonzero(f >= max(tol, top / np.sqrt(3.0)))
+        coeffs = _witness(s[:, rows, cols][[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3))
+        deviation = float(_combined_defects(coeffs[None], w)[0][0])
+        # the sup is below tol, or reaches it only by roundoff
+        gates.append(((tuple(a) if deviation < tol else None), (coeffs, deviation)))
+    return gates
 
 
 def isoclinic_profile_angles(U: Frame, tol: float = EPS_ISO) -> tuple[float, float, float] | None:
@@ -189,16 +215,17 @@ def certify_isoclinic(U: Frame, tol: float = EPS_ISO) -> tuple[float, float, flo
 def _certified_forms(U: Frame, tol: float = EPS_ISO):
     """(certify_isoclinic(U, tol), U's _forms, the gate's defect bound)."""
     forms = _forms(U)
-    angles, (coeffs, dev) = _gate(forms, tol)
+    angles, witness = _gate(forms, tol)
     if angles is None:
-        coeffs = [float(c) for c in coeffs]
-        raise NotIsoclinicError(
-            f"pair (U, AU) is not isoclinic for A = {[round(c, 6) for c in coeffs]} "
-            f"(defect {dev:.3e} >= {tol:.1e})",
-            witness=coeffs,
-            deviation=dev,
-        )
-    return angles, forms, dev
+        raise _not_isoclinic(witness, tol)
+    return angles, forms, witness[1]
+
+
+def _not_isoclinic(witness, tol: float) -> NotIsoclinicError:
+    """The NotIsoclinicError of a failed gate's witness (coefficients, deviation)."""
+    coeffs, dev = [float(c) for c in witness[0]], witness[1]
+    text = f"A = {[round(c, 6) for c in coeffs]} (defect {dev:.3e} >= {tol:.1e})"
+    return NotIsoclinicError(f"pair (U, AU) is not isoclinic for {text}", coeffs, dev)
 
 
 @dataclass(frozen=True)
@@ -240,7 +267,7 @@ def theta_of_A(profile: IsoclinicProfile, A: CompatibleStructure) -> float:
     cos^2 theta_A is the quadratic form in the coefficients of A with the
     cross terms weighted by xi, chi, eta; the value is clamped into [0,1].
     """
-    return _angle(_cos2_of(profile, A.coefficients()))
+    return float(_angle(_cos2_of(profile, A.coefficients())))
 
 
 def _cos2_of(profile: IsoclinicProfile, C: np.ndarray) -> np.ndarray:
@@ -271,21 +298,22 @@ def _check_member(U: Frame, x: np.ndarray, what: str, tol: float = EPS_MEMBER) -
     return x
 
 
-def _normalised(forms: np.ndarray, angles, tol: float = EPS_ANGLE):
-    """(J, forced): J_p = omega_p / c_p for forms (3, ...) where c_p =
-    cos(theta_p) > tol. A missing J_p is identified with a present one
-    (J_I := J_J or J_K, then J_J, J_K := J_I), forcing the matching
-    invariants to 1, as forced records; none present (r.h.p.) gives zeros."""
+def _normalised(forms: np.ndarray, angles, tol: float = EPS_ANGLE) -> np.ndarray:
+    """J_p = omega_p / c_p for forms (..., 3, ...) and angles (..., 3), entry by
+    entry, where c_p = cos(theta_p) > tol. A missing J_p is identified with a
+    present one (J_I := J_J or J_K, then J_J, J_K := J_I), forcing the
+    matching invariants to 1; none present (r.h.p.) gives zeros."""
     cos = np.cos(angles)
-    have = [c > tol for c in cos]
-    if all(have):
-        return (forms.T / cos).T, ()
-    if not any(have):
-        return np.zeros_like(forms), ("X2=Y2=Z2 arbitrary (triple orthogonality)",)
-    src = [p if h else have.index(True) for p, h in enumerate(have)]
-    forced = tuple(f"{x}2 identified (cos theta_{p} = 0)"
-                   for x, p, h in zip("XYZ", "IJK", have) if not h)
-    return (forms[src].T / cos[src]).T, forced
+    have = cos > tol
+    if have.all():  # every J_p present: the rule below, in one division
+        return forms / cos.reshape(cos.shape + (1,) * (forms.ndim - cos.ndim))
+    # each p's source: itself if present, else the first present one; with
+    # none present, a division by inf
+    cos, have = cos.reshape(-1, 3), have.reshape(-1, 3)
+    entry, src = np.arange(len(cos))[:, None], np.where(have, range(3), have.argmax(1)[:, None])
+    c = np.where(have.any(axis=1, keepdims=True), cos[entry, src], np.inf)
+    J = forms.reshape(cos.shape + forms.shape[np.ndim(angles):])[entry, src]
+    return (J / c.reshape(c.shape + (1,) * (J.ndim - 2))).reshape(forms.shape)
 
 
 def _generators(forms: np.ndarray) -> np.ndarray:
@@ -359,8 +387,12 @@ def companions(
     """
     X1 = _check_member(U, X1, "leading vector")
     # the forms applied to u: (omega_p u)_a = <X_a, A_p X1>
-    Ju, forced = _normalised(np.array([U.vectors @ apply_structure(A, X1) for A in (I, J, K)]),
-                             angles, tol)
+    Ju = _normalised(np.array([U.vectors @ apply_structure(A, X1) for A in (I, J, K)]), angles,
+                     tol)
+    have = np.cos(angles) > tol
+    forced = (("X2=Y2=Z2 arbitrary (triple orthogonality)",) if not have.any() else
+              tuple(f"{x}2 identified (cos theta_{p} = 0)"
+                    for x, p, h in zip("XYZ", "IJK", have) if not h))
     no_generators = np.zeros((0, U.dim, U.dim))
     rows = -Ju if Ju.any() else _adapted(no_generators, U.vectors @ X1, 2, 2)[[1, 1, 1]]
     X2, Y2, Z2 = rows @ U.vectors
@@ -431,7 +463,7 @@ def build_chains(
     comp = companions(U, X1, angles, tol)
     X1 = np.asarray(X1, dtype=float)
     u = U.vectors @ X1
-    J = _normalised(forms, angles, tol)[0]
+    J = _normalised(forms, angles, tol)
     values = (comp.xi, comp.chi, comp.eta)
     snaps = [_pm1(v) for v in values]
     if sum(snaps) > 1:  # two at +/-1 leave the third within 4 EPS_PM1 of it
@@ -592,7 +624,7 @@ def omega_K_on_UIJ(chains: ChainSet, gamma: float, delta: float) -> tuple[np.nda
     s = np.sqrt(max(0.0, 1.0 - chi**2))
     mat = omega_pattern_4(chi * cK, -delta * s * cK, gamma * s * cK)
     c2 = cK**2 * (gamma**2 + delta**2 + chi**2 * (1.0 - gamma**2 - delta**2))
-    return mat, _angle(c2)
+    return mat, float(_angle(c2))
 
 
 # ---------------------------------------------------------------------------
@@ -653,28 +685,40 @@ def full_profile(U: Frame, tol: float = EPS_ISO) -> IsoclinicProfile:
     with s_v = sqrt(1 - v^2); else (Gamma, Delta) = (1, 0).
     """
     angles, forms, _ = _certified_forms(U, tol)
-    return _profile(U, angles, forms)
+    return _profile(angles, forms)
 
 
-def _profile(U: Frame, angles, forms, snaps=None) -> IsoclinicProfile:
-    """full_profile after its gate, from the certified angles and U's
-    _forms; snaps[p] says whether invariant p counts as +/-1 (default: its
-    measured side of 1 - EPS_PM1), which decides the (Gamma, Delta) branch."""
-    k = U.dim
-    JI, JJ, JK = _normalised(forms, angles)[0]
-    if not JI.any():  # r.h.p.: every companion is one arbitrary vector
-        xi = chi = eta = 1.0
-    else:
-        # -tr(J_p J_q) = <J_p, J_q>_F, as each J is skew
-        xi, chi, eta = (float(np.sum(a * b)) / k for a, b in ((JI, JJ), (JI, JK), (JJ, JK)))
-    if snaps is None:
-        snaps = [_pm1(v) for v in (xi, chi, eta)]
-    gamma, delta = 1.0, 0.0
-    if k > 2 and not any(snaps):
-        # the parts of J_J, J_K orthogonal to J_I give eta - xi chi and
-        # s_xi, s_chi with no cancellation near +/-1, and tr(J_I J_J J_K)
-        PJ, PK = JJ - xi * JI, JK - chi * JI
-        s = np.sqrt(np.sum(PJ * PJ) * np.sum(PK * PK)) / k
-        gamma = float(np.sum(PJ * PK) / (k * s))
-        delta = float(np.sum((JI @ PJ) * PK.T) / (k * s))
-    return IsoclinicProfile(k, *angles, xi, chi, eta, gamma, delta)
+def _profile(angles, forms: np.ndarray, snaps=None) -> IsoclinicProfile:
+    """full_profile after its gate: _profiles of the one entry."""
+    row = _profiles(np.array([angles]), forms[None], None if snaps is None else [snaps])[0]
+    return IsoclinicProfile(forms.shape[-1], *row.tolist())
+
+
+def _profiles(angles: np.ndarray, forms: np.ndarray, snaps=None) -> np.ndarray:
+    """full_profile after its gate of T entries, from their certified angles (T,
+    3) and _forms (T, 3, k, k): rows (theta_I, theta_J, theta_K, xi, chi, eta,
+    Gamma, Delta). snaps (T, 3) says whether invariant p counts as +/-1
+    (default: its measured side of 1 - EPS_PM1), which decides the (Gamma,
+    Delta) branch. Each sum runs over one entry's k * k values, in order."""
+    T, _, k, _ = forms.shape
+    J = _normalised(forms, angles).reshape(T, 3, k * k)
+    # (xi, chi, eta) = -tr(J_p J_q) / k = <J_p, J_q>_F / k, as each J is skew;
+    # r.h.p. (J_I = 0): every companion is one arbitrary vector
+    out = np.zeros((T, 8))
+    out[:, :3], out[:, 6] = angles, 1.0
+    v = out[:, 3:6]
+    np.divide(np.add.reduce(J[:, _P] * J[:, _Q], axis=2), k, out=v)
+    v[~J[:, 0].any(axis=1)] = 1.0
+    gen = ~(_pm1(v) if snaps is None else np.asarray(snaps)).any(axis=1)
+    if k > 2 and gen.any():
+        # the parts P = (PJ, PK) of J_J, J_K orthogonal to J_I give eta - xi chi
+        # and s_xi, s_chi with no cancellation near +/-1, and tr(J_I J_J J_K)
+        J = J[gen]
+        P = J[:, 1:] - v[gen, :2, None] * J[:, :1]
+        n = np.add.reduce(P[:, [0, 1, 0]] * P[:, [0, 1, 1]], axis=2)  # |PJ|^2, |PK|^2, <PJ, PK>
+        JI, PJ, PK = (X.reshape(-1, k, k) for X in (J[:, 0], P[:, 0], P[:, 1]))
+        ks = k * (np.sqrt(n[:, 0] * n[:, 1]) / k)
+        out[gen, 6] = n[:, 2] / ks
+        D = ((JI @ PJ) * PK.swapaxes(1, 2)).reshape(-1, k * k)  # tr(J_I PJ PK^T) summands
+        out[gen, 7] = np.add.reduce(D, axis=1) / ks
+    return out

@@ -6,8 +6,9 @@ infeasible parameters, falsified mandate), 1 on I/O or document errors.
 '-' reads the document from standard input. Identical invocations with
 identical seeds produce byte-identical output. The only environment
 variable consulted is ISOCLINIC_SEED, a fallback for omitted --seed.
-A --seed below 0 or --trials below 1 is a usage error (exit 2), a bad
-ISOCLINIC_SEED a document error (exit 1).
+A --seed below 0, --trials below 1 or a --tol that is not finite and
+positive is a usage error (exit 2), a bad ISOCLINIC_SEED a document error
+(exit 1).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, subspaces
 from .analysis import IsoclinicProfile
 from .errors import (
     DimensionError,
@@ -58,6 +59,14 @@ def _at_least(minimum: int):
             pass
         raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
     return parse
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of a finite tolerance > 0; anything else is a usage error."""
+    try:
+        return subspaces._tolerance(text)
+    except InfeasibleParametersError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _resolve_seed(given: int | None) -> int | None:
@@ -333,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full invariant set and canonical matrices")
     p.add_argument("file", help="subspace document (JSON), '-' for stdin")
     p.add_argument("--basis", help="file with a 3x3 admissible-basis rotation")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("compare", help="decide Sp(n)-orbit equivalence")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_compare)
 

@@ -14,11 +14,14 @@ import numpy as np
 
 from .analysis import (
     IsoclinicProfile,
-    _certified_forms,
+    _angle,
     _combined_defects,
     _cos2_of,
+    _gates,
+    _gram_forms,
+    _not_isoclinic,
     _pm1,
-    _profile,
+    _profiles,
     certify_isoclinic,
     full_profile,
     omega_pattern_4,
@@ -36,9 +39,9 @@ from .quaternions import (
     qarr_conj,
     qarr_mul,
 )
-from .subspaces import Frame, orthonormalize, _count, _seeded_rng
-from .tolerances import (EPS_ANGLE, EPS_BUILD, EPS_FACTOR, EPS_FEASIBLE, EPS_ISO, EPS_ORTH,
-                         EPS_PIVOT, EPS_REMAINDER)
+from .subspaces import Frame, orthonormalize, _count, _require_orthonormal, _seeded_rng, _tolerance
+from .tolerances import (EPS_ANGLE, EPS_BUILD, EPS_FACTOR, EPS_FEASIBLE, EPS_FRAME, EPS_ISO,
+                         EPS_ORTH, EPS_PIVOT, EPS_REMAINDER)
 
 __all__ = [
     "SpElement",
@@ -74,13 +77,7 @@ class SpElement:
         object.__setattr__(self, "matrix", M)
         if M.dtype != complex or M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
             raise DimensionError(f"expected a complex (2n, 2n) matrix, got {M.dtype} {M.shape}")
-        n = M.shape[0] // 2
-        unitary = float(np.max(np.abs(M.conj().T @ M - np.eye(2 * n))))
-        P, R = M[:n, :n], M[n:, :n].conj()
-        form = float(np.max(np.abs(M[n:, n:] - P.conj()) + np.abs(M[:n, n:] + R)))
-        if not (unitary <= EPS_ORTH * 100 and form <= EPS_ORTH * 100):
-            raise FalsificationError(f"not an element of Sp({n}): unitarity defect {unitary:.3e}, "
-                                     f"[[P, -R], [conj R, conj P]] defect {form:.3e}")
+        _require_sp(M)
 
     @property
     def n(self) -> int:
@@ -98,6 +95,18 @@ class SpElement:
         return Frame(self.apply(U.vectors))
 
 
+def _require_sp(M: np.ndarray) -> None:
+    """FalsificationError unless every M (..., 2n, 2n) of the stack is unitary
+    and [[P, -R], [conj R, conj P]] within EPS_ORTH * 100 (largest defects given)."""
+    n = M.shape[-1] // 2
+    unitary = float(np.max(np.abs(M.conj().swapaxes(-1, -2) @ M - np.eye(2 * n))))
+    P, R = M[..., :n, :n], M[..., n:, :n].conj()
+    form = float(np.max(np.abs(M[..., n:, n:] - P.conj()) + np.abs(M[..., :n, n:] + R)))
+    if not (unitary <= EPS_ORTH * 100 and form <= EPS_ORTH * 100):
+        raise FalsificationError(f"not an element of Sp({n}): unitarity defect {unitary:.3e}, "
+                                 f"[[P, -R], [conj R, conj P]] defect {form:.3e}")
+
+
 def random_sp(n: int, seed: int) -> SpElement:
     """Quaternionic Gram-Schmidt of the columns of a Gaussian Z = A + B j,
     as one QR of the complex matrix C with columns (A_q; conj B_q) for Z_q
@@ -105,17 +114,22 @@ def random_sp(n: int, seed: int) -> SpElement:
     C what Z_0..Z_{q-1} span over H. Q's even columns, turned to a positive
     real diagonal of R, are the columns (P; conj R) of g = P + R j, and
     the rest of its matrix [[P, -R], [conj R, conj P]] is sliced from them."""
-    n = _count(n, "n", 1, DimensionError)
-    W = _seeded_rng(seed).standard_normal((n, n, 4)).view(complex)  # entries (A, B)
-    C = np.empty((2 * n, 2 * n), dtype=complex)
-    C[:n, 0::2], C[n:, 0::2] = W[..., 0], W[..., 1].conj()
-    C[:n, 1::2], C[n:, 1::2] = -W[..., 1], W[..., 0].conj()
+    return SpElement(_sp_draws(_count(n, "n", 1, DimensionError), [seed])[0])
+
+
+def _sp_draws(n: int, seeds) -> np.ndarray:
+    """The unchecked matrices (T, 2n, 2n) of random_sp(n, s) for T seeds s,
+    each drawn from its own seed's stream, from one batched QR."""
+    W = np.array([_seeded_rng(s).standard_normal((n, n, 4)) for s in seeds]).view(complex)
+    C = np.empty((len(W), 2 * n, 2 * n), dtype=complex)
+    C[:, :n, 0::2], C[:, n:, 0::2] = W[..., 0], W[..., 1].conj()
+    C[:, :n, 1::2], C[:, n:, 1::2] = -W[..., 1], W[..., 0].conj()
     Q, R = np.linalg.qr(C)
     M = np.empty_like(Q)
-    M[:, :n] = Q[:, 0::2] * np.sign(R.diagonal()[0::2].real)
-    M[:n, n:] = -M[n:, :n].conj()
-    M[n:, n:] = M[:n, :n].conj()
-    return SpElement(M)
+    M[..., :n] = Q[..., 0::2] * np.sign(R.diagonal(0, -2, -1)[:, None, 0::2].real)
+    M[:, :n, n:] = -M[:, n:, :n].conj()
+    M[:, n:, n:] = M[:, :n, :n].conj()
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +443,9 @@ def _profile_vector(p: IsoclinicProfile) -> np.ndarray:
     return np.array([*p.cosines, p.xi, p.chi, p.eta, p.gamma, p.delta])
 
 
-def _unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count random unit coefficient rows (a, b, c): the stream and the
-    scaling of count draws v = rng.standard_normal(3), v / ||v||."""
-    C = rng.standard_normal((count, 3))
-    C /= np.sqrt(C[:, None] @ C[:, :, None])[:, 0]
-    return C
-
-
-def _cos2_angle(c2: np.ndarray) -> np.ndarray:
-    """cos^2 of the angle analysis._angle gives each entry of c2."""
-    return np.cos(np.arccos(np.sqrt(np.clip(c2, 0.0, 1.0)))) ** 2
+# trials per stacked pass of invariance_oracle: at n = 16 the time per trial
+# stops falling here, and a block's arrays stay near 2 MB
+_ORACLE_BLOCK = 12
 
 
 def invariance_oracle(
@@ -451,59 +457,68 @@ def invariance_oracle(
     """Re-derive the full profile under random Sp(n) motions of U.
 
     Refuses a U that fails the isoclinicity gate (NotIsoclinicError), and
-    trials < 1 or a seed numpy refuses (InfeasibleParametersError). Every
-    motion is profiled on U's side of the +/-1 convention, so roundoff that
-    moves an invariant across 1 - EPS_PM1 flips no (Gamma, Delta). Each
-    trial also validates the quadratic form for theta_A against measured
-    angles for 8 random structures, and, with no invariant at +/-1, the eta
-    relation eta = xi chi + sqrt(1-xi^2) sqrt(1-chi^2) Gamma.
+    trials < 1, a seed numpy refuses or a tol that is not finite and
+    positive (InfeasibleParametersError). Every motion is profiled on U's
+    side of the +/-1 convention, so roundoff that moves an invariant across
+    1 - EPS_PM1 flips no (Gamma, Delta). Each trial also validates the
+    quadratic form for theta_A against measured angles for 8 random
+    structures, and, with no invariant at +/-1, the eta relation eta = xi
+    chi + sqrt(1-xi^2) sqrt(1-chi^2) Gamma.
+
+    Trials run in blocks of at most _ORACLE_BLOCK as one stacked pass (one
+    batched QR, one complex product, one forms, gate, profile and structure
+    check kernel each), with the seeds, motions and failure texts of a
+    trial-by-trial run; the maxima may move from it by roundoff.
     """
-    _count(trials, "trials", 1)
+    trials = _count(trials, "trials", 1)
+    tol = _tolerance(tol)
     rng = _seeded_rng(seed)
     base = full_profile(U)
     base_vec = _profile_vector(base)
     snaps = [_pm1(v) for v in (base.xi, base.chi, base.eta)]
-    max_dev = 0.0
-    max_theta = 0.0
-    max_eta = 0.0
+    rows = _complex_rows(U.vectors)
+    max_dev = max_theta = max_eta = 0.0
     failures: list[str] = []
-    for t in range(trials):
-        g = random_sp(U.n, seed=int(rng.integers(0, 2**63 - 1)))
-        gU = g.apply_frame(U)
-        # full_profile(gU) on U's side of +/-1, keeping the forms its gate builds
-        try:
-            angles, forms, _ = _certified_forms(gU)
-        except NotIsoclinicError as exc:
-            failures.append(f"trial {t}: gate failure after motion: {exc}")
-            continue
-        prof = _profile(gU, angles, forms, snaps)
-        dev = float(np.max(np.abs(_profile_vector(prof) - base_vec)))
-        max_dev = max(max_dev, dev)
-        if dev > tol:
-            failures.append(f"trial {t}: profile deviation {dev:.3e}")
-        C = _unit_rows(rng, 8)
+    for start in range(0, trials, _ORACLE_BLOCK):
+        block = range(start, min(start + _ORACLE_BLOCK, trials))
+        draws = [(int(rng.integers(0, 2**63 - 1)), rng.standard_normal((8, 3))) for _ in block]
+        M = _sp_draws(U.n, [s for s, _ in draws])
+        _require_sp(M)
+        gram, *forms = _gram_forms(rows @ M.swapaxes(-1, -2))
+        _require_orthonormal(gram, EPS_FRAME)  # each gU is a frame, with no Frame built
+        forms = np.stack(forms, axis=1)
+        gates = _gates(forms, EPS_ISO)
+        ok = [angles is not None for angles, _ in gates]
+        forms, angles = forms[ok], np.reshape([a for a, _ in gates if a is not None], (-1, 3))
+        # one profile of the block: each field a (T,) array, as _profile_vector and _cos2_of take
+        prof = IsoclinicProfile(U.dim, *_profiles(angles, forms, np.tile(snaps, (sum(ok), 1))).T)
+        dev = np.max(np.abs(_profile_vector(prof).T - base_vec), axis=1)
+        C = np.array([c for _, c in draws])[ok]
+        C /= np.sqrt(C[..., None, :] @ C[..., None])[..., 0]  # unit rows (a, b, c)
         defects, c2 = _combined_defects(C, forms)
-        errs = np.abs(_cos2_angle(c2) - _cos2_angle(_cos2_of(prof, C)))
-        for defect, err in zip(defects, errs):
-            if defect >= EPS_ISO:
-                failures.append(f"trial {t}: pair (gU, A gU) not isoclinic")
+        errs = np.abs(np.cos(_angle(c2)) ** 2 - np.cos(_angle(_cos2_of(prof, C).T)) ** 2)
+        xi, chi = prof.xi, prof.chi
+        res = np.zeros(len(dev)) if any(snaps) else np.abs(
+            prof.eta - xi * chi - np.sqrt((1 - xi**2) * (1 - chi**2)) * prof.gamma)
+        checked = zip(dev.tolist(), defects.tolist(), errs.tolist(), res.tolist())
+        for t, (angles, witness) in zip(block, gates):
+            if angles is None:
+                failures.append(f"trial {t}: gate failure after motion: "
+                                f"{_not_isoclinic(witness, EPS_ISO)}")
                 continue
-            max_theta = max(max_theta, float(err))
-            if err > tol:
-                failures.append(f"trial {t}: theta_A formula error {err:.3e}")
-        if not any(snaps):
-            res = abs(
-                prof.eta
-                - prof.xi * prof.chi
-                - np.sqrt((1 - prof.xi**2) * (1 - prof.chi**2)) * prof.gamma
-            )
-            max_eta = max(max_eta, float(res))
-            if res > tol:
-                failures.append(f"trial {t}: eta relation residual {res:.3e}")
-    return OracleReport(
-        trials=trials,
-        max_profile_deviation=max_dev,
-        max_theta_formula_error=max_theta,
-        max_eta_relation_error=max_eta,
-        failures=tuple(failures),
-    )
+            d, pair_defects, pair_errs, r = next(checked)
+            max_dev = max(max_dev, d)
+            if d > tol:
+                failures.append(f"trial {t}: profile deviation {d:.3e}")
+            for defect, err in zip(pair_defects, pair_errs):
+                if defect >= EPS_ISO:
+                    failures.append(f"trial {t}: pair (gU, A gU) not isoclinic")
+                    continue
+                max_theta = max(max_theta, err)
+                if err > tol:
+                    failures.append(f"trial {t}: theta_A formula error {err:.3e}")
+            if not any(snaps):
+                max_eta = max(max_eta, r)
+                if r > tol:
+                    failures.append(f"trial {t}: eta relation residual {r:.3e}")
+    return OracleReport(trials, max_dev, max_theta, max_eta, tuple(failures))

@@ -43,7 +43,7 @@ from .analysis import (
     full_profile,
 )
 from .errors import DimensionError, FalsificationError, RankDeficiencyError
-from .subspaces import Frame, _mgs, _seeded_rng
+from .subspaces import Frame, _mgs, _seeded_rng, _tolerance
 from .tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK, EPS_RECERT, EPS_UNION
 
 __all__ = [
@@ -212,7 +212,7 @@ class Decomposition:
     @cached_property
     def addend_profiles(self) -> tuple[IsoclinicProfile, ...]:
         """Each addend's profile, read off the forms of its one gate."""
-        return tuple(_profile(a, *g) for a, g in zip(self.addends, self.gated))
+        return tuple(_profile(*g) for g in self.gated)
 
 
 def decompose(U: Frame, seed: int | None = None) -> Decomposition:
@@ -249,7 +249,7 @@ def split_addend_4(addend: Frame, seed: int | None = None) -> tuple[Frame, Frame
         raise DimensionError("split_addend_4 expects an 8-dim addend")
     rng = _seeded_rng(seed) if seed is not None else None
     angles, forms, _ = _certified_forms(addend)
-    profile = _profile(addend, angles, forms)
+    profile = _profile(angles, forms)
     if abs(profile.gamma**2 + profile.delta**2 - 1.0) > EPS_ORBIT:
         return None
     E = _generators(forms)
@@ -361,7 +361,7 @@ class _Measured:
         measured = [_pm1(v) for v in values]
         snaps = [(choice or {}).get(i, m) if i in self.near else m for i, m in enumerate(measured)]
         if snaps != measured:
-            p = _profile(self.frame, self.angles, self.forms, snaps)
+            p = _profile(self.angles, self.forms, snaps)
             _require_mandates(p, snaps)
         xi, chi, eta = (_rounded_sign(v) if snap else v for v, snap in zip(values, snaps))
         if p.dim_class == 2:
@@ -383,7 +383,7 @@ class _Measured:
 def _measured(U: Frame, tol: float = EPS_ISO) -> _Measured:
     """U's _Measured from one gate at `tol`."""
     angles, forms, defect = _certified_forms(U, tol)
-    profile = _profile(U, angles, forms)
+    profile = _profile(angles, forms)
     _require_mandates(profile)
     bound = 1e-14 + 10.0 * defect  # how far roundoff and the defect move xi, chi, eta
     gaps = enumerate(abs(abs(v) - (1.0 - EPS_PM1)) for v in (profile.xi, profile.chi, profile.eta))
@@ -399,6 +399,7 @@ def same_orbit(U: Frame, W: Frame, tol: float = EPS_ORBIT) -> bool:
     convention (see orbit_label) take each side in turn, the same in both
     inputs; differing verdicts raise FalsificationError with the margins.
     Equal labels give equal canonical matrices (closed forms of them)."""
+    tol = _tolerance(tol)
     return _same_orbit(_measured(U), _measured(W), tol)
 
 

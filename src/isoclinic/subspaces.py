@@ -50,11 +50,7 @@ class Frame:
             raise DimensionError(f"ambient dimension {V.shape[1]} not a multiple of 4")
         if V.shape[0] > V.shape[1]:
             raise DimensionError("more vectors than ambient dimensions")
-        defect = np.max(np.abs(V @ V.T - np.eye(V.shape[0])))
-        if not defect <= self.tol:
-            raise FrameError(
-                f"frame is not orthonormal: Gram defect {defect:.3e} > {self.tol:.1e}"
-            )
+        _require_orthonormal(V @ V.T, self.tol)
         object.__setattr__(self, "vectors", V)
 
     @property
@@ -71,6 +67,13 @@ class Frame:
 
     def __len__(self) -> int:
         return self.dim
+
+
+def _require_orthonormal(gram: np.ndarray, tol: float) -> None:
+    """FrameError unless every Gram matrix of the stack (..., k, k) is Id within tol."""
+    defect = np.max(np.abs(gram - np.eye(gram.shape[-1])))
+    if not defect <= tol:
+        raise FrameError(f"frame is not orthonormal: Gram defect {defect:.3e} > {tol:.1e}")
 
 
 def _mgs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
@@ -262,6 +265,16 @@ def _count(value, name: str, least: int, error=InfeasibleParametersError) -> int
     if count is None or count < least:
         raise error(f"expected an integer {name} >= {least}, got {value!r}")
     return count
+
+
+def _tolerance(value) -> float:
+    """value as a float, refusing a tolerance that is not finite and positive."""
+    try:
+        if 0.0 < float(value) < float("inf"):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise InfeasibleParametersError(f"expected a finite tol > 0, got {value!r}")
 
 
 def _seeded_rng(seed) -> np.random.Generator:

@@ -10,16 +10,23 @@ from isoclinic.analysis import (
     ChainSet,
     Companions,
     IsoclinicProfile,
+    _angle,
+    _certified_forms,
     _check_member,
+    _combined_defects,
+    _cos2_of,
     _pm1,
+    _profile,
     certify_isoclinic,
+    full_profile,
     gamma_delta,
 )
-from isoclinic.errors import DimensionError
-from isoclinic.generators import direct_sum, graph_subspace
+from isoclinic.errors import DimensionError, NotIsoclinicError
+from isoclinic.generators import (OracleReport, _profile_vector, direct_sum, graph_subspace,
+                                  random_sp)
 from isoclinic.quaternions import I, J, K, apply_structure
 from isoclinic.subspaces import Frame, orthonormalize, project
-from isoclinic.tolerances import EPS_ANGLE
+from isoclinic.tolerances import EPS_ANGLE, EPS_ISO
 
 
 def unit(n: int, q: int) -> np.ndarray:
@@ -92,6 +99,48 @@ def real_matrix_reference(g):
     n = g.n
     T = qarr_mul_reference(sp_entries(g)[:, :, None, :], np.eye(4))  # (p, q, c, d)
     return T.transpose(0, 3, 1, 2).reshape(4 * n, 4 * n)
+
+
+def oracle_loop_reference(U, trials, seed, tol=1e-6):
+    """invariance_oracle one trial at a time: each trial draws its motion's
+    seed and its 8 structures from one stream, moves U with random_sp's
+    Frame, and runs the single-input gate, profile and pair checks."""
+    rng = np.random.default_rng(seed)
+    base = full_profile(U)
+    base_vec = _profile_vector(base)
+    snaps = [_pm1(v) for v in (base.xi, base.chi, base.eta)]
+    max_dev = max_theta = max_eta = 0.0
+    failures = []
+    for t in range(trials):
+        g = random_sp(U.n, seed=int(rng.integers(0, 2**63 - 1)))
+        C = rng.standard_normal((8, 3))
+        C /= np.sqrt(C[:, None] @ C[:, :, None])[:, 0]
+        try:
+            angles, forms, _ = _certified_forms(g.apply_frame(U))
+        except NotIsoclinicError as exc:
+            failures.append(f"trial {t}: gate failure after motion: {exc}")
+            continue
+        prof = _profile(angles, forms, snaps)
+        dev = float(np.max(np.abs(_profile_vector(prof) - base_vec)))
+        max_dev = max(max_dev, dev)
+        if dev > tol:
+            failures.append(f"trial {t}: profile deviation {dev:.3e}")
+        defects, c2 = _combined_defects(C, forms)
+        errs = np.abs(np.cos(_angle(c2)) ** 2 - np.cos(_angle(_cos2_of(prof, C))) ** 2)
+        for defect, err in zip(defects, errs):
+            if defect >= EPS_ISO:
+                failures.append(f"trial {t}: pair (gU, A gU) not isoclinic")
+                continue
+            max_theta = max(max_theta, float(err))
+            if err > tol:
+                failures.append(f"trial {t}: theta_A formula error {err:.3e}")
+        if not any(snaps):
+            res = abs(prof.eta - prof.xi * prof.chi
+                      - np.sqrt((1 - prof.xi**2) * (1 - prof.chi**2)) * prof.gamma)
+            max_eta = max(max_eta, float(res))
+            if res > tol:
+                failures.append(f"trial {t}: eta relation residual {res:.3e}")
+    return OracleReport(trials, max_dev, max_theta, max_eta, tuple(failures))
 
 
 @functools.cache

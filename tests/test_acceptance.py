@@ -92,16 +92,53 @@ def label_vector(label) -> np.ndarray:
     return label.as_array()
 
 
+# the seed of the fixed samples whose p99 is printed beside a max of
+# roundoff-level deviations, which any change of summation order moves
+SAMPLE_SEED = 20070505
+
+
+def group_deviations(rng, runs: int) -> list[float]:
+    """Label deviation between a family member and its random Sp(n) motion, per run."""
+    deviations = []
+    for _ in range(runs):
+        U = random_family_member(rng)
+        g = random_sp(U.n, seed=int(rng.integers(0, 2**62)))
+        lu = label_vector(orbit_label(U))
+        lg = label_vector(orbit_label(g.apply_frame(U)))
+        deviations.append(float(np.max(np.abs(lu - lg))))
+    return deviations
+
+
+def formula_deviations(rng, runs: int) -> tuple[list[float], list[float]]:
+    """|cos^2 theta_A from the invariants - measured| for 8 random structures per
+    input, and on dim-4 inputs the trace identity's deviation."""
+    pairs, traces = [], []
+    for run in range(runs):
+        pick = run % 3
+        if pick == 0:
+            U = graph_subspace(rng.standard_normal(4))
+        elif pick == 1:
+            U = random_two_plane(rng)
+        else:
+            U = direct_sum([graph_subspace(rng.standard_normal(4))] * 2)
+        prof = full_profile(U)
+        for _ in range(8):
+            A = random_structure(rng)
+            measured = isoclinic_pair(U, structure_image(A, U))
+            assert measured is not None
+            pairs.append(float(abs(np.cos(theta_of_A(prof, A)) ** 2 - np.cos(measured) ** 2)))
+            if U.dim == 4:
+                w = omega_matrix(U, A)
+                traces.append(float(abs(np.cos(theta_of_A(prof, A)) ** 2 + np.trace(w @ w) / 4.0)))
+    return pairs, traces
+
+
 class TestAcceptance:
     def test_01_group_invariance(self, rng):
-        worst = 0.0
-        for run in range(200):
-            U = random_family_member(rng)
-            g = random_sp(U.n, seed=int(rng.integers(0, 2**62)))
-            lu = label_vector(orbit_label(U))
-            lg = label_vector(orbit_label(g.apply_frame(U)))
-            worst = max(worst, float(np.max(np.abs(lu - lg))))
-        report(1, worst < 1e-6, f"max label deviation over 200 runs: {worst:.3e}")
+        worst = max(group_deviations(rng, 200))
+        p99 = np.quantile(group_deviations(np.random.default_rng(SAMPLE_SEED), 1000), 0.99)
+        report(1, worst < 1e-6, f"max label deviation over 200 runs: {worst:.3e}"
+                                f" (p99 over 1000 seeded runs: {p99:.3e})")
 
     def test_02_example_catalog(self):
         ok = True
@@ -143,31 +180,12 @@ class TestAcceptance:
         report(2, ok, "; ".join(detail))
 
     def test_03_formula_coherence(self, rng):
-        worst_pair = 0.0
-        worst_trace = 0.0
-        for run in range(100):
-            pick = run % 3
-            if pick == 0:
-                U = graph_subspace(rng.standard_normal(4))
-            elif pick == 1:
-                U = random_two_plane(rng)
-            else:
-                U = direct_sum([graph_subspace(rng.standard_normal(4))] * 2)
-            prof = full_profile(U)
-            for _ in range(8):
-                A = random_structure(rng)
-                measured = isoclinic_pair(U, structure_image(A, U))
-                assert measured is not None
-                err = abs(np.cos(theta_of_A(prof, A)) ** 2 - np.cos(measured) ** 2)
-                worst_pair = max(worst_pair, float(err))
-                if U.dim == 4:
-                    w = omega_matrix(U, A)
-                    err_t = abs(
-                        np.cos(theta_of_A(prof, A)) ** 2 + np.trace(w @ w) / 4.0
-                    )
-                    worst_trace = max(worst_trace, float(err_t))
+        pairs, traces = formula_deviations(rng, 100)
+        worst_pair, worst_trace = max(pairs), max(traces, default=0.0)
+        p99 = np.quantile(formula_deviations(np.random.default_rng(SAMPLE_SEED), 125)[0], 0.99)
         ok = worst_pair < 1e-8 and worst_trace < 1e-10
-        report(3, ok, f"pair dev {worst_pair:.3e}; dim-4 trace dev {worst_trace:.3e}")
+        report(3, ok, f"pair dev {worst_pair:.3e} (p99 over {125 * 8} seeded pairs: {p99:.3e});"
+                      f" dim-4 trace dev {worst_trace:.3e}")
 
     def test_04_gamma_relation(self, rng):
         # measured on the chains: the library's profile takes Gamma from this

@@ -6,6 +6,7 @@ from isoclinic import generators
 from isoclinic.analysis import (
     IsoclinicProfile,
     TwoPlaneOrbit,
+    certify_isoclinic,
     full_profile,
     isoclinic_profile_angles,
     two_plane_orbit,
@@ -31,7 +32,7 @@ from isoclinic.generators import (
     make_two_plane,
     random_sp,
 )
-from isoclinic.orbits import decompose, orbit_label, split_addend_4
+from isoclinic.orbits import decompose, orbit_label, same_orbit, split_addend_4
 from isoclinic.quaternions import (
     I,
     J,
@@ -444,6 +445,23 @@ class TestCounts:
         # not a bare TypeError, IndexError or ValueError from numpy
         with pytest.raises(error, match=f"expected an integer {name} >= "):
             call()
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("call", [
+        lambda U, tol: isoclinic_profile_angles(U, tol),
+        lambda U, tol: certify_isoclinic(U, tol),
+        lambda U, tol: full_profile(U, tol),
+        lambda U, tol: same_orbit(U, U, tol),
+        lambda U, tol: invariance_oracle(U, 2, 1, tol=tol),
+    ], ids=["angles", "certify", "full_profile", "same_orbit", "oracle"])
+    def test_refused_by_name(self, call, tol):
+        # nan passed the oracle with nothing checked and crashed the gate on a
+        # non-isoclinic input; inf passed it
+        for U in (graph_subspace(0.5), orthonormalize(np.eye(8)[[0, 2, 4, 5]])):
+            with pytest.raises(InfeasibleParametersError, match=f"finite tol > 0, got {tol}"):
+                call(U, tol)
 
 
 class TestOrbitOfSums:

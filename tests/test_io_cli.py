@@ -312,6 +312,18 @@ class TestCli:
         assert code == 2 and out == ""
         assert err.startswith("usage: isoclinic") and "Traceback" not in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_bad_tol_is_usage_error(self, capsys, tmp_path, command, tol):
+        # nan crashed the gate, inf passed a non-isoclinic input and -1 refused every one
+        rows = np.eye(8)[[0, 2, 4, 5]].tolist()
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"quaternionic_dim": 2, "vectors": rows}))
+        docs = [str(path)] * (2 if command == "compare" else 1)
+        code, out, err = run_cli(capsys, command, *docs, f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: isoclinic") and f"got '{tol}'" in err
+
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
     def test_bad_seed_variable_is_document_error(self, capsys, tmp_path, monkeypatch, value):
         path = graph_document(tmp_path)

@@ -22,10 +22,13 @@ that the witness attains that sup. Inputs are unit-norm and agreement is
 required to 1e-13 (bitwise where the kernel performs the same operations
 in the same order). The complement is also checked against its
 characterisation: orthonormal rows that annihilate U W^T, spanning the
-null space of its transpose.
+null space of its transpose. The oracle's stacked blocks are checked
+against the same oracle run one trial at a time (conftest), and each
+stacked kernel against its single-input call, bitwise.
 """
 
 import json
+from dataclasses import astuple
 
 import numpy as np
 import numpy.testing as npt
@@ -33,13 +36,17 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from isoclinic import analysis, cli, orbits
+from isoclinic import analysis, cli, generators, orbits
 from isoclinic.analysis import (
     _angle,
     _combined_defects,
     _forms,
     _gate,
+    _gates,
+    _normalised,
     _pair_defects,
+    _profile,
+    _profiles,
     _pm1,
     _witness,
     build_chains,
@@ -104,11 +111,11 @@ from isoclinic.orbits import (
     orbit_label,
     same_orbit,
 )
-from isoclinic.tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK
+from isoclinic.tolerances import EPS_ANGLE, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK
 from conftest import (build_chains_reference, chain_profile, companions_reference,
-                      complement_in, omega_reference, perturbed_graph_sum, qarr_conj_reference,
-                      qarr_mul_reference, random_unit_in, real_matrix_reference, sp_entries,
-                      sp_matrix)
+                      complement_in, omega_reference, oracle_loop_reference, perturbed_graph_sum,
+                      qarr_conj_reference, qarr_mul_reference, random_unit_in,
+                      real_matrix_reference, sp_entries, sp_matrix)
 
 TOL = 1e-13
 
@@ -634,6 +641,71 @@ class TestGate:
                 )
 
 
+class TestStacks:
+    """The stacked kernels give each entry what the single-input call gives it."""
+
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    def test_gates_are_the_gate_entry_by_entry(self, dim):
+        names = [name for name in sorted(GATE_INPUTS) if name.endswith(f"-{dim}")]
+        forms = np.array([_forms(GATE_INPUTS[name]()) for name in names])
+        gates = _gates(forms, EPS_ISO)
+        assert len(gates) == len(names)
+        assert {a is None for a, _ in gates} == {True, False}  # mixed verdicts
+        for f, (angles, (coeffs, deviation)) in zip(forms, gates):
+            want_angles, (want_coeffs, want_deviation) = _gate(f, EPS_ISO)
+            assert angles == want_angles and deviation == want_deviation
+            if want_coeffs is None:
+                assert coeffs is None
+            else:
+                npt.assert_array_equal(coeffs, want_coeffs)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_sampler_draws_are_random_sp(self, n):
+        M = generators._sp_draws(n, range(20))
+        assert M.shape == (20, 2 * n, 2 * n)
+        for seed, m in enumerate(M):
+            npt.assert_array_equal(m, random_sp(n, seed).matrix)
+
+    def test_sp_check_over_a_stack(self):
+        M = generators._sp_draws(3, range(4))
+        generators._require_sp(M)
+        M[2, 0, 0] *= 1.001
+        with pytest.raises(FalsificationError, match="unitarity defect"):
+            generators._require_sp(M)
+
+    def test_normalised_branch_per_entry(self):
+        # c_I just above and just below EPS_ANGLE, and all three below: each
+        # entry of a stack gets the branch it gets alone
+        forms = np.array([_forms(moved(graph_sum(2), s)) for s in range(4)])
+        cosines = [[EPS_ANGLE * (1 + 1e-6), 0.5, 0.3], [EPS_ANGLE * (1 - 1e-6), 0.5, 0.3],
+                   [0.2, 0.4, 0.6], [EPS_ANGLE / 2] * 3]
+        angles = np.arccos(cosines)
+        assert (np.cos(angles[0, 0]) > EPS_ANGLE) and not (np.cos(angles[1, 0]) > EPS_ANGLE)
+        J = _normalised(forms, angles)
+        for f, a, j in zip(forms, angles, J):
+            npt.assert_array_equal(j, _normalised(f, a))
+        npt.assert_array_equal(J[0, 0], forms[0, 0] / np.cos(angles[0, 0]))
+        npt.assert_array_equal(J[1, 0], J[1, 1])  # J_I := J_J
+        npt.assert_array_equal(J[3], 0.0)
+        rows = _profiles(angles, forms)
+        for row, f, a in zip(rows, forms, angles):
+            assert tuple(row[3:]) == astuple(_profile(tuple(a), f))[4:]
+
+    def test_profiles_branch_per_entry(self):
+        # a generic entry, one at +/-1 (xi = -1) and an r.h.p. one: each gets
+        # the (Gamma, Delta) branch it gets alone, by default and under snaps
+        inputs = [moved(make_profile_4(*PROFILE_4), 1), two_plane_sum(2, 2),
+                  moved(make_rhp(4, 4), 3)]
+        gated = [certify_isoclinic(U) for U in inputs]
+        forms = np.array([_forms(U) for U in inputs])
+        for snaps in (None, [[False] * 3, [True, False, False], [True] * 3]):
+            rows = _profiles(np.array(gated), forms, snaps)
+            for t, (row, a, f) in enumerate(zip(rows, gated, forms)):
+                want = _profile(a, f, None if snaps is None else snaps[t])
+                assert tuple(row) == astuple(want)[1:]
+        assert [tuple(r[6:]) for r in _profiles(np.array(gated), forms)][1:] == [(1.0, 0.0)] * 2
+
+
 class TestRealMatrix:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_equals_blockwise_loop(self, n):
@@ -784,19 +856,59 @@ class TestOracle:
             [max_dev, max_theta, max_eta], rtol=0, atol=1e-14,
         )
 
-    def test_forms_built_once_per_trial(self, monkeypatch):
+    def test_forms_built_once_per_block(self, monkeypatch):
         built = []
-        real = analysis._forms
+        real = analysis._gram_forms
 
-        def counting(V):
-            built.append(V.dim)
-            return real(V)
+        def counting(C):
+            built.append(C.shape)
+            return real(C)
 
         U = moved(graph_sum(2), 2)
-        monkeypatch.setattr(analysis, "_forms", counting)
-        assert invariance_oracle(U, 3, 2).passed
-        # one for the input's own gate, then one per trial
-        assert built == [8] * 4
+        monkeypatch.setattr(analysis, "_gram_forms", counting)
+        monkeypatch.setattr(generators, "_gram_forms", counting)
+        B = generators._ORACLE_BLOCK
+        assert invariance_oracle(U, 2 * B + 1, 2).passed
+        # one for the input's own gate, then one per block of motions
+        assert built == [(8, 8), (B, 8, 8), (B, 8, 8), (1, 8, 8)]
+
+    @pytest.mark.parametrize("make,seed", [
+        (lambda: moved(graph_sum(2), 2), 2),
+        (lambda: make_two_plane(3, 0.9, 1.1, 1.2, -1.0, 1.0), 4),
+        (lambda: make_profile_4(*PROFILE_4), 5),
+        (lambda: moved(make_rhp(4, 4), 6), 6),
+        (near_pm1_profile, 1),
+    ])
+    def test_blocks_equal_the_trial_loop(self, make, seed):
+        # one stacked pass per block gives the report of one trial at a time
+        U = make()
+        B = generators._ORACLE_BLOCK
+        for trials in (1, B, B + 1):
+            assert invariance_oracle(U, trials, seed) == oracle_loop_reference(U, trials, seed)
+        tight = invariance_oracle(U, B + 1, seed, tol=1e-18)
+        assert tight == oracle_loop_reference(U, B + 1, seed, tol=1e-18) and tight.failures
+
+    def test_gate_failure_on_one_motion(self, monkeypatch):
+        # the failure is reported in its trial's place; the other trials are
+        # checked as before, here against an impossible tolerance
+        real = analysis._gates
+        failed = (None, (np.array([0.6, 0.0, -0.8]), 0.25))
+
+        def failing_second(forms, tol):
+            gates = real(forms, tol)
+            return gates[:1] + [failed] + gates[2:] if len(gates) > 1 else gates
+
+        U = moved(graph_sum(2), 2)
+        monkeypatch.setattr(generators, "_gates", failing_second)
+        report = invariance_oracle(U, 3, 2, tol=1e-18)
+        trials = [f.split(":", 1)[0] for f in report.failures]
+        assert trials == sorted(trials) and {"trial 0", "trial 2"} <= set(trials)
+        assert [f for f in report.failures if f.startswith("trial 1:")] == [
+            "trial 1: gate failure after motion: pair (U, AU) is not isoclinic for "
+            "A = [0.6, 0.0, -0.8] (defect 2.500e-01 >= 1.0e-08)"]
+        want = oracle_loop_reference(U, 3, 2, tol=1e-18).failures
+        assert [f for f in report.failures if not f.startswith("trial 1:")] == [
+            f for f in want if not f.startswith("trial 1:")]
 
     @pytest.mark.parametrize("gap", [0.0, 1e-12, -1e-12, 1e-10, -1e-10])
     def test_near_pm1_passes(self, gap):
