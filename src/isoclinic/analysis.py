@@ -129,7 +129,7 @@ def isoclinic_pair(U: Frame, W: Frame, tol: float = EPS_ISO) -> float | None:
     if U.dim != W.dim:
         raise DimensionError(f"isoclinic_pair needs equal dims, got {U.dim} != {W.dim}")
     defect, c2 = _pair_defects(gram(U, W))
-    return None if defect >= tol else float(_angle(c2))
+    return None if defect >= _tolerance(tol) else float(_angle(c2))
 
 
 def _witness(band: np.ndarray) -> np.ndarray:
@@ -385,7 +385,7 @@ def companions(
     forcing the matching invariants to 1, and with all three missing
     (r.h.p.) X2 = Y2 = Z2 is the second row of the sweep from u (_adapted).
     """
-    X1 = _check_member(U, X1, "leading vector")
+    X1, tol = _check_member(U, X1, "leading vector"), _tolerance(tol)
     # the forms applied to u: (omega_p u)_a = <X_a, A_p X1>
     Ju = _normalised(np.array([U.vectors @ apply_structure(A, X1) for A in (I, J, K)]), angles,
                      tol)
@@ -499,6 +499,7 @@ def gamma_delta(chains: ChainSet, tol: float = EPS_CHAIN) -> tuple[float, float]
     recomputed through several equivalent expressions; disagreement
     beyond `tol` raises DegenerateChainError.
     """
+    tol = _tolerance(tol)
     if chains.convention != "generic":
         return 1.0, 0.0
     X1 = chains.leading
@@ -604,7 +605,7 @@ def canonical_matrices_4(
     pred_ij = cij_block_4(xi_eff)
     pred_ik = cik_block_4(chi_eff, gamma, delta)
     dev = max(np.max(np.abs(cij - pred_ij)), np.max(np.abs(cik - pred_ik)))
-    if dev > tol:
+    if dev > _tolerance(tol):
         raise DegenerateChainError(
             f"canonical matrices deviate from closed form by {dev:.3e}"
         )
@@ -646,11 +647,9 @@ class TwoPlaneOrbit:
     oriented: bool
 
     def same_orbit(self, other: "TwoPlaneOrbit", tol: float = EPS_ANGLE) -> bool:
-        d_direct = np.max(np.abs(self.im.as_array() - other.im.as_array()))
-        if self.oriented and other.oriented:
-            return bool(d_direct < tol)
-        d_conj = np.max(np.abs(self.im.as_array() + other.im.as_array()))
-        return bool(min(d_direct, d_conj) < tol)
+        a, b = self.im.as_array(), other.im.as_array()
+        signs = (1.0,) if self.oriented and other.oriented else (1.0, -1.0)  # b or its conjugate
+        return bool(min(np.max(np.abs(a - s * b)) for s in signs) < _tolerance(tol))
 
 
 def two_plane_orbit(P: OrientedTwoPlane | Frame) -> TwoPlaneOrbit:

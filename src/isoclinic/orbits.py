@@ -37,13 +37,14 @@ from .analysis import (
     _generators,
     _pm1,
     _profile,
+    _profiles,
     build_chains,
     cij_block_4,
     cik_block_4,
     full_profile,
 )
 from .errors import DimensionError, FalsificationError, RankDeficiencyError
-from .subspaces import Frame, _mgs, _seeded_rng, _tolerance
+from .subspaces import Frame, _seeded_rng, _tolerance
 from .tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK, EPS_RECERT, EPS_UNION
 
 __all__ = [
@@ -97,17 +98,20 @@ def _clean(V: np.ndarray, tol: float = EPS_UNION) -> np.ndarray:
     """Rows V, orthonormal by theorem, orthonormalized: a Gram defect within
     tol is absorbed, whatever its size, so the result does not depend on how
     close to orthonormal the rows came out; one beyond tol means the
-    construction's hypotheses failed."""
-    defect = np.max(np.abs(V @ V.T - np.eye(V.shape[0])))
+    construction's hypotheses failed. One QR of V^T signed by R's diagonal is
+    row-order Gram-Schmidt; |R_jj| <= EPS_RANK max(1, largest row norm) is rank loss."""
+    G = V @ V.T
+    defect = np.max(np.abs(G - np.eye(len(V))))
     if not defect <= tol:
         raise FalsificationError(
             f"addend blocks are not orthogonal (defect {defect:.3e}); "
             "construction hypotheses violated"
         )
-    Q, kept = _mgs(V, EPS_RANK)
-    if len(kept) != len(V):
-        raise RankDeficiencyError(detected_rank=len(kept), expected=len(V))
-    return Q
+    Q, R = np.linalg.qr(V.T)
+    rank = int(np.sum(np.abs(R.diagonal()) > EPS_RANK * np.sqrt(max(G.diagonal().max(), 1.0))))
+    if rank != len(V):
+        raise RankDeficiencyError(detected_rank=rank, expected=len(V))
+    return (Q * np.sign(R.diagonal())).T
 
 
 def _require_mandates(profile: IsoclinicProfile, snaps=None) -> None:
@@ -155,22 +159,22 @@ def _require_one_type(E: np.ndarray) -> None:
 
 
 def _submodules(U: Frame, forms: np.ndarray, E: np.ndarray, u, dim: int, cut: int, rng=None):
-    """(Frames B V, forms B omega B^T) of the blocks B of the rows
-    _adapted(E, u, dim, cut, rng) of U's coordinates, checked against
-    _union_tol(E) and orthonormalized once; omega are U's forms."""
-    blocks = np.split(_clean(_adapted(E, u, dim, cut, rng), _union_tol(E)), dim // cut)
-    return [Frame(B @ U.vectors) for B in blocks], [B @ forms @ B.T for B in blocks]
+    """(Frames B V, forms B omega B^T (m, 3, cut, cut)), each one product over the
+    blocks B (m, cut, k) of the rows _adapted(E, u, dim, cut, rng) of U's
+    coordinates, checked against _union_tol(E) and orthonormalized by _clean."""
+    B = _clean(_adapted(E, u, dim, cut, rng), _union_tol(E)).reshape(-1, cut, E.shape[-1])
+    return [Frame(b) for b in B @ U.vectors], B[:, None] @ forms @ B[:, None].swapaxes(-1, -2)
 
 
-def _recertified(forms: np.ndarray, angles, what: str):
-    """(angles, forms) of an addend's gate on its forms, once it finds the parent's."""
-    got = analysis._gate(forms, EPS_ISO)[0]  # via the module: a wrapped gate sees it
-    if got is None or np.max(np.abs(np.array(got) - np.array(angles))) > EPS_RECERT:
-        raise FalsificationError(
-            f"{what} failed re-certification against the parent angles "
-            f"(got {got}, parent {tuple(angles)})"
-        )
-    return got, forms
+def _recertified(forms: np.ndarray, angles, what: str) -> tuple:
+    """(angles, forms) of each addend of the stack forms from one stacked gate, via the
+    module; the first addend off the parent's angles raises as what.format(index)."""
+    got = [gate[0] for gate in analysis._gates(forms, EPS_ISO)]
+    for i, a in enumerate(got):
+        if a is None or np.max(np.abs(np.subtract(a, angles))) > EPS_RECERT:
+            raise FalsificationError(f"{what.format(i)} failed re-certification against the "
+                                     f"parent angles (got {a}, parent {tuple(angles)})")
+    return tuple(zip(got, forms))
 
 
 def eight_dim_addend(
@@ -194,7 +198,7 @@ def eight_dim_addend(
     E = _generators(forms)
     _require_one_type(E)
     u = U.vectors @ _check_member(U, X1, "leading vector")
-    (addend,), (block,) = _submodules(U, forms, E, u, 8, 8)
+    (addend,), block = _submodules(U, forms, E, u, 8, 8)
     _recertified(block, angles, "constructed 8-dim addend")
     return addend
 
@@ -211,8 +215,10 @@ class Decomposition:
 
     @cached_property
     def addend_profiles(self) -> tuple[IsoclinicProfile, ...]:
-        """Each addend's profile, read off the forms of its one gate."""
-        return tuple(_profile(*g) for g in self.gated)
+        """Each addend's profile off the forms of its one gate, in one _profiles."""
+        angles, forms = zip(*self.gated)
+        rows = _profiles(np.array(angles), np.array(forms)).tolist()
+        return tuple(IsoclinicProfile(self.addend_dim, *row) for row in rows)
 
 
 def decompose(U: Frame, seed: int | None = None) -> Decomposition:
@@ -228,16 +234,16 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     sweep (analysis._adapted) grows cyclic submodules span{u, E_1 u, E_2 u,
     E_1 E_2 u} (or span{u, E_1 u}, span{u} with fewer generators), each in
     the complement of the last, and cuts them into addends. Its rows are
-    checked and orthonormalized once; an addend is a Frame B V, gated once
-    on its block B omega B^T of U's forms against the parent's angles, and
-    addend_profiles reads that gate's forms.
+    checked and orthonormalized by one QR; an addend is a Frame B V, and one
+    stacked gate re-certifies all addends on their blocks B omega B^T of U's
+    forms against the parent's angles; addend_profiles reads its forms.
     """
     rng = _seeded_rng(seed) if seed is not None else None
     measured = _measured(U)
     klass = measured.profile.dim_class
     addends, forms = _submodules(U, measured.forms, measured.generators, None, U.dim, klass, rng)
-    gated = tuple(_recertified(f, measured.angles, "constructed 8-dim addend" if klass == 8
-                               else f"addend {i}") for i, f in enumerate(forms))
+    gated = _recertified(forms, measured.angles, "constructed 8-dim addend" if klass == 8
+                         else "addend {}")
     return Decomposition(tuple(addends), klass, measured.profile, gated)
 
 
@@ -260,13 +266,10 @@ def split_addend_4(addend: Frame, seed: int | None = None) -> tuple[Frame, Frame
 # block canonical matrices
 
 
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total))
-    at = 0
-    for b in blocks:
-        out[at : at + b.shape[0], at : at + b.shape[0]] = b
-        at += b.shape[0]
+def _block_diag(b: np.ndarray, count: int) -> np.ndarray:
+    out = np.zeros((count * len(b),) * 2)
+    for at in range(0, len(out), len(b)):
+        out[at : at + len(b), at : at + len(b)] = b
     return out
 
 
@@ -294,8 +297,7 @@ def canonical_matrices(
     else:
         bij = cij_block_4(profile.xi)
         bik = cik_block_4(profile.chi, profile.gamma, profile.delta)
-    count = profile.dim // bij.shape[0]
-    return _block_diag([bij] * count), _block_diag([bik] * count)
+    return tuple(_block_diag(b, profile.dim // len(b)) for b in (bij, bik))
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +322,8 @@ class OrbitLabel:
                          self.eta, self.delta])
 
     def agrees(self, other: "OrbitLabel", tol: float = EPS_ORBIT) -> bool:
-        if self.dim != other.dim:
-            return False
-        return bool(np.max(np.abs(self.as_array() - other.as_array())) < tol)
+        close = np.max(np.abs(self.as_array() - other.as_array())) < _tolerance(tol)
+        return bool(close) and self.dim == other.dim
 
 
 def orbit_label(U: Frame) -> OrbitLabel:

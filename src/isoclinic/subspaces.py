@@ -50,7 +50,7 @@ class Frame:
             raise DimensionError(f"ambient dimension {V.shape[1]} not a multiple of 4")
         if V.shape[0] > V.shape[1]:
             raise DimensionError("more vectors than ambient dimensions")
-        _require_orthonormal(V @ V.T, self.tol)
+        _require_orthonormal(V @ V.T, _tolerance(self.tol))
         object.__setattr__(self, "vectors", V)
 
     @property

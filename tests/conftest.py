@@ -36,6 +36,25 @@ def unit(n: int, q: int) -> np.ndarray:
     return v
 
 
+def mgs_reference(rows, tol):
+    """Two-pass Gram-Schmidt in row order, one projection at a time: (kept
+    orthonormal rows, their indices), dropping a residual at most tol * max(1,
+    largest row norm)."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    scale = max(float(np.max(np.linalg.norm(rows, axis=1))), 1.0)
+    out, kept = [], []
+    for idx, r in enumerate(rows):
+        v = r.copy()
+        for _ in range(2):
+            for q in out:
+                v -= (q @ v) * q
+        nv = float(np.linalg.norm(v))
+        if nv > tol * scale:
+            out.append(v / nv)
+            kept.append(idx)
+    return (np.array(out) if out else np.zeros((0, rows.shape[1]))), kept
+
+
 def perturbed_graph_sum(seed, parts):
     """`parts` copies of one random graph subspace, moved by 3e-9 noise."""
     rng = np.random.default_rng(seed)

@@ -6,8 +6,13 @@ from isoclinic import generators
 from isoclinic.analysis import (
     IsoclinicProfile,
     TwoPlaneOrbit,
+    build_chains,
+    canonical_matrices_4,
     certify_isoclinic,
+    companions,
     full_profile,
+    gamma_delta,
+    isoclinic_pair,
     isoclinic_profile_angles,
     two_plane_orbit,
 )
@@ -462,6 +467,27 @@ class TestTolerances:
         for U in (graph_subspace(0.5), orthonormalize(np.eye(8)[[0, 2, 4, 5]])):
             with pytest.raises(InfeasibleParametersError, match=f"finite tol > 0, got {tol}"):
                 call(U, tol)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("call", [
+        lambda U, x, tol: isoclinic_pair(Frame(np.eye(8)[[0, 1]]), Frame(np.eye(8)[[0, 4]]), tol),
+        lambda U, x, tol: direct_sum([U, U], tol),
+        lambda U, x, tol: gamma_delta(build_chains(U, x), tol),
+        lambda U, x, tol: canonical_matrices_4(build_chains(U, x), 1.0, 0.0, 0.5, 0.5, tol),
+        lambda U, x, tol: companions(U, x, certify_isoclinic(U), tol),
+        lambda U, x, tol: build_chains(U, x, None, tol),
+        lambda U, x, tol: orbit_label(U).agrees(orbit_label(U), tol),
+        lambda U, x, tol: two_plane_orbit(Frame(U.vectors[:2])).same_orbit(
+            two_plane_orbit(Frame(U.vectors[:2])), tol),
+        lambda U, x, tol: Frame(U.vectors, tol),
+    ], ids=["isoclinic_pair", "direct_sum", "gamma_delta", "canonical_matrices_4", "companions",
+            "build_chains", "agrees", "two_plane_same_orbit", "frame"])
+    def test_public_tolerances_refused_by_name(self, call, tol):
+        # nan made every comparison false: isoclinic_pair certified a non-isoclinic
+        # pair, agrees refused a label itself and Frame reported a Gram defect 0 > nan
+        U = graph_subspace(0.5)
+        with pytest.raises(InfeasibleParametersError, match=f"finite tol > 0, got {tol}"):
+            call(U, U.vectors[0], tol)
 
 
 class TestOrbitOfSums:

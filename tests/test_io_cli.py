@@ -258,13 +258,13 @@ class TestCli:
         path = tmp_path / "sum.json"
         path.write_text(out)
         gated = []
-        real = analysis._gate
+        real = analysis._gates
 
         def counting(forms, *args):
-            gated.append(forms.shape[-1])
+            gated.extend([forms.shape[-1]] * len(forms))  # one per stack entry
             return real(forms, *args)
 
-        monkeypatch.setattr(analysis, "_gate", counting)
+        monkeypatch.setattr(analysis, "_gates", counting)
         code, out, _ = run_cli(capsys, "decompose", str(path), "--seed", "1")
         assert code == 0 and gated == [8, 8]
         result = json.loads(out)

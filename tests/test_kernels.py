@@ -2,8 +2,9 @@
 replace.
 
 Each reference below is the plain formulation: Gram-Schmidt one kept row
-at a time, the structure action as stacked signed slices, companions
-through the projector onto AU, the oracle's sampled structures through a
+at a time (conftest; decompose's one QR is checked against it too), the
+structure action as stacked signed slices, companions through the
+projector onto AU, the oracle's sampled structures through a
 fresh image AU per structure, the Hamilton product written out one
 component at a time, Sp(n) sampling as left-looking Gram-Schmidt one
 column pair at a time on that product, an element's real 4n x 4n matrix
@@ -104,6 +105,7 @@ from isoclinic.subspaces import (
 )
 from isoclinic.orbits import (
     OrbitLabel,
+    _clean,
     _clean_union,
     _rounded_sign,
     decompose,
@@ -111,32 +113,16 @@ from isoclinic.orbits import (
     orbit_label,
     same_orbit,
 )
-from isoclinic.tolerances import EPS_ANGLE, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK
+from isoclinic.tolerances import EPS_ANGLE, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK, EPS_UNION
 from conftest import (build_chains_reference, chain_profile, companions_reference,
-                      complement_in, omega_reference, oracle_loop_reference, perturbed_graph_sum,
-                      qarr_conj_reference, qarr_mul_reference, random_unit_in,
-                      real_matrix_reference, sp_entries, sp_matrix)
+                      complement_in, mgs_reference, omega_reference, oracle_loop_reference,
+                      perturbed_graph_sum, qarr_conj_reference, qarr_mul_reference,
+                      random_unit_in, real_matrix_reference, sp_entries, sp_matrix)
 
 TOL = 1e-13
 
 
 # --- references -------------------------------------------------------------
-
-def mgs_reference(rows, tol):
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    scale = max(float(np.max(np.linalg.norm(rows, axis=1))), 1.0)
-    out, kept = [], []
-    for idx, r in enumerate(rows):
-        v = r.copy()
-        for _ in range(2):
-            for q in out:
-                v -= (q @ v) * q
-        nv = float(np.linalg.norm(v))
-        if nv > tol * scale:
-            out.append(v / nv)
-            kept.append(idx)
-    return (np.array(out) if out else np.zeros((0, rows.shape[1]))), kept
-
 
 def householder_reference(G):
     """The complement rows of G (k, m) by Householder completion, one
@@ -457,6 +443,43 @@ class TestGramSchmidt:
         # the third residual is 1e-8 absolute but 1e-11 relative to |row 0|
         rows = np.vstack([1e3 * r[0], r[1], r[1] + 1e-8 * r[2]])
         assert _mgs(rows, EPS_RANK)[1] == mgs_reference(rows, EPS_RANK)[1] == [0, 1]
+
+
+def near_orthonormal(rng, dim, defect):
+    """dim orthonormal rows of R^(dim + 4) moved by noise whose Gram defect,
+    max |V V^T - Id|, is `defect` to first order. The rows are Gram-Schmidt
+    of Gaussian ones: rows from a Householder QR would give the QR in _clean
+    a positive diagonal, leaving its sign fix untested."""
+    Q = mgs_reference(rng.standard_normal((dim, dim + 4)), EPS_RANK)[0]
+    N = rng.standard_normal(Q.shape)
+    return Q + N * (defect / np.max(np.abs(Q @ N.T + N @ Q.T)))
+
+
+class TestClean:
+    """_clean orthonormalizes by one QR: row-order Gram-Schmidt up to roundoff."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 12, 16, 32, 64])
+    @pytest.mark.parametrize("defect", [1e-15, 1e-10, 0.9 * EPS_UNION])
+    def test_matches_row_order_gram_schmidt(self, rng, dim, defect):
+        V = near_orthonormal(rng, dim, defect)
+        defect = np.max(np.abs(V @ V.T - np.eye(dim)))
+        assert defect <= EPS_UNION  # the last is just inside tol
+        Q, kept = mgs_reference(V, EPS_RANK)
+        assert kept == list(range(dim))
+        npt.assert_allclose(_clean(V), Q, rtol=0, atol=1e-14)
+
+    def test_defect_beyond_tol_is_falsification(self, rng):
+        V = near_orthonormal(rng, 8, 1.5 * EPS_UNION)
+        with pytest.raises(FalsificationError, match="not orthogonal"):
+            _clean(V)
+        with pytest.raises(FalsificationError, match="not orthogonal"):
+            _clean(near_orthonormal(rng, 8, 1e-9), tol=1e-10)
+
+    def test_repeated_row_is_rank_deficiency(self, rng):
+        V = near_orthonormal(rng, 6, 1e-12)
+        with pytest.raises(RankDeficiencyError) as info:
+            _clean(V[[0, 1, 2, 1, 3]], tol=2.0)  # a tol the repeat's defect 1 passes
+        assert (info.value.detected_rank, info.value.expected) == (4, 5)
 
 
 class TestHouseholderComplement:
@@ -1235,6 +1258,22 @@ class TestDecomposeInCoordinates:
             P = C.T @ C
             leak = max(np.linalg.norm((np.eye(U.dim) - P) @ w @ P, 2) for w in forms)
             assert leak <= 1e-12
+
+    @pytest.mark.parametrize("seed", [None, 1])
+    @pytest.mark.parametrize("name", sorted(set(DECOMPOSE_INPUTS) - {"perturbed-8"}))
+    def test_stacked_gate_and_profiles_are_each_addends(self, name, seed):
+        # one stacked gate and one stacked profile over all addends give, bit
+        # for bit, the single gate and profile of each addend's block forms
+        # (perturbed-8 may fail re-certification, see above)
+        U = DECOMPOSE_INPUTS[name]()
+        dec = decompose(U, seed=seed)
+        forms = _forms(U)
+        assert len(dec.gated) == len(dec.addends) == len(dec.addend_profiles)
+        for addend, (angles, block), profile in zip(dec.addends, dec.gated, dec.addend_profiles):
+            C = addend.vectors @ U.vectors.T
+            npt.assert_allclose(block, C @ forms @ C.T, rtol=0, atol=1e-12)
+            assert _gate(block, EPS_ISO)[0] == angles
+            assert profile == _profile(angles, block)
 
     @settings(max_examples=30, deadline=None)
     @given(

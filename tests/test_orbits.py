@@ -242,17 +242,20 @@ class TestDecompose:
 
     @pytest.mark.parametrize("parts,gates", [(4, [16, 8, 8]), (3, [12, 4, 4, 4])])
     def test_each_addend_gated_once(self, monkeypatch, parts, gates):
+        # the input's gate, then one stacked gate over all addends
         U = graph_sum(parts)
-        gated = []
-        real = analysis._gate
+        gated, stacks = [], []
+        real = analysis._gates
 
         def counting(forms, *args):
-            gated.append(forms.shape[-1])
+            gated.extend([forms.shape[-1]] * len(forms))  # one per stack entry
+            stacks.append(len(forms))
             return real(forms, *args)
 
-        monkeypatch.setattr(analysis, "_gate", counting)
+        monkeypatch.setattr(analysis, "_gates", counting)
         decompose(U, seed=0)
         assert gated == gates
+        assert stacks == [1, len(gates) - 1]
 
     @pytest.mark.parametrize("count,want_dim", [(5, 2), (7, 2), (6, 4), (8, 8)])
     def test_two_plane_sums_all_dimension_classes(self, count, want_dim):
@@ -318,6 +321,21 @@ class TestDecompose:
         # certified, yet its first 4-dim addend fails the gate at EPS_ISO
         with pytest.raises(FalsificationError, match="addend 0 failed re-certification"):
             decompose(perturbed_graph_sum(9, 3), seed=0)
+
+    @pytest.mark.parametrize("parts,what", [(3, "addend 1"), (4, "constructed 8-dim addend")])
+    def test_first_failing_addend_in_order_is_named(self, monkeypatch, parts, what):
+        # the stacked addend gate fails every addend after the first: the
+        # second is named, with the text of a single addend's failure
+        real = analysis._gates
+
+        def failing(forms, *args):
+            gates = real(forms, *args)
+            return gates[:1] + [(None, w) for _, w in gates[1:]]
+
+        monkeypatch.setattr(analysis, "_gates", failing)
+        with pytest.raises(FalsificationError, match=f"^{what} failed re-certification against "
+                                                     r"the parent angles \(got None, parent \("):
+            decompose(graph_sum(parts), seed=0)
 
 
 class TestCanonicalMatrices:
