@@ -126,10 +126,11 @@ def isoclinic_pair(U: Frame, W: Frame, tol: float = EPS_ISO) -> float | None:
     Tests || G G^T - cos^2(theta) Id ||_inf < tol with
     cos^2(theta) = trace(G G^T) / k.
     """
+    tol = _tolerance(tol)
     if U.dim != W.dim:
         raise DimensionError(f"isoclinic_pair needs equal dims, got {U.dim} != {W.dim}")
     defect, c2 = _pair_defects(gram(U, W))
-    return None if defect >= _tolerance(tol) else float(_angle(c2))
+    return None if defect >= tol else float(_angle(c2))
 
 
 def _witness(band: np.ndarray) -> np.ndarray:
@@ -385,7 +386,8 @@ def companions(
     forcing the matching invariants to 1, and with all three missing
     (r.h.p.) X2 = Y2 = Z2 is the second row of the sweep from u (_adapted).
     """
-    X1, tol = _check_member(U, X1, "leading vector"), _tolerance(tol)
+    X1 = _check_member(U, X1, "leading vector")
+    tol = _tolerance(tol)
     # the forms applied to u: (omega_p u)_a = <X_a, A_p X1>
     Ju = _normalised(np.array([U.vectors @ apply_structure(A, X1) for A in (I, J, K)]), angles,
                      tol)
@@ -596,6 +598,7 @@ def canonical_matrices_4(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical matrices C_IJ = <X_i, Y_j>, C_IK = <X_i, Z_j> of a dim-4
     subspace, verified against their closed forms in (xi, chi, Gamma, Delta)."""
+    tol = _tolerance(tol)
     if Frame(chains.chain_x).dim != 4:
         raise DimensionError("canonical_matrices_4 needs 4-element chains")
     cij = chains.chain_x @ chains.chain_y.T
@@ -605,7 +608,7 @@ def canonical_matrices_4(
     pred_ij = cij_block_4(xi_eff)
     pred_ik = cik_block_4(chi_eff, gamma, delta)
     dev = max(np.max(np.abs(cij - pred_ij)), np.max(np.abs(cik - pred_ik)))
-    if dev > _tolerance(tol):
+    if dev > tol:
         raise DegenerateChainError(
             f"canonical matrices deviate from closed form by {dev:.3e}"
         )
@@ -647,9 +650,12 @@ class TwoPlaneOrbit:
     oriented: bool
 
     def same_orbit(self, other: "TwoPlaneOrbit", tol: float = EPS_ANGLE) -> bool:
-        a, b = self.im.as_array(), other.im.as_array()
-        signs = (1.0,) if self.oriented and other.oriented else (1.0, -1.0)  # b or its conjugate
-        return bool(min(np.max(np.abs(a - s * b)) for s in signs) < _tolerance(tol))
+        tol = _tolerance(tol)
+        d_direct = np.max(np.abs(self.im.as_array() - other.im.as_array()))
+        if self.oriented and other.oriented:
+            return bool(d_direct < tol)
+        d_conj = np.max(np.abs(self.im.as_array() + other.im.as_array()))
+        return bool(min(d_direct, d_conj) < tol)
 
 
 def two_plane_orbit(P: OrientedTwoPlane | Frame) -> TwoPlaneOrbit:
@@ -690,7 +696,12 @@ def full_profile(U: Frame, tol: float = EPS_ISO) -> IsoclinicProfile:
 def _profile(angles, forms: np.ndarray, snaps=None) -> IsoclinicProfile:
     """full_profile after its gate: _profiles of the one entry."""
     row = _profiles(np.array([angles]), forms[None], None if snaps is None else [snaps])[0]
-    return IsoclinicProfile(forms.shape[-1], *row.tolist())
+    return _as_profile(row, forms.shape[-1])
+
+
+def _as_profile(row: np.ndarray, k: int) -> IsoclinicProfile:
+    """The dim-k IsoclinicProfile of one row of _profiles."""
+    return IsoclinicProfile(k, *row.tolist())
 
 
 def _profiles(angles: np.ndarray, forms: np.ndarray, snaps=None) -> np.ndarray:

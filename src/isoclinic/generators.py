@@ -400,7 +400,8 @@ def direct_sum(parts: list[Frame], tol: float = EPS_ANGLE) -> Frame:
     """
     if not parts:
         raise DimensionError("empty direct sum")
-    tol, invs = _tolerance(tol), [_part_invariants(p) for p in parts]
+    tol = _tolerance(tol)
+    invs = [_part_invariants(p) for p in parts]
     for i, inv in enumerate(invs[1:], start=1):
         if np.max(np.abs(inv - invs[0])) > tol:
             raise NotIsoclinicError(

@@ -31,6 +31,7 @@ from . import analysis
 from .analysis import (
     IsoclinicProfile,
     _adapted,
+    _as_profile,
     _certified_forms,
     _check_member,
     _forms,
@@ -217,8 +218,8 @@ class Decomposition:
     def addend_profiles(self) -> tuple[IsoclinicProfile, ...]:
         """Each addend's profile off the forms of its one gate, in one _profiles."""
         angles, forms = zip(*self.gated)
-        rows = _profiles(np.array(angles), np.array(forms)).tolist()
-        return tuple(IsoclinicProfile(self.addend_dim, *row) for row in rows)
+        rows = _profiles(np.array(angles), np.array(forms))
+        return tuple(_as_profile(row, self.addend_dim) for row in rows)
 
 
 def decompose(U: Frame, seed: int | None = None) -> Decomposition:
@@ -266,10 +267,13 @@ def split_addend_4(addend: Frame, seed: int | None = None) -> tuple[Frame, Frame
 # block canonical matrices
 
 
-def _block_diag(b: np.ndarray, count: int) -> np.ndarray:
-    out = np.zeros((count * len(b),) * 2)
-    for at in range(0, len(out), len(b)):
-        out[at : at + len(b), at : at + len(b)] = b
+def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    total = sum(b.shape[0] for b in blocks)
+    out = np.zeros((total, total))
+    at = 0
+    for b in blocks:
+        out[at : at + b.shape[0], at : at + b.shape[0]] = b
+        at += b.shape[0]
     return out
 
 
@@ -297,7 +301,8 @@ def canonical_matrices(
     else:
         bij = cij_block_4(profile.xi)
         bik = cik_block_4(profile.chi, profile.gamma, profile.delta)
-    return tuple(_block_diag(b, profile.dim // len(b)) for b in (bij, bik))
+    count = profile.dim // bij.shape[0]
+    return _block_diag([bij] * count), _block_diag([bik] * count)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +327,10 @@ class OrbitLabel:
                          self.eta, self.delta])
 
     def agrees(self, other: "OrbitLabel", tol: float = EPS_ORBIT) -> bool:
-        close = np.max(np.abs(self.as_array() - other.as_array())) < _tolerance(tol)
-        return bool(close) and self.dim == other.dim
+        tol = _tolerance(tol)
+        if self.dim != other.dim:
+            return False
+        return bool(np.max(np.abs(self.as_array() - other.as_array())) < tol)
 
 
 def orbit_label(U: Frame) -> OrbitLabel:
