@@ -14,7 +14,6 @@ from .analysis import (
     IsoclinicProfile,
     TwoPlaneOrbit,
     build_chains,
-    canonical_matrices_4,
     certify_isoclinic,
     companions,
     full_profile,
@@ -56,14 +55,11 @@ from .io import SubspaceDocument, document_from_frame, parse_document, serialize
 from .orbits import (
     Decomposition,
     OrbitLabel,
-    TypedSubspace,
-    associated_subspaces,
     canonical_matrices,
     decompose,
     eight_dim_addend,
     orbit_label,
     same_orbit,
-    split_addend_4,
 )
 from .quaternions import (
     AdmissibleBasis,
@@ -73,20 +69,14 @@ from .quaternions import (
     K,
     Quaternion,
     apply_structure,
-    characteristic_angle,
-    hermitian_angle,
     hermitian_product,
     qmul,
-    rotate_basis,
 )
 from .subspaces import (
     Frame,
     OrientedTwoPlane,
     PrincipalAngleResult,
-    euclidean_angle,
     gram,
-    imaginary_measure,
-    kahler_angle,
     orthonormalize,
     principal_angles,
     project,

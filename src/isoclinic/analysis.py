@@ -61,10 +61,8 @@ __all__ = [
     "build_chains",
     "gamma_delta",
     "omega_pattern_4",
-    "omega_pattern_lower_4",
     "cij_block_4",
     "cik_block_4",
-    "canonical_matrices_4",
     "omega_K_on_UIJ",
     "TwoPlaneOrbit",
     "two_plane_orbit",
@@ -552,18 +550,6 @@ def omega_pattern_4(a: float, b: float, c: float) -> np.ndarray:
     )
 
 
-def omega_pattern_lower_4(a: float, b: float, c: float) -> np.ndarray:
-    """The other sign choice of the dim-4 isoclinic normal form."""
-    return np.array(
-        [
-            [0.0, a, b, c],
-            [-a, 0.0, -c, b],
-            [-b, c, 0.0, -a],
-            [-c, -b, a, 0.0],
-        ]
-    )
-
-
 def cij_block_4(xi: float) -> np.ndarray:
     s = np.sqrt(max(0.0, 1.0 - xi**2))
     return np.array(
@@ -586,33 +572,6 @@ def cik_block_4(chi: float, gamma: float, delta: float) -> np.ndarray:
             [0.0, gamma * s, delta, gamma * chi],
         ]
     )
-
-
-def canonical_matrices_4(
-    chains: ChainSet,
-    gamma: float,
-    delta: float,
-    xi: float,
-    chi: float,
-    tol: float = EPS_CHAIN,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical matrices C_IJ = <X_i, Y_j>, C_IK = <X_i, Z_j> of a dim-4
-    subspace, verified against their closed forms in (xi, chi, Gamma, Delta)."""
-    tol = _tolerance(tol)
-    if Frame(chains.chain_x).dim != 4:
-        raise DimensionError("canonical_matrices_4 needs 4-element chains")
-    cij = chains.chain_x @ chains.chain_y.T
-    cik = chains.chain_x @ chains.chain_z.T
-    xi_eff = float(np.sign(xi)) if _pm1(xi) else xi
-    chi_eff = float(np.sign(chi)) if _pm1(chi) else chi
-    pred_ij = cij_block_4(xi_eff)
-    pred_ik = cik_block_4(chi_eff, gamma, delta)
-    dev = max(np.max(np.abs(cij - pred_ij)), np.max(np.abs(cik - pred_ik)))
-    if dev > tol:
-        raise DegenerateChainError(
-            f"canonical matrices deviate from closed form by {dev:.3e}"
-        )
-    return cij, cik
 
 
 def omega_K_on_UIJ(chains: ChainSet, gamma: float, delta: float) -> tuple[np.ndarray, float]:

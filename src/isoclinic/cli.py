@@ -45,8 +45,7 @@ from .io import document_from_frame, parse_document, serialize_document
 from .orbits import _measured, _same_orbit, canonical_matrices, decompose
 from .quaternions import AdmissibleBasis, basis_change_homothety, right_multiply
 from .subspaces import Frame
-
-DEFAULT_TOL = 1e-8
+from .tolerances import EPS_ISO, EPS_ORBIT
 
 
 def _at_least(minimum: int):
@@ -342,14 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full invariant set and canonical matrices")
     p.add_argument("file", help="subspace document (JSON), '-' for stdin")
     p.add_argument("--basis", help="file with a 3x3 admissible-basis rotation")
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=EPS_ISO)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("compare", help="decide Sp(n)-orbit equivalence")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--tol", type=_tolerance, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=EPS_ORBIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_compare)
 

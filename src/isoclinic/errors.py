@@ -10,9 +10,8 @@ class DimensionError(IsoclinicError):
 
 
 class FrameError(IsoclinicError, ValueError):
-    """Vectors are not what the call needs: an orthonormal frame, a unit
-    vector of the subspace, a non-degenerate pair spanning a 2-plane, or a
-    nonzero vector.
+    """Vectors are not what the call needs: an orthonormal frame or a unit
+    vector of the subspace.
 
     Also a ValueError, which these checks raised before this class existed.
     """

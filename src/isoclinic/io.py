@@ -76,7 +76,6 @@ def parse_document(source) -> SubspaceDocument:
     if not isinstance(rows, list) or not rows:
         raise DocumentError("vectors: expected a non-empty list of rows")
     width = 4 * n
-    parsed = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise DocumentError(f"vectors[{i}]: expected a list of numbers")
@@ -85,6 +84,9 @@ def parse_document(source) -> SubspaceDocument:
                 f"vectors[{i}]: expected {width} numbers (4 * quaternionic_dim), "
                 f"got {len(row)}"
             )
+    # allocated only once every row has the width, so quaternionic_dim cannot size it alone
+    parsed = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
         for j, value in enumerate(row):
             parsed[i, j] = _require_number(value, f"vectors[{i}][{j}]")
 

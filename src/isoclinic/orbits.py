@@ -1,6 +1,5 @@
-"""Typed subspaces, the 8-dimensional addend construction, orthogonal
-decomposition into isoclinic addends, block canonical matrices and the
-Sp(n)-orbit decision.
+"""The 8-dimensional addend construction, orthogonal decomposition into
+isoclinic addends, block canonical matrices and the Sp(n)-orbit decision.
 
 The addend dimension follows dim mod 8: 2 (which forces invariants at +/-1),
 4 or 8. In U's coordinates the Kaehler forms, orthonormalized to r <= 3
@@ -39,7 +38,6 @@ from .analysis import (
     _pm1,
     _profile,
     _profiles,
-    build_chains,
     cij_block_4,
     cik_block_4,
     full_profile,
@@ -49,50 +47,14 @@ from .subspaces import Frame, _seeded_rng, _tolerance
 from .tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK, EPS_RECERT, EPS_UNION
 
 __all__ = [
-    "TypedSubspace",
-    "associated_subspaces",
     "eight_dim_addend",
     "Decomposition",
     "decompose",
-    "split_addend_4",
     "canonical_matrices",
     "OrbitLabel",
     "orbit_label",
     "same_orbit",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class TypedSubspace:
-    """4-dim subspace whose two defining structure pairs are isoclinic with
-    the parent's angles; kind is 'UIJ', 'UIK' or 'UJK'."""
-
-    frame: Frame
-    kind: str
-    leading: np.ndarray
-
-
-def associated_subspaces(
-    U: Frame,
-    X1: np.ndarray,
-    angles: tuple[float, float, float] | None = None,
-) -> tuple[TypedSubspace, TypedSubspace, TypedSubspace]:
-    """The three associated subspaces spanned by the chains centered on X1.
-
-    If any of (xi, chi, eta) is at +/-1 the three coincide and form a
-    4-dim isoclinic subspace with the parent's angles.
-    """
-    chains = build_chains(U, X1, angles)
-    return (
-        TypedSubspace(_clean_union([chains.chain_x]), "UIJ", chains.leading),
-        TypedSubspace(_clean_union([chains.chain_xt]), "UIK", chains.leading),
-        TypedSubspace(_clean_union([chains.chain_yt]), "UJK", chains.leading),
-    )
-
-
-def _clean_union(parts: list[np.ndarray], tol: float = EPS_UNION) -> Frame:
-    """Stack chain blocks into one frame, absorbing roundoff only (_clean)."""
-    return Frame(_clean(np.vstack(parts), tol))
 
 
 def _clean(V: np.ndarray, tol: float = EPS_UNION) -> np.ndarray:
@@ -246,21 +208,6 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     gated = _recertified(forms, measured.angles, "constructed 8-dim addend" if klass == 8
                          else "addend {}")
     return Decomposition(tuple(addends), klass, measured.profile, gated)
-
-
-def split_addend_4(addend: Frame, seed: int | None = None) -> tuple[Frame, Frame] | None:
-    """Split an 8-dim addend with Gamma^2 + Delta^2 = 1 into two 4-dim
-    isoclinic halves, the submodule through a leading vector and its
-    complement; None when the addend does not split that way."""
-    if addend.dim != 8:
-        raise DimensionError("split_addend_4 expects an 8-dim addend")
-    rng = _seeded_rng(seed) if seed is not None else None
-    angles, forms, _ = _certified_forms(addend)
-    profile = _profile(angles, forms)
-    if abs(profile.gamma**2 + profile.delta**2 - 1.0) > EPS_ORBIT:
-        return None
-    E = _generators(forms)
-    return tuple(_submodules(addend, forms, E, None, 8, 4, rng)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FrameError, StructureError
+from .errors import DimensionError, StructureError
 from .tolerances import EPS_ORTH, EPS_UNIT
 
 __all__ = [
@@ -40,11 +40,7 @@ __all__ = [
     "K",
     "ambient_dim",
     "apply_structure",
-    "structure_matrix",
     "hermitian_product",
-    "hermitian_angle",
-    "characteristic_angle",
-    "rotate_basis",
     "qarr_mul",
     "qarr_conj",
 ]
@@ -198,11 +194,6 @@ def apply_structure(A: CompatibleStructure, x: np.ndarray) -> np.ndarray:
     return _unblocks((b4.reshape(-1, 4) @ B).reshape(b4.shape))
 
 
-def structure_matrix(A: CompatibleStructure, n: int) -> np.ndarray:
-    """Dense 4n x 4n matrix of A (block sparse by construction)."""
-    return apply_structure(A, np.eye(4 * n)).T
-
-
 def hermitian_product(x: np.ndarray, y: np.ndarray) -> Quaternion:
     """H-valued Hermitian product X.Y = <X,Y> + <X,IY>i + <X,JY>j + <X,KY>k.
 
@@ -222,23 +213,6 @@ def hermitian_product(x: np.ndarray, y: np.ndarray) -> Quaternion:
     )
 
 
-def hermitian_angle(x: np.ndarray, y: np.ndarray) -> float:
-    """Angle psi in [0, pi/2] with cos psi = |X.Y| / (|X| |Y|)."""
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        raise FrameError("hermitian_angle of a zero vector")
-    c = hermitian_product(x, y).norm() / (nx * ny)
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
-def characteristic_angle(x: np.ndarray, y: np.ndarray) -> float:
-    """Angle phi with cos phi = cos^4 psi; the Euclidean angle between the
-    characteristic lines spanned by X and Y over H."""
-    c = np.cos(hermitian_angle(x, y))
-    return float(np.arccos(np.clip(c**4, -1.0, 1.0)))
-
-
 @dataclass(frozen=True, eq=False)
 class AdmissibleBasis:
     """SO(3) rotation relating (I,J,K) to another admissible triple."""
@@ -254,18 +228,6 @@ class AdmissibleBasis:
         if np.linalg.det(C) < 0.0:
             raise StructureError("rotation has determinant -1; not in SO(3)")
         object.__setattr__(self, "rotation", C)
-
-
-def rotate_basis(basis) -> tuple[CompatibleStructure, CompatibleStructure, CompatibleStructure]:
-    """New admissible triple (I', J', K') = (I, J, K) C.
-
-    Column alpha of C holds the coefficients of the alpha-th new structure;
-    the returned triple again satisfies the Hamilton relations.
-    """
-    if not isinstance(basis, AdmissibleBasis):
-        basis = AdmissibleBasis(np.asarray(basis, dtype=float))
-    C = basis.rotation
-    return tuple(CompatibleStructure(*C[:, alpha]) for alpha in range(3))
 
 
 def right_multiply(x: np.ndarray, q) -> np.ndarray:

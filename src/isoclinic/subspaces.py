@@ -1,4 +1,4 @@
-"""Frames, projectors, principal angles and 2-plane angle invariants.
+"""Frames, projectors, principal angles and oriented 2-planes.
 
 A subspace is always handled through a Frame: an ordered orthonormal list
 of vectors, stored as the rows of a (k, 4n) array. Principal angles come
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FrameError, InfeasibleParametersError, RankDeficiencyError
-from .quaternions import CompatibleStructure, apply_structure, hermitian_product, Quaternion
+from .quaternions import CompatibleStructure, apply_structure
 from .tolerances import EPS_FRAME, EPS_RANK
 
 __all__ = [
@@ -24,10 +24,7 @@ __all__ = [
     "gram",
     "PrincipalAngleResult",
     "principal_angles",
-    "euclidean_angle",
     "OrientedTwoPlane",
-    "kahler_angle",
-    "imaginary_measure",
     "structure_image",
     "complement",
     "random_frame",
@@ -83,8 +80,7 @@ def _mgs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
     Each pass projects a row against all kept rows at once. A row is
     dropped when its residual norm is at most tol * max(1, largest input
     row norm). The order is part of the result: the first j kept rows span
-    the first j kept inputs, which generators, documents and _clean_union
-    rely on.
+    the first j kept inputs, which generators and documents rely on.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     scale = max(float(np.max(np.linalg.norm(rows, axis=1))), 1.0) if rows.size else 1.0
@@ -173,14 +169,6 @@ def principal_angles(U: Frame, W: Frame) -> PrincipalAngleResult:
     )
 
 
-def euclidean_angle(U: Frame, W: Frame) -> float:
-    """Angle phi with cos phi = product of the principal cosines."""
-    if U.dim != W.dim:
-        raise DimensionError(f"euclidean_angle needs equal dims, got {U.dim} != {W.dim}")
-    c = float(np.prod(principal_angles(U, W).cosines))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 @dataclass(frozen=True, eq=False)
 class OrientedTwoPlane:
     """Ordered orthonormal pair (X, Y); the order is the orientation."""
@@ -200,37 +188,6 @@ class OrientedTwoPlane:
 
     def frame(self) -> Frame:
         return Frame(np.vstack([self.X, self.Y]))
-
-
-def _mis(x: np.ndarray, y: np.ndarray) -> float:
-    """Area |X ^ Y| of the parallelogram spanned by x, y."""
-    g = (x @ x) * (y @ y) - (x @ y) ** 2
-    m = float(np.sqrt(max(g, 0.0)))
-    if m < 1e-14:
-        raise FrameError("degenerate pair: vectors are numerically parallel")
-    return m
-
-
-def kahler_angle(P: OrientedTwoPlane, A: CompatibleStructure) -> float:
-    """A-Kaehler angle of the oriented plane, in [0, pi].
-
-    Independent of the oriented orthonormal basis; reversing orientation
-    negates the cosine.
-    """
-    c = float(P.X @ apply_structure(A, P.Y)) / _mis(P.X, P.Y)
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
-def imaginary_measure(P: OrientedTwoPlane) -> Quaternion:
-    """Purely imaginary quaternion Im(X . Y) / |X ^ Y| of an oriented plane.
-
-    For a standard oriented basis this is +/-(cos theta^I i +
-    xi cos theta^J j + chi cos theta^K k); it is a complete Sp(n)-orbit
-    invariant of the oriented 2-plane.
-    """
-    q = hermitian_product(P.X, P.Y)
-    m = _mis(P.X, P.Y)
-    return Quaternion(0.0, q.im_i / m, q.im_j / m, q.im_k / m)
 
 
 def complement(U: Frame) -> Frame:

@@ -36,6 +36,11 @@ def unit(n: int, q: int) -> np.ndarray:
     return v
 
 
+def structure_matrix(A, n: int) -> np.ndarray:
+    """Dense 4n x 4n matrix of the structure A (block sparse by construction)."""
+    return apply_structure(A, np.eye(4 * n)).T
+
+
 def mgs_reference(rows, tol):
     """Two-pass Gram-Schmidt in row order, one projection at a time: (kept
     orthonormal rows, their indices), dropping a residual at most tol * max(1,

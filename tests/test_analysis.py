@@ -4,8 +4,9 @@ import pytest
 
 from isoclinic.analysis import (
     build_chains,
-    canonical_matrices_4,
     certify_isoclinic,
+    cij_block_4,
+    cik_block_4,
     companions,
     full_profile,
     gamma_delta,
@@ -14,7 +15,6 @@ from isoclinic.analysis import (
     omega_K_on_UIJ,
     omega_matrix,
     omega_pattern_4,
-    omega_pattern_lower_4,
     theta_of_A,
     two_plane_orbit,
 )
@@ -319,38 +319,38 @@ class TestGammaDelta:
         assert np.max(np.ptp(vals, axis=0)) < 1e-8
 
 
+def chain_grams(U):
+    """C_IJ = <X_i, Y_j> and C_IK = <X_i, Z_j> of the chains through U's
+    first vector, checked against their closed forms cij_block_4(xi) and
+    cik_block_4(chi, Gamma, Delta)."""
+    ch = build_chains(U, U.vectors[0])
+    g, d = gamma_delta(ch)
+    cij, cik = ch.chain_x @ ch.chain_y.T, ch.chain_x @ ch.chain_z.T
+    npt.assert_allclose(cij, cij_block_4(ch.xi), atol=1e-10)
+    npt.assert_allclose(cik, cik_block_4(ch.chi, g, d), atol=1e-10)
+    return cij, cik
+
+
 class TestCanonicalMatrices4:
     def test_i_complex_catalog_matrices(self):
-        U = make_i_complex_4(2, 0.8)
-        ch = build_chains(U, U.vectors[0])
-        g, d = gamma_delta(ch)
-        cij, cik = canonical_matrices_4(ch, g, d, ch.xi, ch.chi)
+        cij, cik = chain_grams(make_i_complex_4(2, 0.8))
         npt.assert_allclose(cij, [[1, 0, 0, 0], [0, 0, 0, -1],
                                   [0, 0, 1, 0], [0, 1, 0, 0]], atol=1e-10)
         npt.assert_allclose(cik, [[1, 0, 0, 0], [0, 0, 0, -1],
                                   [0, 1, 0, 0], [0, 0, -1, 0]], atol=1e-10)
 
     def test_totally_complex_identity(self):
-        U = make_totally_complex_4(2)
-        ch = build_chains(U, U.vectors[0])
-        g, d = gamma_delta(ch)
-        cij, cik = canonical_matrices_4(ch, g, d, ch.xi, ch.chi)
+        cij, cik = chain_grams(make_totally_complex_4(2))
         npt.assert_allclose(cij, np.eye(4), atol=1e-12)
         npt.assert_allclose(cik, np.eye(4), atol=1e-12)
 
     def test_rhp_identity(self):
-        U = make_rhp(4, 4)
-        ch = build_chains(U, U.vectors[0])
-        g, d = gamma_delta(ch)
-        cij, cik = canonical_matrices_4(ch, g, d, ch.xi, ch.chi)
+        cij, cik = chain_grams(make_rhp(4, 4))
         npt.assert_allclose(cij, np.eye(4), atol=1e-12)
         npt.assert_allclose(cik, np.eye(4), atol=1e-12)
 
     def test_orthogonality(self, rng):
-        U = graph_subspace(rng.standard_normal(4))
-        ch = build_chains(U, U.vectors[0])
-        g, d = gamma_delta(ch)
-        cij, cik = canonical_matrices_4(ch, g, d, ch.xi, ch.chi)
+        cij, cik = chain_grams(graph_subspace(rng.standard_normal(4)))
         npt.assert_allclose(cij @ cij.T, np.eye(4), atol=1e-10)
         npt.assert_allclose(cik @ cik.T, np.eye(4), atol=1e-10)
 
@@ -396,7 +396,10 @@ class TestSignChoiceCorollary:
                 a, b, c = w[0, 1], w[0, 2], w[0, 3]
                 if np.max(np.abs(w - omega_pattern_4(a, b, c))) > 1e-10:
                     upper_ok = False
-                if np.max(np.abs(w - omega_pattern_lower_4(a, b, c))) > 1e-10:
+                # the other sign choice of the dim-4 normal form
+                lower = np.array([[0.0, a, b, c], [-a, 0.0, -c, b],
+                                  [-b, c, 0.0, -a], [-c, -b, a, 0.0]])
+                if np.max(np.abs(w - lower)) > 1e-10:
                     lower_ok = False
             assert upper_ok or lower_ok
 

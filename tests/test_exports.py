@@ -1,4 +1,7 @@
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +28,50 @@ def test_package_names_come_from_module_all():
              if not n.startswith("_") and n not in MODULES and n not in exported
              and not (isinstance(v, type) and issubclass(v, IsoclinicError))]
     assert stray == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# bench names layers by dotted strings, e.g. "orbits.eight_dim_addend"
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+# hermitian_product is the H-valued product X.Y whose components define the
+# Kaehler forms; the package computes the forms in the complex layout and keeps
+# X.Y public as the paper's definition
+EXEMPT = {"hermitian_product"}
+
+
+def names_used(path, dotted_strings=False):
+    """Names that the top-level statements of a file read, each statement
+    without the name it defines itself."""
+    used = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif (dotted_strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and DOTTED.fullmatch(node.value)):
+                found.update(node.value.split("."))
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            found.discard(stmt.name)
+        used |= found
+    return used
+
+
+def test_every_export_has_a_caller():
+    # a public name that only its own unit tests call is removed: every name
+    # of an __all__ is read by the package, the benchmark, the acceptance
+    # criteria or the shared test references
+    used = set()
+    for path in (ROOT / "src" / "isoclinic").glob("*.py"):
+        if path.name != "__init__.py":
+            used |= names_used(path)
+    for path in (ROOT / "bench").glob("*.py"):
+        used |= names_used(path, dotted_strings=True)
+    for name in ("test_acceptance.py", "conftest.py"):
+        used |= names_used(ROOT / "tests" / name)
+    unused = [f"{m}.{n}" for m in MODULES
+              for n in getattr(importlib.import_module(f"isoclinic.{m}"), "__all__", ())
+              if n not in used and n not in EXEMPT]
+    assert unused == []

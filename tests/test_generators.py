@@ -7,7 +7,6 @@ from isoclinic.analysis import (
     IsoclinicProfile,
     TwoPlaneOrbit,
     build_chains,
-    canonical_matrices_4,
     certify_isoclinic,
     companions,
     full_profile,
@@ -37,7 +36,7 @@ from isoclinic.generators import (
     make_two_plane,
     random_sp,
 )
-from isoclinic.orbits import decompose, orbit_label, same_orbit, split_addend_4
+from isoclinic.orbits import decompose, orbit_label, same_orbit
 from isoclinic.quaternions import (
     I,
     J,
@@ -47,9 +46,9 @@ from isoclinic.quaternions import (
     qarr_conj,
     qarr_mul,
     right_multiply,
-    structure_matrix,
 )
 from isoclinic.subspaces import Frame, gram, orthonormalize, structure_image
+from conftest import structure_matrix
 
 
 class TestRandomSp:
@@ -418,7 +417,6 @@ class TestSeeds:
         (lambda s: random_sp(2, s), 1.5),
         (lambda s: invariance_oracle(graph_subspace(0.5), 2, s), -1),
         (lambda s: decompose(graph_subspace(0.5), seed=s), -1),
-        (lambda s: split_addend_4(direct_sum([graph_subspace(0.5)] * 2), seed=s), -1),
     ])
     def test_refused_seed_is_named(self, call, seed):
         with pytest.raises(InfeasibleParametersError, match=f"seed {seed} is not"):
@@ -473,15 +471,14 @@ class TestTolerances:
         lambda U, x, tol: isoclinic_pair(Frame(np.eye(8)[[0, 1]]), Frame(np.eye(8)[[0, 4]]), tol),
         lambda U, x, tol: direct_sum([U, U], tol),
         lambda U, x, tol: gamma_delta(build_chains(U, x), tol),
-        lambda U, x, tol: canonical_matrices_4(build_chains(U, x), 1.0, 0.0, 0.5, 0.5, tol),
         lambda U, x, tol: companions(U, x, certify_isoclinic(U), tol),
         lambda U, x, tol: build_chains(U, x, None, tol),
         lambda U, x, tol: orbit_label(U).agrees(orbit_label(U), tol),
         lambda U, x, tol: two_plane_orbit(Frame(U.vectors[:2])).same_orbit(
             two_plane_orbit(Frame(U.vectors[:2])), tol),
         lambda U, x, tol: Frame(U.vectors, tol),
-    ], ids=["isoclinic_pair", "direct_sum", "gamma_delta", "canonical_matrices_4", "companions",
-            "build_chains", "agrees", "two_plane_same_orbit", "frame"])
+    ], ids=["isoclinic_pair", "direct_sum", "gamma_delta", "companions", "build_chains",
+            "agrees", "two_plane_same_orbit", "frame"])
     def test_public_tolerances_refused_by_name(self, call, tol):
         # nan made every comparison false: isoclinic_pair certified a non-isoclinic
         # pair, agrees refused a label itself and Frame reported a Gram defect 0 > nan

@@ -198,6 +198,16 @@ class TestCli:
         assert code == 1
         assert "vectors[0]" in err
 
+    def test_oversized_dimension_is_document_error(self, capsys, tmp_path):
+        # the rows are checked before the array is sized; numpy refuses a
+        # 4e18-wide array without allocating, so this test allocates nothing
+        path = tmp_path / "big.json"
+        path.write_text('{"quaternionic_dim": 1000000000000000000, "vectors": [[1,0,0,0]]}')
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: vectors[0]: expected 4000000000000000000 numbers "
+                       "(4 * quaternionic_dim), got 4\n")
+
     def test_nan_document_is_document_error(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"quaternionic_dim": 1, "vectors": [[NaN,0,0,0],[0,1,0,0]]}')

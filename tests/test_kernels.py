@@ -91,7 +91,6 @@ from isoclinic.quaternions import (
     apply_structure,
     qarr_conj,
     qarr_mul,
-    structure_matrix,
 )
 from isoclinic.subspaces import (
     Frame,
@@ -106,7 +105,6 @@ from isoclinic.subspaces import (
 from isoclinic.orbits import (
     OrbitLabel,
     _clean,
-    _clean_union,
     _rounded_sign,
     decompose,
     eight_dim_addend,
@@ -117,7 +115,8 @@ from isoclinic.tolerances import EPS_ANGLE, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RAN
 from conftest import (build_chains_reference, chain_profile, companions_reference,
                       complement_in, mgs_reference, omega_reference, oracle_loop_reference,
                       perturbed_graph_sum, qarr_conj_reference, qarr_mul_reference,
-                      random_unit_in, real_matrix_reference, sp_entries, sp_matrix)
+                      random_unit_in, real_matrix_reference, sp_entries, sp_matrix,
+                      structure_matrix)
 
 TOL = 1e-13
 
@@ -289,17 +288,18 @@ def eight_dim_addend_reference(U, X1, angles):
     shrinking complements, or two omega^I chain spans."""
     chains = build_chains_reference(U, X1, angles)
     if chains.convention != "decomposable":
-        first = _clean_union([chains.chain_x])
+        first = Frame(_clean(chains.chain_x))
         rest = complement_in(U, first.vectors)
-        return _clean_union([chains.chain_x,
-                             build_chains_reference(U, rest.vectors[0], angles).chain_x])
+        second = build_chains_reference(U, rest.vectors[0], angles).chain_x
+        return Frame(_clean(np.vstack([chains.chain_x, second])))
     current, lead, planes = U, X1, []
     for step in range(4):
-        planes.append(_clean_union([lead, companions_reference(current, lead, angles).X2]))
+        partner = companions_reference(current, lead, angles).X2
+        planes.append(Frame(_clean(np.vstack([lead, partner]))))
         if step < 3:
             current = complement_in(current, planes[-1].vectors)
             lead = current.vectors[0]
-    return _clean_union([p.vectors for p in planes])
+    return Frame(_clean(np.vstack([p.vectors for p in planes])))
 
 
 def decompose_reference(U, seed=None):
@@ -312,9 +312,9 @@ def decompose_reference(U, seed=None):
     while current is not None:
         x1 = current.vectors[0] if rng is None else random_unit_in(current, rng)
         if profile.dim_class == 2:
-            addend = _clean_union([x1, companions_reference(current, x1, angles).X2])
+            addend = Frame(_clean(np.vstack([x1, companions_reference(current, x1, angles).X2])))
         elif profile.dim_class == 4:
-            addend = _clean_union([build_chains_reference(current, x1, angles).chain_x])
+            addend = Frame(_clean(build_chains_reference(current, x1, angles).chain_x))
         else:
             addend = eight_dim_addend_reference(current, x1, angles)
         addends.append(addend)

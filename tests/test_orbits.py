@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from isoclinic import analysis, generators, orbits
 from isoclinic.analysis import (
     _forms,
+    build_chains,
     certify_isoclinic,
     cik_block_4,
     full_profile,
@@ -28,16 +29,14 @@ from isoclinic.generators import (
     random_sp,
 )
 from isoclinic.orbits import (
-    associated_subspaces,
     canonical_matrices,
-    _clean_union,
+    _clean,
     _generators,
     _require_one_type,
     decompose,
     eight_dim_addend,
     orbit_label,
     same_orbit,
-    split_addend_4,
 )
 from isoclinic.quaternions import I, J, K
 from isoclinic.tolerances import EPS_ORBIT, EPS_PM1
@@ -89,23 +88,35 @@ def volume_element(U):
     return E[0] @ E[1] @ E[2]
 
 
+def associated(U, x1, angles=None):
+    """The associated subspaces (U^IJ, U^IK, U^JK) through x1: the frames of
+    the chains chain_x, chain_xt and chain_yt."""
+    ch = build_chains(U, x1, angles)
+    return Frame(ch.chain_x), Frame(ch.chain_xt), Frame(ch.chain_yt)
+
+
+def halves(addend, x1):
+    """An 8-dim addend with Gamma^2 + Delta^2 = 1 cut into the omega^I chain
+    through x1 and its complement, two 4-dim isoclinic halves."""
+    half = Frame(build_chains(addend, x1).chain_x)
+    return half, complement_in(addend, half.vectors)
+
+
 class TestAssociatedSubspaces:
     def test_dim4_all_equal_parent(self):
         U = graph_subspace(GENERIC_MU)
-        tri = associated_subspaces(U, U.vectors[0])
-        for t in tri:
-            s = np.linalg.svd(gram(t.frame, U), compute_uv=False)
+        for t in associated(U, U.vectors[0]):
+            s = np.linalg.svd(gram(t, U), compute_uv=False)
             npt.assert_allclose(s, np.ones(4), atol=1e-10)
 
     def test_kind_pairs_isoclinic_with_parent_angles(self):
         U = graph_sum(2)
         angles = certify_isoclinic(U)
-        uij, uik, ujk = associated_subspaces(U, U.vectors[0], angles)
-        pairs = {"UIJ": (I, J), "UIK": (I, K), "UJK": (J, K)}
+        pairs = ((I, J), (I, K), (J, K))
         by_structure = dict(zip((I, J, K), angles))
-        for t in (uij, uik, ujk):
-            for A in pairs[t.kind]:
-                th = isoclinic_pair(t.frame, structure_image(A, t.frame))
+        for t, pair in zip(associated(U, U.vectors[0], angles), pairs):
+            for A in pair:
+                th = isoclinic_pair(t, structure_image(A, t))
                 assert th is not None
                 assert abs(th - by_structure[A]) < 1e-8
 
@@ -115,8 +126,8 @@ class TestAssociatedSubspaces:
         U = graph_sum(2)
         x1 = rng.standard_normal(8) @ U.vectors
         x1 /= np.linalg.norm(x1)
-        uij, uik, _ = associated_subspaces(U, x1)
-        stacked = np.vstack([uij.frame.vectors, uik.frame.vectors])
+        uij, uik, _ = associated(U, x1)
+        stacked = np.vstack([uij.vectors, uik.vectors])
         assert np.linalg.matrix_rank(stacked, tol=1e-9) == 4
 
     def test_generic_intersection_is_standard_plane(self, rng):
@@ -125,17 +136,16 @@ class TestAssociatedSubspaces:
         U = mixed_delta_sum()
         x1 = rng.standard_normal(8) @ U.vectors
         x1 /= np.linalg.norm(x1)
-        uij, uik, _ = associated_subspaces(U, x1)
-        stacked = np.vstack([uij.frame.vectors, uik.frame.vectors])
+        uij, uik, _ = associated(U, x1)
+        stacked = np.vstack([uij.vectors, uik.vectors])
         assert np.linalg.matrix_rank(stacked, tol=1e-9) == 6
 
     def test_pm1_invariant_collapses_them(self):
         P = make_two_plane(2, 0.9, 1.1, 1.2, 1.0, -1.0)
         U = direct_sum([P, P, P])  # dim 6, xi,chi,eta at +/-1
-        tri = associated_subspaces(U, U.vectors[0])
-        base = tri[0].frame
-        for t in tri[1:]:
-            s = np.linalg.svd(gram(base, t.frame), compute_uv=False)
+        base, *rest = associated(U, U.vectors[0])
+        for t in rest:
+            s = np.linalg.svd(gram(base, t), compute_uv=False)
             npt.assert_allclose(s, np.ones(4), atol=1e-9)
         got = isoclinic_profile_angles(base)
         npt.assert_allclose(got, certify_isoclinic(U), atol=1e-9)
@@ -182,7 +192,7 @@ class TestEightDimAddend:
         block = np.eye(8)[:4].copy()
         block[2, 5] = np.nan
         with pytest.raises(FalsificationError, match="defect nan"):
-            _clean_union([block, np.eye(8)[4:]])
+            _clean(np.vstack([block, np.eye(8)[4:]]))
 
 
 class TestDecompose:
@@ -215,9 +225,7 @@ class TestDecompose:
         U = direct_sum([make_quaternionic_line(1), make_quaternionic_line(1)])
         dec = decompose(U, seed=1)
         assert dec.addend_dim == 8 and len(dec.addends) == 1
-        halves = split_addend_4(dec.addends[0], seed=2)
-        assert halves is not None
-        for half in halves:
+        for half in halves(dec.addends[0], dec.addends[0].vectors[0]):
             prof = full_profile(half)
             npt.assert_allclose(prof.cosines, [1, 1, 1], atol=1e-8)
             npt.assert_allclose(
@@ -379,8 +387,6 @@ class TestCanonicalMatrices:
 
     def test_matches_measured_grams_on_dim4(self):
         # assembled blocks agree with Gram matrices of actual chains
-        from isoclinic.analysis import build_chains
-
         U = graph_subspace(GENERIC_MU)
         ch = build_chains(U, U.vectors[0])
         cij, cik = canonical_matrices(U)
@@ -389,13 +395,10 @@ class TestCanonicalMatrices:
 
     def test_measured_grams_on_dim8_sum(self):
         # union of the chains of the two 4-dim halves realizes the 8x8 blocks
-        from isoclinic.analysis import build_chains
-
         U = graph_sum(2)
         dec = decompose(U, seed=5)
-        halves = split_addend_4(dec.addends[0], seed=5)
         rows_x, rows_y, rows_z = [], [], []
-        for half in halves:
+        for half in halves(dec.addends[0], dec.addends[0].vectors[0]):
             ch = build_chains(half, half.vectors[0])
             rows_x.append(ch.chain_x)
             rows_y.append(ch.chain_y)
@@ -503,7 +506,6 @@ class TestChainsLeaveMainPaths:
             assert same_orbit(U, U)
             decompose(U, seed=1)
             invariance_oracle(U, 2, seed=1)
-        assert split_addend_4(graph_sum(2)) is not None
         direct_sum([make_profile_4(*DUAL_ARGS)] * 2)
 
 
@@ -596,15 +598,15 @@ class TestStructuralProps:
         for _ in range(4):
             x1 = rng.standard_normal(8) @ U.vectors
             x1 /= np.linalg.norm(x1)
-            uij, uik, _ = associated_subspaces(U, x1)
-            cos = principal_angles(uij.frame, uik.frame).cosines
+            uij, uik, _ = associated(U, x1)
+            cos = principal_angles(uij, uik).cosines
             npt.assert_allclose(sorted(cos, reverse=True), [1, 1, g, g], atol=1e-8)
 
     def test_complement_of_uij_is_type_uij(self):
         U = graph_sum(3)
         angles = certify_isoclinic(U)
-        uij, _, _ = associated_subspaces(U, U.vectors[0], angles)
-        W = complement_in(U, uij.frame.vectors)
+        uij, _, _ = associated(U, U.vectors[0], angles)
+        W = complement_in(U, uij.vectors)
         assert W.dim == 8
         for A, th in zip((I, J), angles[:2]):
             got = isoclinic_pair(W, structure_image(A, W))

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from isoclinic.errors import FrameError, IsoclinicError, StructureError
+from isoclinic.errors import IsoclinicError, StructureError
 from isoclinic.quaternions import (
     AdmissibleBasis,
     CompatibleStructure,
@@ -12,17 +12,14 @@ from isoclinic.quaternions import (
     Quaternion,
     apply_structure,
     basis_change_homothety,
-    characteristic_angle,
-    hermitian_angle,
     hermitian_product,
     qarr_mul,
     qmul,
     quaternion_from_rotation,
     right_multiply,
-    rotate_basis,
-    structure_matrix,
 )
-from conftest import unit
+from isoclinic.subspaces import Frame, principal_angles
+from conftest import structure_matrix, unit
 
 
 def q(*parts):
@@ -133,29 +130,34 @@ class TestHermitianProduct:
         assert lhs.isclose(rhs, 1e-12)
 
 
+def quaternionic_line(x):
+    """Frame of the quaternionic line x H: x, Ix, Jx, Kx are orthogonal."""
+    return Frame(np.vstack([x] + [apply_structure(A, x) for A in (I, J, K)]) / np.linalg.norm(x))
+
+
+def characteristic_cos(x, y):
+    """cos of the Euclidean angle between the quaternionic lines of x and y:
+    the product of their principal cosines."""
+    return float(np.prod(principal_angles(quaternionic_line(x), quaternionic_line(y)).cosines))
+
+
 class TestAngles:
-    def test_equal_vectors(self):
-        x = unit(2, 0)
-        assert hermitian_angle(x, x) == pytest.approx(0.0, abs=1e-12)
-        assert characteristic_angle(x, x) == pytest.approx(0.0, abs=1e-12)
+    # the characteristic angle phi of X, Y: cos phi = cos^4 psi for the
+    # Hermitian angle psi, cos psi = |X.Y| / (|X| |Y|)
+    def test_equal_vectors(self, rng):
+        x = rng.standard_normal(8)
+        assert characteristic_cos(x, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_hermitian_orthogonal(self):
-        assert hermitian_angle(unit(2, 0), unit(2, 1)) == pytest.approx(np.pi / 2)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(FrameError):
-            hermitian_angle(np.zeros(8), unit(2, 0))
+        assert hermitian_product(unit(2, 0), unit(2, 1)).norm() == 0.0
+        assert characteristic_cos(unit(2, 0), unit(2, 1)) == pytest.approx(0.0, abs=1e-15)
 
     def test_characteristic_from_fourth_power(self, rng):
         # both footnote formulas computed independently
         for _ in range(10):
             x, y = rng.standard_normal((2, 8))
-            p = hermitian_product(x, y)
-            cos_phi = (p.norm() ** 2) ** 2 / (
-                np.linalg.norm(x) ** 4 * np.linalg.norm(y) ** 4
-            )
-            assert abs(cos_phi - np.cos(hermitian_angle(x, y)) ** 4) < 1e-12
-            assert abs(np.cos(characteristic_angle(x, y)) - cos_phi) < 1e-12
+            cos_psi = hermitian_product(x, y).norm() / (np.linalg.norm(x) * np.linalg.norm(y))
+            assert abs(characteristic_cos(x, y) - cos_psi**4) < 1e-12
 
 
 def random_rotation(rng):
@@ -166,23 +168,27 @@ def random_rotation(rng):
     return Q
 
 
+def rotated_triple(C):
+    """The admissible triple (I', J', K') = (I, J, K) C: column a of C holds
+    the coefficients of the a-th new structure."""
+    return [CompatibleStructure(*C[:, a]) for a in range(3)]
+
+
 class TestRotateBasis:
+    # rotating the admissible basis by C: the rotated triple, and the unit
+    # quaternion that lifts C
     def test_identity(self):
-        Ip, Jp, Kp = rotate_basis(np.eye(3))
-        assert (Ip.a, Jp.b, Kp.c) == (1.0, 1.0, 1.0)
+        npt.assert_allclose(np.abs(quaternion_from_rotation(np.eye(3))), [1, 0, 0, 0])
 
     def test_pi_about_k_axis(self):
+        # k i conj(k) = -i, k j conj(k) = -j, k k conj(k) = k
         C = np.diag([-1.0, -1.0, 1.0])
-        Ip, Jp, Kp = rotate_basis(C)
-        npt.assert_allclose(Ip.coefficients(), [-1, 0, 0])
-        npt.assert_allclose(Jp.coefficients(), [0, -1, 0])
-        npt.assert_allclose(Kp.coefficients(), [0, 0, 1])
+        npt.assert_allclose(np.abs(quaternion_from_rotation(C)), [0, 0, 0, 1], atol=1e-15)
 
     def test_rotated_triple_satisfies_hamilton(self, rng):
         for _ in range(5):
             C = random_rotation(rng)
-            Ip, Jp, Kp = rotate_basis(C)
-            mi, mj, mk = (structure_matrix(A, 2) for A in (Ip, Jp, Kp))
+            mi, mj, mk = (structure_matrix(A, 2) for A in rotated_triple(C))
             npt.assert_allclose(mi @ mj, mk, atol=1e-12)
             npt.assert_allclose(mi @ mj + mj @ mi, np.zeros((8, 8)), atol=1e-12)
             npt.assert_allclose(mi @ mi, -np.eye(8), atol=1e-12)
@@ -203,8 +209,7 @@ class TestRotateBasis:
         x, y = rng.standard_normal((2, 8))
         for _ in range(5):
             C = random_rotation(rng)
-            triple = rotate_basis(C)
-            rotated = np.array([x @ apply_structure(A, y) for A in triple])
+            rotated = np.array([x @ apply_structure(A, y) for A in rotated_triple(C)])
             base = np.array([x @ apply_structure(A, y) for A in (I, J, K)])
             npt.assert_allclose(rotated, C.T @ base, atol=1e-10)
 
@@ -229,8 +234,6 @@ class TestRotationLift:
             C = random_rotation(rng)
             v = basis_change_homothety(C)
             xr, yr = right_multiply(x, v), right_multiply(y, v)
-            rotated = np.array(
-                [x @ apply_structure(A, y) for A in rotate_basis(C)]
-            )
+            rotated = np.array([x @ apply_structure(A, y) for A in rotated_triple(C)])
             moved = np.array([xr @ apply_structure(A, yr) for A in (I, J, K)])
             npt.assert_allclose(moved, rotated, atol=1e-10)

@@ -2,22 +2,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from isoclinic.analysis import two_plane_orbit
 from isoclinic.errors import DimensionError, FrameError, IsoclinicError, RankDeficiencyError
 from isoclinic.quaternions import CompatibleStructure, I, J, K, apply_structure
 from isoclinic.subspaces import (
     Frame,
     OrientedTwoPlane,
     complement,
-    euclidean_angle,
     gram,
-    imaginary_measure,
-    kahler_angle,
     orthonormalize,
     principal_angles,
     project,
     random_frame,
     _householder_complement,
-    _mis,
     structure_image,
 )
 from conftest import unit
@@ -54,8 +51,8 @@ class TestOrthonormalize:
         assert isinstance(info.value, ValueError)
 
     def test_parallel_pair_is_a_package_error(self):
-        with pytest.raises(FrameError, match="numerically parallel"):
-            _mis(unit(1, 0), 2 * unit(1, 0))
+        with pytest.raises(FrameError, match="not orthonormal"):
+            OrientedTwoPlane(unit(1, 0), unit(1, 0))
 
     def test_nan_frame_rejected(self):
         with pytest.raises(ValueError, match="not orthonormal"):
@@ -163,30 +160,35 @@ class TestPrincipalAngles:
         npt.assert_allclose(np.sort(lhs)[::-1][:k], np.sort(rhs)[::-1][:k], atol=1e-9)
 
 
+def euclidean_cos(U: Frame, W: Frame) -> float:
+    """cos of the Euclidean angle between equal-dim subspaces: the product of
+    the principal cosines."""
+    return float(np.prod(principal_angles(U, W).cosines))
+
+
+def measure(plane: OrientedTwoPlane) -> np.ndarray:
+    """Imaginary measure (0, cos I, cos J, cos K) of an oriented plane."""
+    return two_plane_orbit(plane).im.as_array()
+
+
 class TestEuclideanAngle:
     def test_self_zero(self, rng):
         U = random_frame(2, 3, rng)
-        assert euclidean_angle(U, U) == pytest.approx(0.0, abs=1e-6)
+        assert euclidean_cos(U, U) == pytest.approx(1.0, abs=1e-12)
 
     def test_right_angle_dominates(self):
         e = np.eye(8)
         U = Frame(e[:2])
         W = Frame(np.vstack([e[0], e[5]]))
-        assert euclidean_angle(U, W) == pytest.approx(np.pi / 2)
-
-    def test_dim_mismatch(self, rng):
-        with pytest.raises(DimensionError):
-            euclidean_angle(random_frame(2, 2, rng), random_frame(2, 3, rng))
+        assert euclidean_cos(U, W) == pytest.approx(0.0, abs=1e-15)
 
     def test_plane_vs_structure_image(self, rng):
         # cos of the Euclidean angle between P and I P is the squared
         # Kaehler cosine of the plane
         for _ in range(5):
             P = random_frame(2, 2, rng)
-            plane = OrientedTwoPlane(P.vectors[0], P.vectors[1])
-            c = np.cos(kahler_angle(plane, I))
-            got = np.cos(euclidean_angle(P, structure_image(I, P)))
-            assert abs(got - c**2) < 1e-9
+            c = measure(OrientedTwoPlane(P.vectors[0], P.vectors[1]))[1]
+            assert abs(euclidean_cos(P, structure_image(I, P)) - c**2) < 1e-9
 
 
 def rotate_pair(plane: OrientedTwoPlane, t: float) -> OrientedTwoPlane:
@@ -196,59 +198,56 @@ def rotate_pair(plane: OrientedTwoPlane, t: float) -> OrientedTwoPlane:
 
 
 class TestKahlerAngle:
+    # the A-Kaehler cosine of an oriented plane is A's coefficients against
+    # the plane's imaginary measure
     def test_holomorphic_plane(self, rng):
         x = rng.standard_normal(8)
         x /= np.linalg.norm(x)
         v = rng.standard_normal(3)
         A = CompatibleStructure(*(v / np.linalg.norm(v)))
         plane = OrientedTwoPlane(x, -apply_structure(A, x))
-        # arccos near 1 turns float noise into sqrt-scale angle noise
-        assert kahler_angle(plane, A) == pytest.approx(0.0, abs=1e-7)
+        assert A.coefficients() @ measure(plane)[1:] == pytest.approx(1.0, abs=1e-12)
 
     def test_totally_real_plane(self):
         plane = OrientedTwoPlane(unit(2, 0), unit(2, 1))
         for A in (I, J, K):
-            assert kahler_angle(plane, A) == pytest.approx(np.pi / 2)
+            assert A.coefficients() @ measure(plane)[1:] == pytest.approx(0.0, abs=1e-15)
 
     def test_orientation_swap_negates_cosine(self, rng):
         P = random_frame(2, 2, rng)
         plane = OrientedTwoPlane(P.vectors[0], P.vectors[1])
-        assert np.cos(kahler_angle(plane.reversed(), J)) == pytest.approx(
-            -np.cos(kahler_angle(plane, J)), abs=1e-12
-        )
+        npt.assert_allclose(measure(plane.reversed()), -measure(plane), atol=1e-12)
 
     def test_basis_invariance(self, rng):
         P = random_frame(2, 2, rng)
         plane = OrientedTwoPlane(P.vectors[0], P.vectors[1])
-        base = kahler_angle(plane, J)
+        base = J.coefficients() @ measure(plane)[1:]
         for t in rng.uniform(0, 2 * np.pi, 16):
-            assert abs(kahler_angle(rotate_pair(plane, t), J) - base) < 1e-10
+            assert abs(J.coefficients() @ measure(rotate_pair(plane, t))[1:] - base) < 1e-12
 
 
 class TestImaginaryMeasure:
     def test_holomorphic_i_plane(self):
         x = unit(2, 0)
         plane = OrientedTwoPlane(x, -apply_structure(I, x))
-        npt.assert_allclose(imaginary_measure(plane).as_array(), [0, 1, 0, 0], atol=1e-14)
+        npt.assert_allclose(measure(plane), [0, 1, 0, 0], atol=1e-14)
 
     def test_rhp_plane_vanishes(self):
         plane = OrientedTwoPlane(unit(2, 0), unit(2, 1))
-        npt.assert_allclose(imaginary_measure(plane).as_array(), np.zeros(4), atol=1e-14)
+        npt.assert_allclose(measure(plane), np.zeros(4), atol=1e-14)
 
     def test_rotation_invariance(self, rng):
         P = random_frame(2, 2, rng)
         plane = OrientedTwoPlane(P.vectors[0], P.vectors[1])
-        base = imaginary_measure(plane).as_array()
+        base = measure(plane)
         for t in rng.uniform(0, 2 * np.pi, 8):
-            npt.assert_allclose(
-                imaginary_measure(rotate_pair(plane, t)).as_array(), base, atol=1e-12
-            )
+            npt.assert_allclose(measure(rotate_pair(plane, t)), base, atol=1e-12)
 
     def test_norm_at_most_one(self, rng):
         for _ in range(20):
             P = random_frame(2, 2, rng)
-            m = imaginary_measure(OrientedTwoPlane(P.vectors[0], P.vectors[1]))
-            assert m.norm() <= 1 + 1e-12
+            m = measure(OrientedTwoPlane(P.vectors[0], P.vectors[1]))
+            assert np.linalg.norm(m) <= 1 + 1e-12
 
     def test_unit_norm_is_holomorphic(self, rng):
         # norm 1 happens exactly for planes holomorphic w.r.t. some unit A
@@ -257,9 +256,9 @@ class TestImaginaryMeasure:
         v = rng.standard_normal(3)
         A = CompatibleStructure(*(v / np.linalg.norm(v)))
         plane = OrientedTwoPlane(x, -apply_structure(A, x))
-        m = imaginary_measure(plane)
-        assert m.norm() == pytest.approx(1.0, abs=1e-12)
-        npt.assert_allclose(m.as_array()[1:], A.coefficients(), atol=1e-12)
+        m = measure(plane)
+        assert np.linalg.norm(m) == pytest.approx(1.0, abs=1e-12)
+        npt.assert_allclose(m[1:], A.coefficients(), atol=1e-12)
 
     def test_boundary_two_plane_is_holomorphic(self):
         # squared cosines summing to 1 force unit measure, and the plane is
@@ -271,10 +270,9 @@ class TestImaginaryMeasure:
         cj2 = 1.0 - np.cos(ti) ** 2 - np.cos(tk) ** 2
         tj = np.arccos(np.sqrt(cj2))
         P = make_two_plane(2, ti, tj, tk, 1.0, -1.0)
-        plane = OrientedTwoPlane(P.vectors[0], P.vectors[1])
-        m = imaginary_measure(plane)
-        assert m.norm() == pytest.approx(1.0, abs=1e-12)
-        A = CompatibleStructure(*(m.as_array()[1:]))
+        m = measure(OrientedTwoPlane(P.vectors[0], P.vectors[1]))
+        assert np.linalg.norm(m) == pytest.approx(1.0, abs=1e-12)
+        A = CompatibleStructure(*m[1:])
         img = apply_structure(A, P.vectors)
         # A-image stays inside the plane
         resid = img - (img @ P.vectors.T) @ P.vectors
