@@ -104,6 +104,7 @@ def orthonormalize(spanning, tol: float = EPS_RANK) -> Frame:
     Rank-deficient input raises RankDeficiencyError carrying the detected
     rank.
     """
+    tol = _tolerance(tol)
     rows = np.atleast_2d(np.asarray(spanning, dtype=float))
     if rows.shape[0] == 0:
         raise DimensionError("empty spanning set")

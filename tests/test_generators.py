@@ -417,6 +417,8 @@ class TestSeeds:
         (lambda s: random_sp(2, s), 1.5),
         (lambda s: invariance_oracle(graph_subspace(0.5), 2, s), -1),
         (lambda s: decompose(graph_subspace(0.5), seed=s), -1),
+        (lambda s: decompose(direct_sum([graph_subspace(0.5)] * 2), seed=s), -1),
+        (lambda s: decompose(graph_subspace(0.5), seed=s), 2.5),
     ])
     def test_refused_seed_is_named(self, call, seed):
         with pytest.raises(InfeasibleParametersError, match=f"seed {seed} is not"):
@@ -477,11 +479,14 @@ class TestTolerances:
         lambda U, x, tol: two_plane_orbit(Frame(U.vectors[:2])).same_orbit(
             two_plane_orbit(Frame(U.vectors[:2])), tol),
         lambda U, x, tol: Frame(U.vectors, tol),
+        lambda U, x, tol: orthonormalize(U.vectors, tol),
     ], ids=["isoclinic_pair", "direct_sum", "gamma_delta", "companions", "build_chains",
-            "agrees", "two_plane_same_orbit", "frame"])
+            "agrees", "two_plane_same_orbit", "frame", "orthonormalize"])
     def test_public_tolerances_refused_by_name(self, call, tol):
         # nan made every comparison false: isoclinic_pair certified a non-isoclinic
-        # pair, agrees refused a label itself and Frame reported a Gram defect 0 > nan
+        # pair, agrees refused a label itself and Frame reported a Gram defect 0 > nan;
+        # orthonormalize reported rank 0 for a full-rank set at nan or inf, and
+        # divided a zero row by its norm at -1
         U = graph_subspace(0.5)
         with pytest.raises(InfeasibleParametersError, match=f"finite tol > 0, got {tol}"):
             call(U, U.vectors[0], tol)

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from isoclinic.errors import IsoclinicError, StructureError
+from isoclinic.errors import DimensionError, IsoclinicError, StructureError
 from isoclinic.quaternions import (
     AdmissibleBasis,
     CompatibleStructure,
@@ -105,6 +105,10 @@ class TestHermitianProduct:
         x = rng.standard_normal(8)
         p = hermitian_product(x, x)
         npt.assert_allclose(p.as_array(), [x @ x, 0, 0, 0], atol=1e-12)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError, match="shape mismatch"):
+            hermitian_product(unit(2, 0), unit(1, 0))
 
     def test_distinct_coordinates_orthogonal(self):
         assert hermitian_product(unit(2, 0), unit(2, 1)) == Quaternion(0, 0, 0, 0)

@@ -85,6 +85,10 @@ class TestProjectGram:
         W = complement(U)
         npt.assert_allclose(gram(U, W), np.zeros((3, 5)), atol=1e-12)
 
+    def test_gram_across_ambients_rejected(self, rng):
+        with pytest.raises(DimensionError, match="different ambient spaces"):
+            gram(random_frame(2, 2, rng), random_frame(3, 2, rng))
+
     def test_householder_complement_stays_in_span(self):
         # W is not inside span U: the complement is taken inside span U, not
         # from the residuals of U's rows against W
