@@ -114,8 +114,8 @@ def _combined_defects(C: np.ndarray, forms: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _angle(c2):
-    """The angle of each cos^2 in c2, clamped into [0, 1]."""
-    return np.arccos(np.sqrt(np.clip(c2, 0.0, 1.0)))
+    """The angle of each cos^2 in c2, clamped into [0, 1] (np.clip, less dispatch)."""
+    return np.arccos(np.sqrt(np.minimum(np.maximum(c2, 0.0), 1.0)))
 
 
 def isoclinic_pair(U: Frame, W: Frame, tol: float = EPS_ISO) -> float | None:
@@ -682,6 +682,7 @@ def _profiles(angles: np.ndarray, forms: np.ndarray, snaps=None) -> np.ndarray:
     if k > 2 and gen.any():
         # the parts P = (PJ, PK) of J_J, J_K orthogonal to J_I give eta - xi chi
         # and s_xi, s_chi with no cancellation near +/-1, and tr(J_I J_J J_K)
+        gen = slice(None) if gen.all() else gen  # no copy when every entry is generic
         J = J[gen]
         P = J[:, 1:] - v[gen, :2, None] * J[:, :1]
         n = np.add.reduce(P[:, [0, 1, 0]] * P[:, [0, 1, 1]], axis=2)  # |PJ|^2, |PK|^2, <PJ, PK>

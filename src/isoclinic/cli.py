@@ -33,6 +33,7 @@ from .errors import (
 )
 from .generators import (
     direct_sum,
+    embed,
     graph_subspace,
     invariance_oracle,
     make_i_complex_4,
@@ -131,7 +132,7 @@ def _profile_obj(profile: IsoclinicProfile) -> dict:
 def _cmd_analyze(args) -> int:
     frame = _load_frame(args.file, args.basis)
     try:
-        measured = _measured(frame, args.tol)
+        (measured,) = _measured([frame], args.tol)
     except NotIsoclinicError as exc:
         if args.json:
             print(json.dumps({
@@ -177,24 +178,12 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _pad_to_common_ambient(U: Frame, W: Frame) -> tuple[Frame, Frame]:
-    width = max(U.ambient, W.ambient)
-
-    def pad(F: Frame) -> Frame:
-        if F.ambient == width:
-            return F
-        V = np.zeros((F.dim, width))
-        V[:, : F.ambient] = F.vectors
-        return Frame(V)
-
-    return pad(U), pad(W)
-
-
 def _cmd_compare(args) -> int:
     # documents of different quaternionic dimension embed into the larger
     # common ambient space before comparison
-    U, W = _pad_to_common_ambient(_load_frame(args.file_a), _load_frame(args.file_b))
-    measured = _measured(U), _measured(W)
+    U, W = _load_frame(args.file_a), _load_frame(args.file_b)
+    n = max(U.n, W.n)
+    measured = _measured([embed(U, n, 0), embed(W, n, 0)])
     verdict = _same_orbit(*measured, args.tol)
     label_u, label_w = (m.label() for m in measured)
     if args.json:

@@ -136,8 +136,16 @@ def _sp_draws(n: int, seeds) -> np.ndarray:
 # coordinate helpers
 
 
+def _zeros(n: int, rows: int = 1) -> np.ndarray:
+    """rows zero rows of H^n; rows no numpy array can hold are refused by name."""
+    if rows * 32 * n > np.iinfo(np.intp).max:  # a row: 4n float64 values, 32 n bytes
+        raise InfeasibleParametersError(f"n = {n} is too large: a ({rows}, 4n) float64 array "
+                                        "exceeds numpy's largest")
+    return np.zeros((rows, 4 * n))
+
+
 def _unit(n: int, q: int) -> np.ndarray:
-    v = np.zeros(4 * n)
+    v = _zeros(n)[0]
     v[4 * q] = 1.0
     return v
 
@@ -154,7 +162,7 @@ def embed(U: Frame, n: int, block_offset: int) -> Frame:
     end = _count(block_offset, "block_offset", 0, DimensionError) + U.n
     if end > _count(n, "n", 1, DimensionError):
         raise DimensionError("embedding does not fit")
-    V = np.zeros((U.dim, 4 * n))
+    V = _zeros(n, U.dim)
     V[:, 4 * block_offset : 4 * end] = U.vectors
     return Frame(V)
 
@@ -174,7 +182,7 @@ def make_quaternionic_line(n: int, index: int = 0) -> Frame:
     """The characteristic line H*e_index, i.e. one quaternionic coordinate."""
     if _count(index, "index", 0) >= _count(n, "n", 1, DimensionError):
         raise InfeasibleParametersError(f"index {index} out of range for n={n}")
-    V = np.zeros((4, 4 * n))
+    V = _zeros(n, 4)
     V[:, 4 * index : 4 * index + 4] = np.eye(4)
     return Frame(V)
 
@@ -266,7 +274,7 @@ def graph_subspace(mu, n: int = 2) -> Frame:
     _require_finite("graph_subspace", *mu.ravel())
     rows = []
     for q in np.eye(4):
-        v = np.zeros(4 * n)
+        v = _zeros(n)[0]
         v[:4] = q
         v[4:8] = qarr_mul(q, mu)
         rows.append(v)
@@ -327,10 +335,9 @@ def _frame_from_omegas(omegas: tuple[np.ndarray, np.ndarray, np.ndarray], n: int
     H[..., 3] = wK
     R = _quaternion_cholesky(H)
     used = [p for p in range(k) if np.max(np.abs(R[p])) > 0.0]
-    _count(n, "n", len(used), DimensionError)
-    cols = np.zeros((n, k, 4))
-    cols[: len(used)] = R[used]
-    return Frame(cols.transpose(1, 0, 2).reshape(k, 4 * n))
+    V = _zeros(_count(n, "n", len(used), DimensionError), k)
+    V[:, : 4 * len(used)] = R[used].transpose(1, 0, 2).reshape(k, -1)
+    return Frame(V)
 
 
 def make_profile_4(

@@ -35,14 +35,16 @@ from .analysis import (
     _check_member,
     _forms,
     _generators,
+    _gram_forms,
+    _not_isoclinic,
     _pm1,
-    _profile,
     _profiles,
     cij_block_4,
     cik_block_4,
     full_profile,
 )
 from .errors import DimensionError, FalsificationError, RankDeficiencyError
+from .quaternions import _complex_rows
 from .subspaces import Frame, _seeded_rng, _tolerance
 from .tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK, EPS_RECERT, EPS_UNION
 
@@ -113,7 +115,7 @@ def _require_one_type(E: np.ndarray) -> None:
         return
     k = E.shape[-1]
     vol = E[0] @ E[1] @ E[2]
-    mixed = float(np.max(np.abs(np.trace(vol) / k * vol - np.eye(k))))
+    mixed = float(np.abs(vol.trace() / k * vol - np.eye(k)).max())
     if not mixed <= EPS_ORBIT:
         raise FalsificationError(
             f"dim {k}: the volume element is not +/-Id (mixedness "
@@ -202,7 +204,7 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     forms against the parent's angles; addend_profiles reads its forms.
     """
     rng = _seeded_rng(seed) if seed is not None else None
-    measured = _measured(U)
+    (measured,) = _measured([U])
     klass = measured.profile.dim_class
     addends, forms = _submodules(U, measured.forms, measured.generators, None, U.dim, klass, rng)
     gated = _recertified(forms, measured.angles, "constructed 8-dim addend" if klass == 8
@@ -287,7 +289,7 @@ def orbit_label(U: Frame) -> OrbitLabel:
     invariant at +/-1 snaps to its sign and sets Delta = 0. From one gate's
     forms; an invariant within its error bound (1e-14 + 10 x the gate's
     defect) of 1 - EPS_PM1 raises FalsificationError naming its distance."""
-    return _measured(U).decided()
+    return _measured([U])[0].decided()
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,16 +310,19 @@ class _Measured:
         """The forms' generators E, built on first use."""
         return analysis._generators(self.forms)  # via the module: a wrapped one sees it
 
-    def label(self, choice=None) -> OrbitLabel:
-        """The label with each near invariant counted as +/-1 or not as
-        `choice` (index -> bool) says, and every other by its measured side."""
-        p = self.profile
-        values = (p.xi, p.chi, p.eta)
-        measured = [_pm1(v) for v in values]
-        snaps = [(choice or {}).get(i, m) if i in self.near else m for i, m in enumerate(measured)]
-        if snaps != measured:
-            p = _profile(self.angles, self.forms, snaps)
+    def snaps(self, choice=None) -> list:
+        """Whether xi, chi, eta count as +/-1: a near one as `choice` (index -> bool) says."""
+        values = (self.profile.xi, self.profile.chi, self.profile.eta)
+        return [choice[i] if choice and i in self.near else _pm1(v) for i, v in enumerate(values)]
+
+    def label(self, snaps=None, row=None) -> OrbitLabel:
+        """The label with xi, chi, eta counted as +/-1 as `snaps` (default snaps())
+        says, off the _profiles `row` read under them, if given, held to the mandates."""
+        p = self.profile if row is None else _as_profile(row, self.profile.dim)
+        snaps = self.snaps() if snaps is None else snaps
+        if row is not None:
             _require_mandates(p, snaps)
+        values = (p.xi, p.chi, p.eta)
         xi, chi, eta = (_rounded_sign(v) if snap else v for v, snap in zip(values, snaps))
         if p.dim_class == 2:
             eta = xi * chi
@@ -335,39 +340,54 @@ class _Measured:
                          f"its error bound {self.bound:.3e}" for i, gap in self.near.items())
 
 
-def _measured(U: Frame, tol: float = EPS_ISO) -> _Measured:
-    """U's _Measured from one gate at `tol`."""
-    angles, forms, defect = _certified_forms(U, tol)
-    profile = _profile(angles, forms)
-    _require_mandates(profile)
-    bound = 1e-14 + 10.0 * defect  # how far roundoff and the defect move xi, chi, eta
-    gaps = enumerate(abs(abs(v) - (1.0 - EPS_PM1)) for v in (profile.xi, profile.chi, profile.eta))
-    measured = _Measured(U, angles, forms, profile, bound, {i: g for i, g in gaps if g <= bound})
-    if profile.dim_class != 2:
-        _require_one_type(measured.generators)
+def _measured(frames, tol: float = EPS_ISO) -> list[_Measured]:
+    """The _Measured of frames of one (dim, ambient) from one stacked _complex_rows,
+    _gram_forms, gate at `tol` and _profiles. Unequal dims or ambients raise first,
+    then the first entry in input order to fail its gate, mandates or one type."""
+    for W in frames[1:]:
+        if frames[0].dim != W.dim:
+            raise DimensionError(f"same_orbit needs equal dims, got {frames[0].dim} != {W.dim}")
+        if frames[0].ambient != W.ambient:
+            raise DimensionError("subspaces live in different ambient spaces")
+    C = _complex_rows([F.vectors for F in frames])
+    forms = np.ascontiguousarray(_gram_forms(C)[1:].swapaxes(0, 1))
+    gates = analysis._gates(forms, tol)  # via the module: a wrapped one sees it
+    n = next((i for i, (a, _) in enumerate(gates) if a is None), len(gates))  # gated entries
+    rows = _profiles(np.array([a for a, _ in gates[:n]]), forms[:n]) if n else ()
+    measured = []
+    for F, f, row, (angles, (_, defect)) in zip(frames, forms, rows, gates):
+        p = _as_profile(row, F.dim)
+        _require_mandates(p)
+        bound = 1e-14 + 10.0 * defect  # how far roundoff and the defect move xi, chi, eta
+        gaps = enumerate(abs(abs(v) - (1.0 - EPS_PM1)) for v in (p.xi, p.chi, p.eta))
+        measured.append(_Measured(F, angles, f, p, bound, {i: g for i, g in gaps if g <= bound}))
+        if p.dim_class != 2:
+            _require_one_type(measured[-1].generators)
+    if n < len(gates):
+        raise _not_isoclinic(gates[n][1], tol)
     return measured
 
 
 def same_orbit(U: Frame, W: Frame, tol: float = EPS_ORBIT) -> bool:
     """Sp(n)-orbit equivalence of two isoclinic subspaces of one dimension
-    by orbit-label equality, one gate per input. Invariants near the +/-1
-    convention (see orbit_label) take each side in turn, the same in both
+    by orbit-label equality, one stacked gate for both. Invariants near the
+    +/-1 convention (see orbit_label) take each side in turn, the same in both
     inputs; differing verdicts raise FalsificationError with the margins.
     Equal labels give equal canonical matrices (closed forms of them)."""
     tol = _tolerance(tol)
-    return _same_orbit(_measured(U), _measured(W), tol)
+    return _same_orbit(*_measured([U, W]), tol)
 
 
 def _same_orbit(mu: _Measured, mw: _Measured, tol: float) -> bool:
-    """same_orbit of the frames of mu and mw."""
-    U, W = mu.frame, mw.frame
-    if U.dim != W.dim:
-        raise DimensionError(f"same_orbit needs equal dims, got {U.dim} != {W.dim}")
-    if U.ambient != W.ambient:
-        raise DimensionError("subspaces live in different ambient spaces")
+    """same_orbit of the frames of mu and mw; with invariants near, every
+    (input, choice) pair is relabelled in one _profiles."""
     near = sorted(set(mu.near) | set(mw.near))
-    choices = (dict(zip(near, s)) for s in itertools.product((False, True), repeat=len(near)))
-    verdicts = {mu.label(choice).agrees(mw.label(choice), tol) for choice in choices}
+    choices = [dict(zip(near, s)) for s in itertools.product((False, True), repeat=len(near))]
+    ms, snaps = zip(*[(m, m.snaps(choice)) for choice in choices for m in (mu, mw)])
+    rows = (_profiles(np.array([m.angles for m in ms]), np.array([m.forms for m in ms]), snaps)
+            if near else [None] * len(ms))
+    labels = [m.label(s, row) for m, s, row in zip(ms, snaps, rows)]
+    verdicts = {a.agrees(b, tol) for a, b in zip(labels[::2], labels[1::2])}
     if len(verdicts) > 1:
         raise FalsificationError("the verdict depends on the +/-1 convention: " + "; ".join(
             f"{name}: {m.margins()}" for name, m in (("U", mu), ("W", mw)) if m.near))

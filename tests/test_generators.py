@@ -451,6 +451,22 @@ class TestCounts:
         with pytest.raises(error, match=f"expected an integer {name} >= "):
             call()
 
+    # only n = 10^18, whose rows numpy refuses to size: a smaller huge n would
+    # try to allocate them
+    @pytest.mark.parametrize("call", [
+        lambda n: make_rhp(n, 2),
+        lambda n: make_quaternionic_line(n),
+        lambda n: make_totally_complex_4(n),
+        lambda n: make_i_complex_4(n, 0.3),
+        lambda n: make_two_plane(n, 0.9, 1.1, 1.2),
+        lambda n: graph_subspace(0.5, n),
+        lambda n: make_profile_4(1.2, 1.3, 1.4, 0.3, 0.2, 0.1, n=n),
+        lambda n: embed(graph_subspace(0.5), n, 0),
+    ], ids=["rhp", "qline", "tcomplex4", "icomplex4", "twoplane", "graph", "profile4", "embed"])
+    def test_n_beyond_any_array_is_refused_by_name(self, call):
+        with pytest.raises(InfeasibleParametersError, match=f"^n = {10**18} is too large: a "):
+            call(10**18)
+
 
 class TestTolerances:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])

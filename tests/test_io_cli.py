@@ -137,6 +137,20 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["same_orbit"] is True
 
+    def test_compare_refuses_another_dim_before_measuring(self, capsys, tmp_path):
+        # a non-isoclinic dim-4 document against a dim-2 one: dims are checked
+        # first, so the refusal names them, not the first input's gate
+        mixed = tmp_path / "mixed.json"
+        rows = np.eye(8)[[0, 2, 4, 5]].tolist()
+        mixed.write_text(json.dumps({"quaternionic_dim": 2, "vectors": rows}))
+        plane = tmp_path / "plane.json"
+        plane.write_text(serialize_document(document_from_frame(
+            make_two_plane(2, 0.9, 1.1, 1.2, 1.0, -1.0))))
+        for a, b, dims in ((mixed, plane, "4 != 2"), (plane, mixed, "2 != 4")):
+            code, out, err = run_cli(capsys, "compare", str(a), str(b))
+            assert (code, out) == (2, "")
+            assert err == f"rejected: same_orbit needs equal dims, got {dims}\n"
+
     def test_compare_same_ambient(self, capsys, tmp_path):
         for name in ("a", "b"):
             doc = document_from_frame(make_rhp(4, 4))
@@ -163,17 +177,17 @@ class TestCli:
         assert (code, err) == (2, "")
         assert out.startswith("not isoclinic\n")
         gated = []
-        real = analysis._gate
+        real = analysis._gates
 
-        def counting(U, tol, *rest):
-            gated.append(tol)
-            return real(U, tol, *rest)
+        def counting(forms, tol, *rest):
+            gated.append((len(forms), tol))  # one call, with its number of entries
+            return real(forms, tol, *rest)
 
-        monkeypatch.setattr(analysis, "_gate", counting)
+        monkeypatch.setattr(analysis, "_gates", counting)
         code, out, err = run_cli(capsys, "analyze", str(path), "--tol", "1e-6")
         assert (code, err) == (0, "")
         assert "isoclinic: yes" in out and "orbit label: [" in out
-        assert gated == [1e-6]
+        assert gated == [(1, 1e-6)]
 
     def test_bad_basis_file_is_document_error(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "generate", "icomplex4", "--theta", "0.8")
@@ -382,6 +396,18 @@ class TestCli:
         code, out, err = run_cli(capsys, "generate", family, "--n", "0", "--seed", "1")
         assert code == 2 and out == ""
         assert err.startswith("rejected: expected an integer n >= ")
+
+    @pytest.mark.parametrize("argv", [
+        ["qline"], ["rhp"], ["tcomplex4"], ["graph", "--seed", "1"],
+        ["icomplex4", "--theta", "0.8"],
+        ["twoplane", "--theta-i", "0.9", "--theta-j", "1.1", "--theta-k", "1.2"],
+    ])
+    def test_n_beyond_any_array_is_refused(self, capsys, argv):
+        # only n = 10^18, whose rows numpy refuses to size: a smaller huge n
+        # would try to allocate them
+        code, out, err = run_cli(capsys, "generate", *argv, "--n", str(10**18))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"rejected: n = {10**18} is too large: a (")
 
     def test_infeasible_generate_rejected(self, capsys):
         code, _, err = run_cli(

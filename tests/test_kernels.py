@@ -60,6 +60,7 @@ from isoclinic.analysis import (
     theta_of_A,
 )
 from isoclinic.errors import (
+    DimensionError,
     FalsificationError,
     IsoclinicError,
     NotIsoclinicError,
@@ -112,7 +113,7 @@ from isoclinic.orbits import (
     same_orbit,
 )
 from isoclinic.tolerances import EPS_ANGLE, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK, EPS_UNION
-from conftest import (build_chains_reference, chain_profile, companions_reference,
+from conftest import (bench_workloads, build_chains_reference, chain_profile, companions_reference,
                       complement_in, mgs_reference, omega_reference, oracle_loop_reference,
                       perturbed_graph_sum, qarr_conj_reference, qarr_mul_reference,
                       random_unit_in, real_matrix_reference, sp_entries, sp_matrix,
@@ -1042,24 +1043,25 @@ class TestOrbitDecision:
         assert {True, False, FalsificationError, NotIsoclinicError} <= decisions
 
     def test_one_gate_per_input(self, monkeypatch):
+        # same_orbit gates both inputs in one stacked call, one entry each
         U, W = moved(graph_sum(2), 1), moved(graph_sum(2), 2)
         gated = []
-        real = analysis._gate
+        real = analysis._gates
 
         def counting(forms, *args):
-            gated.append(forms.shape[-1])
+            gated.append([f.shape[-1] for f in forms])  # one list per call
             return real(forms, *args)
 
-        monkeypatch.setattr(analysis, "_gate", counting)
+        monkeypatch.setattr(analysis, "_gates", counting)
         orbit_label(U)
         orbit_label(W)
-        assert gated == [U.dim, W.dim]
+        assert gated == [[U.dim], [W.dim]]
         gated.clear()
         assert same_orbit(U, W)
-        assert gated == [U.dim, W.dim]
+        assert gated == [[U.dim, W.dim]]
         gated.clear()
         full_profile(U)
-        assert gated == [U.dim]
+        assert gated == [[U.dim]]
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     @pytest.mark.parametrize("u,w", ORBIT_PAIRS)
@@ -1079,7 +1081,7 @@ class TestOrbitDecision:
         # convention, which is orbit_label off the convention's edge) and then
         # calling same_orbit
         try:
-            label_a, label_b = (orbits._measured(V).label() for V in (A, B))
+            label_a, label_b = (orbits._measured([V])[0].label() for V in (A, B))
             verdict = same_orbit(A, B)
         except IsoclinicError as exc:
             expected = (2, "", f"rejected: {exc}\n")
@@ -1096,19 +1098,127 @@ class TestOrbitDecision:
                 ])
             expected = (0, out, "")
         gated = []
-        real = analysis._gate
+        real = analysis._gates
 
         def counting(forms, *args):
-            gated.append(forms.shape[-1])
+            gated.append([f.shape[-1] for f in forms])  # one list per call
             return real(forms, *args)
 
-        monkeypatch.setattr(analysis, "_gate", counting)
+        monkeypatch.setattr(analysis, "_gates", counting)
         code = cli.main(["compare", *paths, *json_flag])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == expected
-        assert gated == [U.dim, W.dim][: len(gated)]
-        if code == 0:
-            assert len(gated) == 2
+        # one stacked call with one entry per input, refused or not
+        assert gated == [[U.dim, W.dim]]
+
+
+def measured_or_refusal(frames):
+    """orbits._measured(frames), or the (type, text) of what it raised."""
+    try:
+        return orbits._measured(frames)
+    except IsoclinicError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_measure(got, want):
+    """Two _Measured, equal bit for bit."""
+    assert got.frame is want.frame
+    assert got.angles == want.angles and got.profile == want.profile
+    assert np.array_equal(got.forms, want.forms)
+    assert got.near == want.near and got.bound == want.bound
+
+
+def stacked_pairs():
+    """(U, W) of every ORBIT_PAIRS pair, then a near-band input with an r.h.p. one."""
+    for u, w in ORBIT_PAIRS:
+        U, W = ORBIT_INPUTS[u](), ORBIT_INPUTS[w]()
+        yield (U, moved(W, 40) if w == u else W)
+    yield near_pm1_profile(), ORBIT_INPUTS["rhp-4"]()
+    yield ORBIT_INPUTS["rhp-4"](), ORBIT_INPUTS["near-pm1-moved"]()
+
+
+class TestStackedMeasure:
+    """orbits._measured of a stack is _measured of each frame alone, one gate
+    call for all, and the first frame's refusal wins whatever its kind."""
+
+    @pytest.mark.parametrize("index", range(len(ORBIT_PAIRS) + 2))
+    def test_stack_equals_each_frame_alone(self, index):
+        U, W = list(stacked_pairs())[index]
+        alone = [measured_or_refusal([V]) for V in (U, W)]
+        stacked = measured_or_refusal([U, W])
+        refusals = [a for a in alone if isinstance(a, tuple)]
+        if refusals:
+            # U's refusal wins over W's, whatever the kind of either
+            assert stacked == refusals[0]
+            with pytest.raises(refusals[0][0]) as info:
+                same_orbit(U, W)
+            assert str(info.value) == refusals[0][1]
+        else:
+            for got, (want,) in zip(stacked, alone):
+                assert_same_measure(got, want)
+
+    def test_pairs_refuse_by_each_kind(self):
+        # the refusal order is exercised: a U failing its mandates before a W
+        # failing its gate, and the reverse
+        refusals = [measured_or_refusal([U, W]) for U, W in stacked_pairs()]
+        assert {FalsificationError, NotIsoclinicError} <= {
+            r[0] for r in refusals if isinstance(r, tuple)}
+        mandates = measured_or_refusal([mixed_delta_sum(), ORBIT_INPUTS["mixed-sign-8"]()])
+        assert mandates[0] is FalsificationError and "mixes both module types" in mandates[1]
+
+    def test_dims_checked_before_measuring(self):
+        # a non-isoclinic U against a W of another dim is a dimension refusal,
+        # and so is one ambient against another, whatever either input is
+        bad = ORBIT_INPUTS["mixed-sign-8"]()
+        with pytest.raises(DimensionError, match=r"^same_orbit needs equal dims, got 8 != 4$"):
+            same_orbit(bad, ORBIT_INPUTS["planes-4"]())
+        with pytest.raises(DimensionError, match="^subspaces live in different ambient spaces$"):
+            same_orbit(make_quaternionic_line(1), make_quaternionic_line(2))
+        with pytest.raises(NotIsoclinicError):
+            same_orbit(bad, moved(bad, 1))
+
+    def test_near_relabels_in_one_profile_call(self, monkeypatch):
+        # each input's +/-1 choices in one _profiles over every (input, choice) pair
+        U, W = near_pm1_profile(), ORBIT_INPUTS["near-pm1-moved"]()
+        calls = []
+        real = orbits._profiles
+
+        def counting(angles, forms, *rest):
+            calls.append(len(forms))
+            return real(angles, forms, *rest)
+
+        monkeypatch.setattr(orbits, "_profiles", counting)
+        assert same_orbit(U, W) is True
+        assert calls == [2, 4]  # the stacked measure, then the relabels
+
+    CATALOG = bench_workloads()
+    FAMILIES = [
+        lambda rng, wl=CATALOG: wl.two_plane(rng),
+        lambda rng, wl=CATALOG: wl.two_plane(rng, theta_i=np.pi / 2),
+        lambda rng, wl=CATALOG: wl.two_plane(rng, n=1, unit=True),
+        CATALOG.profile_4,
+        CATALOG.graph,
+        CATALOG.i_complex,
+        lambda rng, wl=CATALOG: wl.totally_complex(),
+        lambda rng, wl=CATALOG: wl.rhp(2, 2),
+        lambda rng, wl=CATALOG: wl.rhp(4, 4),
+        lambda rng, wl=CATALOG: wl.direct_sum(*wl.graph(rng), 2),
+        lambda rng, wl=CATALOG: wl.mixed_sign(rng, 2),
+        lambda rng, wl=CATALOG: wl.near_threshold_4(),
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.integers(0, len(FAMILIES) - 1), seed=st.integers(0, 2**32 - 1),
+           same=st.booleans())
+    def test_same_orbit_is_symmetric(self, family, seed, same):
+        rng = np.random.default_rng(seed)
+        A, _ = self.FAMILIES[family](rng)
+        B = A if same else self.FAMILIES[family](rng)[0]
+        U, W = (self.CATALOG.moved(V, rng) for V in (A, B))
+        forward, backward = outcome(same_orbit, U, W), outcome(same_orbit, W, U)
+        # a verdict both ways, or a refusal both ways
+        assert forward == backward if isinstance(forward, bool) else not isinstance(backward,
+                                                                                     bool)
 
 
 BATCH_INPUTS = {
@@ -1197,18 +1307,19 @@ class TestDecomposeInCoordinates:
     @pytest.mark.parametrize("seed", [None, 1])
     @pytest.mark.parametrize("name", ["graph-12", "graph-16", "planes-10", "rhp-12"])
     def test_forms_built_once(self, monkeypatch, name, seed):
-        # the addends' forms are blocks of the input's
+        # the addends' forms are blocks of the input's, built in one stack of one entry
         U = DECOMPOSE_INPUTS[name]()
         built = []
-        real = analysis._forms
+        real = analysis._gram_forms
 
-        def counting(V):
-            built.append(V.dim)
-            return real(V)
+        def counting(C):
+            built.append(C.shape)
+            return real(C)
 
-        monkeypatch.setattr(analysis, "_forms", counting)
+        monkeypatch.setattr(analysis, "_gram_forms", counting)
+        monkeypatch.setattr(orbits, "_gram_forms", counting)
         dec = decompose(U, seed=seed)
-        assert len(dec.addends) > 1 and built == [U.dim]
+        assert len(dec.addends) > 1 and built == [(1, U.dim, 2 * U.n)]
 
     @pytest.mark.parametrize("name", ["graph-12", "graph-16", "planes-10", "rhp-12"])
     def test_generators_built_once(self, monkeypatch, name):
