@@ -42,7 +42,6 @@ from .subspaces import (
     OrientedTwoPlane,
     _householder_complement,
     _mgs,
-    _tolerance,
     gram,
     project,
 )
@@ -118,17 +117,16 @@ def _angle(c2):
     return np.arccos(np.sqrt(np.minimum(np.maximum(c2, 0.0), 1.0)))
 
 
-def isoclinic_pair(U: Frame, W: Frame, tol: float = EPS_ISO) -> float | None:
+def isoclinic_pair(U: Frame, W: Frame) -> float | None:
     """Common principal angle of (U, W) if the pair is isoclinic, else None.
 
-    Tests || G G^T - cos^2(theta) Id ||_inf < tol with
+    Tests || G G^T - cos^2(theta) Id ||_inf < EPS_ISO with
     cos^2(theta) = trace(G G^T) / k.
     """
-    tol = _tolerance(tol)
     if U.dim != W.dim:
         raise DimensionError(f"isoclinic_pair needs equal dims, got {U.dim} != {W.dim}")
     defect, c2 = _pair_defects(gram(U, W))
-    return None if defect >= tol else float(_angle(c2))
+    return None if defect >= EPS_ISO else float(_angle(c2))
 
 
 def _witness(band: np.ndarray) -> np.ndarray:
@@ -162,7 +160,6 @@ def _gates(forms: np.ndarray, tol: float) -> list:
     ||Q||_F reaches tol get an eigh. The verdict is the witness's own pair
     defect against tol.
     """
-    tol = _tolerance(tol)
     k = forms.shape[-1]
     if k % 2 == 1:
         raise DimensionError(
@@ -193,8 +190,8 @@ def _gates(forms: np.ndarray, tol: float) -> list:
     return gates
 
 
-def isoclinic_profile_angles(U: Frame, tol: float = EPS_ISO) -> tuple[float, float, float] | None:
-    """(theta_I, theta_J, theta_K) if (U, AU) is isoclinic within tol for
+def isoclinic_profile_angles(U: Frame) -> tuple[float, float, float] | None:
+    """(theta_I, theta_J, theta_K) if (U, AU) is isoclinic within EPS_ISO for
     every compatible structure A = aI + bJ + cK, else None.
 
     The test is exact over all unit (a, b, c) in every even dimension: the
@@ -202,21 +199,21 @@ def isoclinic_profile_angles(U: Frame, tol: float = EPS_ISO) -> tuple[float, flo
     the 3 x 3 quadratic forms that give the entries of omega_A omega_A^T.
     Odd dimension is rejected.
     """
-    return _gate(_forms(U), tol)[0]
+    return _gate(_forms(U), EPS_ISO)[0]
 
 
-def certify_isoclinic(U: Frame, tol: float = EPS_ISO) -> tuple[float, float, float]:
+def certify_isoclinic(U: Frame) -> tuple[float, float, float]:
     """Like isoclinic_profile_angles but raises NotIsoclinicError naming the
     worst structure (`witness`) and its pair defect (`deviation`)."""
-    return _certified_forms(U, tol)[0]
+    return _certified_forms(U)[0]
 
 
-def _certified_forms(U: Frame, tol: float = EPS_ISO):
-    """(certify_isoclinic(U, tol), U's _forms, the gate's defect bound)."""
+def _certified_forms(U: Frame):
+    """(certify_isoclinic(U), U's _forms, the gate's defect bound)."""
     forms = _forms(U)
-    angles, witness = _gate(forms, tol)
+    angles, witness = _gate(forms, EPS_ISO)
     if angles is None:
-        raise _not_isoclinic(witness, tol)
+        raise _not_isoclinic(witness, EPS_ISO)
     return angles, forms, witness[1]
 
 
@@ -287,23 +284,23 @@ def _cos2_of(profile: IsoclinicProfile, C: np.ndarray) -> np.ndarray:
 # companions and chains
 
 
-def _check_member(U: Frame, x: np.ndarray, what: str, tol: float = EPS_MEMBER) -> np.ndarray:
+def _check_member(U: Frame, x: np.ndarray, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     nx = np.linalg.norm(x)
-    if abs(nx - 1.0) > tol:
+    if abs(nx - 1.0) > EPS_MEMBER:
         raise FrameError(f"{what} must be a unit vector (norm {nx:.6f})")
-    if np.linalg.norm(project(U, x) - x) > tol:
+    if np.linalg.norm(project(U, x) - x) > EPS_MEMBER:
         raise FrameError(f"{what} does not lie in the subspace")
     return x
 
 
-def _normalised(forms: np.ndarray, angles, tol: float = EPS_ANGLE) -> np.ndarray:
+def _normalised(forms: np.ndarray, angles) -> np.ndarray:
     """J_p = omega_p / c_p for forms (..., 3, ...) and angles (..., 3), entry by
-    entry, where c_p = cos(theta_p) > tol. A missing J_p is identified with a
+    entry, where c_p = cos(theta_p) > EPS_ANGLE. A missing J_p is identified with a
     present one (J_I := J_J or J_K, then J_J, J_K := J_I), forcing the
     matching invariants to 1; none present (r.h.p.) gives zeros."""
     cos = np.cos(angles)
-    have = cos > tol
+    have = cos > EPS_ANGLE
     if have.all():  # every J_p present: the rule below, in one division
         return forms / cos.reshape(cos.shape + (1,) * (forms.ndim - cos.ndim))
     # each p's source: itself if present, else the first present one; with
@@ -375,7 +372,6 @@ def companions(
     U: Frame,
     X1: np.ndarray,
     angles: tuple[float, float, float],
-    tol: float = EPS_ANGLE,
 ) -> Companions:
     """Companions (X2, Y2, Z2) of X1 and the invariants (xi, chi, eta).
 
@@ -385,11 +381,9 @@ def companions(
     (r.h.p.) X2 = Y2 = Z2 is the second row of the sweep from u (_adapted).
     """
     X1 = _check_member(U, X1, "leading vector")
-    tol = _tolerance(tol)
     # the forms applied to u: (omega_p u)_a = <X_a, A_p X1>
-    Ju = _normalised(np.array([U.vectors @ apply_structure(A, X1) for A in (I, J, K)]), angles,
-                     tol)
-    have = np.cos(angles) > tol
+    Ju = _normalised(np.array([U.vectors @ apply_structure(A, X1) for A in (I, J, K)]), angles)
+    have = np.cos(angles) > EPS_ANGLE
     forced = (("X2=Y2=Z2 arbitrary (triple orthogonality)",) if not have.any() else
               tuple(f"{x}2 identified (cos theta_{p} = 0)"
                     for x, p, h in zip("XYZ", "IJK", have) if not h))
@@ -431,15 +425,14 @@ class ChainSet:
     residuals: dict = field(default_factory=dict, compare=False)
 
 
-def _pm1(v: float, tol: float = EPS_PM1) -> bool:
-    return abs(v) > 1.0 - tol
+def _pm1(v: float) -> bool:
+    return abs(v) > 1.0 - EPS_PM1
 
 
 def build_chains(
     U: Frame,
     X1: np.ndarray,
     angles: tuple[float, float, float] | None = None,
-    tol: float = EPS_ANGLE,
 ) -> ChainSet:
     """The six chains of U centered on X1 (dimension of U at least 4).
 
@@ -460,10 +453,10 @@ def build_chains(
         forms = _forms(U)
     if U.dim < 4:
         raise DimensionError(f"chains need dim >= 4, got {U.dim}")
-    comp = companions(U, X1, angles, tol)
+    comp = companions(U, X1, angles)
     X1 = np.asarray(X1, dtype=float)
     u = U.vectors @ X1
-    J = _normalised(forms, angles, tol)
+    J = _normalised(forms, angles)
     values = (comp.xi, comp.chi, comp.eta)
     snaps = [_pm1(v) for v in values]
     if sum(snaps) > 1:  # two at +/-1 leave the third within 4 EPS_PM1 of it
@@ -490,16 +483,15 @@ def build_chains(
                     convention == "decomposable", comp.forced, res)
 
 
-def gamma_delta(chains: ChainSet, tol: float = EPS_CHAIN) -> tuple[float, float]:
+def gamma_delta(chains: ChainSet) -> tuple[float, float]:
     """(Gamma, Delta) from the chains.
 
     When any of (xi, chi, eta) is at +/-1 the chains coincide and
     (Gamma, Delta) = (1, 0). Otherwise Gamma = <X3, X~3> (cross-checked
     against the closed form in (xi, chi, eta)) and Delta = <X4, X~3>,
     recomputed through several equivalent expressions; disagreement
-    beyond `tol` raises DegenerateChainError.
+    beyond EPS_CHAIN raises DegenerateChainError.
     """
-    tol = _tolerance(tol)
     if chains.convention != "generic":
         return 1.0, 0.0
     X1 = chains.leading
@@ -526,10 +518,10 @@ def gamma_delta(chains: ChainSet, tol: float = EPS_CHAIN) -> tuple[float, float]
         "Gram block": (float(X4 @ Xt4), gamma),
         "skew block": (float(X3 @ Xt4), -delta),
     }
-    bad = {k: abs(a - b) for k, (a, b) in alternates.items() if abs(a - b) > tol}
+    bad = {k: abs(a - b) for k, (a, b) in alternates.items() if abs(a - b) > EPS_CHAIN}
     if bad:
         raise DegenerateChainError(
-            f"equivalent chain expressions disagree beyond {tol:.1e}: {bad}"
+            f"equivalent chain expressions disagree beyond {EPS_CHAIN:.1e}: {bad}"
         )
     return gamma, delta
 
@@ -608,13 +600,12 @@ class TwoPlaneOrbit:
     chi: float
     oriented: bool
 
-    def same_orbit(self, other: "TwoPlaneOrbit", tol: float = EPS_ANGLE) -> bool:
-        tol = _tolerance(tol)
+    def same_orbit(self, other: "TwoPlaneOrbit") -> bool:
         d_direct = np.max(np.abs(self.im.as_array() - other.im.as_array()))
         if self.oriented and other.oriented:
-            return bool(d_direct < tol)
+            return bool(d_direct < EPS_ANGLE)
         d_conj = np.max(np.abs(self.im.as_array() + other.im.as_array()))
-        return bool(min(d_direct, d_conj) < tol)
+        return bool(min(d_direct, d_conj) < EPS_ANGLE)
 
 
 def two_plane_orbit(P: OrientedTwoPlane | Frame) -> TwoPlaneOrbit:
@@ -639,7 +630,7 @@ def two_plane_orbit(P: OrientedTwoPlane | Frame) -> TwoPlaneOrbit:
 # full profile
 
 
-def full_profile(U: Frame, tol: float = EPS_ISO) -> IsoclinicProfile:
+def full_profile(U: Frame) -> IsoclinicProfile:
     """Measure the complete invariant set of U (raises if not isoclinic).
 
     One gate, then its Kaehler forms: where c_p = cos(theta_p) > 0,
@@ -648,7 +639,7 @@ def full_profile(U: Frame, tol: float = EPS_ISO) -> IsoclinicProfile:
     (eta - xi chi) / (s_xi s_chi), Delta = tr(J_I J_J J_K) / (k s_xi s_chi)
     with s_v = sqrt(1 - v^2); else (Gamma, Delta) = (1, 0).
     """
-    angles, forms, _ = _certified_forms(U, tol)
+    angles, forms, _ = _certified_forms(U)
     return _profile(angles, forms)
 
 

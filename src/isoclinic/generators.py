@@ -39,8 +39,8 @@ from .quaternions import (
     qarr_conj,
     qarr_mul,
 )
-from .subspaces import Frame, orthonormalize, _count, _require_orthonormal, _seeded_rng, _tolerance
-from .tolerances import (EPS_ANGLE, EPS_BUILD, EPS_FACTOR, EPS_FEASIBLE, EPS_FRAME, EPS_ISO,
+from .subspaces import Frame, orthonormalize, _count, _require_orthonormal, _seeded_rng
+from .tolerances import (EPS_ANGLE, EPS_BUILD, EPS_FACTOR, EPS_FEASIBLE, EPS_ISO, EPS_ORBIT,
                          EPS_ORTH, EPS_PIVOT, EPS_REMAINDER)
 
 __all__ = [
@@ -234,7 +234,7 @@ def make_two_plane(
             "cos^2 theta_I + cos^2 theta_J + cos^2 theta_K must be <= 1"
         )
     for name, sgn, c in (("xi", xi, cs[1]), ("chi", chi, cs[2])):
-        if c > EPS_ANGLE and abs(abs(sgn) - 1.0) > EPS_FEASIBLE:
+        if abs(c) > EPS_ANGLE and abs(abs(sgn) - 1.0) > EPS_FEASIBLE:
             raise InfeasibleParametersError(f"{name} must be +/-1 when its cosine is nonzero")
     r2 = max(0.0, 1.0 - float(np.sum(cs**2)))
     need_rest = r2 > EPS_REMAINDER
@@ -268,15 +268,19 @@ def graph_subspace(mu, n: int = 2) -> Frame:
     compatible structure.
     """
     _count(n, "n", 2, DimensionError)
-    if isinstance(mu, (int, float)):
-        mu = np.array([float(mu), 0.0, 0.0, 0.0])
-    mu = np.asarray(mu, dtype=float)
-    _require_finite("graph_subspace", *mu.ravel())
+    try:  # a real number is the quaternion (mu, 0, 0, 0)
+        value = np.asarray(mu if np.ndim(mu) else [mu, 0.0, 0.0, 0.0], dtype=float)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value.shape != (4,):
+        raise InfeasibleParametersError(f"graph_subspace: mu must be a number or 4 numbers, "
+                                        f"got {mu!r}")
+    _require_finite("graph_subspace", *value)
     rows = []
     for q in np.eye(4):
         v = _zeros(n)[0]
         v[:4] = q
-        v[4:8] = qarr_mul(q, mu)
+        v[4:8] = qarr_mul(q, value)
         rows.append(v)
     U = orthonormalize(rows)
     certify_isoclinic(U)
@@ -287,7 +291,7 @@ def graph_subspace(mu, n: int = 2) -> Frame:
 # arbitrary 4-dimensional profiles via quaternionic Cholesky
 
 
-def _quaternion_cholesky(H: np.ndarray, tol: float = EPS_PIVOT) -> np.ndarray:
+def _quaternion_cholesky(H: np.ndarray) -> np.ndarray:
     """Factor a quaternionic Hermitian PSD matrix as R* R (R upper triangular).
 
     H has shape (k, k, 4). Zero pivots are skipped, so quaternionic rank
@@ -298,11 +302,11 @@ def _quaternion_cholesky(H: np.ndarray, tol: float = EPS_PIVOT) -> np.ndarray:
     R = np.zeros((k, k, 4))
     for p in range(k):
         d = H[p, p, 0] - float(np.sum(R[:p, p] ** 2))
-        if d < -tol:
+        if d < -EPS_PIVOT:
             raise InfeasibleParametersError(
                 f"requested invariants are not realizable (pivot {p}: {d:.3e} < 0)"
             )
-        if d <= tol:
+        if d <= EPS_PIVOT:
             continue
         s = np.sqrt(d)
         R[p, p, 0] = s
@@ -358,6 +362,8 @@ def make_profile_4(
     InfeasibleParametersError.
     """
     _require_finite("make_profile_4", theta_i, theta_j, theta_k, xi, chi, eta)
+    if delta_sign not in (-1, 1):
+        raise InfeasibleParametersError(f"delta_sign must be -1 or +1, got {delta_sign!r}")
     cI, cJ, cK = np.cos([theta_i, theta_j, theta_k])
     if abs(xi) > 1 or abs(chi) > 1 or abs(eta) > 1:
         raise InfeasibleParametersError("xi, chi, eta must lie in [-1, 1]")
@@ -397,20 +403,19 @@ def _part_invariants(U: Frame) -> np.ndarray:
     return np.array([p.theta_i, p.theta_j, p.theta_k, p.xi, p.chi, p.eta, p.gamma, p.delta])
 
 
-def direct_sum(parts: list[Frame], tol: float = EPS_ANGLE) -> Frame:
+def direct_sum(parts: list[Frame]) -> Frame:
     """Hermitian-orthogonal sum: parts go into disjoint quaternionic blocks.
 
-    All parts must carry one full IsoclinicProfile within tol. Matching the
+    All parts must carry one full IsoclinicProfile within EPS_ANGLE. Matching the
     angles and (xi, chi, eta) already makes the sum isoclinic, but parts
     with opposite Delta would mix both module types and leave the sum
     without an orbit label, so the whole profile is required to agree.
     """
     if not parts:
         raise DimensionError("empty direct sum")
-    tol = _tolerance(tol)
     invs = [_part_invariants(p) for p in parts]
     for i, inv in enumerate(invs[1:], start=1):
-        if np.max(np.abs(inv - invs[0])) > tol:
+        if np.max(np.abs(inv - invs[0])) > EPS_ANGLE:
             raise NotIsoclinicError(
                 f"part {i} profile {np.round(inv, 8)} does not match part 0 "
                 f"{np.round(invs[0], 8)}; the sum would not be isoclinic"
@@ -456,22 +461,17 @@ def _profile_vector(p: IsoclinicProfile) -> np.ndarray:
 _ORACLE_BLOCK = 12
 
 
-def invariance_oracle(
-    U: Frame,
-    trials: int,
-    seed: int,
-    tol: float = 1e-6,
-) -> OracleReport:
+def invariance_oracle(U: Frame, trials: int, seed: int) -> OracleReport:
     """Re-derive the full profile under random Sp(n) motions of U.
 
     Refuses a U that fails the isoclinicity gate (NotIsoclinicError), and
-    trials < 1, a seed numpy refuses or a tol that is not finite and
-    positive (InfeasibleParametersError). Every motion is profiled on U's
-    side of the +/-1 convention, so roundoff that moves an invariant across
-    1 - EPS_PM1 flips no (Gamma, Delta). Each trial also validates the
-    quadratic form for theta_A against measured angles for 8 random
-    structures, and, with no invariant at +/-1, the eta relation eta = xi
-    chi + sqrt(1-xi^2) sqrt(1-chi^2) Gamma.
+    trials < 1 or a seed numpy refuses (InfeasibleParametersError). Every
+    motion is profiled on U's side of the +/-1 convention, so roundoff that
+    moves an invariant across 1 - EPS_PM1 flips no (Gamma, Delta). Each
+    trial also validates the quadratic form for theta_A against measured
+    angles for 8 random structures, and, with no invariant at +/-1, the eta
+    relation eta = xi chi + sqrt(1-xi^2) sqrt(1-chi^2) Gamma. Any of these
+    off by more than EPS_ORBIT is a failure.
 
     Trials run in blocks of at most _ORACLE_BLOCK as one stacked pass (one
     batched QR, one complex product, one forms, gate, profile and structure
@@ -479,7 +479,6 @@ def invariance_oracle(
     trial-by-trial run; the maxima may move from it by roundoff.
     """
     trials = _count(trials, "trials", 1)
-    tol = _tolerance(tol)
     rng = _seeded_rng(seed)
     base = full_profile(U)
     base_vec = _profile_vector(base)
@@ -493,7 +492,7 @@ def invariance_oracle(
         M = _sp_draws(U.n, [s for s, _ in draws])
         _require_sp(M)
         gram, *forms = _gram_forms(rows @ M.swapaxes(-1, -2))
-        _require_orthonormal(gram, EPS_FRAME)  # each gU is a frame, with no Frame built
+        _require_orthonormal(gram)  # each gU is a frame, with no Frame built
         forms = np.stack(forms, axis=1)
         gates = _gates(forms, EPS_ISO)
         ok = [angles is not None for angles, _ in gates]
@@ -516,17 +515,17 @@ def invariance_oracle(
                 continue
             d, pair_defects, pair_errs, r = next(checked)
             max_dev = max(max_dev, d)
-            if d > tol:
+            if d > EPS_ORBIT:
                 failures.append(f"trial {t}: profile deviation {d:.3e}")
             for defect, err in zip(pair_defects, pair_errs):
                 if defect >= EPS_ISO:
                     failures.append(f"trial {t}: pair (gU, A gU) not isoclinic")
                     continue
                 max_theta = max(max_theta, err)
-                if err > tol:
+                if err > EPS_ORBIT:
                     failures.append(f"trial {t}: theta_A formula error {err:.3e}")
             if not any(snaps):
                 max_eta = max(max_eta, r)
-                if r > tol:
+                if r > EPS_ORBIT:
                     failures.append(f"trial {t}: eta relation residual {r:.3e}")
     return OracleReport(trials, max_dev, max_theta, max_eta, tuple(failures))

@@ -132,12 +132,5 @@ def serialize_document(doc: SubspaceDocument) -> str:
     return json.dumps(obj, indent=2)
 
 
-def document_from_frame(
-    U: Frame, label: str | None = None, admissible_basis: np.ndarray | None = None
-) -> SubspaceDocument:
-    return SubspaceDocument(
-        quaternionic_dim=U.n,
-        vectors=U.vectors.copy(),
-        admissible_basis=admissible_basis,
-        label=label,
-    )
+def document_from_frame(U: Frame, label: str | None = None) -> SubspaceDocument:
+    return SubspaceDocument(quaternionic_dim=U.n, vectors=U.vectors.copy(), label=label)

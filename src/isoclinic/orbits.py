@@ -33,7 +33,6 @@ from .analysis import (
     _as_profile,
     _certified_forms,
     _check_member,
-    _forms,
     _generators,
     _gram_forms,
     _not_isoclinic,
@@ -142,11 +141,7 @@ def _recertified(forms: np.ndarray, angles, what: str) -> tuple:
     return tuple(zip(got, forms))
 
 
-def eight_dim_addend(
-    U: Frame,
-    X1: np.ndarray,
-    angles: tuple[float, float, float] | None = None,
-) -> Frame:
+def eight_dim_addend(U: Frame, X1: np.ndarray) -> Frame:
     """8-dim isoclinic subspace through X1 with the parent's angles.
 
     U must carry one Cl_{0,3}-module type. The addend is the first block of
@@ -156,10 +151,7 @@ def eight_dim_addend(
     """
     if U.dim < 8:
         raise DimensionError(f"eight_dim_addend needs dim >= 8, got {U.dim}")
-    if angles is None:
-        angles, forms, _ = _certified_forms(U)
-    else:
-        forms = _forms(U)
+    angles, forms, _ = _certified_forms(U)
     E = _generators(forms)
     _require_one_type(E)
     u = U.vectors @ _check_member(U, X1, "leading vector")

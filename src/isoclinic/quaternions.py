@@ -76,9 +76,6 @@ class Quaternion:
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         return qmul(self, other)
 
-    def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.as_array() - other.as_array()) <= tol))
-
 
 def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product, i^2 = j^2 = k^2 = -1 and i j = -j i = k."""

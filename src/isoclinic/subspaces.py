@@ -9,7 +9,7 @@ from the SVD of the mutual Gram matrix, with singular values clamped into
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class Frame:
     """Ordered orthonormal spanning set; rows of `vectors` are the vectors."""
 
     vectors: np.ndarray
-    tol: float = field(default=EPS_FRAME, compare=False)
 
     def __post_init__(self):
         # stored in C order: every kernel, the complex row view included, sees one layout
@@ -47,7 +46,7 @@ class Frame:
             raise DimensionError(f"ambient dimension {V.shape[1]} not a multiple of 4")
         if V.shape[0] > V.shape[1]:
             raise DimensionError("more vectors than ambient dimensions")
-        _require_orthonormal(V @ V.T, _tolerance(self.tol))
+        _require_orthonormal(V @ V.T)
         object.__setattr__(self, "vectors", V)
 
     @property
@@ -66,11 +65,11 @@ class Frame:
         return self.dim
 
 
-def _require_orthonormal(gram: np.ndarray, tol: float) -> None:
-    """FrameError unless every Gram matrix of the stack (..., k, k) is Id within tol."""
+def _require_orthonormal(gram: np.ndarray) -> None:
+    """FrameError unless every Gram matrix of the stack (..., k, k) is Id within EPS_FRAME."""
     defect = np.max(np.abs(gram - np.eye(gram.shape[-1])))
-    if not defect <= tol:
-        raise FrameError(f"frame is not orthonormal: Gram defect {defect:.3e} > {tol:.1e}")
+    if not defect <= EPS_FRAME:
+        raise FrameError(f"frame is not orthonormal: Gram defect {defect:.3e} > {EPS_FRAME:.1e}")
 
 
 def _mgs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
@@ -98,17 +97,16 @@ def _mgs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
     return Q[: len(kept)], kept
 
 
-def orthonormalize(spanning, tol: float = EPS_RANK) -> Frame:
+def orthonormalize(spanning) -> Frame:
     """Frame spanning the same subspace as `spanning` (Gram-Schmidt order).
 
     Rank-deficient input raises RankDeficiencyError carrying the detected
     rank.
     """
-    tol = _tolerance(tol)
     rows = np.atleast_2d(np.asarray(spanning, dtype=float))
     if rows.shape[0] == 0:
         raise DimensionError("empty spanning set")
-    Q, kept = _mgs(rows, tol)
+    Q, kept = _mgs(rows, EPS_RANK)
     if len(kept) != rows.shape[0]:
         raise RankDeficiencyError(detected_rank=len(kept), expected=rows.shape[0])
     return Frame(Q)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -75,3 +76,28 @@ def test_every_export_has_a_caller():
               for n in getattr(importlib.import_module(f"isoclinic.{m}"), "__all__", ())
               if n not in used and n not in EXEMPT]
     assert unused == []
+
+
+# the one tolerance a caller may choose: the orbit comparison's; every other
+# threshold is read from the tolerances module
+TOL_ALLOWED = {"orbits.same_orbit", "orbits.OrbitLabel.agrees"}
+
+
+def test_no_public_tol_parameter():
+    # a callable of an __all__, or a method of an exported class, that takes a
+    # tol is a second table of tolerances
+    with_tol = []
+    for m in MODULES:
+        module = importlib.import_module(f"isoclinic.{m}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            calls = {name: obj} if callable(obj) else {}
+            if isinstance(obj, type):
+                calls.update({f"{name}.{a}": getattr(obj, a) for a, v in vars(obj).items()
+                              if inspect.isfunction(v)
+                              or isinstance(v, (staticmethod, classmethod))})
+            for qualified, call in calls.items():
+                if ("tol" in inspect.signature(call).parameters
+                        and f"{m}.{qualified}" not in TOL_ALLOWED):
+                    with_tol.append(f"{m}.{qualified}")
+    assert with_tol == []

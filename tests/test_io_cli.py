@@ -416,6 +416,12 @@ class TestCli:
         )
         assert code == 2
 
+    def test_two_plane_sign_on_a_negative_cosine_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "twoplane", "--theta-i", "0.9",
+                                 "--theta-j", "2.0", "--theta-k", "1.2", "--xi", "0.5")
+        assert (code, out) == (2, "")
+        assert err == "rejected: xi must be +/-1 when its cosine is nonzero\n"
+
     def test_analyze_with_basis_rotation(self, capsys, tmp_path):
         # rotating the admissible basis changes (xi, chi, eta) but not S
         code, out, _ = run_cli(capsys, "generate", "icomplex4", "--theta", "0.8")

@@ -903,13 +903,14 @@ class TestOracle:
         (lambda: moved(make_rhp(4, 4), 6), 6),
         (near_pm1_profile, 1),
     ])
-    def test_blocks_equal_the_trial_loop(self, make, seed):
+    def test_blocks_equal_the_trial_loop(self, make, seed, monkeypatch):
         # one stacked pass per block gives the report of one trial at a time
         U = make()
         B = generators._ORACLE_BLOCK
         for trials in (1, B, B + 1):
             assert invariance_oracle(U, trials, seed) == oracle_loop_reference(U, trials, seed)
-        tight = invariance_oracle(U, B + 1, seed, tol=1e-18)
+        monkeypatch.setattr(generators, "EPS_ORBIT", 1e-18)
+        tight = invariance_oracle(U, B + 1, seed)
         assert tight == oracle_loop_reference(U, B + 1, seed, tol=1e-18) and tight.failures
 
     def test_gate_failure_on_one_motion(self, monkeypatch):
@@ -924,7 +925,8 @@ class TestOracle:
 
         U = moved(graph_sum(2), 2)
         monkeypatch.setattr(generators, "_gates", failing_second)
-        report = invariance_oracle(U, 3, 2, tol=1e-18)
+        monkeypatch.setattr(generators, "EPS_ORBIT", 1e-18)
+        report = invariance_oracle(U, 3, 2)
         trials = [f.split(":", 1)[0] for f in report.failures]
         assert trials == sorted(trials) and {"trial 0", "trial 2"} <= set(trials)
         assert [f for f in report.failures if f.startswith("trial 1:")] == [

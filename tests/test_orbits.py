@@ -162,12 +162,11 @@ class TestEightDimAddend:
     def test_dim16_random_leading_vectors(self, rng):
         # addend profile is independent of the leading vector
         U = graph_sum(4)
-        angles = certify_isoclinic(U)
         parent = full_profile(U)
         for _ in range(32):
             x1 = rng.standard_normal(16) @ U.vectors
             x1 /= np.linalg.norm(x1)
-            addend = eight_dim_addend(U, x1, angles)
+            addend = eight_dim_addend(U, x1)
             assert addend.dim == 8
             prof = full_profile(addend)
             npt.assert_allclose(prof.cosines, parent.cosines, atol=1e-8)
