@@ -2,6 +2,8 @@ import ast
 import importlib
 import inspect
 import re
+import types
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -83,21 +85,73 @@ def test_every_export_has_a_caller():
 TOL_ALLOWED = {"orbits.same_orbit", "orbits.OrbitLabel.agrees"}
 
 
-def test_no_public_tol_parameter():
+def _tol_parameters(module) -> list[str]:
+    """The callables of module.__all__, and the methods of its exported classes,
+    that take a parameter named tol."""
+    with_tol = []
+    for name in getattr(module, "__all__", ()):
+        obj = getattr(module, name)
+        calls = {name: obj} if callable(obj) else {}
+        if isinstance(obj, type):
+            calls.update({f"{name}.{a}": getattr(obj, a) for a, v in vars(obj).items()
+                          if inspect.isfunction(v) or isinstance(v, (staticmethod, classmethod))})
+        with_tol += [q for q, call in calls.items() if "tol" in inspect.signature(call).parameters]
+    return with_tol
+
+
+@pytest.mark.parametrize("m", MODULES)
+def test_no_public_tol_parameter(m):
     # a callable of an __all__, or a method of an exported class, that takes a
     # tol is a second table of tolerances
-    with_tol = []
-    for m in MODULES:
-        module = importlib.import_module(f"isoclinic.{m}")
-        for name in getattr(module, "__all__", ()):
-            obj = getattr(module, name)
-            calls = {name: obj} if callable(obj) else {}
-            if isinstance(obj, type):
-                calls.update({f"{name}.{a}": getattr(obj, a) for a, v in vars(obj).items()
-                              if inspect.isfunction(v)
-                              or isinstance(v, (staticmethod, classmethod))})
-            for qualified, call in calls.items():
-                if ("tol" in inspect.signature(call).parameters
-                        and f"{m}.{qualified}" not in TOL_ALLOWED):
-                    with_tol.append(f"{m}.{qualified}")
-    assert with_tol == []
+    found = _tol_parameters(importlib.import_module(f"isoclinic.{m}"))
+    assert [q for q in found if f"{m}.{q}" not in TOL_ALLOWED] == []
+
+
+def test_allowed_tols_are_still_there():
+    # an allowed name that lost its tol, or was renamed, leaves a stale exemption
+    found = {f"{m}.{q}" for m in MODULES
+             for q in _tol_parameters(importlib.import_module(f"isoclinic.{m}"))}
+    assert found == TOL_ALLOWED
+
+
+@dataclass
+class _Field:
+    tol: float = 1e-8
+
+
+class _Methods:
+    def method(self, x, tol=1e-8):
+        return x
+
+    @staticmethod
+    def static(x, tol=1e-8):
+        return x
+
+    @classmethod
+    def klass(cls, x, tol=1e-8):
+        return x
+
+    def plain(self, x):
+        return x
+
+
+def _function(x, *, tol=1e-8):
+    return x
+
+
+def _plain(x, tolerance=1e-8):
+    return x
+
+
+@pytest.mark.parametrize("exports,want", [
+    ({"f": _function}, ["f"]),
+    ({"C": _Methods}, ["C.method", "C.static", "C.klass"]),
+    ({"D": _Field}, ["D", "D.__init__"]),
+    ({"g": _plain, "EPS": 1e-8}, []),
+], ids=["keyword-only", "methods", "dataclass-field", "none"])
+def test_tol_parameters_finds_each_kind(exports, want):
+    # the check above sees a tol wherever one could come back, Frame's having
+    # been a dataclass field
+    module = types.ModuleType("fake")
+    vars(module).update(exports, __all__=list(exports))
+    assert _tol_parameters(module) == want

@@ -2,19 +2,28 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from isoclinic import generators
+from isoclinic import analysis, generators, subspaces
 from isoclinic.analysis import (
     IsoclinicProfile,
     TwoPlaneOrbit,
+    build_chains,
+    certify_isoclinic,
+    companions,
     full_profile,
+    gamma_delta,
+    isoclinic_pair,
     isoclinic_profile_angles,
     two_plane_orbit,
 )
 from isoclinic.errors import (
+    DegenerateChainError,
     DimensionError,
     FalsificationError,
+    FrameError,
     InfeasibleParametersError,
+    IsoclinicError,
     NotIsoclinicError,
+    RankDeficiencyError,
 )
 from isoclinic.generators import (
     SpElement,
@@ -235,12 +244,27 @@ class TestExampleFamilies:
     @pytest.mark.parametrize("args,name", [
         ((2, 0.9, 2.0, 1.2, 0.5, 1.0), "xi"),
         ((2, 0.9, 1.1, 2.2, 1.0, 0.3), "chi"),
+        ((2, np.pi / 2, np.pi, np.pi / 2, 0.5, 0.3), "xi"),
+        ((2, 0.9, 2.0, 2.2, 1.0, -0.3), "chi"),
     ])
     def test_two_plane_sign_checked_on_a_negative_cosine(self, args, name):
         # theta in (pi/2, pi] has a negative cosine, which is nonzero too: the
         # sign was let through and the frame failed its Gram check
         with pytest.raises(InfeasibleParametersError, match=f"^{name} must be \\+/-1 when"):
             make_two_plane(*args)
+
+    @pytest.mark.parametrize("args", [
+        (2, 0.9, 2.0, 1.2, 1.0, 1.0),
+        (2, 0.9, 2.0, 1.2, -1.0, 1.0),
+        (2, 0.9, 1.1, 2.2, 1.0, -1.0),
+        (2, np.pi / 2, np.pi, np.pi / 2, -1.0, 0.3),
+    ])
+    def test_two_plane_negative_cosine_with_unit_sign(self, args):
+        # the |cos| check keeps the +/-1 signs, and the chi of a zero cosine free
+        _, ti, tj, tk, xi, chi = args
+        orbit = two_plane_orbit(make_two_plane(*args))
+        npt.assert_allclose(orbit.im.as_array(),
+                            [0.0, np.cos(ti), xi * np.cos(tj), chi * np.cos(tk)], atol=1e-12)
 
 
 class TestGraphSubspace:
@@ -259,11 +283,20 @@ class TestGraphSubspace:
             U = graph_subspace(rng.standard_normal(4))
             assert isoclinic_profile_angles(U) is not None
 
-    @pytest.mark.parametrize("mu", [[1.0, 2.0, 3.0], np.ones((2, 4)), "x", [[1.0, 2.0], [3.0]]],
-                             ids=["three", "two-rows", "string", "ragged"])
+    @pytest.mark.parametrize("mu", [[1.0, 2.0, 3.0], np.ones((2, 4)), "x", [[1.0, 2.0], [3.0]],
+                                    np.ones(5), []],
+                             ids=["three", "two-rows", "string", "ragged", "five", "empty"])
     def test_mu_not_four_numbers_refused_by_name(self, mu):
         # not numpy's bare ValueError from the reshape, broadcast or float conversion
         with pytest.raises(InfeasibleParametersError, match="^graph_subspace: mu must be a "):
+            graph_subspace(mu)
+
+    @pytest.mark.parametrize("mu", [[0.3, float("nan"), 0.0, 0.0], float("inf"), None],
+                             ids=["nan", "inf", "none"])
+    def test_mu_not_finite_refused_by_name(self, mu):
+        # a scalar None converts to the quaternion (nan, 0, 0, 0)
+        with pytest.raises(InfeasibleParametersError,
+                           match="^graph_subspace: parameters must be finite$"):
             graph_subspace(mu)
 
     def test_real_mu_is_its_quaternion(self):
@@ -289,7 +322,7 @@ class TestMakeProfile4:
         with pytest.raises(InfeasibleParametersError):
             make_profile_4(0.5, 0.9, 1.1, 0.2, -0.3, 1.5)
 
-    @pytest.mark.parametrize("delta_sign", [0, 5, -2, 0.5, float("nan")])
+    @pytest.mark.parametrize("delta_sign", [0, 5, -2, 0.5, float("nan"), float("inf")])
     def test_bad_delta_sign_refused_by_name(self, delta_sign):
         # 0 and 5 reached the Cholesky and were refused as a negative pivot
         with pytest.raises(InfeasibleParametersError,
@@ -492,7 +525,84 @@ class TestCounts:
             call(10**18)
 
 
+def _outcome(decide, inputs):
+    # the value of the call, or the class of the package error it raised
+    try:
+        return decide(*inputs)
+    except IsoclinicError as exc:
+        return type(exc)
+
+
+def _unequal_pair(theta):
+    # span(e0, e1) against a plane at angles (0.5, theta): isoclinic only at theta = 0.5
+    e = np.eye(4)
+    return (Frame(e[[0, 1]]), Frame(np.vstack([np.cos(0.5) * e[0] + np.sin(0.5) * e[2],
+                                              np.cos(theta) * e[1] + np.sin(theta) * e[3]])))
+
+
+def _off_isoclinic():
+    # a graph subspace moved off isoclinicity by a defect of order 1e-10
+    U = graph_subspace([0.3, 0.4, -0.2, 0.6])
+    rng = np.random.default_rng(1)
+    return (orthonormalize(U.vectors + 1e-10 * rng.standard_normal(U.vectors.shape)),)
+
+
+def _near_right_angle_plane():
+    # theta_J a hair below pi/2: cos theta_J = 1e-10 counts as 0 at EPS_ANGLE
+    P = make_two_plane(2, 0.9, np.pi / 2 - 1e-10, 1.2)
+    return P, P.vectors[0], two_plane_orbit(P).thetas
+
+
+def _generic_chains():
+    U = make_profile_4(1.2, 1.3, 1.4, 0.3, 0.2, 0.1)
+    return (build_chains(U, U.vectors[0]),)
+
+
 class TestTolerances:
+    # the thresholds the deleted tol options carried are the table's: each call
+    # decides one way at the table's value and the other once the module's
+    # constant moves past its input's defect (inputs are built at the table's value)
+    @pytest.mark.parametrize("module,constant,moved,make,decide,at_table,at_moved", [
+        (subspaces, "EPS_FRAME", 1e-12,
+         lambda: (np.eye(8)[[0, 1]] + 1e-10 * np.eye(8)[[1, 0]],),
+         lambda v: Frame(v).dim, 2, FrameError),
+        (subspaces, "EPS_RANK", 1e-8,
+         lambda: (np.eye(8)[[0, 1]].tolist() + [np.eye(8)[0] + 1e-9 * np.eye(8)[2]],),
+         lambda rows: orthonormalize(rows).dim, 3, RankDeficiencyError),
+        (analysis, "EPS_ISO", 1e-13, lambda: _unequal_pair(0.5 + 1e-10),
+         lambda U, W: isoclinic_pair(U, W) is not None, True, False),
+        (analysis, "EPS_ISO", 1e-13, _off_isoclinic,
+         lambda U: isoclinic_profile_angles(U) is not None, True, False),
+        (analysis, "EPS_ISO", 1e-13, _off_isoclinic,
+         lambda U: len(certify_isoclinic(U)), 3, NotIsoclinicError),
+        (analysis, "EPS_ISO", 1e-13, _off_isoclinic,
+         lambda U: full_profile(U).dim_class, 4, NotIsoclinicError),
+        (analysis, "EPS_ANGLE", 1e-12, _near_right_angle_plane,
+         lambda U, x, angles: companions(U, x, angles).forced,
+         ("Y2 identified (cos theta_J = 0)",), ()),
+        (analysis, "EPS_ANGLE", 1e-12, lambda: (make_i_complex_4(2, np.pi / 2 - 1e-10),),
+         lambda U: build_chains(U, U.vectors[0]).forced,
+         ("Y2 identified (cos theta_J = 0)", "Z2 identified (cos theta_K = 0)"), ()),
+        (analysis, "EPS_CHAIN", 1e-18, _generic_chains,
+         lambda chains: len(gamma_delta(chains)), 2, DegenerateChainError),
+        (analysis, "EPS_ANGLE", 1e-12,
+         lambda: tuple(two_plane_orbit(make_two_plane(2, t, 1.1, 1.2)) for t in (0.9, 0.9 + 1e-10)),
+         lambda a, b: a.same_orbit(b), True, False),
+        (generators, "EPS_ANGLE", 1e-12,
+         lambda: ([make_i_complex_4(2, 0.8), make_i_complex_4(2, 0.8 + 1e-10)],),
+         lambda parts: direct_sum(parts).dim, 8, NotIsoclinicError),
+        (generators, "EPS_ORBIT", 1e-18, lambda: (graph_subspace([0.3, 0.4, -0.2, 0.6]),),
+         lambda U: invariance_oracle(U, 2, 0).passed, True, False),
+    ], ids=["frame", "orthonormalize", "isoclinic_pair", "angles", "certify", "full_profile",
+            "companions", "build_chains", "gamma_delta", "two_plane_same_orbit", "direct_sum",
+            "oracle"])
+    def test_threshold_is_read_from_the_table(self, monkeypatch, module, constant, moved, make,
+                                              decide, at_table, at_moved):
+        inputs = make()
+        assert _outcome(decide, inputs) == at_table
+        monkeypatch.setattr(module, constant, moved)
+        assert _outcome(decide, inputs) == at_moved
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     @pytest.mark.parametrize("call", [
         lambda U, tol: same_orbit(U, U, tol),

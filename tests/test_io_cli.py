@@ -416,11 +416,14 @@ class TestCli:
         )
         assert code == 2
 
-    def test_two_plane_sign_on_a_negative_cosine_rejected(self, capsys):
+    @pytest.mark.parametrize("thetas,sign", [(("2.0", "1.2"), ("--xi", "0.5", "xi")),
+                                             (("1.1", "2.2"), ("--chi", "0.3", "chi"))],
+                             ids=["xi", "chi"])
+    def test_two_plane_sign_on_a_negative_cosine_rejected(self, capsys, thetas, sign):
         code, out, err = run_cli(capsys, "generate", "twoplane", "--theta-i", "0.9",
-                                 "--theta-j", "2.0", "--theta-k", "1.2", "--xi", "0.5")
+                                 "--theta-j", thetas[0], "--theta-k", thetas[1], *sign[:2])
         assert (code, out) == (2, "")
-        assert err == "rejected: xi must be +/-1 when its cosine is nonzero\n"
+        assert err == f"rejected: {sign[2]} must be +/-1 when its cosine is nonzero\n"
 
     def test_analyze_with_basis_rotation(self, capsys, tmp_path):
         # rotating the admissible basis changes (xi, chi, eta) but not S
