@@ -287,9 +287,9 @@ def _cos2_of(profile: IsoclinicProfile, C: np.ndarray) -> np.ndarray:
 def _check_member(U: Frame, x: np.ndarray, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     nx = np.linalg.norm(x)
-    if abs(nx - 1.0) > EPS_MEMBER:
+    if not abs(nx - 1.0) <= EPS_MEMBER:
         raise FrameError(f"{what} must be a unit vector (norm {nx:.6f})")
-    if np.linalg.norm(project(U, x) - x) > EPS_MEMBER:
+    if not np.linalg.norm(project(U, x) - x) <= EPS_MEMBER:
         raise FrameError(f"{what} does not lie in the subspace")
     return x
 

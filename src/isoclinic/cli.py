@@ -22,15 +22,7 @@ import numpy as np
 
 from . import __version__, subspaces
 from .analysis import IsoclinicProfile
-from .errors import (
-    DimensionError,
-    DocumentError,
-    FalsificationError,
-    InfeasibleParametersError,
-    IsoclinicError,
-    NotIsoclinicError,
-    RankDeficiencyError,
-)
+from .errors import DocumentError, InfeasibleParametersError, IsoclinicError, NotIsoclinicError
 from .generators import (
     direct_sum,
     embed,
@@ -42,9 +34,9 @@ from .generators import (
     make_totally_complex_4,
     make_two_plane,
 )
-from .io import document_from_frame, parse_document, serialize_document
+from .io import _admissible_basis, document_from_frame, parse_document, serialize_document
 from .orbits import _measured, _same_orbit, canonical_matrices, decompose
-from .quaternions import AdmissibleBasis, basis_change_homothety, right_multiply
+from .quaternions import quaternion_from_rotation, right_multiply
 from .subspaces import Frame
 from .tolerances import EPS_ISO, EPS_ORBIT
 
@@ -91,19 +83,17 @@ def _load_frame(path: str, basis_path: str | None = None) -> Frame:
     frame = doc.to_frame()
     basis = doc.admissible_basis
     if basis_path is not None:
-        text = _read_text(basis_path)
         try:
-            raw = json.loads(text)
+            raw = json.loads(_read_text(basis_path))
             if isinstance(raw, dict):
                 raw = raw.get("admissible_basis")
-            basis = AdmissibleBasis(np.asarray(raw, dtype=float))
-        except (ValueError, TypeError) as exc:  # bad JSON, entries or rotation
+            basis = _admissible_basis(raw)
+        except (ValueError, DocumentError) as exc:  # not UTF-8, bad JSON, entries or rotation
             raise DocumentError(f"{basis_path}: admissible basis: {exc}") from exc
     if basis is not None:
         # measuring w.r.t. the rotated admissible triple equals measuring the
-        # homothety image w.r.t. the coordinate triple
-        v = basis_change_homothety(basis)
-        frame = Frame(right_multiply(frame.vectors, v))
+        # homothety image U v w.r.t. the coordinate triple
+        frame = Frame(right_multiply(frame.vectors, quaternion_from_rotation(basis)))
     return frame
 
 
@@ -137,14 +127,13 @@ def _cmd_analyze(args) -> int:
         if args.json:
             print(json.dumps({
                 "isoclinic": False,
-                "witness": list(exc.witness) if exc.witness is not None else None,
+                "witness": list(exc.witness),
                 "deviation": exc.deviation,
             }, indent=2))
         else:
             print("not isoclinic")
-            if exc.witness is not None:
-                print(f"witness structure coefficients: {list(exc.witness)}")
-                print(f"defect: {_fmt(exc.deviation)}")
+            print(f"witness structure coefficients: {list(exc.witness)}")
+            print(f"defect: {_fmt(exc.deviation)}")
         return 2
     label, profile = measured.decided(), measured.profile
     c_ij, c_ik = canonical_matrices(frame, profile)
@@ -226,69 +215,58 @@ def _parse_part(text: str):
     return spec
 
 
-_FAMILIES = ("rhp", "qline", "tcomplex4", "icomplex4", "twoplane", "graph", "sum")
-_INTEGER = ("an integer", lambda v: type(v) is int)
-_NUMBER = ("a number", lambda v: type(v) in (int, float))
-# what each key of a generate spec must be; the required keys have no default
+_INTEGER = ("an integer", lambda v: type(v) is int, {"type": int})
+_NUMBER = ("a number", lambda v: type(v) in (int, float), {"type": float})
+# what each key of a generate spec must be, and its option (None: a sum's
+# parts, given as --part)
 _FIELDS = {
     "n": _INTEGER, "k": _INTEGER, "index": _INTEGER, "theta": _NUMBER, "theta_i": _NUMBER,
     "theta_j": _NUMBER, "theta_k": _NUMBER, "xi": _NUMBER, "chi": _NUMBER,
     "mu": ("a list of 4 numbers",
-           lambda v: type(v) is list and len(v) == 4 and all(_NUMBER[1](x) for x in v)),
-    "parts": ("a list of objects", lambda v: type(v) is list and all(type(p) is dict for p in v)),
+           lambda v: type(v) is list and len(v) == 4 and all(_NUMBER[1](x) for x in v),
+           {"type": float, "nargs": 4, "metavar": ("RE", "I", "J", "K")}),
+    "parts": ("a list of objects", lambda v: type(v) is list and all(type(p) is dict for p in v),
+              None),
 }
-_REQUIRED = {"icomplex4": ("theta",), "twoplane": ("theta_i", "theta_j", "theta_k"),
-             "sum": ("parts",)}
+_REQUIRED = object()  # the default of a key that has none
+# each family's constructor and its keys in argument order, with defaults
+_FAMILIES = {
+    "rhp": (make_rhp, {"n": 4, "k": 4}),
+    "qline": (make_quaternionic_line, {"n": 1, "index": 0}),
+    "tcomplex4": (make_totally_complex_4, {"n": 2}),
+    "icomplex4": (make_i_complex_4, {"n": 2, "theta": _REQUIRED}),
+    "twoplane": (make_two_plane, {"n": 2, "theta_i": _REQUIRED, "theta_j": _REQUIRED,
+                                  "theta_k": _REQUIRED, "xi": 1.0, "chi": 1.0}),
+    "graph": (graph_subspace, {"mu": None, "n": 2}),  # mu None: drawn from the seed
+    "sum": (direct_sum, {"parts": _REQUIRED}),
+}
 
 
 def _generate(spec: dict, seed: int | None) -> Frame:
     family = spec.get("family")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise DocumentError(f"unknown family {family!r}")
+    make, keys = _FAMILIES[family]
     spec = {key: value for key, value in spec.items() if value is not None}
-    for key, (kind, valid) in _FIELDS.items():
-        if (key in spec or key in _REQUIRED.get(family, ())) and not valid(spec.get(key)):
+    for key, (kind, valid, _) in _FIELDS.items():
+        if (key in spec or keys.get(key) is _REQUIRED) and not valid(spec.get(key)):
             raise DocumentError(f"{family}: {key!r} must be {kind}, got {spec.get(key)!r}")
     if any(isinstance(v, float) and not np.isfinite(v) for v in spec.values()):
         raise InfeasibleParametersError(f"{family}: parameters must be finite")
-    if family == "rhp":
-        return make_rhp(spec.get("n", 4), spec.get("k", 4))
-    if family == "qline":
-        return make_quaternionic_line(spec.get("n", 1), spec.get("index", 0))
-    if family == "tcomplex4":
-        return make_totally_complex_4(spec.get("n", 2))
-    if family == "icomplex4":
-        return make_i_complex_4(spec.get("n", 2), spec["theta"])
-    if family == "twoplane":
-        return make_two_plane(
-            spec.get("n", 2),
-            spec["theta_i"],
-            spec["theta_j"],
-            spec["theta_k"],
-            spec.get("xi", 1.0),
-            spec.get("chi", 1.0),
-        )
-    if family == "graph":
-        mu = spec.get("mu")
-        if mu is None:
-            if seed is None:
-                raise InfeasibleParametersError("graph family needs mu or a seed")
-            mu = np.random.default_rng(seed).standard_normal(4)
-        return graph_subspace(np.asarray(mu, dtype=float), spec.get("n", 2))
-    return direct_sum([_generate(p, seed) for p in spec["parts"]])
+    args = {key: spec.get(key, default) for key, default in keys.items()}
+    if family == "graph" and args["mu"] is None:
+        if seed is None:
+            raise InfeasibleParametersError("graph family needs mu or a seed")
+        args["mu"] = np.random.default_rng(seed).standard_normal(4)
+    if family == "sum":
+        args["parts"] = [_generate(p, seed) for p in args["parts"]]
+    return make(*args.values())
 
 
 def _cmd_generate(args) -> int:
-    spec: dict = {"family": args.family}
-    for key, value in (
-        ("n", args.n), ("k", args.k), ("index", args.index), ("theta", args.theta),
-        ("theta_i", args.theta_i), ("theta_j", args.theta_j), ("theta_k", args.theta_k),
-        ("xi", args.xi), ("chi", args.chi),
-    ):
-        if value is not None:
-            spec[key] = value
-    if args.mu is not None:
-        spec["mu"] = args.mu
+    spec = {key: getattr(args, key) for key, (_, _, option) in _FIELDS.items()
+            if option is not None}
+    spec["family"] = args.family
     if args.family == "sum":
         if not args.part:
             raise DocumentError("family 'sum' needs at least one --part")
@@ -351,16 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         "family",
         choices=_FAMILIES,
     )
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--index", type=int)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--theta-i", dest="theta_i", type=float)
-    p.add_argument("--theta-j", dest="theta_j", type=float)
-    p.add_argument("--theta-k", dest="theta_k", type=float)
-    p.add_argument("--xi", type=float)
-    p.add_argument("--chi", type=float)
-    p.add_argument("--mu", type=float, nargs=4, metavar=("RE", "I", "J", "K"))
+    for key, (_, _, option) in _FIELDS.items():
+        if option is not None:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **option)
     p.add_argument("--part", action="append", help="JSON spec of a summand (repeatable)")
     p.add_argument("--seed", type=_at_least(0), default=None)
     p.set_defaults(func=_cmd_generate)
@@ -381,14 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        NotIsoclinicError,
-        FalsificationError,
-        InfeasibleParametersError,
-        RankDeficiencyError,
-        DimensionError,
-        IsoclinicError,
-    ) as exc:
+    except IsoclinicError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
 

@@ -48,6 +48,26 @@ def _require_number(value, path: str) -> float:
     return x
 
 
+def _admissible_basis(raw) -> np.ndarray:
+    """The SO(3) rotation of a decoded 3x3 list of lists, each entry a finite number."""
+    if (
+        not isinstance(raw, list)
+        or len(raw) != 3
+        or any(not isinstance(r, list) or len(r) != 3 for r in raw)
+    ):
+        raise DocumentError("admissible_basis: expected a 3x3 matrix")
+    mat = np.array(
+        [
+            [_require_number(raw[i][j], f"admissible_basis[{i}][{j}]") for j in range(3)]
+            for i in range(3)
+        ]
+    )
+    try:
+        return AdmissibleBasis(mat).rotation
+    except StructureError as exc:
+        raise DocumentError(f"admissible_basis: {exc}") from exc
+
+
 def parse_document(source) -> SubspaceDocument:
     """Parse a document from a JSON string or an already-decoded mapping.
 
@@ -92,23 +112,7 @@ def parse_document(source) -> SubspaceDocument:
 
     basis = None
     if obj.get("admissible_basis") is not None:
-        raw = obj["admissible_basis"]
-        if (
-            not isinstance(raw, list)
-            or len(raw) != 3
-            or any(not isinstance(r, list) or len(r) != 3 for r in raw)
-        ):
-            raise DocumentError("admissible_basis: expected a 3x3 matrix")
-        mat = np.array(
-            [
-                [_require_number(raw[i][j], f"admissible_basis[{i}][{j}]") for j in range(3)]
-                for i in range(3)
-            ]
-        )
-        try:
-            basis = AdmissibleBasis(mat).rotation
-        except StructureError as exc:
-            raise DocumentError(f"admissible_basis: {exc}") from exc
+        basis = _admissible_basis(obj["admissible_basis"])
 
     label = obj.get("label")
     if label is not None and not isinstance(label, str):

@@ -170,7 +170,7 @@ class CompatibleStructure:
 
     def __post_init__(self):
         coeffs = np.array([self.a, self.b, self.c], dtype=float)
-        if abs(coeffs @ coeffs - 1.0) > EPS_UNIT:
+        if not abs(coeffs @ coeffs - 1.0) <= EPS_UNIT:
             raise StructureError(
                 f"coefficient vector {coeffs} is not unit (|a|^2+|b|^2+|c|^2 != 1)"
             )
@@ -220,7 +220,7 @@ class AdmissibleBasis:
         C = np.asarray(self.rotation, dtype=float)
         if C.shape != (3, 3):
             raise StructureError(f"rotation must be 3x3, got {C.shape}")
-        if np.max(np.abs(C.T @ C - np.eye(3))) > EPS_ORTH:
+        if not np.max(np.abs(C.T @ C - np.eye(3))) <= EPS_ORTH:
             raise StructureError("rotation is not orthogonal within tolerance")
         if np.linalg.det(C) < 0.0:
             raise StructureError("rotation has determinant -1; not in SO(3)")
@@ -255,11 +255,3 @@ def quaternion_from_rotation(C: np.ndarray) -> np.ndarray:
     q[k] = s
     return q / np.linalg.norm(q)
 
-
-def basis_change_homothety(basis) -> np.ndarray:
-    """Unit quaternion v such that measuring a subspace U against the rotated
-    admissible triple (I,J,K) C equals measuring U v (right multiplication)
-    against the coordinate triple."""
-    if not isinstance(basis, AdmissibleBasis):
-        basis = AdmissibleBasis(np.asarray(basis, dtype=float))
-    return quaternion_from_rotation(basis.rotation)

@@ -106,6 +106,11 @@ def orthonormalize(spanning) -> Frame:
     rows = np.atleast_2d(np.asarray(spanning, dtype=float))
     if rows.shape[0] == 0:
         raise DimensionError("empty spanning set")
+    # the squares of entries beyond 2^500 may overflow the row norms: dividing
+    # by a power of two is exact, and leaves the largest entry in [1, 2)
+    big = float(np.max(np.abs(rows), initial=0.0))
+    if big > 2.0**500:
+        rows = np.ldexp(rows, 1 - np.frexp(big)[1])
     Q, kept = _mgs(rows, EPS_RANK)
     if len(kept) != rows.shape[0]:
         raise RankDeficiencyError(detected_rank=len(kept), expected=rows.shape[0])

@@ -216,11 +216,11 @@ def fourths(P2, Q2, cos):
     return (Q2 - cos * P2) / s, (-P2 + cos * Q2) / s
 
 
-def companions_reference(U, X1, angles, tol=EPS_ANGLE):
+def companions_reference(U, X1, angles):
     """companions through the projector onto U, one structure at a time."""
     X1 = _check_member(U, X1, "leading vector")
     cos_abc = np.cos(angles)
-    have = cos_abc > tol
+    have = cos_abc > EPS_ANGLE
     X2, Y2, Z2 = (projected_companion(U, A, float(c), X1) if h else None
                   for A, c, h in zip((I, J, K), cos_abc, have))
     forced = []
@@ -242,7 +242,7 @@ def companions_reference(U, X1, angles, tol=EPS_ANGLE):
                       eta=float(Y2 @ Z2), forced=tuple(forced))
 
 
-def build_chains_reference(U, X1, angles=None, tol=EPS_ANGLE):
+def build_chains_reference(U, X1, angles=None):
     """build_chains with fourths from pairs of companions, thirds projected
     back through a structure, and a branch per convention: none at +/-1,
     exactly one of xi, chi, eta at +/-1 (its chains collapse onto the
@@ -251,12 +251,12 @@ def build_chains_reference(U, X1, angles=None, tol=EPS_ANGLE):
         angles = certify_isoclinic(U)
     if U.dim < 4:
         raise DimensionError(f"chains need dim >= 4, got {U.dim}")
-    comp = companions_reference(U, X1, angles, tol)
+    comp = companions_reference(U, X1, angles)
     X1 = np.asarray(X1, dtype=float)
     X2, Y2, Z2 = comp.X2, comp.Y2, comp.Z2
     xi, chi, eta = comp.xi, comp.chi, comp.eta
     cI, cJ, cK = (float(c) for c in np.cos(angles))
-    have_i, have_j, have_k = (c > tol for c in (cI, cJ, cK))
+    have_i, have_j, have_k = (c > EPS_ANGLE for c in (cI, cJ, cK))
     third = projected_third
     res = {}
     n_pm = sum(_pm1(v) for v in (xi, chi, eta))

@@ -230,6 +230,13 @@ class TestCompanions:
         assert isinstance(info.value, IsoclinicError)
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("build", [companions, build_chains], ids=["companions", "chains"])
+    def test_nan_leading_vector_refused(self, build):
+        # a NaN norm fails every comparison: refused, not measured as xi = nan
+        U = graph_subspace(np.array([0.3, 0.4, -0.2, 0.6]))
+        with pytest.raises(FrameError, match="must be a unit vector"):
+            build(U, np.full(U.ambient, np.nan), certify_isoclinic(U))
+
 
 class TestChains:
     def test_quaternionic_line_chains_match_catalog(self):

@@ -46,9 +46,9 @@ from isoclinic.quaternions import (
     J,
     K,
     Quaternion,
-    basis_change_homothety,
     qarr_conj,
     qarr_mul,
+    quaternion_from_rotation,
     right_multiply,
 )
 from isoclinic.subspaces import Frame, gram, orthonormalize, structure_image
@@ -402,7 +402,7 @@ class TestRotatedBasisLaws:
             Q, _ = np.linalg.qr(A)
             if np.linalg.det(Q) < 0:
                 Q[:, 0] = -Q[:, 0]
-            moved = Frame(right_multiply(U.vectors, basis_change_homothety(Q)))
+            moved = Frame(right_multiply(U.vectors, quaternion_from_rotation(Q)))
             assert abs(full_profile(moved).s_invariant - base) < 1e-10
 
     def test_i_complex_xi_transformation_law(self, rng):
@@ -422,7 +422,7 @@ class TestRotatedBasisLaws:
             Q, _ = np.linalg.qr(A)
             if np.linalg.det(Q) < 0:
                 Q[:, 0] = -Q[:, 0]
-            moved = Frame(right_multiply(U.vectors, basis_change_homothety(Q)))
+            moved = Frame(right_multiply(U.vectors, quaternion_from_rotation(Q)))
             prof = full_profile(moved)
             a1, b1, g1 = Q[0, 0], Q[0, 1], Q[0, 2]
             want = np.array([

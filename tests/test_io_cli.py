@@ -12,7 +12,9 @@ import isoclinic
 from isoclinic import analysis
 from isoclinic.cli import main
 from isoclinic.errors import DocumentError
-from isoclinic.generators import graph_subspace, make_quaternionic_line, make_rhp, make_two_plane
+from isoclinic.generators import (direct_sum, graph_subspace, make_i_complex_4,
+                                  make_quaternionic_line, make_rhp, make_totally_complex_4,
+                                  make_two_plane)
 from isoclinic.io import document_from_frame, parse_document, serialize_document
 from isoclinic.subspaces import orthonormalize
 
@@ -194,12 +196,40 @@ class TestCli:
         path = tmp_path / "ic.json"
         path.write_text(out)
         basis_path = tmp_path / "basis.json"
+        # entries are checked as a document's admissible_basis: NaN, Infinity,
+        # booleans and an integer beyond the float range are refused
         for text in ("[[1, 0, 0], [0, 1, 0], [0, 0, -1]]", "[[1, 0], [0, 1]]",
-                     '[[1, "a", 0], [0, 1, 0], [0, 0, 1]]', "not json"):
+                     '[[1, "a", 0], [0, 1, 0], [0, 0, 1]]', "not json",
+                     "[[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]",
+                     "[[1, 0, 0], [0, Infinity, 0], [0, 0, 1]]",
+                     "[[true, false, false], [false, true, false], [false, false, true]]",
+                     '{"admissible_basis": [[1, 0, 0], [0, 1, 0], [0, 0, NaN]]}',
+                     "[[1" + "0" * 400 + ", 0, 0], [0, 1, 0], [0, 0, 1]]"):
             basis_path.write_text(text)
             code, out, err = run_cli(capsys, "analyze", str(path), "--basis", str(basis_path))
             assert (code, out) == (1, "")
             assert err.startswith(f"error: {basis_path}: admissible basis: ")
+        basis_path.write_bytes(b"\xff[[1, 0, 0], [0, 1, 0], [0, 0, 1]]")  # not UTF-8
+        code, out, err = run_cli(capsys, "analyze", str(path), "--basis", str(basis_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {basis_path}: admissible basis: 'utf-8' codec")
+
+    def test_entries_near_the_float_limit_are_analyzed(self, capsys, tmp_path):
+        # the rows are rescaled before their norms overflow: no warning, and
+        # the frame of the unit document
+        outs = []
+        for entry in ("1e308", "1"):
+            path = tmp_path / f"doc{entry}.json"
+            path.write_text('{"quaternionic_dim": 1, "vectors": [[%s, 0, 0, 0], [0, %s, 0, 0]]}'
+                            % (entry, entry))
+            code, out, err = run_cli(capsys, "analyze", str(path))
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        path.write_text('{"quaternionic_dim": 1, "vectors": [[1e308, 1e308, 0, 0]]}')
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("rejected: odd-dimensional isoclinic subspaces")
 
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/file.json")
@@ -389,6 +419,25 @@ class TestCli:
         code, out, err = run_cli(capsys, "generate", *argv)
         assert code == 1 and out == ""
         assert err.startswith(f"error: {family}: {key!r} must be ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,make,args", [
+        (["rhp"], make_rhp, (4, 4)),
+        (["qline"], make_quaternionic_line, (1, 0)),
+        (["tcomplex4"], make_totally_complex_4, (2,)),
+        (["icomplex4", "--theta", "0.8"], make_i_complex_4, (2, 0.8)),
+        (["twoplane", "--theta-i", "0.9", "--theta-j", "1.1", "--theta-k", "1.2"],
+         make_two_plane, (2, 0.9, 1.1, 1.2, 1.0, 1.0)),
+        (["graph", "--seed", "3"], graph_subspace,
+         (np.random.default_rng(3).standard_normal(4), 2)),
+        (["sum", "--part", '{"family": "qline"}'], direct_sum, ([make_quaternionic_line(1, 0)],)),
+    ], ids=["rhp", "qline", "tcomplex4", "icomplex4", "twoplane", "graph", "sum"])
+    def test_generate_defaults(self, capsys, monkeypatch, argv, make, args):
+        # only the required keys given: the constructor at the documented defaults
+        monkeypatch.delenv("ISOCLINIC_SEED", raising=False)
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert (code, err) == (0, "")
+        label = f"{argv[0]} seed=3" if "--seed" in argv else argv[0]
+        assert out == serialize_document(document_from_frame(make(*args), label=label)) + "\n"
 
     @pytest.mark.parametrize("family", ["rhp", "qline", "tcomplex4", "graph"])
     def test_zero_n_is_refused(self, capsys, family):

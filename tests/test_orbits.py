@@ -15,7 +15,8 @@ from isoclinic.analysis import (
     isoclinic_pair,
     isoclinic_profile_angles,
 )
-from isoclinic.errors import DimensionError, FalsificationError, InfeasibleParametersError
+from isoclinic.errors import (DimensionError, FalsificationError, FrameError,
+                              InfeasibleParametersError)
 from isoclinic.generators import (
     direct_sum,
     embed,
@@ -186,6 +187,12 @@ class TestEightDimAddend:
     def test_small_dim_rejected(self):
         with pytest.raises(DimensionError):
             eight_dim_addend(graph_subspace(GENERIC_MU), np.zeros(8))
+
+    def test_nan_leading_vector_is_a_frame_error(self):
+        # refused by the membership check, not as a rank-0 sweep
+        U = graph_sum(2)
+        with pytest.raises(FrameError, match="must be a unit vector"):
+            eight_dim_addend(U, np.full(U.ambient, np.nan))
 
     def test_nan_blocks_rejected(self):
         block = np.eye(8)[:4].copy()

@@ -11,7 +11,6 @@ from isoclinic.quaternions import (
     K,
     Quaternion,
     apply_structure,
-    basis_change_homothety,
     hermitian_product,
     qarr_mul,
     qmul,
@@ -78,6 +77,13 @@ class TestStructures:
         with pytest.raises(StructureError) as info:
             CompatibleStructure(1.0, 1.0, 0.0)
         assert isinstance(info.value, IsoclinicError) and isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("coeffs", [(np.nan, 0.0, 0.0), (1.0, np.nan, 0.0),
+                                        (np.inf, 0.0, 0.0)])
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        # a NaN defect fails every comparison, so it is refused, not passed
+        with pytest.raises(StructureError, match="not unit"):
+            CompatibleStructure(*coeffs)
 
     def test_operator_hamilton_relations(self):
         mI, mJ, mK = (structure_matrix(A, 2) for A in (I, J, K))
@@ -204,6 +210,12 @@ class TestRotateBasis:
         with pytest.raises(StructureError, match="not orthogonal"):
             AdmissibleBasis(np.ones((3, 3)))
 
+    def test_nan_rotation_rejected(self):
+        C = np.eye(3)
+        C[1, 2] = np.nan
+        with pytest.raises(StructureError, match="not orthogonal"):
+            AdmissibleBasis(C)
+
     def test_non_square_rotation_rejected(self):
         with pytest.raises(StructureError, match="3x3"):
             AdmissibleBasis(np.eye(2))
@@ -237,7 +249,7 @@ class TestRotationLift:
         x, y = rng.standard_normal((2, 8))
         for _ in range(5):
             C = random_rotation(rng)
-            v = basis_change_homothety(C)
+            v = quaternion_from_rotation(C)
             xr, yr = right_multiply(x, v), right_multiply(y, v)
             rotated = np.array([x @ apply_structure(A, y) for A in rotated_triple(C)])
             moved = np.array([xr @ apply_structure(A, yr) for A in (I, J, K)])

@@ -15,8 +15,10 @@ from isoclinic.subspaces import (
     project,
     random_frame,
     _householder_complement,
+    _mgs,
     structure_image,
 )
+from isoclinic.tolerances import EPS_RANK
 from conftest import unit
 
 
@@ -35,6 +37,19 @@ class TestOrthonormalize:
     def test_random_frame_gram(self, rng):
         F = orthonormalize(rng.standard_normal((4, 8)))
         npt.assert_allclose(F.vectors @ F.vectors.T, np.eye(4), atol=1e-12)
+
+    def test_entries_near_the_float_limit_are_kept(self):
+        # the squares of 1e308 overflow: the rows are rescaled by a power of two first
+        with np.errstate(all="raise"):
+            F = orthonormalize([[1e308, 1e308, 0, 0], [0, 0, -1e308, 0]])
+        npt.assert_allclose(F.vectors, [[0.5**0.5, 0.5**0.5, 0, 0], [0, 0, -1, 0]], atol=1e-15)
+
+    @pytest.mark.parametrize("exponent", [-20, 0, 300, 501, 505])
+    def test_rescaling_changes_no_bit(self, rng, exponent):
+        # below 2^500 nothing is rescaled; above it the power of two is exact
+        rows = np.ldexp(rng.standard_normal((3, 8)), exponent)
+        with np.errstate(all="raise"):
+            npt.assert_array_equal(orthonormalize(rows).vectors, _mgs(rows, EPS_RANK)[0])
 
     def test_zero_dim_rejected(self):
         with pytest.raises(DimensionError):
