@@ -209,12 +209,12 @@ def certify_isoclinic(U: Frame) -> tuple[float, float, float]:
 
 
 def _certified_forms(U: Frame):
-    """(certify_isoclinic(U), U's _forms, the gate's defect bound)."""
+    """(certify_isoclinic(U), U's _forms)."""
     forms = _forms(U)
     angles, witness = _gate(forms, EPS_ISO)
     if angles is None:
         raise _not_isoclinic(witness, EPS_ISO)
-    return angles, forms, witness[1]
+    return angles, forms
 
 
 def _not_isoclinic(witness, tol: float) -> NotIsoclinicError:
@@ -448,7 +448,7 @@ def build_chains(
     map is not a function of X1 and the result is flagged non-canonical.
     """
     if angles is None:
-        angles, forms, _ = _certified_forms(U)
+        angles, forms = _certified_forms(U)
     else:
         forms = _forms(U)
     if U.dim < 4:
@@ -633,20 +633,37 @@ def two_plane_orbit(P: OrientedTwoPlane | Frame) -> TwoPlaneOrbit:
 def full_profile(U: Frame) -> IsoclinicProfile:
     """Measure the complete invariant set of U (raises if not isoclinic).
 
-    One gate, then its Kaehler forms: where c_p = cos(theta_p) > 0,
+    One _profile_pass: its gate, then its Kaehler forms: where c_p = cos(theta_p) > 0,
     J_p = omega_p / c_p (a missing J_p identified as in companions), and
     xi, chi, eta = -tr(J_p J_q) / k. Off dim 2 and +/-1, Gamma =
     (eta - xi chi) / (s_xi s_chi), Delta = tr(J_I J_J J_K) / (k s_xi s_chi)
     with s_v = sqrt(1 - v^2); else (Gamma, Delta) = (1, 0).
     """
-    angles, forms, _ = _certified_forms(U)
-    return _profile(angles, forms)
+    return _as_profile(_profile_row(U), U.dim)
 
 
-def _profile(angles, forms: np.ndarray, snaps=None) -> IsoclinicProfile:
-    """full_profile after its gate: _profiles of the one entry."""
-    row = _profiles(np.array([angles]), forms[None], None if snaps is None else [snaps])[0]
-    return _as_profile(row, forms.shape[-1])
+def _profile_row(U: Frame) -> np.ndarray:
+    """The _profiles row of full_profile(U): the _profile_pass of U alone."""
+    _, _, ((_, witness),), (row,) = _profile_pass(_complex_rows(U.vectors)[None], EPS_ISO)
+    if row is None:
+        raise _not_isoclinic(witness, EPS_ISO)
+    return row
+
+
+def _profile_pass(C: np.ndarray, tol: float, snaps=None) -> tuple:
+    """The measuring pass of complex rows C (T, k, 2n): one _gram_forms, one _gates
+    at tol and one _profiles (under snaps (T, 3), as there) of the entries that
+    pass. Returns (Gram (T, k, k), _forms (T, 3, k, k), gates, rows), where
+    rows[t] is entry t's _profiles row, None when its gate failed."""
+    gram_forms = _gram_forms(C)
+    forms = np.ascontiguousarray(gram_forms[1:].swapaxes(0, 1))  # a copy only when T > 1
+    gates = _gates(forms, tol)
+    ok = [angles is not None for angles, _ in gates]
+    pick = slice(None) if all(ok) else np.array(ok)  # no copies when every gate passes
+    angles = np.array([angles for angles, _ in gates if angles is not None]).reshape(-1, 3)
+    snaps = None if snaps is None else np.asarray(snaps)[pick]
+    passed = iter(_profiles(angles, forms[pick], snaps))
+    return gram_forms[0], forms, gates, [next(passed) if good else None for good in ok]
 
 
 def _as_profile(row: np.ndarray, k: int) -> IsoclinicProfile:

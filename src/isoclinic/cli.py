@@ -34,7 +34,8 @@ from .generators import (
     make_totally_complex_4,
     make_two_plane,
 )
-from .io import _admissible_basis, document_from_frame, parse_document, serialize_document
+from .io import (_admissible_basis, _decoded, document_from_frame, parse_document,
+                 serialize_document)
 from .orbits import _measured, _same_orbit, canonical_matrices, decompose
 from .quaternions import quaternion_from_rotation, right_multiply
 from .subspaces import Frame
@@ -71,25 +72,27 @@ def _resolve_seed(given: int | None) -> int | None:
         raise DocumentError(f"ISOCLINIC_SEED: {exc}") from None
 
 
-def _read_text(path: str) -> str:
+def _read(path: str):
+    """The bytes of path; '-' reads standard input (as text where it has no byte buffer)."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return getattr(sys.stdin, "buffer", sys.stdin).read()
+    with open(path, "rb") as fh:
         return fh.read()
 
 
 def _load_frame(path: str, basis_path: str | None = None) -> Frame:
-    doc = parse_document(_read_text(path))
+    doc = parse_document(_read(path))
     frame = doc.to_frame()
     basis = doc.admissible_basis
     if basis_path is not None:
+        what = f"{basis_path}: admissible basis"
+        raw = _decoded(_read(basis_path), what)
+        if isinstance(raw, dict):
+            raw = raw.get("admissible_basis")
         try:
-            raw = json.loads(_read_text(basis_path))
-            if isinstance(raw, dict):
-                raw = raw.get("admissible_basis")
             basis = _admissible_basis(raw)
-        except (ValueError, DocumentError) as exc:  # not UTF-8, bad JSON, entries or rotation
-            raise DocumentError(f"{basis_path}: admissible basis: {exc}") from exc
+        except DocumentError as exc:  # entries or rotation
+            raise DocumentError(f"{what}: {exc}") from exc
     if basis is not None:
         # measuring w.r.t. the rotated admissible triple equals measuring the
         # homothety image U v w.r.t. the coordinate triple
@@ -205,16 +208,6 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _parse_part(text: str):
-    try:
-        spec = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"--part: not valid JSON: {exc}") from exc
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise DocumentError("--part: expected an object with a 'family' key")
-    return spec
-
-
 _INTEGER = ("an integer", lambda v: type(v) is int, {"type": int})
 _NUMBER = ("a number", lambda v: type(v) in (int, float), {"type": float})
 # what each key of a generate spec must be, and its option (None: a sum's
@@ -270,7 +263,7 @@ def _cmd_generate(args) -> int:
     if args.family == "sum":
         if not args.part:
             raise DocumentError("family 'sum' needs at least one --part")
-        spec["parts"] = [_parse_part(p) for p in args.part]
+        spec["parts"] = [_decoded(p, "--part") for p in args.part]  # checked as nested parts
     seed = _resolve_seed(args.seed)
     frame = _generate(spec, seed)
     label = args.family if seed is None else f"{args.family} seed={seed}"

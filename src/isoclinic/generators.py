@@ -17,11 +17,10 @@ from .analysis import (
     _angle,
     _combined_defects,
     _cos2_of,
-    _gates,
-    _gram_forms,
     _not_isoclinic,
     _pm1,
-    _profiles,
+    _profile_pass,
+    _profile_row,
     certify_isoclinic,
     full_profile,
     omega_pattern_4,
@@ -381,7 +380,7 @@ def make_profile_4(
     wJ = omega_pattern_4(xi * cJ, 0.0, s_xi * cJ)
     wK = omega_pattern_4(chi * cK, -delta * s_chi * cK, gamma * s_chi * cK)
     U = _frame_from_omegas((wI, wJ, wK), n)
-    got = _part_invariants(U)
+    got = _profile_row(U)
     if any(_pm1(v) for v in got[3:6]):
         gamma, delta = 1.0, 0.0
     want = np.array([theta_i, theta_j, theta_k, xi, chi, eta, gamma, delta])
@@ -398,11 +397,6 @@ def make_profile_4(
 # direct sums
 
 
-def _part_invariants(U: Frame) -> np.ndarray:
-    p = full_profile(U)
-    return np.array([p.theta_i, p.theta_j, p.theta_k, p.xi, p.chi, p.eta, p.gamma, p.delta])
-
-
 def direct_sum(parts: list[Frame]) -> Frame:
     """Hermitian-orthogonal sum: parts go into disjoint quaternionic blocks.
 
@@ -413,7 +407,7 @@ def direct_sum(parts: list[Frame]) -> Frame:
     """
     if not parts:
         raise DimensionError("empty direct sum")
-    invs = [_part_invariants(p) for p in parts]
+    invs = [_profile_row(p) for p in parts]
     for i, inv in enumerate(invs[1:], start=1):
         if np.max(np.abs(inv - invs[0])) > EPS_ANGLE:
             raise NotIsoclinicError(
@@ -474,7 +468,7 @@ def invariance_oracle(U: Frame, trials: int, seed: int) -> OracleReport:
     off by more than EPS_ORBIT is a failure.
 
     Trials run in blocks of at most _ORACLE_BLOCK as one stacked pass (one
-    batched QR, one complex product, one forms, gate, profile and structure
+    batched QR, one complex product, one measuring pass and one structure
     check kernel each), with the seeds, motions and failure texts of a
     trial-by-trial run; the maxima may move from it by roundoff.
     """
@@ -491,18 +485,17 @@ def invariance_oracle(U: Frame, trials: int, seed: int) -> OracleReport:
         draws = [(int(rng.integers(0, 2**63 - 1)), rng.standard_normal((8, 3))) for _ in block]
         M = _sp_draws(U.n, [s for s, _ in draws])
         _require_sp(M)
-        gram, *forms = _gram_forms(rows @ M.swapaxes(-1, -2))
+        gram, forms, gates, profiled = _profile_pass(rows @ M.swapaxes(-1, -2), EPS_ISO,
+                                                     np.tile(snaps, (len(block), 1)))
         _require_orthonormal(gram)  # each gU is a frame, with no Frame built
-        forms = np.stack(forms, axis=1)
-        gates = _gates(forms, EPS_ISO)
-        ok = [angles is not None for angles, _ in gates]
-        forms, angles = forms[ok], np.reshape([a for a, _ in gates if a is not None], (-1, 3))
+        ok = [row is not None for row in profiled]
         # one profile of the block: each field a (T,) array, as _profile_vector and _cos2_of take
-        prof = IsoclinicProfile(U.dim, *_profiles(angles, forms, np.tile(snaps, (sum(ok), 1))).T)
+        prof = IsoclinicProfile(U.dim, *np.reshape([r for r in profiled if r is not None],
+                                                   (-1, 8)).T)
         dev = np.max(np.abs(_profile_vector(prof).T - base_vec), axis=1)
         C = np.array([c for _, c in draws])[ok]
         C /= np.sqrt(C[..., None, :] @ C[..., None])[..., 0]  # unit rows (a, b, c)
-        defects, c2 = _combined_defects(C, forms)
+        defects, c2 = _combined_defects(C, forms[ok])
         errs = np.abs(np.cos(_angle(c2)) ** 2 - np.cos(_angle(_cos2_of(prof, C).T)) ** 2)
         xi, chi = prof.xi, prof.chi
         res = np.zeros(len(dev)) if any(snaps) else np.abs(

@@ -68,18 +68,21 @@ def _admissible_basis(raw) -> np.ndarray:
         raise DocumentError(f"admissible_basis: {exc}") from exc
 
 
+def _decoded(source, what: str):
+    """The JSON value of source (a str, or bytes read as UTF-8); DocumentError naming
+    what if it cannot be decoded, an integer too long or nesting too deep included."""
+    try:
+        return json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise DocumentError(f"{what}: not valid JSON: {exc}") from exc
+
+
 def parse_document(source) -> SubspaceDocument:
-    """Parse a document from a JSON string or an already-decoded mapping.
+    """Parse a document from JSON text (str or UTF-8 bytes) or a decoded mapping.
 
     Errors carry the path of the offending element, e.g. 'vectors[2]'.
     """
-    if isinstance(source, (str, bytes)):
-        try:
-            obj = json.loads(source)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-            raise DocumentError(f"document is not valid JSON: {exc}") from exc
-    else:
-        obj = source
+    obj = _decoded(source, "document") if isinstance(source, (str, bytes)) else source
     if not isinstance(obj, dict):
         raise DocumentError(f"document root: expected an object, got {type(obj).__name__}")
     unknown = set(obj) - _KNOWN_KEYS

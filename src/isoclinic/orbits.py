@@ -31,10 +31,7 @@ from .analysis import (
     IsoclinicProfile,
     _adapted,
     _as_profile,
-    _certified_forms,
     _check_member,
-    _generators,
-    _gram_forms,
     _not_isoclinic,
     _pm1,
     _profiles,
@@ -122,12 +119,15 @@ def _require_one_type(E: np.ndarray) -> None:
         )
 
 
-def _submodules(U: Frame, forms: np.ndarray, E: np.ndarray, u, dim: int, cut: int, rng=None):
-    """(Frames B V, forms B omega B^T (m, 3, cut, cut)), each one product over the
-    blocks B (m, cut, k) of the rows _adapted(E, u, dim, cut, rng) of U's
-    coordinates, checked against _union_tol(E) and orthonormalized by _clean."""
+def _submodules(m: _Measured, u, dim: int, cut: int, rng=None) -> tuple:
+    """(Frames B V, gated) of the blocks B (r, cut, k) of the rows _adapted(E, u, dim, cut,
+    rng) of the measured U's coordinates, checked by _union_tol(E) and _clean, one product
+    each; gated _recertifies their forms B omega B^T against U's angles."""
+    E = m.generators
     B = _clean(_adapted(E, u, dim, cut, rng), _union_tol(E)).reshape(-1, cut, E.shape[-1])
-    return [Frame(b) for b in B @ U.vectors], B[:, None] @ forms @ B[:, None].swapaxes(-1, -2)
+    forms = B[:, None] @ m.forms @ B[:, None].swapaxes(-1, -2)
+    what = "constructed 8-dim addend" if cut == 8 else "addend {}"
+    return [Frame(b) for b in B @ m.frame.vectors], _recertified(forms, m.angles, what)
 
 
 def _recertified(forms: np.ndarray, angles, what: str) -> tuple:
@@ -144,19 +144,16 @@ def _recertified(forms: np.ndarray, angles, what: str) -> tuple:
 def eight_dim_addend(U: Frame, X1: np.ndarray) -> Frame:
     """8-dim isoclinic subspace through X1 with the parent's angles.
 
-    U must carry one Cl_{0,3}-module type. The addend is the first block of
-    decompose's sweep, started from X1: the 4-dim piece through X1 and the
-    one through a vector of its complement, or as many 2-dim or 1-dim
-    pieces when the forms generate only C or R.
+    The addend is the first block of decompose's sweep, started from X1: the
+    4-dim piece through X1 and the one through a vector of its complement, or
+    as many 2-dim or 1-dim pieces when the forms generate only C or R. U is
+    measured as decompose measures it, so it refuses what decompose refuses.
     """
     if U.dim < 8:
         raise DimensionError(f"eight_dim_addend needs dim >= 8, got {U.dim}")
-    angles, forms, _ = _certified_forms(U)
-    E = _generators(forms)
-    _require_one_type(E)
+    (measured,) = _measured([U])
     u = U.vectors @ _check_member(U, X1, "leading vector")
-    (addend,), block = _submodules(U, forms, E, u, 8, 8)
-    _recertified(block, angles, "constructed 8-dim addend")
+    (addend,), _ = _submodules(measured, u, 8, 8)
     return addend
 
 
@@ -198,9 +195,7 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     rng = _seeded_rng(seed) if seed is not None else None
     (measured,) = _measured([U])
     klass = measured.profile.dim_class
-    addends, forms = _submodules(U, measured.forms, measured.generators, None, U.dim, klass, rng)
-    gated = _recertified(forms, measured.angles, "constructed 8-dim addend" if klass == 8
-                         else "addend {}")
+    addends, gated = _submodules(measured, None, U.dim, klass, rng)
     return Decomposition(tuple(addends), klass, measured.profile, gated)
 
 
@@ -333,30 +328,26 @@ class _Measured:
 
 
 def _measured(frames, tol: float = EPS_ISO) -> list[_Measured]:
-    """The _Measured of frames of one (dim, ambient) from one stacked _complex_rows,
-    _gram_forms, gate at `tol` and _profiles. Unequal dims or ambients raise first,
-    then the first entry in input order to fail its gate, mandates or one type."""
+    """The _Measured of frames of one (dim, ambient) from one _profile_pass of their
+    stacked _complex_rows at `tol`. Unequal dims or ambients raise first, then the
+    first entry in input order to fail its gate, mandates or one type."""
     for W in frames[1:]:
         if frames[0].dim != W.dim:
             raise DimensionError(f"same_orbit needs equal dims, got {frames[0].dim} != {W.dim}")
         if frames[0].ambient != W.ambient:
             raise DimensionError("subspaces live in different ambient spaces")
-    C = _complex_rows([F.vectors for F in frames])
-    forms = np.ascontiguousarray(_gram_forms(C)[1:].swapaxes(0, 1))
-    gates = analysis._gates(forms, tol)  # via the module: a wrapped one sees it
-    n = next((i for i, (a, _) in enumerate(gates) if a is None), len(gates))  # gated entries
-    rows = _profiles(np.array([a for a, _ in gates[:n]]), forms[:n]) if n else ()
+    _, forms, gates, rows = analysis._profile_pass(_complex_rows([F.vectors for F in frames]), tol)
     measured = []
-    for F, f, row, (angles, (_, defect)) in zip(frames, forms, rows, gates):
+    for F, f, row, (angles, witness) in zip(frames, forms, rows, gates):
+        if row is None:
+            raise _not_isoclinic(witness, tol)
         p = _as_profile(row, F.dim)
         _require_mandates(p)
-        bound = 1e-14 + 10.0 * defect  # how far roundoff and the defect move xi, chi, eta
+        bound = 1e-14 + 10.0 * witness[1]  # how far roundoff and the defect move xi, chi, eta
         gaps = enumerate(abs(abs(v) - (1.0 - EPS_PM1)) for v in (p.xi, p.chi, p.eta))
         measured.append(_Measured(F, angles, f, p, bound, {i: g for i, g in gaps if g <= bound}))
         if p.dim_class != 2:
             _require_one_type(measured[-1].generators)
-    if n < len(gates):
-        raise _not_isoclinic(gates[n][1], tol)
     return measured
 
 

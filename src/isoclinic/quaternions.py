@@ -220,6 +220,8 @@ class AdmissibleBasis:
         C = np.asarray(self.rotation, dtype=float)
         if C.shape != (3, 3):
             raise StructureError(f"rotation must be 3x3, got {C.shape}")
+        if not np.isfinite(C).all():  # before C^T C, where inf * 0 warns
+            raise StructureError("rotation has an entry that is not finite")
         if not np.max(np.abs(C.T @ C - np.eye(3))) <= EPS_ORTH:
             raise StructureError("rotation is not orthogonal within tolerance")
         if np.linalg.det(C) < 0.0:

@@ -11,17 +11,20 @@ from isoclinic.analysis import (
     Companions,
     IsoclinicProfile,
     _angle,
-    _certified_forms,
+    _as_profile,
     _check_member,
     _combined_defects,
     _cos2_of,
+    _forms,
+    _gate,
+    _not_isoclinic,
     _pm1,
-    _profile,
+    _profiles,
     certify_isoclinic,
     full_profile,
     gamma_delta,
 )
-from isoclinic.errors import DimensionError, NotIsoclinicError
+from isoclinic.errors import DimensionError
 from isoclinic.generators import (OracleReport, _profile_vector, direct_sum, graph_subspace,
                                   random_sp)
 from isoclinic.quaternions import I, J, K, apply_structure
@@ -125,6 +128,13 @@ def real_matrix_reference(g):
     return T.transpose(0, 3, 1, 2).reshape(4 * n, 4 * n)
 
 
+def profile_of(angles, forms, snaps=None):
+    """The IsoclinicProfile of one entry's certified angles and _forms (3, k, k)
+    from _profiles of that entry alone (snaps, if given, its three flags)."""
+    row = _profiles(np.array([angles]), forms[None], None if snaps is None else [snaps])[0]
+    return _as_profile(row, forms.shape[-1])
+
+
 def oracle_loop_reference(U, trials, seed, tol=1e-6):
     """invariance_oracle one trial at a time: each trial draws its motion's
     seed and its 8 structures from one stream, moves U with random_sp's
@@ -139,12 +149,13 @@ def oracle_loop_reference(U, trials, seed, tol=1e-6):
         g = random_sp(U.n, seed=int(rng.integers(0, 2**63 - 1)))
         C = rng.standard_normal((8, 3))
         C /= np.sqrt(C[:, None] @ C[:, :, None])[:, 0]
-        try:
-            angles, forms, _ = _certified_forms(g.apply_frame(U))
-        except NotIsoclinicError as exc:
-            failures.append(f"trial {t}: gate failure after motion: {exc}")
+        forms = _forms(g.apply_frame(U))
+        angles, witness = _gate(forms, EPS_ISO)
+        if angles is None:
+            failures.append(f"trial {t}: gate failure after motion: "
+                            f"{_not_isoclinic(witness, EPS_ISO)}")
             continue
-        prof = _profile(angles, forms, snaps)
+        prof = profile_of(angles, forms, snaps)
         dev = float(np.max(np.abs(_profile_vector(prof) - base_vec)))
         max_dev = max(max_dev, dev)
         if dev > tol:

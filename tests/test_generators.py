@@ -4,7 +4,6 @@ import pytest
 
 from isoclinic import analysis, generators, subspaces
 from isoclinic.analysis import (
-    IsoclinicProfile,
     TwoPlaneOrbit,
     build_chains,
     certify_isoclinic,
@@ -141,10 +140,7 @@ class TestNanSelfChecks:
             make_two_plane(2, 0.9, 1.1, 1.2)
 
     def test_profile_4_mismatch(self, monkeypatch):
-        monkeypatch.setattr(
-            generators, "full_profile",
-            lambda U: IsoclinicProfile(4, *[float("nan")] * 8),
-        )
+        monkeypatch.setattr(generators, "_profile_row", lambda U: np.full(8, float("nan")))
         with pytest.raises(FalsificationError, match="mismatch nan"):
             make_profile_4(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, n=2)
 
@@ -331,9 +327,8 @@ class TestMakeProfile4:
 
     def test_self_check_failure_is_package_error(self, monkeypatch):
         # a built subspace whose measured eta misses the request by 1e-3
-        real = generators._part_invariants
-        monkeypatch.setattr(generators, "_part_invariants",
-                            lambda U: real(U) + np.eye(8)[5] * 1e-3)
+        real = generators._profile_row
+        monkeypatch.setattr(generators, "_profile_row", lambda U: real(U) + np.eye(8)[5] * 1e-3)
         with pytest.raises(FalsificationError, match=r"mismatch 1\.000e-03"):
             make_profile_4(1.2, 1.3, 1.4, 0.3, -0.3, 0.2)
 

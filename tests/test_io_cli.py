@@ -58,6 +58,11 @@ class TestDocuments:
         with pytest.raises(DocumentError, match=r"vectors\[1\]\[2\]: expected a finite number"):
             parse_document('{"quaternionic_dim":1,"vectors":[[1,0,0,0],[0,1,%s,0]]}' % text)
 
+    def test_deep_nesting_refused(self):
+        with pytest.raises(DocumentError,
+                           match="^document: not valid JSON: maximum recursion depth exceeded"):
+            parse_document("[" * 100000 + "]" * 100000)
+
     def test_integer_too_long_to_convert(self):
         with pytest.raises(DocumentError, match="not valid JSON"):
             parse_document('{"quaternionic_dim":1,"vectors":[[1,0,0,%s]]}' % ("1" * 5000))
@@ -212,7 +217,8 @@ class TestCli:
         basis_path.write_bytes(b"\xff[[1, 0, 0], [0, 1, 0], [0, 0, 1]]")  # not UTF-8
         code, out, err = run_cli(capsys, "analyze", str(path), "--basis", str(basis_path))
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: {basis_path}: admissible basis: 'utf-8' codec")
+        assert err.startswith(f"error: {basis_path}: admissible basis: not valid JSON: "
+                              "'utf-8' codec")
 
     def test_entries_near_the_float_limit_are_analyzed(self, capsys, tmp_path):
         # the rows are rescaled before their norms overflow: no warning, and
@@ -241,6 +247,38 @@ class TestCli:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 1
         assert "vectors[0]" in err
+
+    # JSON nested deeper than the decoder's recursion limit
+    DEEP = "[" * 100000 + "]" * 100000
+
+    def test_deeply_nested_document_is_document_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: document: not valid JSON: maximum recursion depth exceeded")
+
+    def test_deeply_nested_basis_is_document_error(self, capsys, tmp_path):
+        path, basis = graph_document(tmp_path), tmp_path / "deep-basis.json"
+        basis.write_text(self.DEEP)
+        code, out, err = run_cli(capsys, "analyze", str(path), "--basis", str(basis))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {basis}: admissible basis: not valid JSON: "
+                              "maximum recursion depth exceeded")
+
+    def test_deeply_nested_part_is_document_error(self, capsys):
+        part = "[" * 5000 + "]" * 5000
+        code, out, err = run_cli(capsys, "generate", "sum", "--part", part)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --part: not valid JSON: maximum recursion depth exceeded")
+
+    def test_document_not_utf8_is_document_error(self, capsys, tmp_path):
+        path = tmp_path / "not-utf8.json"
+        path.write_bytes(b"\xff" + graph_document(tmp_path).read_bytes())
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: document: not valid JSON: 'utf-8' codec can't decode "
+                              "byte 0xff in position 0")
 
     def test_oversized_dimension_is_document_error(self, capsys, tmp_path):
         # the rows are checked before the array is sized; numpy refuses a

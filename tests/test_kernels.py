@@ -46,7 +46,6 @@ from isoclinic.analysis import (
     _gates,
     _normalised,
     _pair_defects,
-    _profile,
     _profiles,
     _pm1,
     _witness,
@@ -88,6 +87,7 @@ from isoclinic.quaternions import (
     J,
     K,
     _blocks,
+    _complex_rows,
     _unblocks,
     apply_structure,
     qarr_conj,
@@ -115,7 +115,7 @@ from isoclinic.orbits import (
 from isoclinic.tolerances import EPS_ANGLE, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK, EPS_UNION
 from conftest import (bench_workloads, build_chains_reference, chain_profile, companions_reference,
                       complement_in, mgs_reference, omega_reference, oracle_loop_reference,
-                      perturbed_graph_sum, qarr_conj_reference, qarr_mul_reference,
+                      perturbed_graph_sum, profile_of, qarr_conj_reference, qarr_mul_reference,
                       random_unit_in, real_matrix_reference, sp_entries, sp_matrix,
                       structure_matrix)
 
@@ -713,7 +713,7 @@ class TestStacks:
         npt.assert_array_equal(J[3], 0.0)
         rows = _profiles(angles, forms)
         for row, f, a in zip(rows, forms, angles):
-            assert tuple(row[3:]) == astuple(_profile(tuple(a), f))[4:]
+            assert tuple(row[3:]) == astuple(profile_of(tuple(a), f))[4:]
 
     def test_profiles_branch_per_entry(self):
         # a generic entry, one at +/-1 (xi = -1) and an r.h.p. one: each gets
@@ -725,7 +725,7 @@ class TestStacks:
         for snaps in (None, [[False] * 3, [True, False, False], [True] * 3]):
             rows = _profiles(np.array(gated), forms, snaps)
             for t, (row, a, f) in enumerate(zip(rows, gated, forms)):
-                want = _profile(a, f, None if snaps is None else snaps[t])
+                want = profile_of(a, f, None if snaps is None else snaps[t])
                 assert tuple(row) == astuple(want)[1:]
         assert [tuple(r[6:]) for r in _profiles(np.array(gated), forms)][1:] == [(1.0, 0.0)] * 2
 
@@ -890,11 +890,10 @@ class TestOracle:
 
         U = moved(graph_sum(2), 2)
         monkeypatch.setattr(analysis, "_gram_forms", counting)
-        monkeypatch.setattr(generators, "_gram_forms", counting)
         B = generators._ORACLE_BLOCK
         assert invariance_oracle(U, 2 * B + 1, 2).passed
-        # one for the input's own gate, then one per block of motions
-        assert built == [(8, 8), (B, 8, 8), (B, 8, 8), (1, 8, 8)]
+        # one for the input's own profile, then one per block of motions
+        assert built == [(1, 8, 8), (B, 8, 8), (B, 8, 8), (1, 8, 8)]
 
     @pytest.mark.parametrize("make,seed", [
         (lambda: moved(graph_sum(2), 2), 2),
@@ -924,7 +923,7 @@ class TestOracle:
             return gates[:1] + [failed] + gates[2:] if len(gates) > 1 else gates
 
         U = moved(graph_sum(2), 2)
-        monkeypatch.setattr(generators, "_gates", failing_second)
+        monkeypatch.setattr(analysis, "_gates", failing_second)
         monkeypatch.setattr(generators, "EPS_ORBIT", 1e-18)
         report = invariance_oracle(U, 3, 2)
         trials = [f.split(":", 1)[0] for f in report.failures]
@@ -1183,12 +1182,14 @@ class TestStackedMeasure:
         # each input's +/-1 choices in one _profiles over every (input, choice) pair
         U, W = near_pm1_profile(), ORBIT_INPUTS["near-pm1-moved"]()
         calls = []
-        real = orbits._profiles
+        real = analysis._profiles
 
         def counting(angles, forms, *rest):
             calls.append(len(forms))
             return real(angles, forms, *rest)
 
+        # the measuring pass calls it in analysis, the relabels in orbits
+        monkeypatch.setattr(analysis, "_profiles", counting)
         monkeypatch.setattr(orbits, "_profiles", counting)
         assert same_orbit(U, W) is True
         assert calls == [2, 4]  # the stacked measure, then the relabels
@@ -1221,6 +1222,75 @@ class TestStackedMeasure:
         # a verdict both ways, or a refusal both ways
         assert forward == backward if isinstance(forward, bool) else not isinstance(backward,
                                                                                      bool)
+
+
+class TestProfilePass:
+    """analysis._profile_pass of a stack gives each frame's full_profile row bit
+    for bit, None where the gate fails, and profiles only the entries that pass."""
+
+    STACK = ["profile-4", "not-isoclinic-4", "near-pm1-moved", "rhp-4", "planes-4"]
+
+    def frames(self):
+        inputs = {**ORBIT_INPUTS, "not-isoclinic-4": lambda: moved(mixed_sign_sum([1, -1]), 35)}
+        return [inputs[name]() for name in self.STACK]
+
+    def test_rows_equal_full_profile_per_frame(self, monkeypatch):
+        frames = self.frames()
+        profiled = []
+        real = analysis._profiles
+
+        def counting(angles, forms, *rest):
+            profiled.append(len(forms))
+            return real(angles, forms, *rest)
+
+        monkeypatch.setattr(analysis, "_profiles", counting)
+        gram, forms, gates, rows = analysis._profile_pass(
+            _complex_rows([F.vectors for F in frames]), EPS_ISO)
+        assert profiled == [len(frames) - 1]  # one call, the passing entries only
+        for F, g, f, (angles, _), row in zip(frames, gram, forms, gates, rows):
+            npt.assert_allclose(g, np.eye(F.dim), rtol=0, atol=1e-14)
+            npt.assert_array_equal(f, _forms(F))
+            try:
+                want = full_profile(F)
+            except NotIsoclinicError:
+                assert row is None and angles is None
+                continue
+            assert analysis._as_profile(row, F.dim) == want
+        assert [row is None for row in rows] == [name == "not-isoclinic-4" for name in self.STACK]
+
+    @settings(max_examples=25, deadline=None)
+    @given(picks=st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    def test_any_stack_reads_each_frame_alone(self, picks):
+        # entries in any order and number, failing ones anywhere in the stack
+        pool = self.frames()
+        frames = [pool[i] for i in picks]
+        _, _, _, rows = analysis._profile_pass(_complex_rows([F.vectors for F in frames]), EPS_ISO)
+        for F, row in zip(frames, rows):
+            alone = outcome(full_profile, F)
+            assert (row is None) if alone is NotIsoclinicError else (
+                analysis._as_profile(row, F.dim) == alone)
+
+    @pytest.mark.parametrize("near", [False, True])
+    def test_snaps_of_the_passing_entries(self, near):
+        # snaps (T, 3) go with their entries past the failing one: the near-band
+        # entry takes either side of the +/-1 convention
+        frames = self.frames()
+        snaps = [[False] * 3, [False] * 3, [near, False, False], [True] * 3, [True] * 3]
+        _, forms, gates, rows = analysis._profile_pass(
+            _complex_rows([F.vectors for F in frames]), EPS_ISO, snaps)
+        for f, (angles, _), row, s in zip(forms, gates, rows, snaps):
+            if row is not None:
+                assert tuple(row) == astuple(profile_of(angles, f, s))[1:]
+
+    @pytest.mark.parametrize("name", ["mixed-delta", "mixed-sign-8"])
+    def test_eight_dim_addend_refuses_what_decompose_refuses(self, name):
+        U = ORBIT_INPUTS[name]()
+        refusals = []
+        for call in (lambda: decompose(U), lambda: eight_dim_addend(U, U.vectors[0])):
+            with pytest.raises(IsoclinicError) as info:
+                call()
+            refusals.append((type(info.value), str(info.value)))
+        assert refusals[0] == refusals[1]
 
 
 BATCH_INPUTS = {
@@ -1319,7 +1389,6 @@ class TestDecomposeInCoordinates:
             return real(C)
 
         monkeypatch.setattr(analysis, "_gram_forms", counting)
-        monkeypatch.setattr(orbits, "_gram_forms", counting)
         dec = decompose(U, seed=seed)
         assert len(dec.addends) > 1 and built == [(1, U.dim, 2 * U.n)]
 
@@ -1354,7 +1423,7 @@ class TestDecomposeInCoordinates:
 
     @pytest.mark.parametrize("name", sorted(DECOMPOSE_INPUTS))
     def test_generators_per_stratum(self, name):
-        E = orbits._generators(_forms(DECOMPOSE_INPUTS[name]()))
+        E = analysis._generators(_forms(DECOMPOSE_INPUTS[name]()))
         assert len(E) == GENERATORS[name]
         k = E.shape[-1]
         npt.assert_allclose(np.einsum("pij,qij->pq", E, E) / k, np.eye(len(E)),
@@ -1386,7 +1455,7 @@ class TestDecomposeInCoordinates:
             C = addend.vectors @ U.vectors.T
             npt.assert_allclose(block, C @ forms @ C.T, rtol=0, atol=1e-12)
             assert _gate(block, EPS_ISO)[0] == angles
-            assert profile == _profile(angles, block)
+            assert profile == profile_of(angles, block)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -213,7 +213,16 @@ class TestRotateBasis:
     def test_nan_rotation_rejected(self):
         C = np.eye(3)
         C[1, 2] = np.nan
-        with pytest.raises(StructureError, match="not orthogonal"):
+        with pytest.raises(StructureError, match="not finite"):
+            AdmissibleBasis(C)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf])
+    def test_infinite_rotation_refused_by_name(self, entry):
+        # refused before any arithmetic: C^T C would warn on inf * 0
+        C = np.eye(3)
+        C[0, 1] = entry
+        with pytest.raises(StructureError, match="^rotation has an entry that is not finite$"):
             AdmissibleBasis(C)
 
     def test_non_square_rotation_rejected(self):
