@@ -31,7 +31,6 @@ from .errors import (
 from .quaternions import (
     CompatibleStructure,
     I,
-    J,
     K,
     Quaternion,
     _complex_rows,
@@ -368,27 +367,28 @@ class Companions:
     forced: tuple[str, ...] = ()
 
 
-def companions(
-    U: Frame,
-    X1: np.ndarray,
-    angles: tuple[float, float, float],
-) -> Companions:
-    """Companions (X2, Y2, Z2) of X1 and the invariants (xi, chi, eta).
+def companions(U: Frame, X1: np.ndarray) -> Companions:
+    """Companions (X2, Y2, Z2) of X1 and the invariants (xi, chi, eta), read
+    off U's one certified gate (raises NotIsoclinicError when it fails).
 
     X2 = I^{-1} Pr_{IU} X1 / cos(theta_I) is -J_I u in U's coordinates u of
     X1 (Y2, Z2 likewise); a missing J_p is identified as in _normalised,
     forcing the matching invariants to 1, and with all three missing
     (r.h.p.) X2 = Y2 = Z2 is the second row of the sweep from u (_adapted).
     """
-    X1 = _check_member(U, X1, "leading vector")
-    # the forms applied to u: (omega_p u)_a = <X_a, A_p X1>
-    Ju = _normalised(np.array([U.vectors @ apply_structure(A, X1) for A in (I, J, K)]), angles)
+    return _companions(U, X1, *_certified_forms(U))
+
+
+def _companions(U: Frame, X1: np.ndarray, angles, forms: np.ndarray) -> Companions:
+    """companions(U, X1) from U's certified angles and _forms."""
+    u = U.vectors @ _check_member(U, X1, "leading vector")
     have = np.cos(angles) > EPS_ANGLE
     forced = (("X2=Y2=Z2 arbitrary (triple orthogonality)",) if not have.any() else
               tuple(f"{x}2 identified (cos theta_{p} = 0)"
                     for x, p, h in zip("XYZ", "IJK", have) if not h))
     no_generators = np.zeros((0, U.dim, U.dim))
-    rows = -Ju if Ju.any() else _adapted(no_generators, U.vectors @ X1, 2, 2)[[1, 1, 1]]
+    rows = (-(_normalised(forms, angles) @ u) if have.any() else
+            _adapted(no_generators, u, 2, 2)[[1, 1, 1]])
     X2, Y2, Z2 = rows @ U.vectors
     return Companions(X2, Y2, Z2, float(X2 @ Y2), float(X2 @ Z2), float(Y2 @ Z2), forced)
 
@@ -429,12 +429,9 @@ def _pm1(v: float) -> bool:
     return abs(v) > 1.0 - EPS_PM1
 
 
-def build_chains(
-    U: Frame,
-    X1: np.ndarray,
-    angles: tuple[float, float, float] | None = None,
-) -> ChainSet:
-    """The six chains of U centered on X1 (dimension of U at least 4).
+def build_chains(U: Frame, X1: np.ndarray) -> ChainSet:
+    """The six chains of U centered on X1 (dimension of U at least 4), read
+    off U's one certified gate (raises NotIsoclinicError when it fails).
 
     Each chain is the Clifford piece through X1 (see decompose) of the
     _normalised forms in its own order, of which the first two that survive
@@ -447,13 +444,10 @@ def build_chains(
     survives, the third element is a Householder complement row, the chain
     map is not a function of X1 and the result is flagged non-canonical.
     """
-    if angles is None:
-        angles, forms = _certified_forms(U)
-    else:
-        forms = _forms(U)
+    angles, forms = _certified_forms(U)
     if U.dim < 4:
         raise DimensionError(f"chains need dim >= 4, got {U.dim}")
-    comp = companions(U, X1, angles)
+    comp = _companions(U, X1, angles, forms)
     X1 = np.asarray(X1, dtype=float)
     u = U.vectors @ X1
     J = _normalised(forms, angles)
@@ -566,14 +560,15 @@ def cik_block_4(chi: float, gamma: float, delta: float) -> np.ndarray:
     )
 
 
-def omega_K_on_UIJ(chains: ChainSet, gamma: float, delta: float) -> tuple[np.ndarray, float]:
+def omega_K_on_UIJ(chains: ChainSet) -> tuple[np.ndarray, float]:
     """Predicted omega^K on the span of the omega^I chain, plus the angle g
-    of the pair (U^{IJ}, K U^{IJ}).
+    of the pair (U^{IJ}, K U^{IJ}), from the chains' own gamma_delta.
 
     The matrix is the isoclinic normal form with first row built from
     (chi, Gamma, Delta, cos theta_K); cos^2 g = cos^2 theta_K *
     (Gamma^2 + Delta^2 + chi^2 (1 - Gamma^2 - Delta^2)).
     """
+    gamma, delta = gamma_delta(chains)
     chi = float(np.sign(chains.chi)) if _pm1(chains.chi) else chains.chi
     cK = float(np.cos(chains.angles[2]))
     s = np.sqrt(max(0.0, 1.0 - chi**2))
@@ -609,16 +604,17 @@ class TwoPlaneOrbit:
 
 
 def two_plane_orbit(P: OrientedTwoPlane | Frame) -> TwoPlaneOrbit:
-    """Sp(n)-orbit data of a 2-plane (oriented if given an oriented pair)."""
+    """Sp(n)-orbit data of a 2-plane (oriented if given an oriented pair), read
+    off the plane's gate, which every 2-plane passes: the angles are the
+    gate's, the imaginary measure is the forms' entries omega_p[0, 1]."""
     oriented = isinstance(P, OrientedTwoPlane)
     plane = P.frame() if oriented else P
     if plane.dim != 2:
         raise DimensionError(f"two_plane_orbit needs a 2-plane, got dim {plane.dim}")
-    cs = _forms(plane)[:, 0, 1]
-    thetas = tuple(float(t) for t in np.arccos(np.clip(np.abs(cs), 0.0, 1.0)))
-    comp = companions(plane, plane.vectors[0], thetas)
+    thetas, forms = _certified_forms(plane)
+    comp = _companions(plane, plane.vectors[0], thetas, forms)
     return TwoPlaneOrbit(
-        im=Quaternion(0.0, *cs),
+        im=Quaternion(0.0, *forms[:, 0, 1]),
         thetas=thetas,
         xi=comp.xi,
         chi=comp.chi,

@@ -1,9 +1,12 @@
 """Constructors for the example families, random Sp(n) elements and the
 randomized invariance oracle.
 
-Every generator's output is measured after construction; a mismatch with
-the requested parameters is a bug, not a warning, so it raises. All
-randomness flows through explicit integer seeds.
+make_two_plane, make_profile_4, graph_subspace and direct_sum measure their
+output after construction; a mismatch with the requested parameters is a
+bug, not a warning, so it raises. make_rhp, make_quaternionic_line,
+make_totally_complex_4 and make_i_complex_4 are coordinate constructions
+that only Frame's orthonormality check covers. All randomness flows through
+explicit integer seeds.
 """
 
 from __future__ import annotations

@@ -229,10 +229,9 @@ class AdmissibleBasis:
         object.__setattr__(self, "rotation", C)
 
 
-def right_multiply(x: np.ndarray, q) -> np.ndarray:
-    """Right scalar multiplication X q, blockwise on quaternionic coordinates."""
-    if isinstance(q, Quaternion):
-        q = q.as_array()
+def right_multiply(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Right scalar multiplication X q by a quaternion array q (..., 4),
+    blockwise on quaternionic coordinates."""
     return _unblocks(qarr_mul(_blocks(x), q))
 
 

@@ -234,21 +234,19 @@ class TestAcceptance:
                 U = graph_subspace(rng.standard_normal(4))
             else:
                 U = direct_sum([graph_subspace(rng.standard_normal(4))] * 2)
-            angles = certify_isoclinic(U)
             x1 = rng.standard_normal(U.dim) @ U.vectors
             x1 /= np.linalg.norm(x1)
-            ch = build_chains(U, x1, angles)
+            ch = build_chains(U, x1)
             if ch.residuals:
                 worst_res = max(worst_res, max(ch.residuals.values()))
         worst_spread = 0.0
         for _ in range(3):
             U = direct_sum([graph_subspace(rng.standard_normal(4))] * 2)
-            angles = certify_isoclinic(U)
             vals = []
             for _ in range(16):
                 x1 = rng.standard_normal(U.dim) @ U.vectors
                 x1 /= np.linalg.norm(x1)
-                ch = build_chains(U, x1, angles)
+                ch = build_chains(U, x1)
                 vals.append([ch.xi, ch.chi, ch.eta, *gamma_delta(ch)])
             worst_spread = max(worst_spread, float(np.max(np.ptp(vals, axis=0))))
         ok = worst_res < 1e-9 and worst_spread < 1e-8
@@ -323,9 +321,9 @@ class TestAcceptance:
 
         def one_case(U, angles, x1):
             nonlocal worst_entry, worst_gamma, equivalence_ok, seen_nonunit
-            ch = build_chains(U, x1, angles)
+            ch = build_chains(U, x1)
             g, d = gamma_delta(ch)
-            predicted, gamma_angle = omega_K_on_UIJ(ch, g, d)
+            predicted, gamma_angle = omega_K_on_UIJ(ch)
             measured = omega_matrix(Frame(ch.chain_x), K)
             worst_entry = max(worst_entry, float(np.max(np.abs(predicted - measured))))
             cK = np.cos(angles[2])

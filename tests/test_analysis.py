@@ -197,7 +197,7 @@ class TestCompanions:
     def test_quaternionic_line(self):
         U = make_quaternionic_line(2)
         e = unit(2, 0)
-        comp = companions(U, e, (0.0, 0.0, 0.0))
+        comp = companions(U, e)
         npt.assert_allclose(comp.X2, -apply_structure(I, e), atol=1e-12)
         npt.assert_allclose(comp.Y2, -apply_structure(J, e), atol=1e-12)
         npt.assert_allclose(comp.Z2, -apply_structure(K, e), atol=1e-12)
@@ -205,19 +205,19 @@ class TestCompanions:
 
     def test_rhp_forced_identification(self):
         U = make_rhp(4, 4)
-        comp = companions(U, U.vectors[0], (np.pi / 2,) * 3)
+        comp = companions(U, U.vectors[0])
         npt.assert_allclose([comp.xi, comp.chi, comp.eta], np.ones(3), atol=1e-12)
         assert comp.forced
 
     def test_i_complex_adapted(self):
         U = make_i_complex_4(2, 0.6)
-        comp = companions(U, U.vectors[0], certify_isoclinic(U))
+        comp = companions(U, U.vectors[0])
         npt.assert_allclose([comp.xi, comp.chi, comp.eta], np.zeros(3), atol=1e-12)
 
     def test_leading_vector_outside_subspace(self):
         U = make_quaternionic_line(2, 0)
         with pytest.raises(ValueError):
-            companions(U, unit(2, 1), (0.0, 0.0, 0.0))
+            companions(U, unit(2, 1))
 
     @pytest.mark.parametrize("x,match", [
         (2 * unit(2, 0), "must be a unit vector"),
@@ -226,7 +226,7 @@ class TestCompanions:
     def test_bad_leading_vector_is_a_package_error(self, x, match):
         U = make_quaternionic_line(2, 0)
         with pytest.raises(FrameError, match=match) as info:
-            companions(U, x, (0.0, 0.0, 0.0))
+            companions(U, x)
         assert isinstance(info.value, IsoclinicError)
         assert isinstance(info.value, ValueError)
 
@@ -235,7 +235,14 @@ class TestCompanions:
         # a NaN norm fails every comparison: refused, not measured as xi = nan
         U = graph_subspace(np.array([0.3, 0.4, -0.2, 0.6]))
         with pytest.raises(FrameError, match="must be a unit vector"):
-            build(U, np.full(U.ambient, np.nan), certify_isoclinic(U))
+            build(U, np.full(U.ambient, np.nan))
+
+    @pytest.mark.parametrize("build", [companions, build_chains], ids=["companions", "chains"])
+    def test_frame_failing_its_gate_refused(self, build):
+        # read off U's own gate: a frame that fails it is refused, not measured
+        U = Frame(np.eye(8)[[0, 2, 4, 5]])
+        with pytest.raises(NotIsoclinicError):
+            build(U, U.vectors[0])
 
 
 class TestChains:
@@ -253,19 +260,17 @@ class TestChains:
         # the omega^I chain of an I-complex subspace is (X1, X2, Z2, Y2)
         U = make_i_complex_4(2, 0.6)
         x1 = U.vectors[0]
-        angles = certify_isoclinic(U)
-        comp = companions(U, x1, angles)
-        ch = build_chains(U, x1, angles)
+        comp = companions(U, x1)
+        ch = build_chains(U, x1)
         npt.assert_allclose(ch.chain_x, np.vstack([x1, comp.X2, comp.Z2, comp.Y2]),
                             atol=1e-12)
 
     def test_chain_third_identities_generic(self, rng):
         U = graph_subspace(GENERIC_MU)
-        angles = certify_isoclinic(U)
         for _ in range(6):
             x1 = rng.standard_normal(4) @ U.vectors
             x1 /= np.linalg.norm(x1)
-            ch = build_chains(U, x1, angles)
+            ch = build_chains(U, x1)
             assert max(ch.residuals.values()) < 1e-9
 
     def test_chains_are_standard_bases(self, rng):
@@ -315,12 +320,11 @@ class TestGammaDelta:
 
     def test_invariance_over_leading_vectors(self, rng):
         U = graph_subspace(GENERIC_MU)
-        angles = certify_isoclinic(U)
         vals = []
         for _ in range(16):
             x1 = rng.standard_normal(4) @ U.vectors
             x1 /= np.linalg.norm(x1)
-            ch = build_chains(U, x1, angles)
+            ch = build_chains(U, x1)
             vals.append([ch.xi, ch.chi, ch.eta, *gamma_delta(ch)])
         vals = np.array(vals)
         assert np.max(np.ptp(vals, axis=0)) < 1e-8
@@ -366,16 +370,14 @@ class TestOmegaKLaw:
     def test_gamma_equals_theta_k_on_unit_circle(self):
         U = graph_subspace(GENERIC_MU)  # dim 4: Gamma^2 + Delta^2 = 1
         ch = build_chains(U, U.vectors[0])
-        g, d = gamma_delta(ch)
-        _, gam = omega_K_on_UIJ(ch, g, d)
+        _, gam = omega_K_on_UIJ(ch)
         assert gam == pytest.approx(ch.angles[2], abs=1e-9)
 
     def test_chi_pm1_gives_theta_k(self):
         P = make_two_plane(2, 0.9, 1.1, 1.2, 1.0, -1.0)
         U = direct_sum([P, P])
         ch = build_chains(U, U.vectors[0])
-        g, d = gamma_delta(ch)
-        _, gam = omega_K_on_UIJ(ch, g, d)
+        _, gam = omega_K_on_UIJ(ch)
         assert gam == pytest.approx(ch.angles[2], abs=1e-9)
 
     def test_predicted_matrix_matches_measured(self, rng):
@@ -384,8 +386,7 @@ class TestOmegaKLaw:
             x1 = rng.standard_normal(4) @ U.vectors
             x1 /= np.linalg.norm(x1)
             ch = build_chains(U, x1)
-            g, d = gamma_delta(ch)
-            predicted, _ = omega_K_on_UIJ(ch, g, d)
+            predicted, _ = omega_K_on_UIJ(ch)
             measured = omega_matrix(Frame(ch.chain_x), K)
             npt.assert_allclose(predicted, measured, atol=1e-9)
 
@@ -431,6 +432,18 @@ class TestTwoPlaneOrbit:
         got = orb.im.as_array()[1:]
         assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) < 1e-12
 
+    def test_oriented_planes(self):
+        # reversing an oriented plane conjugates its imaginary measure, which
+        # only an unoriented comparison forgives; Sp(n) keeps the orientation
+        P = make_two_plane(2, 0.9, 1.1, 1.2, 1, -1)
+        oriented = OrientedTwoPlane(*P.vectors)
+        moved = OrientedTwoPlane(*random_sp(2, 5).apply_frame(P).vectors)
+        orbit = two_plane_orbit(oriented)
+        assert orbit.same_orbit(two_plane_orbit(oriented.reversed())) is False
+        assert orbit.same_orbit(two_plane_orbit(moved)) is True
+        unoriented = two_plane_orbit(P)
+        assert unoriented.same_orbit(two_plane_orbit(oriented.reversed().frame())) is True
+
     def test_orbit_consistency_with_invariants(self):
         # measure equality iff (angles, xi, chi) equality, unoriented planes
         planes = [
@@ -464,7 +477,7 @@ class TestSinglePm1Conventions:
     def test_chains_standard_and_gamma_one(self, kind, args):
         U = make_profile_4(*args)
         angles = certify_isoclinic(U)
-        ch = build_chains(U, U.vectors[0], angles)
+        ch = build_chains(U, U.vectors[0])
         assert ch.convention == kind
         assert not ch.non_canonical
         cI, cJ, cK = np.cos(angles)

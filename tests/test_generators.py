@@ -545,7 +545,7 @@ def _off_isoclinic():
 def _near_right_angle_plane():
     # theta_J a hair below pi/2: cos theta_J = 1e-10 counts as 0 at EPS_ANGLE
     P = make_two_plane(2, 0.9, np.pi / 2 - 1e-10, 1.2)
-    return P, P.vectors[0], two_plane_orbit(P).thetas
+    return P, P.vectors[0]
 
 
 def _generic_chains():
@@ -573,7 +573,7 @@ class TestTolerances:
         (analysis, "EPS_ISO", 1e-13, _off_isoclinic,
          lambda U: full_profile(U).dim_class, 4, NotIsoclinicError),
         (analysis, "EPS_ANGLE", 1e-12, _near_right_angle_plane,
-         lambda U, x, angles: companions(U, x, angles).forced,
+         lambda U, x: companions(U, x).forced,
          ("Y2 identified (cos theta_J = 0)",), ()),
         (analysis, "EPS_ANGLE", 1e-12, lambda: (make_i_complex_4(2, np.pi / 2 - 1e-10),),
          lambda U: build_chains(U, U.vectors[0]).forced,

@@ -13,10 +13,12 @@ from isoclinic import analysis
 from isoclinic.cli import main
 from isoclinic.errors import DocumentError
 from isoclinic.generators import (direct_sum, graph_subspace, make_i_complex_4,
-                                  make_quaternionic_line, make_rhp, make_totally_complex_4,
-                                  make_two_plane)
+                                  make_profile_4, make_quaternionic_line, make_rhp,
+                                  make_totally_complex_4, make_two_plane)
 from isoclinic.io import document_from_frame, parse_document, serialize_document
+from isoclinic.quaternions import CompatibleStructure, apply_structure
 from isoclinic.subspaces import orthonormalize
+from isoclinic.tolerances import EPS_ISO, EPS_PM1
 
 
 class TestDocuments:
@@ -177,6 +179,35 @@ class TestCli:
         assert code == 2
         assert "not isoclinic" in out
         assert "witness" in out
+
+    def test_analyze_json_rejects_non_isoclinic(self, capsys, tmp_path):
+        # the document of the CI step: e0, e2 and the I-complex line span(e4, e5)
+        rows = np.eye(8)[[0, 2, 4, 5]]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"quaternionic_dim": 2, "vectors": rows.tolist()}))
+        code, out, err = run_cli(capsys, "analyze", str(path), "--json")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"isoclinic": False, "witness": [1.0, 0.0, 0.0],
+                                   "deviation": 0.5}
+        # the witness fails the pair test: G G^T of G = <U, AU> is no multiple of Id
+        witness = CompatibleStructure(*json.loads(out)["witness"])
+        G = rows @ apply_structure(witness, rows).T
+        M = G @ G.T
+        defect = np.max(np.abs(M - np.trace(M) / 4 * np.eye(4)))
+        assert defect == 0.5 and defect >= EPS_ISO
+
+    def test_compare_refuses_a_verdict_on_the_pm1_convention(self, capsys, tmp_path):
+        # xi at 1 - EPS_PM1 takes each side of the convention; against xi 1.02e-8
+        # below 1 the two sides give different verdicts
+        paths = []
+        for xi in (1 - EPS_PM1, 1 - 1.02e-8):
+            eta = xi * 0.2 + np.sqrt((1 - xi**2) * (1 - 0.2**2)) * 0.5
+            paths.append(tmp_path / f"xi-{len(paths)}.json")
+            paths[-1].write_text(serialize_document(document_from_frame(
+                make_profile_4(1.2, 1.3, 1.4, xi, 0.2, eta))))
+        code, out, err = run_cli(capsys, "compare", *map(str, paths))
+        assert (code, out) == (2, "")
+        assert err.startswith("rejected: the verdict depends on the +/-1 convention")
 
     def test_analyze_tol_applies_to_its_one_gate(self, capsys, tmp_path, monkeypatch):
         path = perturbed_graph_document(tmp_path)

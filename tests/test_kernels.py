@@ -549,7 +549,7 @@ class TestCompanions:
         u = rng.standard_normal(U.dim)
         u /= np.linalg.norm(u)
         v = u @ U.vectors
-        comp = companions(U, v, angles)
+        comp = companions(U, v)
         for p, (A, cos_a) in enumerate(zip((I, J, K), np.cos(angles))):
             ref = companion_reference(U, A, cos_a, v)
             npt.assert_allclose((comp.X2, comp.Y2, comp.Z2)[p], ref, rtol=0, atol=TOL)
@@ -557,18 +557,16 @@ class TestCompanions:
             npt.assert_allclose(-(forms[p] @ u) / cos_a @ U.vectors, ref, rtol=0, atol=TOL)
 
     def test_general_structure_any_subspace(self, rng):
-        # the identity A^{-1} Pr_{AU} = -Pr_U A needs no isoclinicity, and it
-        # is linear in A: the companion for aI + bJ + cK (all cosines 1) is
-        # a X2 + b Y2 + c Z2
+        # the identity A^{-1} Pr_{AU} = -Pr_U A that companions read as -J u
+        # needs no isoclinicity: -omega_A u in U's coordinates, for every
+        # aI + bJ + cK (companions themselves refuse this frame at its gate)
         U = random_frame(4, 6, rng)
         v = random_unit_in(U, rng)
-        comp = companions(U, v, (0.0, 0.0, 0.0))
+        u = U.vectors @ v
         for _ in range(10):
             A = random_structure(rng)
-            npt.assert_allclose(
-                A.coefficients() @ np.array([comp.X2, comp.Y2, comp.Z2]),
-                companion_reference(U, A, 1.0, v), rtol=0, atol=TOL,
-            )
+            npt.assert_allclose(-(omega_matrix(U, A) @ u) @ U.vectors,
+                                companion_reference(U, A, 1.0, v), rtol=0, atol=TOL)
 
 
 def assert_gate_matches_reference(U):
@@ -1545,18 +1543,17 @@ class TestChainsAsPieces:
         if motion is not None:
             U = moved(U, motion)
         x = U.vectors[0] if lead is None else random_unit_in(U, np.random.default_rng(lead))
-        angles = certify_isoclinic(U)
-        ref = build_chains_reference(U, x, angles)
+        ref = build_chains_reference(U, x)
         # roundoff picks the convention at the threshold itself
         assume(all(abs(abs(v) - (1 - EPS_PM1)) > 1e-12 for v in (ref.xi, ref.chi, ref.eta)))
-        got = build_chains(U, x, angles)
+        got = build_chains(U, x)
         for field in CHAIN_FIELDS:
             npt.assert_allclose(getattr(got, field), getattr(ref, field), rtol=0, atol=1e-12)
         npt.assert_allclose([got.xi, got.chi, got.eta], [ref.xi, ref.chi, ref.eta],
                             rtol=0, atol=1e-12)
         assert (got.convention, got.non_canonical, got.forced, sorted(got.residuals)) == (
             ref.convention, ref.non_canonical, ref.forced, sorted(ref.residuals))
-        comp, comp_ref = companions(U, x, angles), companions_reference(U, x, angles)
+        comp, comp_ref = companions(U, x), companions_reference(U, x, got.angles)
         npt.assert_allclose([comp.X2, comp.Y2, comp.Z2], [comp_ref.X2, comp_ref.Y2, comp_ref.Z2],
                             rtol=0, atol=1e-12)
         assert comp.forced == comp_ref.forced

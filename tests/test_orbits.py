@@ -89,10 +89,10 @@ def volume_element(U):
     return E[0] @ E[1] @ E[2]
 
 
-def associated(U, x1, angles=None):
+def associated(U, x1):
     """The associated subspaces (U^IJ, U^IK, U^JK) through x1: the frames of
     the chains chain_x, chain_xt and chain_yt."""
-    ch = build_chains(U, x1, angles)
+    ch = build_chains(U, x1)
     return Frame(ch.chain_x), Frame(ch.chain_xt), Frame(ch.chain_yt)
 
 
@@ -115,7 +115,7 @@ class TestAssociatedSubspaces:
         angles = certify_isoclinic(U)
         pairs = ((I, J), (I, K), (J, K))
         by_structure = dict(zip((I, J, K), angles))
-        for t, pair in zip(associated(U, U.vectors[0], angles), pairs):
+        for t, pair in zip(associated(U, U.vectors[0]), pairs):
             for A in pair:
                 th = isoclinic_pair(t, structure_image(A, t))
                 assert th is not None
@@ -541,6 +541,21 @@ class TestNearThreshold:
 
     label_from_invariants = staticmethod(bench_workloads().label_from_invariants)
 
+    @staticmethod
+    def profile(xi, chi=0.2, gamma=0.5):
+        eta = xi * chi + np.sqrt((1 - xi**2) * (1 - chi**2)) * gamma
+        return make_profile_4(1.2, 1.3, 1.4, xi, chi, eta)
+
+    def test_verdict_on_the_convention_refused(self):
+        # xi at 1 - EPS_PM1 takes each side. Against xi = 1 - 1.02e-8, unsnapped
+        # labels agree (eta 6.9e-7 apart) and snapped ones do not: refused. At
+        # 1 - 1.05e-8 eta is 1.7e-6 apart, so both sides say no
+        at = self.profile(1 - EPS_PM1)
+        with pytest.raises(FalsificationError, match=re.escape(
+                "|xi| lies 0.000e+00 from 1 - EPS_PM1, within its error bound 1.002e-14")):
+            same_orbit(at, self.profile(1 - 1.02e-8))
+        assert same_orbit(at, self.profile(1 - 1.05e-8)) is False
+
     @pytest.mark.parametrize("sign, e", [(s, e) for s in (-1, 1) for e in range(9, 16)] + [(0, 0)])
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 2))
@@ -612,7 +627,7 @@ class TestStructuralProps:
     def test_complement_of_uij_is_type_uij(self):
         U = graph_sum(3)
         angles = certify_isoclinic(U)
-        uij, _, _ = associated(U, U.vectors[0], angles)
+        uij, _, _ = associated(U, U.vectors[0])
         W = complement_in(U, uij.vectors)
         assert W.dim == 8
         for A, th in zip((I, J), angles[:2]):
