@@ -39,12 +39,11 @@ from .quaternions import (
 from .subspaces import (
     Frame,
     OrientedTwoPlane,
-    _householder_complement,
     _mgs,
     gram,
     project,
 )
-from .tolerances import EPS_ANGLE, EPS_CHAIN, EPS_ISO, EPS_MEMBER, EPS_PM1
+from .tolerances import EPS_ANGLE, EPS_CHAIN, EPS_ISO, EPS_MEMBER, EPS_PM1, EPS_RANK
 
 __all__ = [
     "omega_matrix",
@@ -334,24 +333,29 @@ def _piece(E: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _adapted(E: np.ndarray, u, dim: int, cut: int, rng=None) -> np.ndarray:
-    """dim coordinate rows adapted to the module of the generators E, in
-    blocks of cut rows: pieces cut at the next multiple of cut, each
-    projected onto span Q, the complement of what is built, and then taken
-    out of Q by Householder completion; a piece leaves span Q only by the
-    input's isoclinicity defect, so blocks come out mutually orthogonal. The
-    first lead is u, each next one Q[0], or at a block start with rng a
-    Gaussian combination of Q's rows."""
-    Q, rows, n = np.eye(E.shape[-1]), [], 0
-    while True:
-        if u is None and rng is not None and n % cut == 0:
-            u = rng.standard_normal(len(Q)) @ Q
-            u /= np.linalg.norm(u)
-        rows.append(_piece(E, Q[0] if u is None else u)[: cut - n % cut] @ Q.T @ Q)
-        n += len(rows[-1])
-        if n >= dim:
-            return np.vstack(rows)
-        Q = _householder_complement(Q @ rows[-1].T) @ Q
-        u = None
+    """dim coordinate rows B adapted to the module of the generators E, in
+    blocks of cut rows: pieces cut at the next multiple of cut, each less its
+    projection onto the rows B[:n] built so far; a piece leaves their
+    complement only by the input's isoclinicity defect, so blocks come out
+    mutually orthogonal. The first lead is u, or e_0 with u and rng None; every
+    other one a Gaussian draw from rng (with none, from one default_rng(0) made
+    when first needed) projected off B[:n], normalised, and drawn again when
+    within EPS_RANK of span B[:n], as only a deliberately chosen u makes it."""
+    k = E.shape[-1]
+    B, n = np.empty((dim, k)), 0
+    u = np.eye(k)[0] if u is None and rng is None else u
+    while n < dim:
+        if n or u is None:
+            rng = np.random.default_rng(0) if rng is None else rng
+            u = np.zeros(k)
+            while not u @ u > EPS_RANK**2:
+                g = rng.standard_normal(k)
+                u = (g - (g @ B[:n].T) @ B[:n]) / np.sqrt(g @ g)
+            u /= np.sqrt(u @ u)
+        piece = _piece(E, u)[: cut - n % cut]
+        B[n : n + len(piece)] = piece - (piece @ B[:n].T) @ B[:n]
+        n += len(piece)
+    return B
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,24 +377,25 @@ def companions(U: Frame, X1: np.ndarray) -> Companions:
 
     X2 = I^{-1} Pr_{IU} X1 / cos(theta_I) is -J_I u in U's coordinates u of
     X1 (Y2, Z2 likewise); a missing J_p is identified as in _normalised,
-    forcing the matching invariants to 1, and with all three missing
-    (r.h.p.) X2 = Y2 = Z2 is the second row of the sweep from u (_adapted).
+    reporting the matching invariants as exactly 1, and with all three missing
+    (r.h.p.) X2 = Y2 = Z2 is the sweep's second lead from u (_adapted): a
+    default_rng(0) Gaussian draw projected off u and normalised.
     """
     return _companions(U, X1, *_certified_forms(U))
 
 
 def _companions(U: Frame, X1: np.ndarray, angles, forms: np.ndarray) -> Companions:
-    """companions(U, X1) from U's certified angles and _forms."""
+    """companions(U, X1) from U's certified angles and _forms; two of one source J_p give 1."""
     u = U.vectors @ _check_member(U, X1, "leading vector")
     have = np.cos(angles) > EPS_ANGLE
     forced = (("X2=Y2=Z2 arbitrary (triple orthogonality)",) if not have.any() else
               tuple(f"{x}2 identified (cos theta_{p} = 0)"
                     for x, p, h in zip("XYZ", "IJK", have) if not h))
-    no_generators = np.zeros((0, U.dim, U.dim))
     rows = (-(_normalised(forms, angles) @ u) if have.any() else
-            _adapted(no_generators, u, 2, 2)[[1, 1, 1]])
-    X2, Y2, Z2 = rows @ U.vectors
-    return Companions(X2, Y2, Z2, float(X2 @ Y2), float(X2 @ Z2), float(Y2 @ Z2), forced)
+            _adapted(np.zeros((0, U.dim, U.dim)), u, 2, 2)[[1, 1, 1]]) @ U.vectors
+    src = np.where(have, range(3), have.argmax())
+    values = (1.0 if src[p] == src[q] else float(rows[p] @ rows[q]) for p, q in zip(_P, _Q))
+    return Companions(*rows, *values, forced)
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,7 +446,8 @@ def build_chains(U: Frame, X1: np.ndarray) -> ChainSet:
     sign s_v (else s_v = 1): J_J := s_xi J_I, J_K := s_chi J_I or s_eta J_J,
     so its chain falls through to the next form, and X~ = X, Y~ = Y, Z~ = Z.
     With all three at +/-1 the subspace is 2-planes decomposable: one form
-    survives, the third element is a Householder complement row, the chain
+    survives, the third element is the sweep's next lead (a default_rng(0)
+    Gaussian draw projected off the rows built, as in _adapted), the chain
     map is not a function of X1 and the result is flagged non-canonical.
     """
     angles, forms = _certified_forms(U)

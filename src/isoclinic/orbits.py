@@ -7,7 +7,8 @@ generators E_p, make U a Clifford module (Atiyah-Bott-Shapiro); a form is
 dropped where cos(theta_p) = 0 or an invariant is at +/-1. Every addend is a
 sum of cyclic submodules span{u, E_1 u, E_2 u, E_1 E_2 u} (the omega^I chain
 through u, cut to 1 or 2 vectors when r < 2), and so is its complement: all
-addends are blocks of one sweep of such pieces (analysis._adapted).
+addends are blocks of one sweep of such pieces through Gaussian leads, each
+projected off the pieces before it (analysis._adapted).
 For r = 3, vol = E_1 E_2 E_3 is central with vol^2 = Id, and the profile
 of the forms (full_profile) has Sigma^2 = 1 - Gamma^2 - Delta^2 =
 (1 - Gamma^2)(1 - (tr vol / dim)^2): 0 on one module type (vol = +/-Id),
@@ -121,10 +122,12 @@ def _require_one_type(E: np.ndarray) -> None:
 
 def _submodules(m: _Measured, u, dim: int, cut: int, rng=None) -> tuple:
     """(Frames B V, gated) of the blocks B (r, cut, k) of the rows _adapted(E, u, dim, cut,
-    rng) of the measured U's coordinates, checked by _union_tol(E) and _clean, one product
-    each; gated _recertifies their forms B omega B^T against U's angles."""
+    rng) of the measured U's coordinates, checked by _union_tol(E) and _clean, then each
+    orthonormalised under U's Gram V V^T by one stacked Cholesky, so that B V is orthonormal
+    to roundoff whatever V's defect; gated _recertifies their forms B omega B^T."""
     E = m.generators
     B = _clean(_adapted(E, u, dim, cut, rng), _union_tol(E)).reshape(-1, cut, E.shape[-1])
+    B = np.linalg.solve(np.linalg.cholesky(B @ m.gram @ B.swapaxes(-1, -2)), B)
     forms = B[:, None] @ m.forms @ B[:, None].swapaxes(-1, -2)
     what = "constructed 8-dim addend" if cut == 8 else "addend {}"
     return [Frame(b) for b in B @ m.frame.vectors], _recertified(forms, m.angles, what)
@@ -144,10 +147,11 @@ def _recertified(forms: np.ndarray, angles, what: str) -> tuple:
 def eight_dim_addend(U: Frame, X1: np.ndarray) -> Frame:
     """8-dim isoclinic subspace through X1 with the parent's angles.
 
-    The addend is the first block of decompose's sweep, started from X1: the
-    4-dim piece through X1 and the one through a vector of its complement, or
-    as many 2-dim or 1-dim pieces when the forms generate only C or R. U is
-    measured as decompose measures it, so it refuses what decompose refuses.
+    The first block of decompose's sweep from X1: the 4-dim piece through X1
+    and the one through a default_rng(0) Gaussian lead in its complement (or
+    as many 2-dim or 1-dim pieces when the forms generate only C or R); so
+    eight_dim_addend(U, U.vectors[0]) is decompose(U)'s first addend, and it
+    refuses what decompose refuses.
     """
     if U.dim < 8:
         raise DimensionError(f"eight_dim_addend needs dim >= 8, got {U.dim}")
@@ -181,16 +185,17 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     dim = 2 mod 4: isoclinic 2-planes (requires xi, chi, eta at +/-1);
     dim = 4 mod 8: 4-dim addends; dim = 0 mod 8: 8-dim addends. Outside
     dim = 2 mod 4 the profile must have Sigma = 0, and U must not mix both
-    module types. `seed` randomizes the leading vectors.
+    module types. The first lead is U's first vector, or a draw of `seed`'s
+    stream; each next one a draw of it (of default_rng(0) with no seed).
 
     Everything happens in U's coordinates, where the gate's three Kaehler
     forms, orthonormalized to generators E, make U a Clifford module. One
     sweep (analysis._adapted) grows cyclic submodules span{u, E_1 u, E_2 u,
-    E_1 E_2 u} (or span{u, E_1 u}, span{u} with fewer generators), each in
-    the complement of the last, and cuts them into addends. Its rows are
-    checked and orthonormalized by one QR; an addend is a Frame B V, and one
-    stacked gate re-certifies all addends on their blocks B omega B^T of U's
-    forms against the parent's angles; addend_profiles reads its forms.
+    E_1 E_2 u} (or span{u, E_1 u}, span{u} with fewer generators), each off
+    the rows before it, and cuts them into addends, orthonormalized by one QR
+    and each under U's Gram; an addend is a Frame B V, and one stacked gate
+    re-certifies all addends on their blocks B omega B^T of U's forms against
+    the parent's angles; addend_profiles reads its forms.
     """
     rng = _seeded_rng(seed) if seed is not None else None
     (measured,) = _measured([U])
@@ -281,12 +286,13 @@ def orbit_label(U: Frame) -> OrbitLabel:
 
 @dataclass(frozen=True, eq=False)
 class _Measured:
-    """U's profile from one gate, meeting the mandates, with the angles and
-    forms it came from; `near` maps each of xi, chi, eta (0, 1, 2) whose
+    """U's profile from one gate, meeting the mandates, with the angles, the
+    Gram and the forms it came from; `near` maps each of xi, chi, eta (0, 1, 2) whose
     |.| lies within `bound` of 1 - EPS_PM1 to that distance."""
 
     frame: Frame
     angles: tuple[float, float, float]
+    gram: np.ndarray
     forms: np.ndarray
     profile: IsoclinicProfile
     bound: float
@@ -336,16 +342,16 @@ def _measured(frames, tol: float = EPS_ISO) -> list[_Measured]:
             raise DimensionError(f"same_orbit needs equal dims, got {frames[0].dim} != {W.dim}")
         if frames[0].ambient != W.ambient:
             raise DimensionError("subspaces live in different ambient spaces")
-    _, forms, gates, rows = analysis._profile_pass(_complex_rows([F.vectors for F in frames]), tol)
+    G, forms, gates, rows = analysis._profile_pass(_complex_rows([F.vectors for F in frames]), tol)
     measured = []
-    for F, f, row, (angles, witness) in zip(frames, forms, rows, gates):
+    for F, g, f, row, (angles, witness) in zip(frames, G, forms, rows, gates):
         if row is None:
             raise _not_isoclinic(witness, tol)
         p = _as_profile(row, F.dim)
         _require_mandates(p)
         bound = 1e-14 + 10.0 * witness[1]  # how far roundoff and the defect move xi, chi, eta
         gaps = enumerate(abs(abs(v) - (1.0 - EPS_PM1)) for v in (p.xi, p.chi, p.eta))
-        measured.append(_Measured(F, angles, f, p, bound, {i: g for i, g in gaps if g <= bound}))
+        measured.append(_Measured(F, angles, g, f, p, bound, {i: d for i, d in gaps if d <= bound}))
         if p.dim_class != 2:
             _require_one_type(measured[-1].generators)
     return measured

@@ -200,18 +200,6 @@ def complement(U: Frame) -> Frame:
     return Frame(vh[U.dim:])
 
 
-def _householder_complement(G: np.ndarray) -> np.ndarray:
-    """Orthonormal rows Q (k - m, k) with Q G = 0 for G (k, m): with G = U W^T,
-    U's coordinates of its complement of W. They are the trailing columns of
-    the complete Householder QR of G; a column whose |R_jj| is at most
-    EPS_RANK * 10 is dependent and raises RankDeficiencyError."""
-    Q, R = np.linalg.qr(G, mode="complete")
-    rank = int(np.sum(np.abs(R.diagonal()) > EPS_RANK * 10))
-    if rank < min(G.shape):
-        raise RankDeficiencyError(detected_rank=rank, expected=G.shape[1])
-    return Q[:, G.shape[1]:].T
-
-
 def random_frame(n: int, k: int, rng: np.random.Generator) -> Frame:
     """Random k-frame in R^{4n} (orthonormalized Gaussian rows)."""
     return orthonormalize(rng.standard_normal((k, 4 * n)))

@@ -29,7 +29,7 @@ from isoclinic.generators import (OracleReport, _profile_vector, direct_sum, gra
                                   random_sp)
 from isoclinic.quaternions import I, J, K, apply_structure
 from isoclinic.subspaces import Frame, orthonormalize, project
-from isoclinic.tolerances import EPS_ANGLE, EPS_ISO
+from isoclinic.tolerances import EPS_ANGLE, EPS_ISO, EPS_RANK
 
 
 def unit(n: int, q: int) -> np.ndarray:
@@ -210,15 +210,27 @@ def projected_third(U, A, cos_a, v4):
 
 def complement_in(U, W):
     """Frame of the complement in span U of the rows W, which lie in span U
-    with full rank: the trailing columns of the complete QR of U W^T, the
-    Householder completion whose first row the sweep takes as its next lead."""
+    with full rank: the trailing columns of the complete QR of U W^T."""
     G = U.vectors @ np.atleast_2d(W).T
     return Frame(np.linalg.qr(G, mode="complete")[0][:, G.shape[1]:].T @ U.vectors)
 
 
-def complement_row(U, W):
-    """First vector of the Householder complement in U of the rows W."""
-    return complement_in(U, W).vectors[0]
+def sweep_leads(U, rng=None):
+    """The sweep's leads after the first, in the ambient space: leads(W) is a
+    unit Gaussian combination of U's rows from rng (default_rng(0) if None),
+    projected onto the frame W inside span U and normalised, drawn again
+    while the projection's norm is at most EPS_RANK. One leads object is one
+    stream: pass it on to draw where the sweep draws next."""
+    rng = np.random.default_rng(0) if rng is None else rng
+
+    def leads(W):
+        while True:
+            g = rng.standard_normal(U.dim) @ U.vectors
+            v = project(W, g / np.linalg.norm(g))
+            if np.linalg.norm(v) > EPS_RANK:
+                return v / np.linalg.norm(v)
+
+    return leads
 
 
 def fourths(P2, Q2, cos):
@@ -227,8 +239,9 @@ def fourths(P2, Q2, cos):
     return (Q2 - cos * P2) / s, (-P2 + cos * Q2) / s
 
 
-def companions_reference(U, X1, angles):
-    """companions through the projector onto U, one structure at a time."""
+def companions_reference(U, X1, angles, leads=None):
+    """companions through the projector onto U, one structure at a time; the
+    r.h.p. companion is the next of leads (default sweep_leads(U))."""
     X1 = _check_member(U, X1, "leading vector")
     cos_abc = np.cos(angles)
     have = cos_abc > EPS_ANGLE
@@ -237,7 +250,8 @@ def companions_reference(U, X1, angles):
     forced = []
     if X2 is None and Y2 is None and Z2 is None:
         # r.h.p. subspace: any unit vector orthogonal to X1 will do
-        X2 = Y2 = Z2 = complement_row(U, X1[None])
+        leads = sweep_leads(U) if leads is None else leads
+        X2 = Y2 = Z2 = leads(complement_in(U, X1[None]))
         forced.append("X2=Y2=Z2 arbitrary (triple orthogonality)")
     else:
         if X2 is None:
@@ -253,16 +267,18 @@ def companions_reference(U, X1, angles):
                       eta=float(Y2 @ Z2), forced=tuple(forced))
 
 
-def build_chains_reference(U, X1, angles=None):
+def build_chains_reference(U, X1, angles=None, leads=None):
     """build_chains with fourths from pairs of companions, thirds projected
     back through a structure, and a branch per convention: none at +/-1,
     exactly one of xi, chi, eta at +/-1 (its chains collapse onto the
-    others), or all three (the third element a complement row)."""
+    others), or all three (the third element the next of leads, default
+    sweep_leads(U), after the one an r.h.p. companion took)."""
     if angles is None:
         angles = certify_isoclinic(U)
     if U.dim < 4:
         raise DimensionError(f"chains need dim >= 4, got {U.dim}")
-    comp = companions_reference(U, X1, angles)
+    leads = sweep_leads(U) if leads is None else leads
+    comp = companions_reference(U, X1, angles, leads)
     X1 = np.asarray(X1, dtype=float)
     X2, Y2, Z2 = comp.X2, comp.Y2, comp.Z2
     xi, chi, eta = comp.xi, comp.chi, comp.eta
@@ -305,7 +321,7 @@ def build_chains_reference(U, X1, angles=None):
         chains = (x, y, x, z, y, z)
     else:
         # all three at +/-1: 2-planes decomposable, Sigma is not a function of X1
-        t = complement_row(U, np.vstack([X1, X2]))
+        t = leads(complement_in(U, np.vstack([X1, X2])))
         if have_i:
             X4 = projected_companion(U, I, cI, t)
         elif have_j:
@@ -313,7 +329,7 @@ def build_chains_reference(U, X1, angles=None):
         elif have_k:
             X4 = float(np.sign(chi)) * projected_companion(U, K, cK, t)
         else:
-            X4 = complement_row(U, np.vstack([X1, X2, t]))
+            X4 = leads(complement_in(U, np.vstack([X1, X2, t])))
         sx, sc = float(np.sign(xi)), float(np.sign(chi))
         x, y, z = [X1, X2, t, X4], [X1, sx * X2, t, sx * X4], [X1, sc * X2, t, sc * X4]
         chains = (x, y, x, z, y, z)

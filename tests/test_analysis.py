@@ -203,11 +203,20 @@ class TestCompanions:
         npt.assert_allclose(comp.Z2, -apply_structure(K, e), atol=1e-12)
         npt.assert_allclose([comp.xi, comp.chi, comp.eta], np.zeros(3), atol=1e-12)
 
-    def test_rhp_forced_identification(self):
-        U = make_rhp(4, 4)
-        comp = companions(U, U.vectors[0])
-        npt.assert_allclose([comp.xi, comp.chi, comp.eta], np.ones(3), atol=1e-12)
-        assert comp.forced
+    @pytest.mark.parametrize("make,forced", [
+        (lambda: make_rhp(4, 4), (True, True, True)),
+        (lambda: direct_sum([make_two_plane(2, np.pi / 2, 0.9, 1.1)] * 2), (True, False, False)),
+    ], ids=["rhp", "cosI=0"])
+    def test_forced_identification(self, make, forced):
+        # an invariant of two companions of one source form is reported as
+        # exactly 1, not as the squared norm of a normalised vector
+        U = make()
+        for x in (U.vectors[0], random_unit_in(U, np.random.default_rng(3))):
+            comp = companions(U, x)
+            values = (comp.xi, comp.chi, comp.eta)
+            npt.assert_allclose(values, np.ones(3), atol=1e-12)
+            assert all(v == 1.0 for v, exact in zip(values, forced) if exact)
+            assert comp.forced
 
     def test_i_complex_adapted(self):
         U = make_i_complex_4(2, 0.6)

@@ -14,7 +14,6 @@ from isoclinic.subspaces import (
     principal_angles,
     project,
     random_frame,
-    _householder_complement,
     _mgs,
     structure_image,
 )
@@ -103,15 +102,6 @@ class TestProjectGram:
     def test_gram_across_ambients_rejected(self, rng):
         with pytest.raises(DimensionError, match="different ambient spaces"):
             gram(random_frame(2, 2, rng), random_frame(3, 2, rng))
-
-    def test_householder_complement_stays_in_span(self):
-        # W is not inside span U: the complement is taken inside span U, not
-        # from the residuals of U's rows against W
-        e = np.eye(4)
-        w = (e[0] + e[1]) / np.sqrt(2)
-        assert _householder_complement(e[[0]] @ w[:, None]).shape == (0, 1)
-        V = _householder_complement(e[[0, 2]] @ w[:, None]) @ e[[0, 2]]
-        npt.assert_allclose(np.abs(V), e[[2]], atol=1e-15)
 
     def test_gram_singular_values_bounded(self, rng):
         for _ in range(5):
