@@ -25,8 +25,10 @@ import numpy as np
 from .errors import (
     DegenerateChainError,
     DimensionError,
+    FalsificationError,
     FrameError,
     NotIsoclinicError,
+    RankDeficiencyError,
 )
 from .quaternions import (
     CompatibleStructure,
@@ -43,7 +45,8 @@ from .subspaces import (
     gram,
     project,
 )
-from .tolerances import EPS_ANGLE, EPS_CHAIN, EPS_ISO, EPS_MEMBER, EPS_PM1, EPS_RANK
+from .tolerances import (EPS_ANGLE, EPS_CHAIN, EPS_ISO, EPS_MEMBER, EPS_PM1, EPS_RANK,
+                         EPS_UNION)
 
 __all__ = [
     "omega_matrix",
@@ -175,14 +178,13 @@ def _gates(forms: np.ndarray, tol: float) -> list:
     S.reshape(S.shape[:-2] + (k * k,))[..., :: k + 1] -= trace[..., None] / k  # the diagonal
     fro = np.sqrt(np.add.reduce(S[:, :3] ** 2, axis=1) + 2 * np.add.reduce(S[:, 3:] ** 2, axis=1))
     gates = []
-    for a, f, s, w in zip(angles.tolist(), fro, S, forms):
-        top = float(f.max())
+    for i, (a, top) in enumerate(zip(angles.tolist(), fro.max(axis=(1, 2)).tolist())):
         if top < tol:
             gates.append((tuple(a), (None, top)))
             continue
-        rows, cols = np.nonzero(f >= max(tol, top / np.sqrt(3.0)))
-        coeffs = _witness(s[:, rows, cols][[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3))
-        deviation = float(_combined_defects(coeffs[None], w)[0][0])
+        rows, cols = np.nonzero(fro[i] >= max(tol, top / np.sqrt(3.0)))
+        coeffs = _witness(S[i][:, rows, cols][[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3))
+        deviation = float(_combined_defects(coeffs[None], forms[i])[0][0])
         # the sup is below tol, or reaches it only by roundoff
         gates.append(((tuple(a) if deviation < tol else None), (coeffs, deviation)))
     return gates
@@ -320,42 +322,93 @@ def _generators(forms: np.ndarray) -> np.ndarray:
     return E.reshape(-1, k, k) * np.sqrt(k)
 
 
-def _piece(E: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Rows u, -E_1 u, -E_1 E_2 u, -E_2 u of the cyclic submodule through u,
-    cut to u or u, -E_1 u when 0 or 1 generators survive: the omega^I chain
-    [X1, X2, X3, X4] through u."""
-    if len(E) == 0:
-        return u[None]
-    if len(E) == 1:
-        return np.vstack([u, -E[0] @ u])
-    x4 = -E[1] @ u
-    return np.vstack([u, -E[0] @ u, E[0] @ x4, x4])
+# the pairs (p, q), p <= q, of r = 0, 1, 2, 3 generators, the r pairs p = q first
+_PAIRS = (([], []), ([0], [0]), ([0, 1, 0], [0, 1, 1]), ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]))
+
+
+def _union_tol(E: np.ndarray) -> float:
+    """EPS_UNION plus max |E_p E_q + E_q E_p + 2 delta_pq Id|, which bounds
+    the Gram defect of a cyclic piece: on a certified input, its defect
+    times the conditioning of the forms. Every E_p E_q, p <= q, comes from
+    one product, and E_q E_p = (E_p E_q)^T, as E is skew."""
+    p, q = _PAIRS[len(E)]
+    k = E.shape[-1]
+    P = E[p] @ E[q]
+    P += P.swapaxes(1, 2)
+    P.reshape(len(P), k * k)[: len(E), :: k + 1] += 2.0  # the diagonals of the pairs p = q
+    return EPS_UNION + float(np.max(np.abs(P), initial=0.0))
+
+
+def _pieces(E: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
+    """Rows u, -E_1 u, -E_1 E_2 u, -E_2 u of the cyclic submodule through
+    each lead u of X (m, k), cut to their first p (u or u, -E_1 u when 0 or 1
+    generators survive), stacked lead by lead: the omega^I chain [X1, X2, X3,
+    X4] through u. One product gives every -E_p u, one more every -E_1 E_2 u."""
+    Y = -(E[:2] @ X.T)
+    pieces = [X.T, *Y] if len(Y) < 2 else [X.T, Y[0], E[0] @ Y[1], Y[1]]
+    return np.stack(pieces[:p]).transpose(2, 0, 1).reshape(-1, X.shape[-1])
+
+
+def _require_pieces(E: np.ndarray, Z: np.ndarray) -> None:
+    """FalsificationError unless every piece of the stack Z (m, p, k) is
+    orthonormal within _union_tol(E)."""
+    defect = np.max(np.abs(Z @ Z.swapaxes(1, 2) - np.eye(Z.shape[1])))
+    if not defect <= _union_tol(E):
+        raise FalsificationError(f"Clifford pieces are not orthogonal (Gram defect {defect:.3e}); "
+                                 "construction hypotheses violated")
 
 
 def _adapted(E: np.ndarray, u, dim: int, cut: int, rng=None) -> np.ndarray:
-    """dim coordinate rows B adapted to the module of the generators E, in
-    blocks of cut rows: pieces cut at the next multiple of cut, each less its
-    projection onto the rows B[:n] built so far; a piece leaves their
-    complement only by the input's isoclinicity defect, so blocks come out
-    mutually orthogonal. The first lead is u, or e_0 with u and rng None; every
-    other one a Gaussian draw from rng (with none, from one default_rng(0) made
-    when first needed) projected off B[:n], normalised, and drawn again when
-    within EPS_RANK of span B[:n], as only a deliberately chosen u makes it."""
+    """dim orthonormal coordinate rows adapted to the module of the
+    generators E, in blocks of cut rows: the Clifford pieces of p =
+    min(piece length, cut) rows through dim / p leads, from one product,
+    orthonormalised by one QR of their transpose with columns signed by R's
+    diagonal (row-order Gram-Schmidt). The rows before a piece span a
+    submodule, so the piece projected off them is the piece of its lead so
+    projected; the piece through each lead so projected and normalised
+    (column jp of Q; u itself first) must be orthonormal (_require_pieces).
+    The block L_jj L_jj^T / L_jj[0, 0]^2 of L = R^T would add the leak of
+    the lead's part in the rows before it, amplified by that part's ratio to
+    the rest. A row within EPS_RANK max(1, largest row norm) of the rows
+    before it is a RankDeficiencyError. The first lead is u, or e_0 with u
+    and rng None; the others are normalised Gaussian draws from rng (with
+    none, from one default_rng(0) made when needed), in one call. A drawn
+    lead within EPS_RANK of the rows before it, as only a deliberately
+    chosen u makes it, gives way to the stream's next draw, as in a sweep
+    drawing one lead at a time. A lone piece is returned as built, checked."""
     k = E.shape[-1]
-    B, n = np.empty((dim, k)), 0
+    p = min(2 ** min(len(E), 2), cut)
+    m = dim // p
     u = np.eye(k)[0] if u is None and rng is None else u
-    while n < dim:
-        if n or u is None:
-            rng = np.random.default_rng(0) if rng is None else rng
-            u = np.zeros(k)
-            while not u @ u > EPS_RANK**2:
-                g = rng.standard_normal(k)
-                u = (g - (g @ B[:n].T) @ B[:n]) / np.sqrt(g @ g)
-            u /= np.sqrt(u @ u)
-        piece = _piece(E, u)[: cut - n % cut]
-        B[n : n + len(piece)] = piece - (piece @ B[:n].T) @ B[:n]
-        n += len(piece)
-    return B
+    X = np.empty((0, k)) if u is None else u[None]
+    given = len(X)
+
+    def draws(n: int) -> np.ndarray:
+        G = rng.standard_normal((n, k))
+        return G / np.linalg.norm(G, axis=1, keepdims=True)
+
+    if m > given:
+        rng = np.random.default_rng(0) if rng is None else rng
+        X = np.concatenate([X, draws(m - given)])
+    V = _pieces(E, X, p)
+    if m == 1:
+        _require_pieces(E, V[None])
+        return V
+    while True:
+        Q, R = np.linalg.qr(V.T)
+        d = R.diagonal()
+        near = np.flatnonzero(np.abs(d[given * p :: p]) <= EPS_RANK)
+        if not near.size:
+            break
+        X = np.concatenate([np.delete(X, given + near[0], axis=0), draws(1)])
+        V = _pieces(E, X, p)
+    # each drawn lead projected off the rows before it and normalised
+    X[given:] = (Q[:, given * p :: p] * np.sign(d[given * p :: p])).T
+    _require_pieces(E, _pieces(E, X, p).reshape(m, p, k))
+    rank = int(np.sum(np.abs(d) > EPS_RANK * max(1.0, np.linalg.norm(V, axis=1).max())))
+    if rank != dim:
+        raise RankDeficiencyError(detected_rank=rank, expected=dim)
+    return (Q * np.sign(d)).T
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,8 +7,10 @@ generators E_p, make U a Clifford module (Atiyah-Bott-Shapiro); a form is
 dropped where cos(theta_p) = 0 or an invariant is at +/-1. Every addend is a
 sum of cyclic submodules span{u, E_1 u, E_2 u, E_1 E_2 u} (the omega^I chain
 through u, cut to 1 or 2 vectors when r < 2), and so is its complement: all
-addends are blocks of one sweep of such pieces through Gaussian leads, each
-projected off the pieces before it (analysis._adapted).
+addends are blocks of one sweep (analysis._adapted) that builds such pieces
+through all its Gaussian leads in one product and orthonormalises them in
+row order by one QR: a piece projected off the ones before it is the piece
+of its lead so projected.
 For r = 3, vol = E_1 E_2 E_3 is central with vol^2 = Id, and the profile
 of the forms (full_profile) has Sigma^2 = 1 - Gamma^2 - Delta^2 =
 (1 - Gamma^2)(1 - (tr vol / dim)^2): 0 on one module type (vol = +/-Id),
@@ -40,10 +42,10 @@ from .analysis import (
     cik_block_4,
     full_profile,
 )
-from .errors import DimensionError, FalsificationError, RankDeficiencyError
+from .errors import DimensionError, FalsificationError
 from .quaternions import _complex_rows
 from .subspaces import Frame, _seeded_rng, _tolerance
-from .tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK, EPS_RECERT, EPS_UNION
+from .tolerances import EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RECERT
 
 __all__ = [
     "eight_dim_addend",
@@ -54,26 +56,6 @@ __all__ = [
     "orbit_label",
     "same_orbit",
 ]
-
-
-def _clean(V: np.ndarray, tol: float = EPS_UNION) -> np.ndarray:
-    """Rows V, orthonormal by theorem, orthonormalized: a Gram defect within
-    tol is absorbed, whatever its size, so the result does not depend on how
-    close to orthonormal the rows came out; one beyond tol means the
-    construction's hypotheses failed. One QR of V^T signed by R's diagonal is
-    row-order Gram-Schmidt; |R_jj| <= EPS_RANK max(1, largest row norm) is rank loss."""
-    G = V @ V.T
-    defect = np.max(np.abs(G - np.eye(len(V))))
-    if not defect <= tol:
-        raise FalsificationError(
-            f"addend blocks are not orthogonal (defect {defect:.3e}); "
-            "construction hypotheses violated"
-        )
-    Q, R = np.linalg.qr(V.T)
-    rank = int(np.sum(np.abs(R.diagonal()) > EPS_RANK * np.sqrt(max(G.diagonal().max(), 1.0))))
-    if rank != len(V):
-        raise RankDeficiencyError(detected_rank=rank, expected=len(V))
-    return (Q * np.sign(R.diagonal())).T
 
 
 def _require_mandates(profile: IsoclinicProfile, snaps=None) -> None:
@@ -91,16 +73,6 @@ def _require_mandates(profile: IsoclinicProfile, snaps=None) -> None:
             f"dim {profile.dim} mandates Sigma^2 = 1 - Gamma^2 - Delta^2 = 0, got "
             f"Sigma^2 = {sigma2:.3e}: the subspace mixes both module types"
         )
-
-
-def _union_tol(E: np.ndarray) -> float:
-    """EPS_UNION plus max |E_p E_q + E_q E_p + 2 delta_pq Id|, which bounds
-    the Gram defect of a cyclic piece: on a certified input, its defect
-    times the conditioning of the forms. E_q E_p = (E_p E_q)^T, as E is skew."""
-    p, q = np.triu_indices(len(E))
-    P = E[p] @ E[q]
-    P += P.swapaxes(1, 2) + 2 * (p == q)[:, None, None] * np.eye(E.shape[-1])
-    return EPS_UNION + float(np.max(np.abs(P), initial=0.0))
 
 
 def _require_one_type(E: np.ndarray) -> None:
@@ -121,12 +93,12 @@ def _require_one_type(E: np.ndarray) -> None:
 
 
 def _submodules(m: _Measured, u, dim: int, cut: int, rng=None) -> tuple:
-    """(Frames B V, gated) of the blocks B (r, cut, k) of the rows _adapted(E, u, dim, cut,
-    rng) of the measured U's coordinates, checked by _union_tol(E) and _clean, then each
-    orthonormalised under U's Gram V V^T by one stacked Cholesky, so that B V is orthonormal
-    to roundoff whatever V's defect; gated _recertifies their forms B omega B^T."""
+    """(Frames B V, gated) of the blocks B (dim / cut, cut, k) of the rows _adapted(E, u,
+    dim, cut, rng) of the measured U's coordinates, each orthonormalised under U's Gram
+    V V^T by one stacked Cholesky, so that B V is orthonormal to roundoff whatever V's
+    defect; gated _recertifies their forms B omega B^T."""
     E = m.generators
-    B = _clean(_adapted(E, u, dim, cut, rng), _union_tol(E)).reshape(-1, cut, E.shape[-1])
+    B = _adapted(E, u, dim, cut, rng).reshape(-1, cut, E.shape[-1])
     B = np.linalg.solve(np.linalg.cholesky(B @ m.gram @ B.swapaxes(-1, -2)), B)
     forms = B[:, None] @ m.forms @ B[:, None].swapaxes(-1, -2)
     what = "constructed 8-dim addend" if cut == 8 else "addend {}"
@@ -135,12 +107,14 @@ def _submodules(m: _Measured, u, dim: int, cut: int, rng=None) -> tuple:
 
 def _recertified(forms: np.ndarray, angles, what: str) -> tuple:
     """(angles, forms) of each addend of the stack forms from one stacked gate, via the
-    module; the first addend off the parent's angles raises as what.format(index)."""
-    got = [gate[0] for gate in analysis._gates(forms, EPS_ISO)]
-    for i, a in enumerate(got):
-        if a is None or np.max(np.abs(np.subtract(a, angles))) > EPS_RECERT:
-            raise FalsificationError(f"{what.format(i)} failed re-certification against the "
-                                     f"parent angles (got {a}, parent {tuple(angles)})")
+    module, held to the parent's angles in one comparison; the first addend off them
+    raises as what.format(index)."""
+    got = [a for a, _ in analysis._gates(forms, EPS_ISO)]
+    off = ~(np.abs(np.array([a or (np.nan,) * 3 for a in got]) - angles) <= EPS_RECERT).all(1)
+    if off.any():
+        i = int(off.argmax())
+        raise FalsificationError(f"{what.format(i)} failed re-certification against the "
+                                 f"parent angles (got {got[i]}, parent {tuple(angles)})")
     return tuple(zip(got, forms))
 
 
@@ -190,12 +164,14 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
 
     Everything happens in U's coordinates, where the gate's three Kaehler
     forms, orthonormalized to generators E, make U a Clifford module. One
-    sweep (analysis._adapted) grows cyclic submodules span{u, E_1 u, E_2 u,
-    E_1 E_2 u} (or span{u, E_1 u}, span{u} with fewer generators), each off
-    the rows before it, and cuts them into addends, orthonormalized by one QR
-    and each under U's Gram; an addend is a Frame B V, and one stacked gate
-    re-certifies all addends on their blocks B omega B^T of U's forms against
-    the parent's angles; addend_profiles reads its forms.
+    sweep (analysis._adapted) builds the cyclic submodules span{u, E_1 u,
+    E_2 u, E_1 E_2 u} (or span{u, E_1 u}, span{u} with fewer generators)
+    through all leads in one product, orthonormalises them in row order by
+    one QR, with each piece through its projected lead checked orthonormal,
+    and cuts them into addends, each then orthonormalised under U's Gram; an
+    addend is a Frame B V, and one stacked gate re-certifies all addends on
+    their blocks B omega B^T of U's forms against the parent's angles in one
+    comparison; addend_profiles reads its forms.
     """
     rng = _seeded_rng(seed) if seed is not None else None
     (measured,) = _measured([U])

@@ -24,12 +24,12 @@ from isoclinic.analysis import (
     full_profile,
     gamma_delta,
 )
-from isoclinic.errors import DimensionError
+from isoclinic.errors import DimensionError, FalsificationError, RankDeficiencyError
 from isoclinic.generators import (OracleReport, _profile_vector, direct_sum, graph_subspace,
                                   random_sp)
 from isoclinic.quaternions import I, J, K, apply_structure
 from isoclinic.subspaces import Frame, orthonormalize, project
-from isoclinic.tolerances import EPS_ANGLE, EPS_ISO, EPS_RANK
+from isoclinic.tolerances import EPS_ANGLE, EPS_ISO, EPS_RANK, EPS_UNION
 
 
 def unit(n: int, q: int) -> np.ndarray:
@@ -61,6 +61,23 @@ def mgs_reference(rows, tol):
             out.append(v / nv)
             kept.append(idx)
     return (np.array(out) if out else np.zeros((0, rows.shape[1]))), kept
+
+
+def clean_rows(V, tol=EPS_UNION):
+    """Rows V, orthonormal by theorem, orthonormalized: a Gram defect within
+    tol is absorbed, one beyond it raises FalsificationError. One QR of V^T
+    signed by R's diagonal is row-order Gram-Schmidt; |R_jj| <= EPS_RANK
+    max(1, largest row norm) is rank loss. The chain-route references'
+    orthonormaliser."""
+    G = V @ V.T
+    defect = np.max(np.abs(G - np.eye(len(V))))
+    if not defect <= tol:
+        raise FalsificationError(f"rows are not orthogonal (defect {defect:.3e})")
+    Q, R = np.linalg.qr(V.T)
+    rank = int(np.sum(np.abs(R.diagonal()) > EPS_RANK * np.sqrt(max(G.diagonal().max(), 1.0))))
+    if rank != len(V):
+        raise RankDeficiencyError(detected_rank=rank, expected=len(V))
+    return (Q * np.sign(R.diagonal())).T
 
 
 def perturbed_graph_sum(seed, parts):

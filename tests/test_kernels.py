@@ -2,7 +2,8 @@
 replace.
 
 Each reference below is the plain formulation: Gram-Schmidt one kept row
-at a time (conftest; decompose's one QR is checked against it too), the
+at a time (conftest; decompose's sweep, its Clifford pieces built one lead
+and one matrix-vector product at a time, is checked against it too), the
 structure action as stacked signed slices, companions through the
 projector onto AU, the oracle's sampled structures through a
 fresh image AU per structure, the Hamilton product written out one
@@ -32,7 +33,7 @@ from dataclasses import astuple
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from isoclinic import analysis, cli, generators, orbits
@@ -102,7 +103,6 @@ from isoclinic.subspaces import (
 )
 from isoclinic.orbits import (
     OrbitLabel,
-    _clean,
     _rounded_sign,
     decompose,
     eight_dim_addend,
@@ -111,11 +111,11 @@ from isoclinic.orbits import (
 )
 from isoclinic.tolerances import (EPS_ANGLE, EPS_FRAME, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK,
                                   EPS_UNION)
-from conftest import (bench_workloads, build_chains_reference, chain_profile, companions_reference,
-                      complement_in, mgs_reference, omega_reference, oracle_loop_reference,
-                      perturbed_graph_sum, profile_of, qarr_conj_reference, qarr_mul_reference,
-                      random_unit_in, real_matrix_reference, sp_entries, sp_matrix,
-                      structure_matrix, sweep_leads)
+from conftest import (bench_workloads, build_chains_reference, chain_profile, clean_rows,
+                      companions_reference, complement_in, mgs_reference, omega_reference,
+                      oracle_loop_reference, perturbed_graph_sum, profile_of, qarr_conj_reference,
+                      qarr_mul_reference, random_unit_in, real_matrix_reference, sp_entries,
+                      sp_matrix, structure_matrix, sweep_leads)
 
 TOL = 1e-13
 
@@ -271,18 +271,18 @@ def eight_dim_addend_reference(U, X1, angles, leads):
     from leads (conftest's sweep_leads); the chains draw none of them."""
     chains = build_chains_reference(U, X1, angles)
     if chains.convention != "decomposable":
-        first = Frame(_clean(chains.chain_x))
+        first = Frame(clean_rows(chains.chain_x))
         rest = complement_in(U, first.vectors)
         second = build_chains_reference(U, leads(rest), angles).chain_x
-        return Frame(_clean(np.vstack([chains.chain_x, second])))
+        return Frame(clean_rows(np.vstack([chains.chain_x, second])))
     current, lead, planes = U, X1, []
     for step in range(4):
         partner = companions_reference(current, lead, angles, leads).X2
-        planes.append(Frame(_clean(np.vstack([lead, partner]))))
+        planes.append(Frame(clean_rows(np.vstack([lead, partner]))))
         if step < 3:
             current = complement_in(current, planes[-1].vectors)
             lead = leads(current)
-    return Frame(_clean(np.vstack([p.vectors for p in planes])))
+    return Frame(clean_rows(np.vstack([p.vectors for p in planes])))
 
 
 def decompose_reference(U, seed=None):
@@ -298,9 +298,9 @@ def decompose_reference(U, seed=None):
         x1 = U.vectors[0] if seed is None and current is U else leads(current)
         if profile.dim_class == 2:
             partner = companions_reference(current, x1, angles, leads).X2
-            addend = Frame(_clean(np.vstack([x1, partner])))
+            addend = Frame(clean_rows(np.vstack([x1, partner])))
         elif profile.dim_class == 4:
-            addend = Frame(_clean(build_chains_reference(current, x1, angles, leads).chain_x))
+            addend = Frame(clean_rows(build_chains_reference(current, x1, angles, leads).chain_x))
         else:
             addend = eight_dim_addend_reference(current, x1, angles, leads)
         addends.append(addend)
@@ -404,41 +404,109 @@ class TestGramSchmidt:
         assert _mgs(rows, EPS_RANK)[1] == mgs_reference(rows, EPS_RANK)[1] == [0, 1]
 
 
-def near_orthonormal(rng, dim, defect):
-    """dim orthonormal rows of R^(dim + 4) moved by noise whose Gram defect,
-    max |V V^T - Id|, is `defect` to first order. The rows are Gram-Schmidt
-    of Gaussian ones: rows from a Householder QR would give the QR in _clean
-    a positive diagonal, leaving its sign fix untested."""
-    Q = mgs_reference(rng.standard_normal((dim, dim + 4)), EPS_RANK)[0]
-    N = rng.standard_normal(Q.shape)
-    return Q + N * (defect / np.max(np.abs(Q @ N.T + N @ Q.T)))
+def clifford_generators(rng, n, r):
+    """The first r of the structures I, J, K as 4n x 4n matrices in a random
+    orthonormal basis: exact generators, E_p E_q + E_q E_p = -2 delta_pq Id.
+    The basis is Gram-Schmidt of Gaussian rows, so no QR sign is fixed in
+    advance."""
+    O = mgs_reference(rng.standard_normal((4 * n, 4 * n)), EPS_RANK)[0]
+    return np.array([O @ structure_matrix(A, n) @ O.T for A in (I, J, K)[:r]]).reshape(
+        r, 4 * n, 4 * n)
 
 
-class TestClean:
-    """_clean orthonormalizes by one QR: row-order Gram-Schmidt up to roundoff."""
+def pieces_reference(E, leads, p):
+    """Each lead's rows u, -E_1 u, -E_1 E_2 u, -E_2 u cut to its first p, one
+    matrix-vector product at a time."""
+    rows = []
+    for u in leads:
+        piece = [u]
+        if len(E) == 1:
+            piece.append(-(E[0] @ u))
+        elif len(E) > 1:
+            piece += [-(E[0] @ u), -(E[0] @ (E[1] @ u)), -(E[1] @ u)]
+        rows += piece[:p]
+    return np.array(rows)
 
-    @pytest.mark.parametrize("dim", [2, 4, 8, 12, 16, 32, 64])
-    @pytest.mark.parametrize("defect", [1e-15, 1e-10, 0.9 * EPS_UNION])
-    def test_matches_row_order_gram_schmidt(self, rng, dim, defect):
-        V = near_orthonormal(rng, dim, defect)
-        defect = np.max(np.abs(V @ V.T - np.eye(dim)))
-        assert defect <= EPS_UNION  # the last is just inside tol
-        Q, kept = mgs_reference(V, EPS_RANK)
+
+class Stream:
+    """A stand-in for a generator whose standard_normal hands out the given
+    rows in order."""
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+
+    def standard_normal(self, shape):
+        out, self.rows = np.array(self.rows[: shape[0]]), self.rows[shape[0]:]
+        return out
+
+
+class TestSweep:
+    """analysis._adapted builds the Clifford pieces through all its leads in
+    one product and orthonormalises them by one QR: row-order Gram-Schmidt of
+    the stacked pieces up to roundoff, each piece's Gram held to _union_tol."""
+
+    @pytest.mark.parametrize("start", ["u", "e0", "drawn"])
+    @pytest.mark.parametrize("n,dim", [(2, 8), (4, 8), (4, 16)])
+    @pytest.mark.parametrize("r,cut", [(0, 2), (1, 2), (1, 4), (2, 2), (2, 4), (3, 2), (3, 4),
+                                       (3, 8)])
+    def test_matches_row_order_gram_schmidt(self, rng, r, cut, n, dim, start):
+        E = clifford_generators(rng, n, r)
+        k, p = 4 * n, min(2 ** min(r, 2), cut)
+        u = {"u": unit_rows(rng, 1, k)[0], "e0": np.eye(k)[0], "drawn": None}[start]
+        seed = 0 if start == "e0" else 7
+        draws = np.random.default_rng(seed)
+        leads = [] if u is None else [u]
+        while len(leads) < dim // p:
+            g = draws.standard_normal(k)
+            leads.append(g / np.linalg.norm(g))
+        Q, kept = mgs_reference(pieces_reference(E, leads, p), EPS_RANK)
         assert kept == list(range(dim))
-        npt.assert_allclose(_clean(V), Q, rtol=0, atol=1e-14)
+        got = (analysis._adapted(E, None, dim, cut) if start == "e0" else
+               analysis._adapted(E, u, dim, cut, np.random.default_rng(seed)))
+        npt.assert_allclose(got, Q, rtol=0, atol=1e-14)
 
-    def test_defect_beyond_tol_is_falsification(self, rng):
-        V = near_orthonormal(rng, 8, 1.5 * EPS_UNION)
-        with pytest.raises(FalsificationError, match="not orthogonal"):
-            _clean(V)
-        with pytest.raises(FalsificationError, match="not orthogonal"):
-            _clean(near_orthonormal(rng, 8, 1e-9), tol=1e-10)
+    @pytest.mark.parametrize("r,cut,dim", [(1, 2, 2), (1, 2, 8), (2, 4, 4), (2, 4, 8), (3, 8, 8)])
+    def test_piece_defect_beyond_union_tol_is_falsification(self, rng, r, cut, dim):
+        # E_1 + s Id moves <v, -E_1 v> to -s |v|^2 in every piece, while
+        # _union_tol reads EPS_UNION + 2 s^2 (and roundoff); dim = cut <= 4 is
+        # a lone piece
+        E = clifford_generators(rng, 2, r)
+        for s, raises in ((1e-9, False), (1e-5, True)):
+            F = E.copy()
+            F[0] += s * np.eye(8)
+            assert analysis._union_tol(F) < EPS_UNION + 3 * s**2 + 1e-12
+            for u in (None, unit_rows(rng, 1, 8)[0]):
+                sweep = lambda: analysis._adapted(F, u, dim, cut, np.random.default_rng(1))
+                if raises:
+                    with pytest.raises(FalsificationError, match="not orthogonal"):
+                        sweep()
+                else:
+                    sweep()
+
+    def test_repeated_leads_are_drawn_again(self, rng):
+        # a draw in the span of the rows before it gives way to the stream's
+        # next draw, as in a sweep drawing one lead at a time
+        E = clifford_generators(rng, 4, 3)
+        u = unit_rows(rng, 1, 16)[0]
+        G = rng.standard_normal((3, 16))
+        want = analysis._adapted(E, u, 16, 4, Stream(G))
+        stream = Stream([3 * u, G[0], -2 * G[0], E[0] @ G[0], G[1], G[2]])
+        npt.assert_allclose(analysis._adapted(E, u, 16, 4, stream), want, rtol=0, atol=1e-15)
+        assert stream.rows == []
 
     def test_repeated_row_is_rank_deficiency(self, rng):
-        V = near_orthonormal(rng, 6, 1e-12)
+        # E_1 = -Id repeats each lead in its piece; _union_tol (about 4) lets
+        # the pieces' Gram defect 1 through, the rank check refuses them
+        u = unit_rows(rng, 1, 8)[0]
         with pytest.raises(RankDeficiencyError) as info:
-            _clean(V[[0, 1, 2, 1, 3]], tol=2.0)  # a tol the repeat's defect 1 passes
-        assert (info.value.detected_rank, info.value.expected) == (4, 5)
+            analysis._adapted(-np.eye(8)[None], u, 8, 2, np.random.default_rng(1))
+        assert (info.value.detected_rank, info.value.expected) == (4, 8)
+
+    def test_lone_piece_is_returned_as_built(self, rng):
+        E = clifford_generators(rng, 2, 3)
+        u = unit_rows(rng, 1, 8)[0]
+        # the same products as one matrix-vector product at a time, bit for bit
+        npt.assert_array_equal(analysis._adapted(E, u, 4, 4), pieces_reference(E, [u], 4))
 
 
 class TestApplyStructure:
@@ -1253,6 +1321,8 @@ DECOMPOSE_INPUTS = {
     "icomplex-8": lambda: moved(direct_sum([make_i_complex_4(2, np.pi / 2)] * 2), 57),
     "icomplex-12": lambda: moved(direct_sum([make_i_complex_4(2, 0.7)] * 3), 58),
     "single-pm1-8": lambda: profile_sum((1.3091, 1.1711, 1.2413, 1.0, -0.849, -0.849), 2, 59),
+    # two generators over three blocks of one piece each (class 4)
+    "single-pm1-12": lambda: profile_sum((1.2, 1.3, 1.4, 1.0, 0.2, 0.2), 3, 63),
     "rhp-6": lambda: moved(make_rhp(6, 6), 60),
     "rhp-12": lambda: moved(make_rhp(12, 12), 61),
     "perturbed-4": lambda: perturbed_graph_sum(1, 1),
@@ -1268,7 +1338,7 @@ DECOMPOSE_INPUTS = {
 GENERATORS = {
     "rhp-6": 0, "rhp-12": 0,
     "planes-10": 1, "planes-12": 1, "planes-16": 1, "icomplex-8": 1, "tcomplex-8": 1,
-    "single-pm1-8": 2,
+    "single-pm1-8": 2, "single-pm1-12": 2,
     "graph-12": 3, "graph-16": 3, "profile-16": 3, "icomplex-12": 3,
     "perturbed-4": 3, "perturbed-8": 3,
 }
@@ -1412,26 +1482,34 @@ class TestDecomposeInCoordinates:
         noise=st.integers(0, 2**31 - 1),
         seed=st.sampled_from([None, 0, 1, 2]),
     )
+    # the leading vector x is default_rng(0)'s first draw, eight_dim_addend's
+    # first Gaussian lead: it lies in x's span and is drawn again
+    @example(part="rhp", count=4, motion=0, noise=0, seed=0)
+    # a lead taken as the coordinate axis farthest from the rows built jumps here
+    @example(part="graph", count=3, motion=0, noise=0, seed=None)
     def test_addends_continuous_in_the_frame(self, part, count, motion, noise, seed):
-        # every lead is a fixed draw (or e_0) projected in U's coordinates, so a
-        # roundoff-sized change of the frame moves each addend by as little: no
-        # choice of lead is a tie that roundoff breaks
+        # every lead is a fixed draw (or e_0) in U's coordinates, so turning the
+        # frame's rows by an orthogonal O = Id + O(1e-7) moves each addend by
+        # about as much (at most 9e-7 seen). A lead picked by a tie that the turn
+        # breaks moves it by O(1): at 1e-7 the squares of the turn survive next
+        # to 1, at 1e-9 (or 1e-15 noise) they round away and the tie holds
         base = {
             "rhp": lambda: make_rhp(2, 2),
             "planes": lambda: make_two_plane(2, 0.9, 1.1, 1.2, -1.0, 1.0),
             "graph": lambda: graph_subspace(np.array([0.3, 0.4, -0.2, 0.6])),
         }[part]()
         U = moved(direct_sum([base] * count), motion)
-        N = np.random.default_rng(noise).standard_normal(U.vectors.shape)
-        W = orthonormalize(U.vectors + 1e-15 * N)
-        got, moved_got = decompose(U, seed=seed).addends, decompose(W, seed=seed).addends
-        assert len(got) == len(moved_got)
-        assert max(projector_distance(a, b) for a, b in zip(got, moved_got)) <= 1e-9
+        N = np.random.default_rng(noise).standard_normal((U.dim, U.dim))
+        Q, R = np.linalg.qr(np.eye(U.dim) + 1e-7 * (N - N.T))
+        W = Frame((Q * np.sign(R.diagonal())).T @ U.vectors)
+        got, turned = decompose(U, seed=seed).addends, decompose(W, seed=seed).addends
+        assert len(got) == len(turned)
+        assert max(projector_distance(a, b) for a, b in zip(got, turned)) <= 1e-5
         if U.dim >= 8:
             rng = np.random.default_rng(seed)
             c = np.eye(U.dim)[0] if seed is None else rng.standard_normal(U.dim)
             x, y = (c @ F.vectors / np.linalg.norm(c @ F.vectors) for F in (U, W))
-            assert projector_distance(eight_dim_addend(U, x), eight_dim_addend(W, y)) <= 1e-9
+            assert projector_distance(eight_dim_addend(U, x), eight_dim_addend(W, y)) <= 1e-5
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
     def test_addends_orthonormal_on_a_frame_with_a_defect(self, seed):

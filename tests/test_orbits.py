@@ -32,7 +32,6 @@ from isoclinic.generators import (
 )
 from isoclinic.orbits import (
     canonical_matrices,
-    _clean,
     _require_one_type,
     decompose,
     eight_dim_addend,
@@ -43,7 +42,7 @@ from isoclinic.quaternions import I, J, K
 from isoclinic.tolerances import EPS_ORBIT, EPS_PM1
 from isoclinic.subspaces import Frame, gram, principal_angles, structure_image
 from conftest import (bench_workloads, chain_profile, complement_in, perturbed_graph_sum,
-                      random_unit_in)
+                      random_unit_in, structure_matrix)
 
 GENERIC_MU = np.array([0.3, 0.4, -0.2, 0.6])
 DUAL_ARGS = (1.3993, 1.4034, 0.815, -0.3497, 0.5168, 0.0656)
@@ -195,10 +194,11 @@ class TestEightDimAddend:
             eight_dim_addend(U, np.full(U.ambient, np.nan))
 
     def test_nan_blocks_rejected(self):
-        block = np.eye(8)[:4].copy()
-        block[2, 5] = np.nan
+        # a NaN reaches the pieces' Gram check, not a lead's redraw
+        E = np.array([structure_matrix(I, 2)])
+        E[0, 2, 5] = np.nan
         with pytest.raises(FalsificationError, match="defect nan"):
-            _clean(np.vstack([block, np.eye(8)[4:]]))
+            analysis._adapted(E, None, 8, 8)
 
 
 class TestDecompose:
