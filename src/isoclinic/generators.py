@@ -18,14 +18,15 @@ import numpy as np
 from .analysis import (
     IsoclinicProfile,
     _angle,
+    _as_profile,
     _combined_defects,
     _cos2_of,
     _not_isoclinic,
     _pm1,
     _profile_pass,
     _profile_row,
+    _profiles,
     certify_isoclinic,
-    full_profile,
     omega_pattern_4,
     two_plane_orbit,
 )
@@ -454,7 +455,8 @@ def _profile_vector(p: IsoclinicProfile) -> np.ndarray:
 
 
 # trials per stacked pass of invariance_oracle: at n = 16 the time per trial
-# stops falling here, and a block's arrays stay near 2 MB
+# stops falling here, and a block's arrays stay near 2 MB; the first block's
+# pass holds one entry more, the input itself
 _ORACLE_BLOCK = 12
 
 
@@ -473,13 +475,13 @@ def invariance_oracle(U: Frame, trials: int, seed: int) -> OracleReport:
     Trials run in blocks of at most _ORACLE_BLOCK as one stacked pass (one
     batched QR, one complex product, one measuring pass and one structure
     check kernel each), with the seeds, motions and failure texts of a
-    trial-by-trial run; the maxima may move from it by roundoff.
+    trial-by-trial run; the maxima may move from it by roundoff. U itself
+    is entry 0 of the first block's measuring pass, which refuses it as
+    full_profile(U) does; a motion measured on the other side of 1 - EPS_PM1
+    is profiled again, on U's side.
     """
     trials = _count(trials, "trials", 1)
     rng = _seeded_rng(seed)
-    base = full_profile(U)
-    base_vec = _profile_vector(base)
-    snaps = [_pm1(v) for v in (base.xi, base.chi, base.eta)]
     rows = _complex_rows(U.vectors)
     max_dev = max_theta = max_eta = 0.0
     failures: list[str] = []
@@ -488,17 +490,29 @@ def invariance_oracle(U: Frame, trials: int, seed: int) -> OracleReport:
         draws = [(int(rng.integers(0, 2**63 - 1)), rng.standard_normal((8, 3))) for _ in block]
         M = _sp_draws(U.n, [s for s, _ in draws])
         _require_sp(M)
-        gram, forms, gates, profiled = _profile_pass(rows @ M.swapaxes(-1, -2), EPS_ISO,
-                                                     np.tile(snaps, (len(block), 1)))
+        stack = rows @ M.swapaxes(-1, -2)
+        if not start:  # U is entry 0 of the first block's pass
+            stack = np.concatenate([rows[None], stack])
+        gram, forms, gates, profiled = _profile_pass(stack, EPS_ISO)
+        if not start:
+            if profiled[0] is None:
+                raise _not_isoclinic(gates[0][1], EPS_ISO)
+            base_vec = _profile_vector(_as_profile(profiled[0], U.dim))
+            snaps = _pm1(profiled[0][3:6])
+            gram, forms, gates, profiled = gram[1:], forms[1:], gates[1:], profiled[1:]
         _require_orthonormal(gram)  # each gU is a frame, with no Frame built
         ok = [row is not None for row in profiled]
+        R = np.reshape([r for r in profiled if r is not None], (-1, 8))
+        forms_ok = forms[ok]
+        flip = (_pm1(R[:, 3:6]) != snaps).any(axis=1)
+        if flip.any():
+            R[flip] = _profiles(R[flip, :3], forms_ok[flip], np.tile(snaps, (flip.sum(), 1)))
         # one profile of the block: each field a (T,) array, as _profile_vector and _cos2_of take
-        prof = IsoclinicProfile(U.dim, *np.reshape([r for r in profiled if r is not None],
-                                                   (-1, 8)).T)
+        prof = IsoclinicProfile(U.dim, *R.T)
         dev = np.max(np.abs(_profile_vector(prof).T - base_vec), axis=1)
         C = np.array([c for _, c in draws])[ok]
         C /= np.sqrt(C[..., None, :] @ C[..., None])[..., 0]  # unit rows (a, b, c)
-        defects, c2 = _combined_defects(C, forms[ok])
+        defects, c2 = _combined_defects(C, forms_ok)
         errs = np.abs(np.cos(_angle(c2)) ** 2 - np.cos(_angle(_cos2_of(prof, C).T)) ** 2)
         xi, chi = prof.xi, prof.chi
         res = np.zeros(len(dev)) if any(snaps) else np.abs(

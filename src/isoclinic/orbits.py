@@ -92,16 +92,15 @@ def _require_one_type(E: np.ndarray) -> None:
         )
 
 
-def _submodules(m: _Measured, u, dim: int, cut: int, rng=None) -> tuple:
+def _submodules(m: _Measured, u, dim: int, cut: int, what: str, rng=None) -> tuple:
     """(Frames B V, gated) of the blocks B (dim / cut, cut, k) of the rows _adapted(E, u,
     dim, cut, rng) of the measured U's coordinates, each orthonormalised under U's Gram
     V V^T by one stacked Cholesky, so that B V is orthonormal to roundoff whatever V's
-    defect; gated _recertifies their forms B omega B^T."""
+    defect; gated _recertifies their forms B omega B^T, naming a failure as what."""
     E = m.generators
     B = _adapted(E, u, dim, cut, rng).reshape(-1, cut, E.shape[-1])
     B = np.linalg.solve(np.linalg.cholesky(B @ m.gram @ B.swapaxes(-1, -2)), B)
     forms = B[:, None] @ m.forms @ B[:, None].swapaxes(-1, -2)
-    what = "constructed 8-dim addend" if cut == 8 else "addend {}"
     return [Frame(b) for b in B @ m.frame.vectors], _recertified(forms, m.angles, what)
 
 
@@ -131,7 +130,7 @@ def eight_dim_addend(U: Frame, X1: np.ndarray) -> Frame:
         raise DimensionError(f"eight_dim_addend needs dim >= 8, got {U.dim}")
     (measured,) = _measured([U])
     u = U.vectors @ _check_member(U, X1, "leading vector")
-    (addend,), _ = _submodules(measured, u, 8, 8)
+    (addend,), _ = _submodules(measured, u, 8, 8, "constructed 8-dim addend")
     return addend
 
 
@@ -176,7 +175,7 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
     rng = _seeded_rng(seed) if seed is not None else None
     (measured,) = _measured([U])
     klass = measured.profile.dim_class
-    addends, gated = _submodules(measured, None, U.dim, klass, rng)
+    addends, gated = _submodules(measured, None, U.dim, klass, "addend {}", rng)
     return Decomposition(tuple(addends), klass, measured.profile, gated)
 
 

@@ -443,10 +443,22 @@ class TestOracle:
         assert report.passed
         assert report.max_profile_deviation < 1e-7
 
-    def test_gate_refusal(self, rng):
-        U = orthonormalize(np.eye(8)[[0, 2, 4, 5]])
-        with pytest.raises(NotIsoclinicError):
-            invariance_oracle(U, trials=1, seed=0)
+    @pytest.mark.parametrize("rows,error", [([0, 2, 4, 5], NotIsoclinicError),
+                                            ([0, 2, 4], DimensionError)],
+                             ids=["not-isoclinic", "odd-dim"])
+    @pytest.mark.parametrize("trials", [1, 13])
+    def test_gate_refusal(self, rows, error, trials):
+        # the input is measured in the first block's pass, and refused as
+        # full_profile refuses it: the same text, witness and deviation
+        U = orthonormalize(np.eye(8)[rows])
+        with pytest.raises(error) as want:
+            full_profile(U)
+        with pytest.raises(error) as got:
+            invariance_oracle(U, trials=trials, seed=0)
+        assert str(got.value) == str(want.value)
+        if error is NotIsoclinicError:
+            assert got.value.witness == want.value.witness
+            assert got.value.deviation == want.value.deviation
 
     def test_failures_are_recorded(self, monkeypatch):
         # an impossible tolerance turns ordinary float noise into failures

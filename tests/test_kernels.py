@@ -482,6 +482,13 @@ class TestSweep:
                         sweep()
                 else:
                     sweep()
+        if r == 3:
+            # the pieces read only E_1 and E_2: a NaN in E_3 shows in _union_tol alone
+            F = E.copy()
+            F[2, 0, 1] = np.nan
+            for u in (None, unit_rows(rng, 1, 8)[0]):
+                with pytest.raises(FalsificationError, match="not orthogonal"):
+                    analysis._adapted(F, u, dim, cut, np.random.default_rng(1))
 
     def test_repeated_leads_are_drawn_again(self, rng):
         # a draw in the span of the rows before it gives way to the stream's
@@ -868,7 +875,20 @@ class TestOracle:
             [max_dev, max_theta, max_eta], rtol=0, atol=1e-14,
         )
 
-    def test_forms_built_once_per_block(self, monkeypatch):
+    @pytest.fixture
+    def profiled(self, monkeypatch):
+        """The stack size of every _profiles call, the oracle's own included."""
+        sizes, real = [], analysis._profiles
+
+        def counting(angles, forms, snaps=None):
+            sizes.append(len(forms))
+            return real(angles, forms, snaps)
+
+        monkeypatch.setattr(analysis, "_profiles", counting)
+        monkeypatch.setattr(generators, "_profiles", counting)
+        return sizes
+
+    def test_forms_built_once_per_block(self, monkeypatch, profiled):
         built = []
         real = analysis._gram_forms
 
@@ -879,9 +899,21 @@ class TestOracle:
         U = moved(graph_sum(2), 2)
         monkeypatch.setattr(analysis, "_gram_forms", counting)
         B = generators._ORACLE_BLOCK
+        profiled.clear()  # the input's construction measures it
         assert invariance_oracle(U, 2 * B + 1, 2).passed
-        # one for the input's own profile, then one per block of motions
-        assert built == [(1, 8, 8), (B, 8, 8), (B, 8, 8), (1, 8, 8)]
+        # one per block of motions, the input being entry 0 of the first;
+        # a generic input's motions are all profiled in their block's pass
+        assert built == [(B + 1, 8, 8), (B, 8, 8), (1, 8, 8)]
+        assert profiled == [B + 1, B, 1]
+
+    def test_motions_across_pm1_are_read_again(self, profiled):
+        # the input's side of 1 - EPS_PM1 is known only after the first pass:
+        # the motions measured on the other side are read again, in one call
+        U = near_pm1_profile()
+        profiled.clear()  # the input's construction measures it
+        report = invariance_oracle(U, 10, 1)
+        assert profiled == [11, 4]
+        assert report == oracle_loop_reference(U, 10, 1)
 
     @pytest.mark.parametrize("make,seed", [
         (lambda: moved(graph_sum(2), 2), 2),
@@ -907,8 +939,9 @@ class TestOracle:
         failed = (None, (np.array([0.6, 0.0, -0.8]), 0.25))
 
         def failing_second(forms, tol):
+            # trial 1 is stack entry 2 of the first block, after the input and trial 0
             gates = real(forms, tol)
-            return gates[:1] + [failed] + gates[2:] if len(gates) > 1 else gates
+            return gates[:2] + [failed] + gates[3:] if len(gates) > 2 else gates
 
         U = moved(graph_sum(2), 2)
         monkeypatch.setattr(analysis, "_gates", failing_second)

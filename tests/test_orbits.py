@@ -337,7 +337,17 @@ class TestDecompose:
         with pytest.raises(FalsificationError, match="addend 0 failed re-certification"):
             decompose(perturbed_graph_sum(9, 3), seed=0)
 
-    @pytest.mark.parametrize("parts,what", [(3, "addend 1"), (4, "constructed 8-dim addend")])
+    def test_refusal_is_named_by_the_caller(self):
+        # a class-8 input (dim 16): decompose names the addend by its index,
+        # eight_dim_addend as the one it constructs, whatever the cut
+        U = perturbed_graph_sum(0, 2)
+        with pytest.raises(FalsificationError, match="^addend 0 failed re-certification"):
+            decompose(U)
+        with pytest.raises(FalsificationError,
+                           match="^constructed 8-dim addend failed re-certification"):
+            eight_dim_addend(U, U.vectors[0])
+
+    @pytest.mark.parametrize("parts,what", [(3, "addend 1"), (4, "addend 1")])
     def test_first_failing_addend_in_order_is_named(self, monkeypatch, parts, what):
         # the stacked addend gate fails every addend after the first: the
         # second is named, with the text of a single addend's failure
