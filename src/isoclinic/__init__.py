@@ -67,10 +67,8 @@ from .quaternions import (
     I,
     J,
     K,
-    Quaternion,
     apply_structure,
     hermitian_product,
-    qmul,
 )
 from .subspaces import (
     Frame,

@@ -34,7 +34,6 @@ from .quaternions import (
     CompatibleStructure,
     I,
     K,
-    Quaternion,
     _complex_rows,
     apply_structure,
 )
@@ -241,11 +240,6 @@ class IsoclinicProfile:
     @property
     def cosines(self) -> np.ndarray:
         return np.cos([self.theta_i, self.theta_j, self.theta_k])
-
-    @property
-    def s_invariant(self) -> float:
-        """cos^2 theta_I + cos^2 theta_J + cos^2 theta_K; basis independent."""
-        return float(np.sum(self.cosines**2))
 
     @property
     def dim_class(self) -> int:
@@ -642,25 +636,26 @@ def omega_K_on_UIJ(chains: ChainSet) -> tuple[np.ndarray, float]:
 # 2-planes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoPlaneOrbit:
     """Orbit data of a 2-plane: imaginary measure plus (angles, xi, chi).
 
-    For an unoriented plane the imaginary measure is only defined up to
-    conjugation; `oriented` records which case this is.
+    The imaginary measure `im` is a (4,) quaternion array with real part 0.
+    For an unoriented plane it is only defined up to conjugation; `oriented`
+    records which case this is.
     """
 
-    im: Quaternion
+    im: np.ndarray
     thetas: tuple[float, float, float]
     xi: float
     chi: float
     oriented: bool
 
     def same_orbit(self, other: "TwoPlaneOrbit") -> bool:
-        d_direct = np.max(np.abs(self.im.as_array() - other.im.as_array()))
+        d_direct = np.max(np.abs(self.im - other.im))
         if self.oriented and other.oriented:
             return bool(d_direct < EPS_ANGLE)
-        d_conj = np.max(np.abs(self.im.as_array() + other.im.as_array()))
+        d_conj = np.max(np.abs(self.im + other.im))
         return bool(min(d_direct, d_conj) < EPS_ANGLE)
 
 
@@ -675,7 +670,7 @@ def two_plane_orbit(P: OrientedTwoPlane | Frame) -> TwoPlaneOrbit:
     thetas, forms = _certified_forms(plane)
     comp = _companions(plane, plane.vectors[0], thetas, forms)
     return TwoPlaneOrbit(
-        im=Quaternion(0.0, *forms[:, 0, 1]),
+        im=np.array([0.0, *forms[:, 0, 1]]),
         thetas=thetas,
         xi=comp.xi,
         chi=comp.chi,
@@ -707,19 +702,18 @@ def _profile_row(U: Frame) -> np.ndarray:
     return row
 
 
-def _profile_pass(C: np.ndarray, tol: float, snaps=None) -> tuple:
+def _profile_pass(C: np.ndarray, tol: float) -> tuple:
     """The measuring pass of complex rows C (T, k, 2n): one _gram_forms, one _gates
-    at tol and one _profiles (under snaps (T, 3), as there) of the entries that
-    pass. Returns (Gram (T, k, k), _forms (T, 3, k, k), gates, rows), where
-    rows[t] is entry t's _profiles row, None when its gate failed."""
+    at tol and one _profiles of the entries that pass. Returns (Gram (T, k, k),
+    _forms (T, 3, k, k), gates, rows), where rows[t] is entry t's _profiles row,
+    None when its gate failed."""
     gram_forms = _gram_forms(C)
     forms = np.ascontiguousarray(gram_forms[1:].swapaxes(0, 1))  # a copy only when T > 1
     gates = _gates(forms, tol)
     ok = [angles is not None for angles, _ in gates]
     pick = slice(None) if all(ok) else np.array(ok)  # no copies when every gate passes
     angles = np.array([angles for angles, _ in gates if angles is not None]).reshape(-1, 3)
-    snaps = None if snaps is None else np.asarray(snaps)[pick]
-    passed = iter(_profiles(angles, forms[pick], snaps))
+    passed = iter(_profiles(angles, forms[pick]))
     return gram_forms[0], forms, gates, [next(passed) if good else None for good in ok]
 
 

@@ -254,7 +254,7 @@ def make_two_plane(
     plane = Frame(np.vstack([x1, x2]))
     orbit = two_plane_orbit(plane)
     want = np.array([cs[0], xi * cs[1], chi * cs[2]])
-    got = orbit.im.as_array()[1:]
+    got = orbit.im[1:]
     mismatch = float(np.max(np.abs(got - want)))
     if not mismatch <= EPS_BUILD:
         raise FalsificationError(

@@ -1,4 +1,4 @@
-"""Quaternion arithmetic and the hypercomplex structure of R^{4n}.
+"""Arithmetic of quaternion arrays and the hypercomplex structure of R^{4n}.
 
 The ambient space is R^{4n} identified with H^n as a *right* H-module:
 real slot 4*q + c (c in 0..3) holds the (1, i, j, k)-component of
@@ -28,11 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, StructureError
-from .tolerances import EPS_ORTH, EPS_UNIT
+from .tolerances import EPS_ORTH
 
 __all__ = [
-    "Quaternion",
-    "qmul",
     "CompatibleStructure",
     "AdmissibleBasis",
     "I",
@@ -44,42 +42,6 @@ __all__ = [
     "qarr_mul",
     "qarr_conj",
 ]
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion re + im_i*i + im_j*j + im_k*k."""
-
-    re: float = 0.0
-    im_i: float = 0.0
-    im_j: float = 0.0
-    im_k: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.re, self.im_i, self.im_j, self.im_k], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "Quaternion":
-        a = np.asarray(a, dtype=float)
-        return Quaternion(a[0], a[1], a[2], a[3])
-
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.re, -self.im_i, -self.im_j, -self.im_k)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.re**2 + self.im_i**2 + self.im_j**2 + self.im_k**2))
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.re + other.re, self.im_i + other.im_i,
-                          self.im_j + other.im_j, self.im_k + other.im_k)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return qmul(self, other)
-
-
-def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product, i^2 = j^2 = k^2 = -1 and i j = -j i = k."""
-    return Quaternion.from_array(qarr_mul(p.as_array(), q.as_array()))
 
 
 # --- array quaternion helpers (last axis of length 4 holds 1,i,j,k parts) ---
@@ -170,7 +132,7 @@ class CompatibleStructure:
 
     def __post_init__(self):
         coeffs = np.array([self.a, self.b, self.c], dtype=float)
-        if not abs(coeffs @ coeffs - 1.0) <= EPS_UNIT:
+        if not abs(coeffs @ coeffs - 1.0) <= EPS_ORTH:
             raise StructureError(
                 f"coefficient vector {coeffs} is not unit (|a|^2+|b|^2+|c|^2 != 1)"
             )
@@ -191,8 +153,9 @@ def apply_structure(A: CompatibleStructure, x: np.ndarray) -> np.ndarray:
     return _unblocks((b4.reshape(-1, 4) @ B).reshape(b4.shape))
 
 
-def hermitian_product(x: np.ndarray, y: np.ndarray) -> Quaternion:
-    """H-valued Hermitian product X.Y = <X,Y> + <X,IY>i + <X,JY>j + <X,KY>k.
+def hermitian_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """H-valued Hermitian product X.Y = <X,Y> + <X,IY>i + <X,JY>j + <X,KY>k, as
+    a (4,) quaternion array.
 
     Positive definite; Y.X is the conjugate of X.Y, and right scalar
     multiplication moves through as (Xp).(Yq) = conj(p) (X.Y) q.
@@ -201,13 +164,10 @@ def hermitian_product(x: np.ndarray, y: np.ndarray) -> Quaternion:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise DimensionError(f"shape mismatch {x.shape} vs {y.shape}")
+    if x.ndim != 1:  # x @ y of two matrices would be a matrix product
+        raise DimensionError(f"hermitian_product needs two vectors, got shape {x.shape}")
     ambient_dim(x)
-    return Quaternion(
-        float(x @ y),
-        float(x @ apply_structure(I, y)),
-        float(x @ apply_structure(J, y)),
-        float(x @ apply_structure(K, y)),
-    )
+    return np.array([x @ y, *(x @ apply_structure(A, y) for A in (I, J, K))])
 
 
 @dataclass(frozen=True, eq=False)

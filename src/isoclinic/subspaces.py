@@ -61,9 +61,6 @@ class Frame:
     def n(self) -> int:
         return self.vectors.shape[1] // 4
 
-    def __len__(self) -> int:
-        return self.dim
-
 
 def _require_orthonormal(gram: np.ndarray) -> None:
     """FrameError unless every Gram matrix of the stack (..., k, k) is Id within EPS_FRAME."""
@@ -186,9 +183,6 @@ class OrientedTwoPlane:
         Frame(np.vstack([X, Y]))  # validates orthonormality and ambient dim
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-
-    def reversed(self) -> "OrientedTwoPlane":
-        return OrientedTwoPlane(self.Y, self.X)
 
     def frame(self) -> Frame:
         return Frame(np.vstack([self.X, self.Y]))

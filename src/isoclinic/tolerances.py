@@ -6,7 +6,6 @@ All angle comparisons go through EPS_ANGLE; raw cosines are clamped into
 """
 
 # structure / rotation validation (unit coefficient vectors, SO(3) input)
-EPS_UNIT = 1e-10
 EPS_ORTH = 1e-10
 
 # frame Gram-vs-identity validation gate

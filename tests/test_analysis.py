@@ -426,11 +426,11 @@ class TestTwoPlaneOrbit:
         x = unit(2, 0)
         plane = OrientedTwoPlane(x, -apply_structure(I, x))
         orb = two_plane_orbit(plane)
-        npt.assert_allclose(np.abs(orb.im.as_array()), [0, 1, 0, 0], atol=1e-12)
+        npt.assert_allclose(np.abs(orb.im), [0, 1, 0, 0], atol=1e-12)
 
     def test_rhp_plane(self):
         orb = two_plane_orbit(Frame(np.vstack([unit(2, 0), unit(2, 1)])))
-        npt.assert_allclose(orb.im.as_array(), np.zeros(4), atol=1e-14)
+        npt.assert_allclose(orb.im, np.zeros(4), atol=1e-14)
         assert (orb.xi, orb.chi) == (1.0, 1.0)
 
     def test_standard_plane_measure(self):
@@ -438,7 +438,7 @@ class TestTwoPlaneOrbit:
         P = make_two_plane(2, ti, tj, tk, xi, chi)
         orb = two_plane_orbit(Frame(P.vectors))
         want = np.array([np.cos(ti), xi * np.cos(tj), chi * np.cos(tk)])
-        got = orb.im.as_array()[1:]
+        got = orb.im[1:]
         assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) < 1e-12
 
     def test_oriented_planes(self):
@@ -447,11 +447,12 @@ class TestTwoPlaneOrbit:
         P = make_two_plane(2, 0.9, 1.1, 1.2, 1, -1)
         oriented = OrientedTwoPlane(*P.vectors)
         moved = OrientedTwoPlane(*random_sp(2, 5).apply_frame(P).vectors)
+        flipped = OrientedTwoPlane(oriented.Y, oriented.X)
         orbit = two_plane_orbit(oriented)
-        assert orbit.same_orbit(two_plane_orbit(oriented.reversed())) is False
+        assert orbit.same_orbit(two_plane_orbit(flipped)) is False
         assert orbit.same_orbit(two_plane_orbit(moved)) is True
         unoriented = two_plane_orbit(P)
-        assert unoriented.same_orbit(two_plane_orbit(oriented.reversed().frame())) is True
+        assert unoriented.same_orbit(two_plane_orbit(flipped.frame())) is True
 
     def test_orbit_consistency_with_invariants(self):
         # measure equality iff (angles, xi, chi) equality, unoriented planes

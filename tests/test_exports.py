@@ -62,10 +62,17 @@ def names_used(path, dotted_strings=False):
     return used
 
 
+def public_members(cls) -> list[str]:
+    """The public methods and properties a class defines itself."""
+    return [a for a, v in vars(cls).items() if not a.startswith("_") and (
+        inspect.isfunction(v) or isinstance(v, (property, staticmethod, classmethod)))]
+
+
 def test_every_export_has_a_caller():
     # a public name that only its own unit tests call is removed: every name
-    # of an __all__ is read by the package, the benchmark, the acceptance
-    # criteria or the shared test references
+    # of an __all__, and every public method or property of an exported
+    # class, is read by the package, the benchmark, the acceptance criteria
+    # or the shared test references
     used = set()
     for path in (ROOT / "src" / "isoclinic").glob("*.py"):
         if path.name != "__init__.py":
@@ -74,10 +81,43 @@ def test_every_export_has_a_caller():
         used |= names_used(path, dotted_strings=True)
     for name in ("test_acceptance.py", "conftest.py"):
         used |= names_used(ROOT / "tests" / name)
-    unused = [f"{m}.{n}" for m in MODULES
-              for n in getattr(importlib.import_module(f"isoclinic.{m}"), "__all__", ())
-              if n not in used and n not in EXEMPT]
+    unused = []
+    for m in MODULES:
+        module = importlib.import_module(f"isoclinic.{m}")
+        for n in getattr(module, "__all__", ()):
+            obj = getattr(module, n)
+            members = public_members(obj) if isinstance(obj, type) else []
+            unused += [f"{m}.{q}" for q in [n] + [f"{n}.{a}" for a in members]
+                       if q.split(".")[-1] not in used and n not in EXEMPT]
     assert unused == []
+
+
+class _Members:
+    attribute = 1.0
+
+    def method(self):
+        return self
+
+    @property
+    def prop(self):
+        return self
+
+    @staticmethod
+    def static():
+        return None
+
+    @classmethod
+    def klass(cls):
+        return cls
+
+    def _private(self):
+        return self
+
+
+def test_public_members_finds_each_kind():
+    # the caller check above sees every public method and property, not
+    # attributes or private helpers
+    assert public_members(_Members) == ["method", "prop", "static", "klass"]
 
 
 # the one tolerance a caller may choose: the orbit comparison's; every other

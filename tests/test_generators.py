@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -39,12 +42,12 @@ from isoclinic.generators import (
     make_two_plane,
     random_sp,
 )
-from isoclinic.orbits import decompose, orbit_label, same_orbit
+from isoclinic.orbits import canonical_matrices, decompose, orbit_label, same_orbit
 from isoclinic.quaternions import (
     I,
     J,
     K,
-    Quaternion,
+    hermitian_product,
     qarr_conj,
     qarr_mul,
     quaternion_from_rotation,
@@ -133,7 +136,7 @@ class TestNanSelfChecks:
         nan = float("nan")
         monkeypatch.setattr(
             generators, "two_plane_orbit",
-            lambda plane: TwoPlaneOrbit(Quaternion(0.0, nan, nan, nan),
+            lambda plane: TwoPlaneOrbit(np.array([0.0, nan, nan, nan]),
                                         (nan, nan, nan), nan, nan, False),
         )
         with pytest.raises(FalsificationError, match="mismatch nan"):
@@ -221,14 +224,14 @@ class TestExampleFamilies:
 
     def test_two_plane_rhp_measure_vanishes(self):
         P = make_two_plane(2, np.pi / 2, np.pi / 2, np.pi / 2)
-        npt.assert_allclose(two_plane_orbit(P).im.as_array(), np.zeros(4), atol=1e-12)
+        npt.assert_allclose(two_plane_orbit(P).im, np.zeros(4), atol=1e-12)
 
     def test_two_plane_requested_measure(self):
         ti, tj, tk = 0.8, 1.1, 1.3
         P = make_two_plane(2, ti, tj, tk, -1.0, 1.0)
         orb = two_plane_orbit(Frame(P.vectors))
         want = [np.cos(ti), -np.cos(tj), np.cos(tk)]
-        got = orb.im.as_array()[1:]
+        got = orb.im[1:]
         assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) < 1e-9
 
     def test_two_plane_infeasible(self):
@@ -259,7 +262,7 @@ class TestExampleFamilies:
         # the |cos| check keeps the +/-1 signs, and the chi of a zero cosine free
         _, ti, tj, tk, xi, chi = args
         orbit = two_plane_orbit(make_two_plane(*args))
-        npt.assert_allclose(orbit.im.as_array(),
+        npt.assert_allclose(orbit.im,
                             [0.0, np.cos(ti), xi * np.cos(tj), chi * np.cos(tk)], atol=1e-12)
 
 
@@ -389,16 +392,17 @@ class TestDirectSum:
 
 
 class TestRotatedBasisLaws:
-    def test_s_invariant_under_rotations(self, rng):
+    def test_cos2_sum_under_rotations(self, rng):
+        # cos^2 theta_I + cos^2 theta_J + cos^2 theta_K is basis independent
         U = graph_subspace(np.array([0.3, 0.4, -0.2, 0.6]))
-        base = full_profile(U).s_invariant
+        base = np.sum(full_profile(U).cosines**2)
         for _ in range(16):
             A = rng.standard_normal((3, 3))
             Q, _ = np.linalg.qr(A)
             if np.linalg.det(Q) < 0:
                 Q[:, 0] = -Q[:, 0]
             moved = Frame(right_multiply(U.vectors, quaternion_from_rotation(Q)))
-            assert abs(full_profile(moved).s_invariant - base) < 1e-10
+            assert abs(np.sum(full_profile(moved).cosines**2) - base) < 1e-10
 
     def test_i_complex_xi_transformation_law(self, rng):
         # the rotated invariants carry the sign of alpha1 beta1 and scale
@@ -530,6 +534,44 @@ class TestCounts:
     def test_n_beyond_any_array_is_refused_by_name(self, call):
         with pytest.raises(InfeasibleParametersError, match=f"^n = {10**18} is too large: a "):
             call(10**18)
+
+
+def _xi_off_pm1_plane():
+    """canonical_matrices of a 2-plane given a profile whose xi is not +/-1."""
+    P = make_two_plane(2, 0.9, 1.1, 1.2)
+    return canonical_matrices(P, dataclasses.replace(full_profile(P), xi=0.5))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: embed(graph_subspace(0.5), 2, 1), DimensionError, "embedding does not fit"),
+        (lambda: Frame(np.eye(3)), DimensionError, "ambient dimension 3 not a multiple of 4"),
+        (lambda: Frame(np.ones((5, 4))), DimensionError, "more vectors than ambient dimensions"),
+        (lambda: orthonormalize(np.empty((0, 4))), DimensionError, "empty spanning set"),
+        (lambda: isoclinic_pair(Frame(np.eye(8)[:2]), Frame(np.eye(8)[:4])), DimensionError,
+         "isoclinic_pair needs equal dims, got 2 != 4"),
+        (lambda: two_plane_orbit(make_quaternionic_line(1)), DimensionError,
+         "two_plane_orbit needs a 2-plane, got dim 4"),
+        (lambda: hermitian_product(np.zeros(6), np.zeros(6)), DimensionError,
+         "ambient dimension 6 is not a positive multiple of 4"),
+        (lambda: hermitian_product(np.eye(4), np.eye(4)), DimensionError,
+         "hermitian_product needs two vectors, got shape (4, 4)"),
+        (lambda: make_quaternionic_line(2, 2), InfeasibleParametersError,
+         "index 2 out of range for n=2"),
+        (lambda: make_two_plane(1, 1.2, 1.3, 1.4), InfeasibleParametersError,
+         "remainder component needs n >= 2"),
+        (lambda: make_profile_4(1.2, 1.3, 1.4, 0.9, -0.9, 0.99), InfeasibleParametersError,
+         "(xi, chi, eta) give |Gamma| = 9.473684 > 1"),
+        (lambda: same_orbit(graph_subspace(0.5), graph_subspace(0.5), tol="x"),
+         InfeasibleParametersError, "expected a finite tol > 0, got 'x'"),
+        (_xi_off_pm1_plane, FalsificationError,
+         "dim 2 = 2 mod 4 mandates xi, chi, eta in {+1,-1}, got (0.500000, 1.000000, 1.000000)"),
+    ], ids=["embed-offset", "frame-ambient", "frame-rows", "orthonormalize-empty", "pair-dims",
+            "two-plane-dim", "hermitian-ambient", "hermitian-matrices", "qline-index",
+            "twoplane-remainder", "profile4-gamma", "same-orbit-tol", "two-plane-mandate"])
+    def test_refused_by_name(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def _outcome(decide, inputs):

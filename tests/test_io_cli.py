@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,19 @@ class TestDocuments:
         }
         with pytest.raises(DocumentError, match="admissible_basis"):
             parse_document(json.dumps(bad))
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "document root: expected an object, got list"),
+        ('{"quaternionic_dim": true, "vectors": [[1,0,0,0]]}',
+         "quaternionic_dim: expected a positive integer, got True"),
+        ('{"quaternionic_dim": 1, "vectors": []}', "vectors: expected a non-empty list of rows"),
+        ('{"quaternionic_dim": 1, "vectors": [1]}', "vectors[0]: expected a list of numbers"),
+        ('{"quaternionic_dim": 1, "vectors": [[1,0,0,0]], "label": 5}',
+         "label: expected a string, got int"),
+    ], ids=["root-list", "dim-bool", "no-rows", "row-number", "label-int"])
+    def test_malformed_document_refused_by_name(self, text, message):
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+            parse_document(text)
 
     def test_frame_document_round_trip(self):
         U = make_two_plane(2, 0.9, 1.1, 1.2, 1.0, -1.0)
@@ -465,6 +479,18 @@ class TestCli:
                               timeout=120)
         assert done.returncode == 1 and done.stdout == ""
         assert "ISOCLINIC_SEED" in done.stderr and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("argv,code,err", [
+        (["generate", "sum", "--part", '{"family":"nope"}'], 1, "error: unknown family 'nope'"),
+        (["generate", "graph"], 2, "rejected: graph family needs mu or a seed"),
+        (["generate", "sum"], 1, "error: family 'sum' needs at least one --part"),
+        (["verify", "DOC", "--trials", "2"], 1, "error: verify needs --seed or ISOCLINIC_SEED"),
+    ], ids=["unknown-family", "graph-seed", "sum-parts", "verify-seed"])
+    def test_refusals_without_a_seed(self, capsys, tmp_path, monkeypatch, argv, code, err):
+        monkeypatch.delenv("ISOCLINIC_SEED", raising=False)
+        path = graph_document(tmp_path)
+        argv = [str(path) if a == "DOC" else a for a in argv]
+        assert run_cli(capsys, *argv) == (code, "", err + "\n")
 
     def test_seed_variable_stands_in_for_seed(self, capsys, tmp_path, monkeypatch):
         path = graph_document(tmp_path)

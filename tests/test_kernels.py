@@ -1291,18 +1291,6 @@ class TestProfilePass:
             assert (row is None) if alone is NotIsoclinicError else (
                 analysis._as_profile(row, F.dim) == alone)
 
-    @pytest.mark.parametrize("near", [False, True])
-    def test_snaps_of_the_passing_entries(self, near):
-        # snaps (T, 3) go with their entries past the failing one: the near-band
-        # entry takes either side of the +/-1 convention
-        frames = self.frames()
-        snaps = [[False] * 3, [False] * 3, [near, False, False], [True] * 3, [True] * 3]
-        _, forms, gates, rows = analysis._profile_pass(
-            _complex_rows([F.vectors for F in frames]), EPS_ISO, snaps)
-        for f, (angles, _), row, s in zip(forms, gates, rows, snaps):
-            if row is not None:
-                assert tuple(row) == astuple(profile_of(angles, f, s))[1:]
-
     @pytest.mark.parametrize("name", ["mixed-delta", "mixed-sign-8"])
     def test_eight_dim_addend_refuses_what_decompose_refuses(self, name):
         U = ORBIT_INPUTS[name]()
