@@ -730,13 +730,15 @@ def _profiles(angles: np.ndarray, forms: np.ndarray, snaps=None) -> np.ndarray:
     Delta) branch. Each sum runs over one entry's k * k values, in order."""
     T, _, k, _ = forms.shape
     J = _normalised(forms, angles).reshape(T, 3, k * k)
-    # (xi, chi, eta) = -tr(J_p J_q) / k = <J_p, J_q>_F / k, as each J is skew;
-    # r.h.p. (J_I = 0): every companion is one arbitrary vector
+    # (xi, chi, eta) = -tr(J_p J_q) / k = <J_p, J_q>_F / k, as each J is skew
     out = np.zeros((T, 8))
     out[:, :3], out[:, 6] = angles, 1.0
     v = out[:, 3:6]
     np.divide(np.add.reduce(J[:, _P] * J[:, _Q], axis=2), k, out=v)
-    v[~J[:, 0].any(axis=1)] = 1.0
+    have = np.cos(angles) > EPS_ANGLE
+    if not have.all():  # an invariant of two J_p of one source (_normalised) is exactly 1
+        src = np.where(have, range(3), have.argmax(1)[:, None])
+        v[src[:, _P] == src[:, _Q]] = 1.0
     gen = ~(_pm1(v) if snaps is None else np.asarray(snaps)).any(axis=1)
     if k > 2 and gen.any():
         # the parts P = (PJ, PK) of J_J, J_K orthogonal to J_I give eta - xi chi

@@ -88,6 +88,8 @@ class SpElement:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """g x for real vectors x (last axis 4n)."""
+        if np.shape(x)[-1:] != (4 * self.n,):
+            raise DimensionError(f"expected rows of width {4 * self.n}, got shape {np.shape(x)}")
         return _real_rows(_complex_rows(x) @ self.matrix.T)
 
     def real_matrix(self) -> np.ndarray:
@@ -418,13 +420,12 @@ def direct_sum(parts: list[Frame]) -> Frame:
                 f"part {i} profile {np.round(inv, 8)} does not match part 0 "
                 f"{np.round(invs[0], 8)}; the sum would not be isoclinic"
             )
-    n_total = sum(p.n for p in parts)
-    rows = []
-    offset = 0
-    for p in parts:
-        rows.append(embed(p, n_total, offset).vectors)
-        offset += p.n
-    U = Frame(np.vstack(rows))
+    V = _zeros(sum(p.n for p in parts), sum(p.dim for p in parts))
+    rows = offset = 0
+    for p in parts:  # part p in rows and quaternionic blocks of its own
+        V[rows : rows + p.dim, 4 * offset : 4 * (offset + p.n)] = p.vectors
+        rows, offset = rows + p.dim, offset + p.n
+    U = Frame(V)
     certify_isoclinic(U)
     return U
 

@@ -193,10 +193,6 @@ def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _rounded_sign(v: float) -> float:
-    return 1.0 if v >= 0 else -1.0
-
-
 def canonical_matrices(
     U: Frame, profile: IsoclinicProfile | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,9 +205,11 @@ def canonical_matrices(
     """
     if profile is None:
         profile = full_profile(U)
+    elif profile.dim != U.dim:
+        raise DimensionError(f"a dim-{profile.dim} profile given for a dim-{U.dim} subspace")
     _require_mandates(profile)
     if profile.dim_class == 2:
-        xi, chi = _rounded_sign(profile.xi), _rounded_sign(profile.chi)
+        xi, chi = float(np.sign(profile.xi)), float(np.sign(profile.chi))
         bij = np.array([[1.0, 0.0], [0.0, xi]])
         bik = np.array([[1.0, 0.0], [0.0, chi]])
     else:
@@ -291,7 +289,7 @@ class _Measured:
         if row is not None:
             _require_mandates(p, snaps)
         values = (p.xi, p.chi, p.eta)
-        xi, chi, eta = (_rounded_sign(v) if snap else v for v, snap in zip(values, snaps))
+        xi, chi, eta = (float(np.sign(v)) if snap else v for v, snap in zip(values, snaps))
         if p.dim_class == 2:
             eta = xi * chi
         delta = 0.0 if any(snaps) else p.delta

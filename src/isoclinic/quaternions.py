@@ -12,13 +12,14 @@ isometries of the Euclidean metric. Sp(n) acts by quaternionic matrices
 on the *left*, so it commutes with I, J, K.
 
 One complex layout of H^n, known only to _complex_rows and _real_rows,
-serves the forms and Sp(n). A block x = z + j w' (z = x0 + i x1, w' =
-conj(x2 + i x3)) is the complex pair (z, w'), so with q = V.reshape(k, n,
-4).view(complex) the rows V are C = (q[..., 0], conj q[..., 1]), (k, 2n).
-I is multiplication by -i. With H = conj(C) C^T and B = Z W'^T - W' Z^T
-for the halves Z, W' of C: omega_I = Im H, omega_J = Re B, omega_K = -Im B.
-g = P + R j in Sp(n) acts C-linearly, C -> C M^T with SpElement.matrix
-M = [[P, -R], [conj R, conj P]].
+serves the structures, the forms and Sp(n). A block x = z + j w' (z = x0 +
+i x1, w' = conj(x2 + i x3)) is the complex pair (z, w'), so with q =
+V.reshape(k, n, 4).view(complex) the rows V are C = (q[..., 0], conj q[...,
+1]), (k, 2n). apply_structure runs in it: I is multiplication by -i, J is
+(z, w') -> (conj w', -conj z) and K = I J. With H = conj(C) C^T and B =
+Z W'^T - W' Z^T for the halves Z, W' of C: omega_I = Im H, omega_J = Re B,
+omega_K = -Im B. g = P + R j in Sp(n) acts C-linearly, C -> C M^T with
+SpElement.matrix M = [[P, -R], [conj R, conj P]].
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "I",
     "J",
     "K",
-    "ambient_dim",
     "apply_structure",
     "hermitian_product",
     "qarr_mul",
@@ -77,13 +77,6 @@ def qarr_conj(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float) * _CONJ
 
 
-def ambient_dim(x: np.ndarray) -> int:
-    d = np.asarray(x).shape[-1]
-    if d % 4 != 0 or d == 0:
-        raise DimensionError(f"ambient dimension {d} is not a positive multiple of 4")
-    return d
-
-
 def _complex_rows(x: np.ndarray) -> np.ndarray:
     """Complex rows (z, w') of real rows x (last axis 4n): (..., 2n)."""
     x = np.ascontiguousarray(x, dtype=float)
@@ -98,28 +91,6 @@ def _real_rows(c: np.ndarray) -> np.ndarray:
     q[..., 0] = c[..., :n]
     q[..., 1] = c[..., n:].conj()
     return q.view(float).reshape(c.shape[:-1] + (4 * n,))
-
-
-# structure action on quaternionic blocks: X -> X * (-i) etc., per block
-# (x0,x1,x2,x3) = x0 + x1 i + x2 j + x3 k
-
-def _blocks(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return x.reshape(x.shape[:-1] + (x.shape[-1] // 4, 4))
-
-
-def _unblocks(b: np.ndarray) -> np.ndarray:
-    return b.reshape(b.shape[:-2] + (b.shape[-2] * 4,))
-
-
-# I, J, K = R_{-i}, R_{-j}, R_{-k} on one block as row-vector factors: b -> b @ _B_I.
-# Literal: computing them at import time adds about 0.25 MB to every process.
-_B_I = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
-                 [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
-_B_J = np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0],
-                 [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-_B_K = np.array([[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0],
-                 [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -147,10 +118,12 @@ K = CompatibleStructure(0.0, 0.0, 1.0)
 
 
 def apply_structure(A: CompatibleStructure, x: np.ndarray) -> np.ndarray:
-    """Apply A = a I + b J + c K to vectors (last axis 4n); norm preserving."""
-    b4 = _blocks(x)
-    B = A.a * _B_I + A.b * _B_J + A.c * _B_K
-    return _unblocks((b4.reshape(-1, 4) @ B).reshape(b4.shape))
+    """Apply A = a I + b J + c K to vectors (last axis 4n); norm preserving. In the
+    layout A C = -i a C + (b - i c) jC; adding 0.0 clears the products' -0.0."""
+    C = _complex_rows(x)
+    n = C.shape[-1] // 2
+    jC = np.concatenate([C[..., n:].conj(), -C[..., :n].conj()], axis=-1)
+    return _real_rows(-1j * A.a * C + complex(A.b, -A.c) * jC) + 0.0
 
 
 def hermitian_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -166,7 +139,8 @@ def hermitian_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DimensionError(f"shape mismatch {x.shape} vs {y.shape}")
     if x.ndim != 1:  # x @ y of two matrices would be a matrix product
         raise DimensionError(f"hermitian_product needs two vectors, got shape {x.shape}")
-    ambient_dim(x)
+    if len(x) % 4 != 0 or len(x) == 0:
+        raise DimensionError(f"ambient dimension {len(x)} is not a positive multiple of 4")
     return np.array([x @ y, *(x @ apply_structure(A, y) for A in (I, J, K))])
 
 
@@ -177,7 +151,10 @@ class AdmissibleBasis:
     rotation: np.ndarray
 
     def __post_init__(self):
-        C = np.asarray(self.rotation, dtype=float)
+        try:
+            C = np.asarray(self.rotation, dtype=float)
+        except (TypeError, ValueError):
+            raise StructureError("rotation is not an array of numbers") from None
         if C.shape != (3, 3):
             raise StructureError(f"rotation must be 3x3, got {C.shape}")
         if not np.isfinite(C).all():  # before C^T C, where inf * 0 warns
@@ -192,7 +169,8 @@ class AdmissibleBasis:
 def right_multiply(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Right scalar multiplication X q by a quaternion array q (..., 4),
     blockwise on quaternionic coordinates."""
-    return _unblocks(qarr_mul(_blocks(x), q))
+    out = qarr_mul(np.reshape(x, np.shape(x)[:-1] + (-1, 4)), q)
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
 def quaternion_from_rotation(C: np.ndarray) -> np.ndarray:

@@ -39,7 +39,10 @@ class Frame:
 
     def __post_init__(self):
         # stored in C order: every kernel, the complex row view included, sees one layout
-        V = np.atleast_2d(np.ascontiguousarray(self.vectors, dtype=float))
+        try:
+            V = np.atleast_2d(np.ascontiguousarray(self.vectors, dtype=float))
+        except (TypeError, ValueError):
+            raise FrameError("vectors are not a rectangular array of numbers") from None
         if V.shape[0] == 0:
             raise DimensionError("dim-0 subspace is rejected")
         if V.shape[1] % 4 != 0:
@@ -178,14 +181,12 @@ class OrientedTwoPlane:
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        Frame(np.vstack([X, Y]))  # validates orthonormality and ambient dim
+        X, Y = self.frame().vectors  # validates orthonormality and ambient dim
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
     def frame(self) -> Frame:
-        return Frame(np.vstack([self.X, self.Y]))
+        return Frame([self.X, self.Y])
 
 
 def complement(U: Frame) -> Frame:

@@ -93,11 +93,26 @@ def random_unit_in(U, rng):
     return v / np.linalg.norm(v)
 
 
+def apply_structure_reference(A, x):
+    """A = a I + b J + c K on real rows (last axis 4n), one quaternionic block
+    (x0, x1, x2, x3) at a time: I, J, K are x -> x (-i), x (-j), x (-k)."""
+    x = np.asarray(x, dtype=float)
+    b = x.reshape(x.shape[:-1] + (x.shape[-1] // 4, 4))
+    out = np.zeros_like(b)
+    if A.a != 0.0:
+        out += A.a * np.stack([b[..., 1], -b[..., 0], -b[..., 3], b[..., 2]], axis=-1)
+    if A.b != 0.0:
+        out += A.b * np.stack([b[..., 2], b[..., 3], -b[..., 0], -b[..., 1]], axis=-1)
+    if A.c != 0.0:
+        out += A.c * np.stack([b[..., 3], -b[..., 2], b[..., 1], -b[..., 0]], axis=-1)
+    return out.reshape(x.shape)
+
+
 def omega_reference(U, A):
     """The A-Kaehler form on U through the real structure action: entries
     <X_p, A X_q> = V (A V)^T, with no complex layout."""
     V = U.vectors
-    return V @ apply_structure(A, V).T
+    return V @ apply_structure_reference(A, V).T
 
 
 def qarr_mul_reference(a, b):

@@ -513,6 +513,25 @@ class TestProfileDegenerateConventions:
         assert prof.xi == pytest.approx(1.0, abs=1e-12)
         assert (prof.gamma, prof.delta) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("make,forced", [
+        (lambda: make_totally_complex_4(2), (True, True, True)),
+        (lambda: make_rhp(4, 4), (True, True, True)),
+        (lambda: direct_sum([make_two_plane(2, np.pi / 2, 1.1, 0.9, 1.0, -1.0)] * 2),
+         (True, False, False)),
+    ], ids=["tcomplex", "rhp", "cosI=0"])
+    def test_forced_invariants_exact_as_in_companions(self, make, forced):
+        # a pair of one source form reads exactly 1 on both routes, also once
+        # Sp(n) has moved the frame off its coordinate form
+        base = make()
+        for seed in (3, 4, 5):
+            U = random_sp(base.n, seed).apply_frame(base)
+            prof = full_profile(U)
+            comp = companions(U, U.vectors[0])
+            for got, other, exact in zip((prof.xi, prof.chi, prof.eta),
+                                         (comp.xi, comp.chi, comp.eta), forced):
+                if exact:
+                    assert got == other == 1.0
+
     def test_profile_of_make_profile_roundtrip(self, rng):
         for _ in range(4):
             # sample a feasible invariant set from a graph subspace, rebuild

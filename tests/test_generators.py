@@ -54,6 +54,7 @@ from isoclinic.quaternions import (
     right_multiply,
 )
 from isoclinic.subspaces import Frame, gram, orthonormalize, structure_image
+from isoclinic.tolerances import EPS_ISO
 from conftest import structure_matrix
 
 
@@ -122,6 +123,12 @@ class TestSpElement:
         Z = np.random.default_rng(0).standard_normal((4, 8)).view(complex)
         with pytest.raises(FalsificationError, match=r"not an element of Sp\(2\)"):
             SpElement(np.linalg.qr(Z)[0])
+
+    @pytest.mark.parametrize("x", [np.eye(6), np.eye(12)[:2], np.zeros(4), 1.0],
+                             ids=["width-6", "width-12", "width-4", "scalar"])
+    def test_apply_refuses_other_widths(self, x):
+        with pytest.raises(DimensionError, match=r"^expected rows of width 8, got shape"):
+            random_sp(2, 1).apply(x)
 
     def test_accepts_within_tolerance(self):
         M = random_sp(4, 2).matrix
@@ -471,6 +478,22 @@ class TestOracle:
         report = invariance_oracle(U, trials=2, seed=0)
         assert not report.passed
         assert report.failures
+
+    def test_pair_defect_at_the_gate_tolerance_is_a_failure(self, monkeypatch):
+        # a structure whose pair (gU, A gU) reaches EPS_ISO fails its trial,
+        # and no theta_A error is read off it
+        combined = generators._combined_defects
+
+        def reaching(C, forms):
+            defects, c2 = combined(C, forms)
+            defects[0, 3] = EPS_ISO
+            return defects, c2
+
+        monkeypatch.setattr(generators, "_combined_defects", reaching)
+        U = graph_subspace(np.array([0.3, 0.4, -0.2, 0.6]))
+        report = invariance_oracle(U, trials=2, seed=0)
+        assert report.failures == ("trial 0: pair (gU, A gU) not isoclinic",)
+        assert not report.passed
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):

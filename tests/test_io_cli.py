@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -361,6 +362,34 @@ class TestCli:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["rhp"], "c2ddac15efef45c873bbb0ae20482e09b4570d94fb7a8cfb7880caf79e213252"),
+        (["qline"], "4d499a01d5dd85c135846f846aa2af9333e8e6deed6a1bcf95927fa9e0a7dcf2"),
+        (["tcomplex4"], "346b3a7a5ae78d50fe90cbf7d08d1983cb56fa2f04d7a09f8739c813062db501"),
+        (["icomplex4", "--theta", "0"],
+         "06ba43b3f2810d4557e5c89c85c6836bfd2eb7206137216e75146a0ae3e2a275"),
+        (["icomplex4", "--theta", "0.8"],
+         "6cae7f27419d8ab2828224b3717e7d8d090b853c5b2e345a3012a572c97322ab"),
+        (["twoplane", "--n", "1", "--theta-i", "0", "--theta-j", "1.5707963267948966",
+          "--theta-k", "1.5707963267948966"],
+         "0c0a192ceab40c7197c6f1fa99eb8d0134cd6ddcc7bd6ac09871ffcd3f5b937b"),
+        (["twoplane", "--theta-i", "0.9", "--theta-j", "1.1", "--theta-k", "1.5707963267948966"],
+         "aa5abdc50fcf4fca9c23a20ee3d5dacabe5b3a42dd220fe4df4bdadabb8f3919"),
+        (["graph", "--seed", "1"],
+         "74c09179cbc13c62cd8e5ea3135c52cd35734f1ed16910c8f67b8c4e3c0b0cab"),
+        (["sum", "--part", '{"family": "tcomplex4"}',
+          "--part", '{"family": "icomplex4", "theta": 1.5707963267948966}'],
+         "38ba4644675f5c35cbdfe2caa65a83a00877a36e5e55399cc555d7400d99cb15"),
+    ], ids=["rhp", "qline", "tcomplex4", "icomplex4-0", "icomplex4-0.8", "twoplane-n1",
+            "twoplane-K-pi/2", "graph", "sum"])
+    def test_generate_bytes_pinned(self, capsys, monkeypatch, argv, digest):
+        # every byte of the document, the signs of its zeros (-0.0 from the
+        # structure action and its negations) included
+        monkeypatch.delenv("ISOCLINIC_SEED", raising=False)
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_generate_sum_with_parts(self, capsys, tmp_path):
         code, out, _ = run_cli(

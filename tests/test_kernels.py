@@ -85,9 +85,7 @@ from isoclinic.quaternions import (
     I,
     J,
     K,
-    _blocks,
     _complex_rows,
-    _unblocks,
     apply_structure,
     qarr_conj,
     qarr_mul,
@@ -103,7 +101,6 @@ from isoclinic.subspaces import (
 )
 from isoclinic.orbits import (
     OrbitLabel,
-    _rounded_sign,
     decompose,
     eight_dim_addend,
     orbit_label,
@@ -111,28 +108,16 @@ from isoclinic.orbits import (
 )
 from isoclinic.tolerances import (EPS_ANGLE, EPS_FRAME, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK,
                                   EPS_UNION)
-from conftest import (bench_workloads, build_chains_reference, chain_profile, clean_rows,
-                      companions_reference, complement_in, mgs_reference, omega_reference,
-                      oracle_loop_reference, perturbed_graph_sum, profile_of, qarr_conj_reference,
-                      qarr_mul_reference, random_unit_in, real_matrix_reference, sp_entries,
-                      sp_matrix, structure_matrix, sweep_leads)
+from conftest import (apply_structure_reference, bench_workloads, build_chains_reference,
+                      chain_profile, clean_rows, companions_reference, complement_in,
+                      mgs_reference, omega_reference, oracle_loop_reference, perturbed_graph_sum,
+                      profile_of, qarr_conj_reference, qarr_mul_reference, random_unit_in,
+                      real_matrix_reference, sp_entries, sp_matrix, structure_matrix, sweep_leads)
 
 TOL = 1e-13
 
 
 # --- references -------------------------------------------------------------
-
-def apply_structure_reference(A, x):
-    b = _blocks(x)
-    out = np.zeros_like(b)
-    if A.a != 0.0:
-        out += A.a * np.stack([b[..., 1], -b[..., 0], -b[..., 3], b[..., 2]], axis=-1)
-    if A.b != 0.0:
-        out += A.b * np.stack([b[..., 2], b[..., 3], -b[..., 0], -b[..., 1]], axis=-1)
-    if A.c != 0.0:
-        out += A.c * np.stack([b[..., 3], -b[..., 2], b[..., 1], -b[..., 0]], axis=-1)
-    return _unblocks(out)
-
 
 def companion_reference(U, A, cos_a, v):
     """A^{-1} Pr_{AU} v / cos_a with A^{-1} = -A."""
@@ -248,13 +233,13 @@ def orbit_label_reference(U, seed=None):
     if profile.dim_class == 2:
         if not all(abs(v) > 1.0 - EPS_PM1 for v in (xi, chi, eta)):
             raise FalsificationError("dim = 2 mod 4 mandates xi, chi, eta at +/-1")
-        xi, chi = _rounded_sign(xi), _rounded_sign(chi)
+        xi, chi = np.copysign(1.0, xi), np.copysign(1.0, chi)
         eta, delta = xi * chi, 0.0
     else:
         if profile.dim_class == 4 and abs(profile.gamma**2 + delta**2 - 1.0) > EPS_ORBIT:
             raise FalsificationError("dim = 4 mod 8 mandates Gamma^2 + Delta^2 = 1")
         if any(abs(v) > 1.0 - EPS_PM1 for v in (xi, chi, eta)):
-            snap = lambda v: _rounded_sign(v) if abs(v) > 1.0 - EPS_PM1 else v
+            snap = lambda v: np.copysign(1.0, v) if abs(v) > 1.0 - EPS_PM1 else v
             xi, chi, eta, delta = snap(xi), snap(chi), snap(eta), 0.0
     return OrbitLabel(U.dim, profile.theta_i, profile.theta_j, profile.theta_k,
                       xi, chi, eta, delta)

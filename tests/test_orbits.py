@@ -373,6 +373,13 @@ class TestCanonicalMatrices:
                 bik = cik_block_4(chi, gamma, delta)
                 npt.assert_allclose(bik @ bik.T, np.eye(4), atol=1e-12)
 
+    def test_profile_of_another_dim_refused(self):
+        # a 2-plane's profile would tile 2 x 2 blocks for a dim-4 graph
+        U = graph_subspace(np.array([0.3, 0.4, -0.2, 0.6]))
+        plane = full_profile(make_two_plane(2, 0.9, 1.1, 1.2, 1.0, -1.0))
+        with pytest.raises(DimensionError, match="^a dim-2 profile given for a dim-4 subspace$"):
+            canonical_matrices(U, plane)
+
     def test_two_lines_reduce_to_i_complex_style_blocks(self):
         U = direct_sum([make_quaternionic_line(1), make_quaternionic_line(1)])
         _, cik = canonical_matrices(U)
@@ -446,6 +453,12 @@ class TestOrbitLabel:
         a = orbit_label(make_quaternionic_line(2, 0))
         b = orbit_label(make_quaternionic_line(3, 2))
         assert a.agrees(b)
+
+    def test_labels_of_other_dims_disagree(self):
+        # r.h.p. subspaces of dims 4 and 2 have equal label arrays
+        a, b = orbit_label(make_rhp(4, 4)), orbit_label(make_rhp(4, 2))
+        npt.assert_array_equal(a.as_array(), b.as_array())
+        assert not a.agrees(b) and not b.agrees(a)
 
     def test_i_complex_angle_separates(self):
         a = orbit_label(make_i_complex_4(2, 0.6))

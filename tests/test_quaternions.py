@@ -210,6 +210,11 @@ class TestRotateBasis:
         with pytest.raises(StructureError, match="^rotation has an entry that is not finite$"):
             AdmissibleBasis(C)
 
+    @pytest.mark.parametrize("rotation", ["abc", [[1.0, 0.0], [0.0]], {}])
+    def test_non_numeric_rotation_refused_by_type(self, rotation):
+        with pytest.raises(StructureError, match="^rotation is not an array of numbers$"):
+            AdmissibleBasis(rotation)
+
     def test_non_square_rotation_rejected(self):
         with pytest.raises(StructureError, match="3x3"):
             AdmissibleBasis(np.eye(2))

@@ -64,6 +64,16 @@ class TestOrthonormalize:
         assert isinstance(info.value, IsoclinicError)
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("vectors", ["abc", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0]], [{}]],
+                             ids=["string", "ragged", "dict"])
+    def test_non_array_refused_by_type(self, vectors):
+        with pytest.raises(FrameError, match="not a rectangular array of numbers"):
+            Frame(vectors)
+
+    def test_two_plane_of_unequal_lengths_refused_by_type(self):
+        with pytest.raises(FrameError, match="not a rectangular array of numbers"):
+            OrientedTwoPlane(unit(1, 0), unit(2, 1))
+
     def test_parallel_pair_is_a_package_error(self):
         with pytest.raises(FrameError, match="not orthonormal"):
             OrientedTwoPlane(unit(1, 0), unit(1, 0))
