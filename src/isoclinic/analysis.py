@@ -280,6 +280,8 @@ def _cos2_of(profile: IsoclinicProfile, C: np.ndarray) -> np.ndarray:
 
 def _check_member(U: Frame, x: np.ndarray, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
+    if x.shape != (U.ambient,):
+        raise FrameError(f"{what} must be a vector of length {U.ambient}, got shape {x.shape}")
     nx = np.linalg.norm(x)
     if not abs(nx - 1.0) <= EPS_MEMBER:
         raise FrameError(f"{what} must be a unit vector (norm {nx:.6f})")

@@ -281,13 +281,10 @@ def graph_subspace(mu, n: int = 2) -> Frame:
         raise InfeasibleParametersError(f"graph_subspace: mu must be a number or 4 numbers, "
                                         f"got {mu!r}")
     _require_finite("graph_subspace", *value)
-    rows = []
-    for q in np.eye(4):
-        v = _zeros(n)[0]
-        v[:4] = q
-        v[4:8] = qarr_mul(q, value)
-        rows.append(v)
-    U = orthonormalize(rows)
+    V = _zeros(n, 4)
+    V[:, :4] = np.eye(4)
+    V[:, 4:8] = qarr_mul(np.eye(4), value)
+    U = orthonormalize(V)
     certify_isoclinic(U)
     return U
 
@@ -315,11 +312,8 @@ def _quaternion_cholesky(H: np.ndarray) -> np.ndarray:
             continue
         s = np.sqrt(d)
         R[p, p, 0] = s
-        for q in range(p + 1, k):
-            acc = H[p, q].copy()
-            if p:
-                acc -= qarr_mul(qarr_conj(R[:p, p]), R[:p, q]).sum(axis=0)
-            R[p, q] = acc / s
+        acc = qarr_mul(qarr_conj(R[:p, p, None]), R[:p, p + 1 :]).sum(axis=0)
+        R[p, p + 1 :] = (H[p, p + 1 :] - acc) / s
     # verify the factorization; catches indefinite H that slipped past pivots
     G = qarr_mul(qarr_conj(R)[:, :, None], R[:, None]).sum(axis=0)
     if not np.max(np.abs(G - H)) <= EPS_FACTOR:
@@ -335,14 +329,8 @@ def _frame_from_omegas(omegas: tuple[np.ndarray, np.ndarray, np.ndarray], n: int
     Only the nonzero rows of the factor are embedded, so the quaternionic
     rank of the Gram (not the real dimension) bounds the needed n.
     """
-    wI, wJ, wK = omegas
-    k = wI.shape[0]
-    H = np.zeros((k, k, 4))
-    H[..., 0] = np.eye(k)
-    H[..., 1] = wI
-    H[..., 2] = wJ
-    H[..., 3] = wK
-    R = _quaternion_cholesky(H)
+    k = len(omegas[0])
+    R = _quaternion_cholesky(np.stack([np.eye(k), *omegas], axis=-1))
     used = [p for p in range(k) if np.max(np.abs(R[p])) > 0.0]
     V = _zeros(_count(n, "n", len(used), DimensionError), k)
     V[:, : 4 * len(used)] = R[used].transpose(1, 0, 2).reshape(k, -1)

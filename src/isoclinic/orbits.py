@@ -183,16 +183,6 @@ def decompose(U: Frame, seed: int | None = None) -> Decomposition:
 # block canonical matrices
 
 
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total))
-    at = 0
-    for b in blocks:
-        out[at : at + b.shape[0], at : at + b.shape[0]] = b
-        at += b.shape[0]
-    return out
-
-
 def canonical_matrices(
     U: Frame, profile: IsoclinicProfile | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +191,7 @@ def canonical_matrices(
     dim = 2 mod 4 tiles 2x2 sign blocks; every other dimension requires
     Sigma = 0 and tiles the 4x4 closed forms in (xi, chi, Gamma, Delta).
     The result depends only on the measured invariants, hence not on the
-    decomposition used.
+    decomposition used; adding 0.0 clears the blocks' -0.0.
     """
     if profile is None:
         profile = full_profile(U)
@@ -215,8 +205,11 @@ def canonical_matrices(
     else:
         bij = cij_block_4(profile.xi)
         bik = cik_block_4(profile.chi, profile.gamma, profile.delta)
-    count = profile.dim // bij.shape[0]
-    return _block_diag([bij] * count), _block_diag([bik] * count)
+    m = len(bij)
+    count = profile.dim // m
+    tiles = np.zeros((2, count, m, count, m))
+    tiles[:, range(count), :, range(count)] = (bij, bik)
+    return tuple(tiles.reshape(2, profile.dim, profile.dim) + 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -46,30 +46,19 @@ __all__ = [
 
 # --- array quaternion helpers (last axis of length 4 holds 1,i,j,k parts) ---
 
-# The Hamilton product as a table: term t of component k of a b is
-# _SIGN[t, k] * a[t] * b[t ^ k].
-_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
-                  [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def qarr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of (...,4) quaternion arrays, broadcasting; C-contiguous.
-
-    T[..., t, k1, k0] = _SIGN[t, k] * a[..., t], k = 2 k1 + k0. With b's
-    last axis split as (k1, k0), b[t ^ k] is b reversed on the axes of
-    t's set bits, a view, so each term is one broadcast multiply-add.
-    Adding the terms in t order with += rounds as the written-out
-    a0 b0 - a1 b1 - a2 b2 - a3 b3 does. The result is C-contiguous, so a
-    sum over a leading axis adds its rows in turn (on other layouts numpy
-    may sum pairwise).
-    """
-    T = np.asarray(a, dtype=float)[..., None, None] * _SIGN.reshape(4, 2, 2)
-    b = np.asarray(b, dtype=float).reshape(np.shape(b)[:-1] + (2, 2))
-    out = np.multiply(T[..., 0, :, :], b, order="C")
-    for t in (1, 2, 3):
-        out += T[..., t, :, :] * b[..., :: 1 - 2 * (t >> 1), :: 1 - 2 * (t & 1)]
-    return out.reshape(out.shape[:-2] + (4,))
+    """Hamilton product of (...,4) quaternion arrays, broadcasting; C-contiguous,
+    so a sum over a leading axis adds its rows in turn (on other layouts numpy
+    may sum pairwise)."""
+    a0, a1, a2, a3 = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    b0, b1, b2, b3 = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    return np.ascontiguousarray(np.stack([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                                          a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                                          a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                                          a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0], axis=-1))
 
 
 def qarr_conj(a: np.ndarray) -> np.ndarray:
@@ -102,7 +91,10 @@ class CompatibleStructure:
     c: float
 
     def __post_init__(self):
-        coeffs = np.array([self.a, self.b, self.c], dtype=float)
+        try:
+            coeffs = np.array([self.a, self.b, self.c], dtype=float)
+        except (TypeError, ValueError):
+            raise StructureError(f"coefficients {self.a, self.b, self.c} are not numbers") from None
         if not abs(coeffs @ coeffs - 1.0) <= EPS_ORTH:
             raise StructureError(
                 f"coefficient vector {coeffs} is not unit (|a|^2+|b|^2+|c|^2 != 1)"
@@ -120,6 +112,9 @@ K = CompatibleStructure(0.0, 0.0, 1.0)
 def apply_structure(A: CompatibleStructure, x: np.ndarray) -> np.ndarray:
     """Apply A = a I + b J + c K to vectors (last axis 4n); norm preserving. In the
     layout A C = -i a C + (b - i c) jC; adding 0.0 clears the products' -0.0."""
+    width = np.shape(x)[-1] if np.ndim(x) else 0
+    if width % 4 or not width:
+        raise DimensionError(f"ambient dimension {width} is not a positive multiple of 4")
     C = _complex_rows(x)
     n = C.shape[-1] // 2
     jC = np.concatenate([C[..., n:].conj(), -C[..., :n].conj()], axis=-1)
@@ -139,8 +134,6 @@ def hermitian_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DimensionError(f"shape mismatch {x.shape} vs {y.shape}")
     if x.ndim != 1:  # x @ y of two matrices would be a matrix product
         raise DimensionError(f"hermitian_product needs two vectors, got shape {x.shape}")
-    if len(x) % 4 != 0 or len(x) == 0:
-        raise DimensionError(f"ambient dimension {len(x)} is not a positive multiple of 4")
     return np.array([x @ y, *(x @ apply_structure(A, y) for A in (I, J, K))])
 
 

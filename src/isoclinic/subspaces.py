@@ -38,11 +38,7 @@ class Frame:
     vectors: np.ndarray
 
     def __post_init__(self):
-        # stored in C order: every kernel, the complex row view included, sees one layout
-        try:
-            V = np.atleast_2d(np.ascontiguousarray(self.vectors, dtype=float))
-        except (TypeError, ValueError):
-            raise FrameError("vectors are not a rectangular array of numbers") from None
+        V = _rows(self.vectors)
         if V.shape[0] == 0:
             raise DimensionError("dim-0 subspace is rejected")
         if V.shape[1] % 4 != 0:
@@ -63,6 +59,19 @@ class Frame:
     @property
     def n(self) -> int:
         return self.vectors.shape[1] // 4
+
+
+def _rows(vectors) -> np.ndarray:
+    """vectors as a (k, d) float array in C order, as every kernel (the complex row
+    view included) takes it; FrameError for non-numbers or ragged rows, DimensionError
+    for more than two axes."""
+    try:
+        V = np.atleast_2d(np.ascontiguousarray(vectors, dtype=float))
+    except (TypeError, ValueError):
+        raise FrameError("vectors are not a rectangular array of numbers") from None
+    if V.ndim != 2:
+        raise DimensionError(f"vectors must be the rows of one (k, 4n) array, got shape {V.shape}")
+    return V
 
 
 def _require_orthonormal(gram: np.ndarray) -> None:
@@ -103,7 +112,7 @@ def orthonormalize(spanning) -> Frame:
     Rank-deficient input raises RankDeficiencyError carrying the detected
     rank.
     """
-    rows = np.atleast_2d(np.asarray(spanning, dtype=float))
+    rows = _rows(spanning)
     if rows.shape[0] == 0:
         raise DimensionError("empty spanning set")
     # the squares of entries beyond 2^500 may overflow the row norms: dividing
@@ -119,7 +128,10 @@ def orthonormalize(spanning) -> Frame:
 
 def project(U: Frame, x: np.ndarray) -> np.ndarray:
     """Orthogonal projection of x onto span(U)."""
-    return U.vectors.T @ (U.vectors @ np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.shape[:1] != (U.ambient,):
+        raise DimensionError(f"expected a vector of length {U.ambient}, got shape {x.shape}")
+    return U.vectors.T @ (U.vectors @ x)
 
 
 def gram(U: Frame, W: Frame) -> np.ndarray:

@@ -21,15 +21,18 @@ from isoclinic.analysis import (
     _pm1,
     _profiles,
     certify_isoclinic,
+    cij_block_4,
+    cik_block_4,
     full_profile,
     gamma_delta,
 )
-from isoclinic.errors import DimensionError, FalsificationError, RankDeficiencyError
+from isoclinic.errors import (DimensionError, FalsificationError, InfeasibleParametersError,
+                              RankDeficiencyError)
 from isoclinic.generators import (OracleReport, _profile_vector, direct_sum, graph_subspace,
                                   random_sp)
 from isoclinic.quaternions import I, J, K, apply_structure
 from isoclinic.subspaces import Frame, orthonormalize, project
-from isoclinic.tolerances import EPS_ANGLE, EPS_ISO, EPS_RANK, EPS_UNION
+from isoclinic.tolerances import EPS_ANGLE, EPS_ISO, EPS_PIVOT, EPS_RANK, EPS_UNION
 
 
 def unit(n: int, q: int) -> np.ndarray:
@@ -130,6 +133,60 @@ def qarr_mul_reference(a, b):
         ],
         axis=-1,
     )
+
+
+# The Hamilton product as a sign table, the kernel qarr_mul ran before it was
+# written out: term t of component k of a b is _SIGN[t, k] * a[t] * b[t ^ k].
+_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
+                  [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+
+
+def qarr_mul_table_reference(a, b):
+    """The Hamilton product from _SIGN, C-contiguous. With b's last axis split as
+    (k1, k0), k = 2 k1 + k0, b[t ^ k] is b reversed on the axes of t's set bits;
+    the terms are added in t order with +=."""
+    T = np.asarray(a, dtype=float)[..., None, None] * _SIGN.reshape(4, 2, 2)
+    b = np.asarray(b, dtype=float).reshape(np.shape(b)[:-1] + (2, 2))
+    out = np.multiply(T[..., 0, :, :], b, order="C")
+    for t in (1, 2, 3):
+        out += T[..., t, :, :] * b[..., :: 1 - 2 * (t >> 1), :: 1 - 2 * (t & 1)]
+    return out.reshape(out.shape[:-2] + (4,))
+
+
+def quaternion_cholesky_reference(H):
+    """_quaternion_cholesky one entry R[p, q] at a time, on the sign-table product."""
+    k = H.shape[0]
+    R = np.zeros((k, k, 4))
+    for p in range(k):
+        d = H[p, p, 0] - float(np.sum(R[:p, p] ** 2))
+        if d < -EPS_PIVOT:
+            raise InfeasibleParametersError(f"pivot {p}: {d:.3e} < 0")
+        if d <= EPS_PIVOT:
+            continue
+        s = np.sqrt(d)
+        R[p, p, 0] = s
+        for q in range(p + 1, k):
+            acc = H[p, q].copy()
+            if p:
+                acc -= qarr_mul_table_reference(qarr_conj_reference(R[:p, p]), R[:p, q]).sum(axis=0)
+            R[p, q] = acc / s
+    return R
+
+
+def canonical_matrices_reference(profile):
+    """(C_IJ, C_IK) tiled one block at a time into zeros, -0.0 cleared: 2x2 sign
+    blocks in dim = 2 mod 4, the 4x4 closed forms otherwise."""
+    if profile.dim_class == 2:
+        blocks = [np.diag([1.0, float(np.sign(v))]) for v in (profile.xi, profile.chi)]
+    else:
+        blocks = [cij_block_4(profile.xi), cik_block_4(profile.chi, profile.gamma, profile.delta)]
+    mats = []
+    for b in blocks:
+        M = np.zeros((profile.dim, profile.dim))
+        for at in range(0, profile.dim, len(b)):
+            M[at : at + len(b), at : at + len(b)] = b
+        mats.append(M + 0.0)
+    return tuple(mats)
 
 
 def qarr_conj_reference(a):

@@ -26,6 +26,7 @@ from isoclinic.errors import (
     IsoclinicError,
     NotIsoclinicError,
     RankDeficiencyError,
+    StructureError,
 )
 from isoclinic.generators import (
     SpElement,
@@ -42,18 +43,21 @@ from isoclinic.generators import (
     make_two_plane,
     random_sp,
 )
-from isoclinic.orbits import canonical_matrices, decompose, orbit_label, same_orbit
+from isoclinic.orbits import (canonical_matrices, decompose, eight_dim_addend, orbit_label,
+                              same_orbit)
 from isoclinic.quaternions import (
+    CompatibleStructure,
     I,
     J,
     K,
+    apply_structure,
     hermitian_product,
     qarr_conj,
     qarr_mul,
     quaternion_from_rotation,
     right_multiply,
 )
-from isoclinic.subspaces import Frame, gram, orthonormalize, structure_image
+from isoclinic.subspaces import Frame, gram, orthonormalize, project, structure_image
 from isoclinic.tolerances import EPS_ISO
 from conftest import structure_matrix
 
@@ -589,9 +593,32 @@ class TestRefusals:
          InfeasibleParametersError, "expected a finite tol > 0, got 'x'"),
         (_xi_off_pm1_plane, FalsificationError,
          "dim 2 = 2 mod 4 mandates xi, chi, eta in {+1,-1}, got (0.500000, 1.000000, 1.000000)"),
+        (lambda: companions(graph_subspace(0.5), [1.0, 0.0, 0.0]), FrameError,
+         "leading vector must be a vector of length 8, got shape (3,)"),
+        (lambda: build_chains(graph_subspace(0.5), graph_subspace(0.5).vectors[:1]), FrameError,
+         "leading vector must be a vector of length 8, got shape (1, 8)"),
+        (lambda: eight_dim_addend(direct_sum([graph_subspace(0.5)] * 2), [1.0, 0.0, 0.0]),
+         FrameError, "leading vector must be a vector of length 16, got shape (3,)"),
+        (lambda: eight_dim_addend(direct_sum([graph_subspace(0.5)] * 2), np.eye(16)[:1]),
+         FrameError, "leading vector must be a vector of length 16, got shape (1, 16)"),
+        (lambda: project(graph_subspace(0.5), np.ones(12)), DimensionError,
+         "expected a vector of length 8, got shape (12,)"),
+        (lambda: apply_structure(I, np.ones((2, 6))), DimensionError,
+         "ambient dimension 6 is not a positive multiple of 4"),
+        (lambda: orthonormalize("abcd"), FrameError,
+         "vectors are not a rectangular array of numbers"),
+        (lambda: orthonormalize([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), FrameError,
+         "vectors are not a rectangular array of numbers"),
+        (lambda: orthonormalize(np.ones((2, 2, 4))), DimensionError,
+         "vectors must be the rows of one (k, 4n) array, got shape (2, 2, 4)"),
+        (lambda: CompatibleStructure("a", 0, 0), StructureError,
+         "coefficients ('a', 0, 0) are not numbers"),
     ], ids=["embed-offset", "frame-ambient", "frame-rows", "orthonormalize-empty", "pair-dims",
             "two-plane-dim", "hermitian-ambient", "hermitian-matrices", "qline-index",
-            "twoplane-remainder", "profile4-gamma", "same-orbit-tol", "two-plane-mandate"])
+            "twoplane-remainder", "profile4-gamma", "same-orbit-tol", "two-plane-mandate",
+            "companions-length", "chains-row", "addend-length", "addend-row", "project-length",
+            "structure-ambient", "orthonormalize-text", "orthonormalize-ragged",
+            "orthonormalize-3d", "structure-text"])
     def test_refused_by_name(self, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()

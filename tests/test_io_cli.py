@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ from isoclinic.cli import main
 from isoclinic.errors import DocumentError
 from isoclinic.generators import (direct_sum, graph_subspace, make_i_complex_4,
                                   make_profile_4, make_quaternionic_line, make_rhp,
-                                  make_totally_complex_4, make_two_plane)
+                                  make_totally_complex_4, make_two_plane, random_sp)
 from isoclinic.io import document_from_frame, parse_document, serialize_document
 from isoclinic.quaternions import CompatibleStructure, apply_structure
 from isoclinic.subspaces import orthonormalize
@@ -619,6 +620,21 @@ class TestCli:
         s_rot = sum(v**2 for v in rotated["profile"]["cosines"])
         assert abs(s_base - s_rot) < 1e-9
         assert abs(rotated["profile"]["xi"] - base["profile"]["xi"]) > 1e-3
+
+    def test_canonical_matrices_print_no_negative_zero(self, capsys, tmp_path):
+        # the forced invariants at 1 of a moved totally complex frame put -0.0 in
+        # the closed-form blocks; analyze prints it as 0
+        U = random_sp(2, 3).apply_frame(make_totally_complex_4(2))
+        path = tmp_path / "tcomplex.json"
+        path.write_text(serialize_document(document_from_frame(U)))
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+        assert code == 0
+        result = json.loads(out)
+        entries = [x for m in ("canonical_c_ij", "canonical_c_ik") for r in result[m] for x in r]
+        assert [x for x in entries if x == 0.0 and math.copysign(1.0, x) < 0] == []
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0 and "C_IK:" in out
+        assert not re.search(r"-0(?![.\d])", out)
 
     def test_analyze_two_plane_document(self, capsys, monkeypatch):
         import io

@@ -7,7 +7,9 @@ and one matrix-vector product at a time, is checked against it too), the
 structure action as stacked signed slices, companions through the
 projector onto AU, the oracle's sampled structures through a
 fresh image AU per structure, the Hamilton product written out one
-component at a time, Sp(n) sampling as left-looking Gram-Schmidt one
+component at a time (qarr_mul, written out too, against the sign table it
+replaced), the quaternionic Cholesky one entry at a time, the canonical
+matrices one block at a time, Sp(n) sampling as left-looking Gram-Schmidt one
 column pair at a time on that product, an element's real 4n x 4n matrix
 entry by entry through that product and the Kaehler forms through the
 real structure action (conftest; neither uses the complex layout), the
@@ -60,6 +62,7 @@ from isoclinic.analysis import (
 from isoclinic.errors import (
     DimensionError,
     FalsificationError,
+    InfeasibleParametersError,
     IsoclinicError,
     NotIsoclinicError,
     RankDeficiencyError,
@@ -67,6 +70,7 @@ from isoclinic.errors import (
 from isoclinic.generators import (
     SpElement,
     _profile_vector,
+    _quaternion_cholesky,
     direct_sum,
     embed,
     graph_subspace,
@@ -101,6 +105,7 @@ from isoclinic.subspaces import (
 )
 from isoclinic.orbits import (
     OrbitLabel,
+    canonical_matrices,
     decompose,
     eight_dim_addend,
     orbit_label,
@@ -109,10 +114,12 @@ from isoclinic.orbits import (
 from isoclinic.tolerances import (EPS_ANGLE, EPS_FRAME, EPS_ISO, EPS_ORBIT, EPS_PM1, EPS_RANK,
                                   EPS_UNION)
 from conftest import (apply_structure_reference, bench_workloads, build_chains_reference,
-                      chain_profile, clean_rows, companions_reference, complement_in,
-                      mgs_reference, omega_reference, oracle_loop_reference, perturbed_graph_sum,
-                      profile_of, qarr_conj_reference, qarr_mul_reference, random_unit_in,
-                      real_matrix_reference, sp_entries, sp_matrix, structure_matrix, sweep_leads)
+                      canonical_matrices_reference, chain_profile, clean_rows,
+                      companions_reference, complement_in, mgs_reference, omega_reference,
+                      oracle_loop_reference, perturbed_graph_sum, profile_of,
+                      qarr_conj_reference, qarr_mul_reference, qarr_mul_table_reference,
+                      quaternion_cholesky_reference, random_unit_in, real_matrix_reference,
+                      sp_entries, sp_matrix, structure_matrix, sweep_leads)
 
 TOL = 1e-13
 
@@ -751,18 +758,36 @@ class TestQarrMul:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 5), m=st.integers(1, 5),
            form=st.sampled_from(["n1 x m", "nm x nm", "scalar x n"]))
-    def test_bitwise_equal_to_written_out_product(self, data, n, m, form):
+    def test_bitwise_equal_to_sign_table_product(self, data, n, m, form):
         shapes = {"n1 x m": [(n, 1, 4), (m, 4)], "nm x nm": [(n, m, 4), (n, m, 4)],
                   "scalar x n": [(4,), (n, 4)]}[form]
         a, b = data.draw(_quaternion_arrays(shapes))
         for x, y in ((a, b), (b, a)):
             got = qarr_mul(x, y)
-            npt.assert_array_equal(got, qarr_mul_reference(x, y))
+            assert got.tobytes() == qarr_mul_table_reference(x, y).tobytes()
             assert got.flags.c_contiguous
 
     def test_conjugate_is_the_sign_row(self):
         a = np.random.default_rng(0).standard_normal((3, 4))
         npt.assert_array_equal(qarr_conj(a), qarr_conj_reference(a))
+
+
+class TestQuaternionCholesky:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 6), rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_entry_loop(self, k, rank, seed):
+        # a PSD Gram of quaternionic rank min(k, rank): R^* R of Gaussian rows
+        Z = np.random.default_rng(seed).standard_normal((rank, k, 4))
+        H = qarr_mul_table_reference(qarr_conj_reference(Z)[:, :, None], Z[:, None]).sum(axis=0)
+        want = quaternion_cholesky_reference(H)
+        assert _quaternion_cholesky(H).tobytes() == want.tobytes()
+
+    def test_indefinite_gram_is_refused(self):
+        H = np.zeros((2, 2, 4))
+        H[..., 0] = [[1.0, 2.0], [2.0, 1.0]]
+        for factor in (_quaternion_cholesky, quaternion_cholesky_reference):
+            with pytest.raises(InfeasibleParametersError, match=r"pivot 1: -3\.000e\+00 < 0"):
+                factor(H)
 
 
 class TestRandomSp:
@@ -1335,6 +1360,18 @@ DECOMPOSE_INPUTS = {
     "perturbed-8": lambda: perturbed_graph_sum(1, 2),
     "tcomplex-8": lambda: moved(direct_sum([make_totally_complex_4(2)] * 2), 62),
 }
+
+
+class TestCanonicalMatrices:
+    @pytest.mark.parametrize("name", sorted(DECOMPOSE_INPUTS))
+    def test_bitwise_equal_to_block_loop(self, name):
+        # classes 2, 4 and 8; inputs with an invariant at +/-1 have -0.0 in their blocks
+        U = DECOMPOSE_INPUTS[name]()
+        profile = full_profile(U)
+        for got, want in zip(canonical_matrices(U, profile), canonical_matrices_reference(profile)):
+            assert got.tobytes() == want.tobytes()
+            assert not np.signbit(got[got == 0.0]).any()
+
 
 # how many of the three Kaehler forms survive orthonormalization on each
 # stratum: none on r.h.p. sums; one (the algebra C) on 2-plane sums and
