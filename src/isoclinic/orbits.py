@@ -18,12 +18,12 @@ positive when U mixes both, which is exactly when the orbit label is
 undefined. So outside class 2 Sigma = 0, the canonical matrices tile 4x4
 blocks, and labels and decompose also test vol = +/-Id. A theorem-mandated
 identity failing beyond tolerance, or a label on an undecided side of the
-+/-1 convention, raises FalsificationError instead of being absorbed.
++/-1 convention, raises FalsificationError instead of being absorbed. The
+orbit decision needs no label: it compares the forms' trace invariants.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,12 +58,12 @@ __all__ = [
 ]
 
 
-def _require_mandates(profile: IsoclinicProfile, snaps=None) -> None:
-    """xi, chi, eta all at +/-1 (as snaps says, default by their measured
-    side) in dim = 2 mod 4, else Sigma^2 = 1 - Gamma^2 - Delta^2 = 0."""
+def _require_mandates(profile: IsoclinicProfile) -> None:
+    """xi, chi, eta all at +/-1 in dim = 2 mod 4, else Sigma^2 = 1 - Gamma^2 -
+    Delta^2 = 0."""
     values = (profile.xi, profile.chi, profile.eta)
     sigma2 = 1.0 - profile.gamma**2 - profile.delta**2
-    if profile.dim_class == 2 and not all([_pm1(v) for v in values] if snaps is None else snaps):
+    if profile.dim_class == 2 and not all(_pm1(v) for v in values):
         raise FalsificationError(
             f"dim {profile.dim} = 2 mod 4 mandates xi, chi, eta in {{+1,-1}}, got "
             "(%.6f, %.6f, %.6f)" % values
@@ -233,12 +233,6 @@ class OrbitLabel:
         return np.array([self.theta_i, self.theta_j, self.theta_k, self.xi, self.chi,
                          self.eta, self.delta])
 
-    def agrees(self, other: "OrbitLabel", tol: float = EPS_ORBIT) -> bool:
-        tol = _tolerance(tol)
-        if self.dim != other.dim:
-            return False
-        return bool(np.max(np.abs(self.as_array() - other.as_array())) < tol)
-
 
 def orbit_label(U: Frame) -> OrbitLabel:
     """Orbit label per the classification theorem's three branches: dim =
@@ -269,19 +263,11 @@ class _Measured:
         """The forms' generators E, built on first use."""
         return analysis._generators(self.forms)  # via the module: a wrapped one sees it
 
-    def snaps(self, choice=None) -> list:
-        """Whether xi, chi, eta count as +/-1: a near one as `choice` (index -> bool) says."""
-        values = (self.profile.xi, self.profile.chi, self.profile.eta)
-        return [choice[i] if choice and i in self.near else _pm1(v) for i, v in enumerate(values)]
-
-    def label(self, snaps=None, row=None) -> OrbitLabel:
-        """The label with xi, chi, eta counted as +/-1 as `snaps` (default snaps())
-        says, off the _profiles `row` read under them, if given, held to the mandates."""
-        p = self.profile if row is None else _as_profile(row, self.profile.dim)
-        snaps = self.snaps() if snaps is None else snaps
-        if row is not None:
-            _require_mandates(p, snaps)
+    def label(self) -> OrbitLabel:
+        """The label with xi, chi, eta counted as +/-1 on their measured side."""
+        p = self.profile
         values = (p.xi, p.chi, p.eta)
+        snaps = [_pm1(v) for v in values]
         xi, chi, eta = (float(np.sign(v)) if snap else v for v, snap in zip(values, snaps))
         if p.dim_class == 2:
             eta = xi * chi
@@ -324,26 +310,24 @@ def _measured(frames, tol: float = EPS_ISO) -> list[_Measured]:
 
 
 def same_orbit(U: Frame, W: Frame, tol: float = EPS_ORBIT) -> bool:
-    """Sp(n)-orbit equivalence of two isoclinic subspaces of one dimension
-    by orbit-label equality, one stacked gate for both. Invariants near the
-    +/-1 convention (see orbit_label) take each side in turn, the same in both
-    inputs; differing verdicts raise FalsificationError with the margins.
-    Equal labels give equal canonical matrices (closed forms of them)."""
+    """Sp(n)-orbit equivalence of two isoclinic subspaces of one dimension, one
+    stacked gate for both. Sp(n) moves the forms (omega_I, omega_J, omega_K) of U
+    only by one Q in O(k), so G_pq = tr(omega_p omega_q^T) / k and T =
+    tr(omega_I omega_J omega_K) / k decide the orbit (Procesi), with no +/-1
+    convention: "same" when every entry of (G, T) agrees within both inputs'
+    error bounds (see orbit_label) plus tol times its own scale, c_p c_q for
+    G_pq and c_I c_J c_K for T, where c_p^2 is the larger G_pp."""
     tol = _tolerance(tol)
     return _same_orbit(*_measured([U, W]), tol)
 
 
 def _same_orbit(mu: _Measured, mw: _Measured, tol: float) -> bool:
-    """same_orbit of the frames of mu and mw; with invariants near, every
-    (input, choice) pair is relabelled in one _profiles."""
-    near = sorted(set(mu.near) | set(mw.near))
-    choices = [dict(zip(near, s)) for s in itertools.product((False, True), repeat=len(near))]
-    ms, snaps = zip(*[(m, m.snaps(choice)) for choice in choices for m in (mu, mw)])
-    rows = (_profiles(np.array([m.angles for m in ms]), np.array([m.forms for m in ms]), snaps)
-            if near else [None] * len(ms))
-    labels = [m.label(s, row) for m, s, row in zip(ms, snaps, rows)]
-    verdicts = {a.agrees(b, tol) for a, b in zip(labels[::2], labels[1::2])}
-    if len(verdicts) > 1:
-        raise FalsificationError("the verdict depends on the +/-1 convention: " + "; ".join(
-            f"{name}: {m.margins()}" for name, m in (("U", mu), ("W", mw)) if m.near))
-    return verdicts.pop()
+    """same_orbit of the frames of mu and mw, from their forms."""
+    forms = np.array([mu.forms, mw.forms])
+    k = forms.shape[-1]
+    G = np.einsum("tpij,tqij->tpq", forms, forms) / k
+    T = np.trace(forms[:, 0] @ forms[:, 1] @ forms[:, 2], axis1=1, axis2=2) / k
+    c = np.sqrt(np.maximum(*G.diagonal(axis1=1, axis2=2)))
+    bound = mu.bound + mw.bound
+    return bool((np.abs(G[0] - G[1]) <= bound + tol * np.outer(c, c)).all()
+                and abs(T[0] - T[1]) <= bound + tol * c.prod())

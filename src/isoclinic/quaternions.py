@@ -53,12 +53,22 @@ def qarr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of (...,4) quaternion arrays, broadcasting; C-contiguous,
     so a sum over a leading axis adds its rows in turn (on other layouts numpy
     may sum pairwise)."""
-    a0, a1, a2, a3 = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-    b0, b1, b2, b3 = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[-1:] != (4,) or b.shape[-1:] != (4,):
+        raise DimensionError(f"quaternion arrays need a last axis of 4, got {a.shape}, {b.shape}")
+    a0, a1, a2, a3 = np.moveaxis(a, -1, 0)
+    b0, b1, b2, b3 = np.moveaxis(b, -1, 0)
     return np.ascontiguousarray(np.stack([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
                                           a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
                                           a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
                                           a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0], axis=-1))
+
+
+def _require_ambient(x) -> None:
+    """DimensionError unless x's last axis is a positive multiple of 4."""
+    width = np.shape(x)[-1] if np.ndim(x) else 0
+    if width % 4 or not width:
+        raise DimensionError(f"ambient dimension {width} is not a positive multiple of 4")
 
 
 def qarr_conj(a: np.ndarray) -> np.ndarray:
@@ -112,9 +122,7 @@ K = CompatibleStructure(0.0, 0.0, 1.0)
 def apply_structure(A: CompatibleStructure, x: np.ndarray) -> np.ndarray:
     """Apply A = a I + b J + c K to vectors (last axis 4n); norm preserving. In the
     layout A C = -i a C + (b - i c) jC; adding 0.0 clears the products' -0.0."""
-    width = np.shape(x)[-1] if np.ndim(x) else 0
-    if width % 4 or not width:
-        raise DimensionError(f"ambient dimension {width} is not a positive multiple of 4")
+    _require_ambient(x)
     C = _complex_rows(x)
     n = C.shape[-1] // 2
     jC = np.concatenate([C[..., n:].conj(), -C[..., :n].conj()], axis=-1)
@@ -162,17 +170,19 @@ class AdmissibleBasis:
 def right_multiply(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Right scalar multiplication X q by a quaternion array q (..., 4),
     blockwise on quaternionic coordinates."""
+    _require_ambient(x)
     out = qarr_mul(np.reshape(x, np.shape(x)[:-1] + (-1, 4)), q)
     return out.reshape(out.shape[:-2] + (-1,))
 
 
 def quaternion_from_rotation(C: np.ndarray) -> np.ndarray:
     """Unit quaternion v with v a conj(v) realizing the SO(3) rotation C on
-    imaginary quaternions (defined up to overall sign).
+    imaginary quaternions (defined up to overall sign); C is held to
+    AdmissibleBasis's checks.
 
     Shepperd's method: pick the largest of the four squared components.
     """
-    C = np.asarray(C, dtype=float)
+    C = AdmissibleBasis(C).rotation
     t = np.trace(C)
     cand = np.array([1.0 + t, 1.0 + 2 * C[0, 0] - t, 1.0 + 2 * C[1, 1] - t,
                      1.0 + 2 * C[2, 2] - t])

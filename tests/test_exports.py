@@ -122,7 +122,7 @@ def test_public_members_finds_each_kind():
 
 # the one tolerance a caller may choose: the orbit comparison's; every other
 # threshold is read from the tolerances module
-TOL_ALLOWED = {"orbits.same_orbit", "orbits.OrbitLabel.agrees"}
+TOL_ALLOWED = {"orbits.same_orbit"}
 
 
 def _tol_parameters(module) -> list[str]:

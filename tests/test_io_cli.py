@@ -212,9 +212,9 @@ class TestCli:
         defect = np.max(np.abs(M - np.trace(M) / 4 * np.eye(4)))
         assert defect == 0.5 and defect >= EPS_ISO
 
-    def test_compare_refuses_a_verdict_on_the_pm1_convention(self, capsys, tmp_path):
-        # xi at 1 - EPS_PM1 takes each side of the convention; against xi 1.02e-8
-        # below 1 the two sides give different verdicts
+    def test_compare_decides_across_the_pm1_convention(self, capsys, tmp_path):
+        # xi at 1 - EPS_PM1, where the label takes neither side, against xi 1.02e-8
+        # below 1: the trace invariants decide, and T tells them apart
         paths = []
         for xi in (1 - EPS_PM1, 1 - 1.02e-8):
             eta = xi * 0.2 + np.sqrt((1 - xi**2) * (1 - 0.2**2)) * 0.5
@@ -222,8 +222,8 @@ class TestCli:
             paths[-1].write_text(serialize_document(document_from_frame(
                 make_profile_4(1.2, 1.3, 1.4, xi, 0.2, eta))))
         code, out, err = run_cli(capsys, "compare", *map(str, paths))
-        assert (code, out) == (2, "")
-        assert err.startswith("rejected: the verdict depends on the +/-1 convention")
+        assert (code, err) == (0, "")
+        assert out.startswith("same orbit: no\nlabel A: [")
 
     def test_analyze_tol_applies_to_its_one_gate(self, capsys, tmp_path, monkeypatch):
         path = perturbed_graph_document(tmp_path)

@@ -254,7 +254,8 @@ def orbit_label_reference(U, seed=None):
 
 def same_orbit_reference(U, W, tol=EPS_ORBIT):
     """The decision with every label measured from scratch."""
-    return orbit_label_reference(U).agrees(orbit_label_reference(W), tol)
+    a, b = orbit_label_reference(U), orbit_label_reference(W)
+    return a.dim == b.dim and bool(np.max(np.abs(a.as_array() - b.as_array())) < tol)
 
 
 def eight_dim_addend_reference(U, X1, angles, leads):
@@ -1209,8 +1210,8 @@ class TestStackedMeasure:
         with pytest.raises(NotIsoclinicError):
             same_orbit(bad, moved(bad, 1))
 
-    def test_near_relabels_in_one_profile_call(self, monkeypatch):
-        # each input's +/-1 choices in one _profiles over every (input, choice) pair
+    def test_near_measured_in_one_profile_call(self, monkeypatch):
+        # near the +/-1 edge the stacked measure is the only _profiles call
         U, W = near_pm1_profile(), ORBIT_INPUTS["near-pm1-moved"]()
         calls = []
         real = analysis._profiles
@@ -1219,11 +1220,10 @@ class TestStackedMeasure:
             calls.append(len(forms))
             return real(angles, forms, *rest)
 
-        # the measuring pass calls it in analysis, the relabels in orbits
         monkeypatch.setattr(analysis, "_profiles", counting)
         monkeypatch.setattr(orbits, "_profiles", counting)
         assert same_orbit(U, W) is True
-        assert calls == [2, 4]  # the stacked measure, then the relabels
+        assert calls == [2]
 
     CATALOG = bench_workloads()
     FAMILIES = [

@@ -41,6 +41,33 @@ class TestQuaternionArithmetic:
                             [np.linalg.norm(p) ** 2, 0, 0, 0], atol=1e-12)
 
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: qarr_mul([1, 2, 3], [1, 0, 0, 0]), DimensionError,
+         "quaternion arrays need a last axis of 4, got (3,), (4,)"),
+        (lambda: qarr_mul(np.eye(4), 1.0), DimensionError,
+         "quaternion arrays need a last axis of 4, got (4, 4), ()"),
+        (lambda: right_multiply(np.ones(8), [1, 0, 0]), DimensionError,
+         "quaternion arrays need a last axis of 4, got (2, 4), (3,)"),
+        (lambda: right_multiply(np.ones(6), [1, 0, 0, 0]), DimensionError,
+         "ambient dimension 6 is not a positive multiple of 4"),
+        (lambda: right_multiply(2.0, [1, 0, 0, 0]), DimensionError,
+         "ambient dimension 0 is not a positive multiple of 4"),
+        (lambda: quaternion_from_rotation(np.eye(2)), StructureError,
+         "rotation must be 3x3, got (2, 2)"),
+        (lambda: quaternion_from_rotation([["a"] * 3] * 3), StructureError,
+         "rotation is not an array of numbers"),
+        (lambda: quaternion_from_rotation(-np.eye(3)), StructureError,
+         "rotation has determinant -1; not in SO(3)"),
+    ], ids=["qarr_mul-3", "qarr_mul-scalar", "right_multiply-q3", "right_multiply-x6",
+            "right_multiply-scalar", "rotation-2x2", "rotation-text", "rotation-improper"])
+    def test_malformed_input_refused_by_name(self, call, error, message):
+        # each raised a bare numpy ValueError or IndexError, or returned a quaternion
+        # for a C not in SO(3)
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
+
 class TestStructures:
     def test_apply_I_on_first_unit(self):
         x = unit(2, 0)
