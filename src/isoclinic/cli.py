@@ -177,17 +177,16 @@ def _cmd_compare(args) -> int:
     n = max(U.n, W.n)
     measured = _measured([embed(U, n, 0), embed(W, n, 0)])
     verdict = _same_orbit(*measured, args.tol)
-    label_u, label_w = (m.label() for m in measured)
+    # null, or its margins in text, for a label undecided on the +/-1 convention
+    labels = [None if m.near else list(m.label().as_array()) for m in measured]
     if args.json:
-        print(json.dumps({
-            "same_orbit": verdict,
-            "label_a": list(label_u.as_array()),
-            "label_b": list(label_w.as_array()),
-        }, indent=2))
+        print(json.dumps({"same_orbit": verdict, "label_a": labels[0], "label_b": labels[1]},
+                         indent=2))
     else:
         print(f"same orbit: {'yes' if verdict else 'no'}")
-        print("label A: [" + ", ".join(_fmt(v) for v in label_u.as_array()) + "]")
-        print("label B: [" + ", ".join(_fmt(v) for v in label_w.as_array()) + "]")
+        for name, m, label in zip("AB", measured, labels):
+            print(f"label {name}: " + (f"undecided ({m.margins()})" if label is None
+                                       else "[" + ", ".join(_fmt(v) for v in label) + "]"))
     return 0
 
 

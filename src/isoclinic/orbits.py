@@ -19,7 +19,7 @@ undefined. So outside class 2 Sigma = 0, the canonical matrices tile 4x4
 blocks, and labels and decompose also test vol = +/-Id. A theorem-mandated
 identity failing beyond tolerance, or a label on an undecided side of the
 +/-1 convention, raises FalsificationError instead of being absorbed. The
-orbit decision needs no label: it compares the forms' trace invariants.
+orbit decision needs no label: it compares angles and trace invariants.
 """
 
 from __future__ import annotations
@@ -312,22 +312,25 @@ def _measured(frames, tol: float = EPS_ISO) -> list[_Measured]:
 def same_orbit(U: Frame, W: Frame, tol: float = EPS_ORBIT) -> bool:
     """Sp(n)-orbit equivalence of two isoclinic subspaces of one dimension, one
     stacked gate for both. Sp(n) moves the forms (omega_I, omega_J, omega_K) of U
-    only by one Q in O(k), so G_pq = tr(omega_p omega_q^T) / k and T =
-    tr(omega_I omega_J omega_K) / k decide the orbit (Procesi), with no +/-1
-    convention: "same" when every entry of (G, T) agrees within both inputs'
-    error bounds (see orbit_label) plus tol times its own scale, c_p c_q for
-    G_pq and c_I c_J c_K for T, where c_p^2 is the larger G_pp."""
+    only by one Q in O(k), so the angles, G_pq = tr(omega_p omega_q^T) / k for
+    p != q and T = tr(omega_I omega_J omega_K) / k decide the orbit (Procesi),
+    with no +/-1 convention: "same" when the angles agree within tol and every
+    other entry of (G, T) within both inputs' error bounds (see orbit_label)
+    plus tol times its own scale, c_p c_q for G_pq and c_I c_J c_K for T, where
+    c_p^2 is the larger G_pp."""
     tol = _tolerance(tol)
     return _same_orbit(*_measured([U, W]), tol)
 
 
 def _same_orbit(mu: _Measured, mw: _Measured, tol: float) -> bool:
-    """same_orbit of the frames of mu and mw, from their forms."""
+    """same_orbit of the frames of mu and mw, from their angles and forms."""
     forms = np.array([mu.forms, mw.forms])
     k = forms.shape[-1]
     G = np.einsum("tpij,tqij->tpq", forms, forms) / k
     T = np.trace(forms[:, 0] @ forms[:, 1] @ forms[:, 2], axis1=1, axis2=2) / k
     c = np.sqrt(np.maximum(*G.diagonal(axis1=1, axis2=2)))
     bound = mu.bound + mw.bound
-    return bool((np.abs(G[0] - G[1]) <= bound + tol * np.outer(c, c)).all()
+    off = ~np.eye(3, dtype=bool)  # G_pp = c_p^2 barely moves with theta_p near 0
+    return bool((np.abs(np.subtract(mu.angles, mw.angles)) <= tol).all()
+                and (np.abs(G[0] - G[1]) <= bound + tol * np.outer(c, c))[off].all()
                 and abs(T[0] - T[1]) <= bound + tol * c.prod())

@@ -214,7 +214,8 @@ class TestCli:
 
     def test_compare_decides_across_the_pm1_convention(self, capsys, tmp_path):
         # xi at 1 - EPS_PM1, where the label takes neither side, against xi 1.02e-8
-        # below 1: the trace invariants decide, and T tells them apart
+        # below 1: the trace invariants decide, and T tells them apart; the
+        # undecided label prints its margin
         paths = []
         for xi in (1 - EPS_PM1, 1 - 1.02e-8):
             eta = xi * 0.2 + np.sqrt((1 - xi**2) * (1 - 0.2**2)) * 0.5
@@ -223,7 +224,8 @@ class TestCli:
                 make_profile_4(1.2, 1.3, 1.4, xi, 0.2, eta))))
         code, out, err = run_cli(capsys, "compare", *map(str, paths))
         assert (code, err) == (0, "")
-        assert out.startswith("same orbit: no\nlabel A: [")
+        assert re.fullmatch(r"same orbit: no\nlabel A: undecided \(\|xi\| lies \S+ from "
+                            r"1 - EPS_PM1, within its error bound \S+\)\nlabel B: \[.*\]\n", out)
 
     def test_analyze_tol_applies_to_its_one_gate(self, capsys, tmp_path, monkeypatch):
         path = perturbed_graph_document(tmp_path)

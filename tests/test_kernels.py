@@ -1110,25 +1110,26 @@ class TestOrbitDecision:
             paths.append(str(tmp_path / f"{name}.json"))
             loaded.append(parse_document(text).to_frame())
         A, B = loaded
-        # the output of labelling each input (on its measured side of the +/-1
-        # convention, which is orbit_label off the convention's edge) and then
-        # calling same_orbit
+        # the output of labelling each input (orbit_label, or its margins where
+        # that refuses on the +/-1 convention's edge) and then calling same_orbit
         try:
-            label_a, label_b = (orbits._measured([V])[0].label() for V in (A, B))
+            measured = [orbits._measured([V])[0] for V in (A, B)]
             verdict = same_orbit(A, B)
         except IsoclinicError as exc:
             expected = (2, "", f"rejected: {exc}\n")
         else:
+            labels = [None if m.near else orbit_label(V).as_array()
+                      for m, V in zip(measured, (A, B))]
             if json_flag:
                 out = json.dumps({"same_orbit": verdict,
-                                  "label_a": list(label_a.as_array()),
-                                  "label_b": list(label_b.as_array())}, indent=2) + "\n"
+                                  "label_a": None if labels[0] is None else list(labels[0]),
+                                  "label_b": None if labels[1] is None else list(labels[1])},
+                                 indent=2) + "\n"
             else:
-                out = "".join([
-                    f"same orbit: {'yes' if verdict else 'no'}\n",
-                    "label A: [" + ", ".join(cli._fmt(v) for v in label_a.as_array()) + "]\n",
-                    "label B: [" + ", ".join(cli._fmt(v) for v in label_b.as_array()) + "]\n",
-                ])
+                out = "".join([f"same orbit: {'yes' if verdict else 'no'}\n"] + [
+                    f"label {name}: " + (f"undecided ({m.margins()})" if label is None else
+                                         "[" + ", ".join(cli._fmt(v) for v in label) + "]") + "\n"
+                    for name, m, label in zip("AB", measured, labels)])
             expected = (0, out, "")
         gated = []
         real = analysis._gates

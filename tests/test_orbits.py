@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -554,25 +555,34 @@ class TestTraceInvariantDecision:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_census_motions_read_same(self, near, d, seed):
-        # cos theta_p = EPS_ANGLE (1 + d): 1 / c_p amplifies roundoff in the
-        # labels, never in (G, T)
+        # cos theta_p = EPS_ANGLE (1 + d): a motion's labels may count c_p as 0
+        # (c_p <= EPS_ANGLE) or not; (G, T) and the angles keep no such edge
         U = census_frame(census_cosines(near, EPS_ANGLE * (1 + d)))
         assert same_orbit(U, random_sp(U.n, seed=seed).apply_frame(U)) is True
 
     @pytest.mark.parametrize("a, b", [
-        ({"delta_sign": -1}, {"delta_sign": 1}),
-        ({"xi": 0.3}, {"xi": 0.3001}),
-        ({"cosines": np.cos(CENSUS_THETAS)}, {"cosines": np.cos((1.2, 1.3, 1.40001))}),
-        ({"xi": 0.3, "eta": 0.1}, {"xi": -0.3, "eta": -0.1}),
+        (partial(census_frame, delta_sign=-1), partial(census_frame, delta_sign=1)),
+        (partial(census_frame, xi=0.3), partial(census_frame, xi=0.3001)),
+        (census_frame, partial(census_frame, np.cos((1.2, 1.3, 1.40001)))),
+        (partial(census_frame, xi=0.3, eta=0.1), partial(census_frame, xi=-0.3, eta=-0.1)),
         # xi 0.2 apart at c_I = 1e-7: G_IJ = c_I c_J xi differs by 5e-9, far
         # below an unscaled tol, far above tol c_I c_J
-        ({"cosines": census_cosines([0], 1e-7), "xi": 0.3},
-         {"cosines": census_cosines([0], 1e-7), "xi": 0.5}),
-    ], ids=["delta-sign", "xi", "theta-k", "xi-eta-sign", "xi-at-small-c"])
+        (partial(census_frame, census_cosines([0], 1e-7), xi=0.3),
+         partial(census_frame, census_cosines([0], 1e-7), xi=0.5)),
+        # theta_J = theta_K 1e-3 against 1.2e-3: G_JJ and G_KK differ by 4.4e-7,
+        # below tol c_J^2, but the angles by 2e-4
+        (partial(make_i_complex_4, 2, 1e-3), partial(make_i_complex_4, 2, 1.2e-3)),
+    ], ids=["delta-sign", "xi", "theta-k", "xi-eta-sign", "xi-at-small-c", "small-theta"])
     def test_different_orbits_read_different(self, a, b):
-        U, W = census_frame(**a), census_frame(**b)
+        U, W = a(), b()
         assert same_orbit(U, random_sp(W.n, seed=1).apply_frame(W)) is False
         assert same_orbit(W, U) is False
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-8, 1e-3])
+    def test_small_angle_motions_read_same(self, theta):
+        # near theta = 0 the measured angle moves by up to sqrt(roundoff) ~ 1e-8
+        U = make_i_complex_4(2, theta)
+        assert all(same_orbit(U, random_sp(2, seed=seed).apply_frame(U)) for seed in range(10))
 
 
 class TestChainsLeaveMainPaths:
