@@ -35,6 +35,7 @@ from .quaternions import (
     I,
     K,
     _complex_rows,
+    _floats,
     apply_structure,
 )
 from .subspaces import (
@@ -103,13 +104,13 @@ def _pair_defects(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.max(np.abs(M, out=M), axis=(-2, -1)), c2
 
 
-def _combined_defects(C: np.ndarray, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_pair_defects (..., m) of a omega_I + b omega_J + c omega_K per row (a, b,
-    c) of C (..., m, 3), for forms (..., 3, k, k); one vector-matrix product
-    per row, as a single row's tensordot does."""
+def _trace_gram(forms: np.ndarray) -> np.ndarray:
+    """G_pq = tr(omega_p omega_q^T) / k for a stack of _forms (..., 3, k, k): one
+    (3, k * k) product per entry, as _gates forms its blocks, so no entry's bits
+    depend on the stack."""
     k = forms.shape[-1]
-    G = C[..., None, :] @ forms.reshape(forms.shape[:-3] + (1, 3, k * k))
-    return _pair_defects(G.reshape(C.shape[:-1] + (k, k)))
+    F = forms.reshape(forms.shape[:-2] + (k * k,))
+    return F @ F.swapaxes(-1, -2) / k
 
 
 def _angle(c2):
@@ -183,7 +184,7 @@ def _gates(forms: np.ndarray, tol: float) -> list:
             continue
         rows, cols = np.nonzero(fro[i] >= max(tol, top / np.sqrt(3.0)))
         coeffs = _witness(S[i][:, rows, cols][[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3))
-        deviation = float(_combined_defects(coeffs[None], forms[i])[0][0])
+        deviation = float(_pair_defects(np.tensordot(coeffs, forms[i], 1))[0])
         # the sup is below tol, or reaches it only by roundoff
         gates.append(((tuple(a) if deviation < tol else None), (coeffs, deviation)))
     return gates
@@ -254,24 +255,20 @@ class IsoclinicProfile:
 def theta_of_A(profile: IsoclinicProfile, A: CompatibleStructure) -> float:
     """Angle of isoclinicity of (U, AU) from the invariants alone.
 
-    cos^2 theta_A is the quadratic form in the coefficients of A with the
-    cross terms weighted by xi, chi, eta; the value is clamped into [0,1].
+    cos^2 theta_A = a^T G a for the coefficients a of A and the G of
+    _formula_gram; the value is clamped into [0, 1].
     """
-    return float(_angle(_cos2_of(profile, A.coefficients())))
+    a, p = A.coefficients(), profile
+    return float(_angle(a @ _formula_gram(p.cosines, p.xi, p.chi, p.eta) @ a))
 
 
-def _cos2_of(profile: IsoclinicProfile, C: np.ndarray) -> np.ndarray:
-    """Unclamped cos^2 theta_A of theta_of_A for coefficient rows C (..., 3)."""
-    a1, a2, a3 = np.transpose(C)
-    cI, cJ, cK = profile.cosines
-    return (
-        a1**2 * cI**2
-        + a2**2 * cJ**2
-        + a3**2 * cK**2
-        + 2 * profile.xi * a1 * a2 * cI * cJ
-        + 2 * profile.chi * a1 * a3 * cI * cK
-        + 2 * profile.eta * a2 * a3 * cJ * cK
-    )
+def _formula_gram(cos, xi, chi, eta) -> np.ndarray:
+    """G = diag(c) X diag(c), X = [[1, xi, chi], [xi, 1, eta], [chi, eta, 1]],
+    for cosines c (..., 3) and invariants of shape (...): the _trace_gram of
+    the invariants, so cos^2 theta_A = tr(omega_A omega_A^T) / k = a^T G a."""
+    one = np.ones_like(xi)
+    X = np.moveaxis(np.array([[one, xi, chi], [xi, one, eta], [chi, eta, one]]), (0, 1), (-2, -1))
+    return cos[..., :, None] * X * cos[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +276,7 @@ def _cos2_of(profile: IsoclinicProfile, C: np.ndarray) -> np.ndarray:
 
 
 def _check_member(U: Frame, x: np.ndarray, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = _floats(x)
     if x.shape != (U.ambient,):
         raise FrameError(f"{what} must be a vector of length {U.ambient}, got shape {x.shape}")
     nx = np.linalg.norm(x)

@@ -17,15 +17,14 @@ import numpy as np
 
 from .analysis import (
     IsoclinicProfile,
-    _angle,
     _as_profile,
-    _combined_defects,
-    _cos2_of,
+    _formula_gram,
     _not_isoclinic,
     _pm1,
     _profile_pass,
     _profile_row,
     _profiles,
+    _trace_gram,
     certify_isoclinic,
     omega_pattern_4,
     two_plane_orbit,
@@ -156,9 +155,13 @@ def _unit(n: int, q: int) -> np.ndarray:
 
 
 def _require_finite(name: str, *values: float) -> None:
-    """NaN or infinite parameters are infeasible; downstream they would only
-    surface as a frame defect or a rank deficiency."""
-    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+    """NaN, infinite or non-numeric parameters are infeasible, not a frame defect,
+    a rank deficiency or numpy's bare ValueError downstream."""
+    try:
+        finite = np.isfinite(np.asarray(values, dtype=float)).all()
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
         raise InfeasibleParametersError(f"{name}: parameters must be finite")
 
 
@@ -456,18 +459,19 @@ def invariance_oracle(U: Frame, trials: int, seed: int) -> OracleReport:
     trials < 1 or a seed numpy refuses (InfeasibleParametersError). Every
     motion is profiled on U's side of the +/-1 convention, so roundoff that
     moves an invariant across 1 - EPS_PM1 flips no (Gamma, Delta). Each
-    trial also validates the quadratic form for theta_A against measured
-    angles for 8 random structures, and, with no invariant at +/-1, the eta
-    relation eta = xi chi + sqrt(1-xi^2) sqrt(1-chi^2) Gamma. Any of these
-    off by more than EPS_ORBIT is a failure.
+    trial also checks cos^2 theta_A = a^T G a for every unit aI + bJ + cK at
+    once, as the spectral radius of the measured _trace_gram minus the
+    _formula_gram of the measured invariants (the gate bounds every pair
+    defect), and, with no invariant at +/-1, the eta relation eta = xi chi +
+    sqrt(1-xi^2) sqrt(1-chi^2) Gamma. Any of these off by more than
+    EPS_ORBIT is a failure.
 
     Trials run in blocks of at most _ORACLE_BLOCK as one stacked pass (one
-    batched QR, one complex product, one measuring pass and one structure
-    check kernel each), with the seeds, motions and failure texts of a
-    trial-by-trial run; the maxima may move from it by roundoff. U itself
-    is entry 0 of the first block's measuring pass, which refuses it as
-    full_profile(U) does; a motion measured on the other side of 1 - EPS_PM1
-    is profiled again, on U's side.
+    batched QR, one complex product, one measuring pass and one batched
+    eigvalsh each), with the seeds, motions, maxima and failure texts of a
+    trial-by-trial run. U itself is entry 0 of the first block's measuring
+    pass, which refuses it as full_profile(U) does; a motion measured on the
+    other side of 1 - EPS_PM1 is profiled again, on U's side.
     """
     trials = _count(trials, "trials", 1)
     rng = _seeded_rng(seed)
@@ -476,8 +480,7 @@ def invariance_oracle(U: Frame, trials: int, seed: int) -> OracleReport:
     failures: list[str] = []
     for start in range(0, trials, _ORACLE_BLOCK):
         block = range(start, min(start + _ORACLE_BLOCK, trials))
-        draws = [(int(rng.integers(0, 2**63 - 1)), rng.standard_normal((8, 3))) for _ in block]
-        M = _sp_draws(U.n, [s for s, _ in draws])
+        M = _sp_draws(U.n, [int(rng.integers(0, 2**63 - 1)) for _ in block])
         _require_sp(M)
         stack = rows @ M.swapaxes(-1, -2)
         if not start:  # U is entry 0 of the first block's pass
@@ -496,33 +499,26 @@ def invariance_oracle(U: Frame, trials: int, seed: int) -> OracleReport:
         flip = (_pm1(R[:, 3:6]) != snaps).any(axis=1)
         if flip.any():
             R[flip] = _profiles(R[flip, :3], forms_ok[flip], np.tile(snaps, (flip.sum(), 1)))
-        # one profile of the block: each field a (T,) array, as _profile_vector and _cos2_of take
+        # one profile of the block: each field a (T,) array, as _profile_vector takes
         prof = IsoclinicProfile(U.dim, *R.T)
         dev = np.max(np.abs(_profile_vector(prof).T - base_vec), axis=1)
-        C = np.array([c for _, c in draws])[ok]
-        C /= np.sqrt(C[..., None, :] @ C[..., None])[..., 0]  # unit rows (a, b, c)
-        defects, c2 = _combined_defects(C, forms_ok)
-        errs = np.abs(np.cos(_angle(c2)) ** 2 - np.cos(_angle(_cos2_of(prof, C).T)) ** 2)
+        errs = _trace_gram(forms_ok) - _formula_gram(prof.cosines.T, prof.xi, prof.chi, prof.eta)
+        errs = np.max(np.abs(np.linalg.eigvalsh(errs)), axis=1)
         xi, chi = prof.xi, prof.chi
         res = np.zeros(len(dev)) if any(snaps) else np.abs(
             prof.eta - xi * chi - np.sqrt((1 - xi**2) * (1 - chi**2)) * prof.gamma)
-        checked = zip(dev.tolist(), defects.tolist(), errs.tolist(), res.tolist())
+        checked = zip(dev.tolist(), errs.tolist(), res.tolist())
         for t, (angles, witness) in zip(block, gates):
             if angles is None:
                 failures.append(f"trial {t}: gate failure after motion: "
                                 f"{_not_isoclinic(witness, EPS_ISO)}")
                 continue
-            d, pair_defects, pair_errs, r = next(checked)
-            max_dev = max(max_dev, d)
+            d, err, r = next(checked)
+            max_dev, max_theta = max(max_dev, d), max(max_theta, err)
             if d > EPS_ORBIT:
                 failures.append(f"trial {t}: profile deviation {d:.3e}")
-            for defect, err in zip(pair_defects, pair_errs):
-                if defect >= EPS_ISO:
-                    failures.append(f"trial {t}: pair (gU, A gU) not isoclinic")
-                    continue
-                max_theta = max(max_theta, err)
-                if err > EPS_ORBIT:
-                    failures.append(f"trial {t}: theta_A formula error {err:.3e}")
+            if err > EPS_ORBIT:
+                failures.append(f"trial {t}: theta_A formula error {err:.3e}")
             if not any(snaps):
                 max_eta = max(max_eta, r)
                 if r > EPS_ORBIT:

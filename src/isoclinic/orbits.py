@@ -325,9 +325,8 @@ def same_orbit(U: Frame, W: Frame, tol: float = EPS_ORBIT) -> bool:
 def _same_orbit(mu: _Measured, mw: _Measured, tol: float) -> bool:
     """same_orbit of the frames of mu and mw, from their angles and forms."""
     forms = np.array([mu.forms, mw.forms])
-    k = forms.shape[-1]
-    G = np.einsum("tpij,tqij->tpq", forms, forms) / k
-    T = np.trace(forms[:, 0] @ forms[:, 1] @ forms[:, 2], axis1=1, axis2=2) / k
+    G = analysis._trace_gram(forms)
+    T = np.trace(forms[:, 0] @ forms[:, 1] @ forms[:, 2], axis1=1, axis2=2) / forms.shape[-1]
     c = np.sqrt(np.maximum(*G.diagonal(axis1=1, axis2=2)))
     bound = mu.bound + mw.bound
     off = ~np.eye(3, dtype=bool)  # G_pp = c_p^2 barely moves with theta_p near 0

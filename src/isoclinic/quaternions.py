@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, StructureError
+from .errors import DimensionError, FrameError, StructureError
 from .tolerances import EPS_ORTH
 
 __all__ = [
@@ -49,11 +49,19 @@ __all__ = [
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def _floats(x) -> np.ndarray:
+    """x as a float array in C order, as every kernel takes it; FrameError for non-numbers."""
+    try:
+        return np.asarray(x, dtype=float, order="C")
+    except (TypeError, ValueError):
+        raise FrameError("vectors are not a rectangular array of numbers") from None
+
+
 def qarr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of (...,4) quaternion arrays, broadcasting; C-contiguous,
     so a sum over a leading axis adds its rows in turn (on other layouts numpy
     may sum pairwise)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = _floats(a), _floats(b)
     if a.shape[-1:] != (4,) or b.shape[-1:] != (4,):
         raise DimensionError(f"quaternion arrays need a last axis of 4, got {a.shape}, {b.shape}")
     a0, a1, a2, a3 = np.moveaxis(a, -1, 0)
@@ -73,12 +81,15 @@ def _require_ambient(x) -> None:
 
 def qarr_conj(a: np.ndarray) -> np.ndarray:
     """Conjugate of a (...,4) quaternion array."""
-    return np.asarray(a, dtype=float) * _CONJ
+    a = _floats(a)
+    if a.shape[-1:] != (4,):
+        raise DimensionError(f"quaternion arrays need a last axis of 4, got {a.shape}")
+    return a * _CONJ
 
 
 def _complex_rows(x: np.ndarray) -> np.ndarray:
     """Complex rows (z, w') of real rows x (last axis 4n): (..., 2n)."""
-    x = np.ascontiguousarray(x, dtype=float)
+    x = _floats(x)
     q = x.reshape(x.shape[:-1] + (x.shape[-1] // 4, 4)).view(complex)
     return np.concatenate([q[..., 0], q[..., 1].conj()], axis=-1)
 
@@ -136,8 +147,7 @@ def hermitian_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Positive definite; Y.X is the conjugate of X.Y, and right scalar
     multiplication moves through as (Xp).(Yq) = conj(p) (X.Y) q.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _floats(x), _floats(y)
     if x.shape != y.shape:
         raise DimensionError(f"shape mismatch {x.shape} vs {y.shape}")
     if x.ndim != 1:  # x @ y of two matrices would be a matrix product

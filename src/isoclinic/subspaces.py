@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FrameError, InfeasibleParametersError, RankDeficiencyError
-from .quaternions import CompatibleStructure, apply_structure
+from .quaternions import CompatibleStructure, _floats, apply_structure
 from .tolerances import EPS_FRAME, EPS_RANK
 
 __all__ = [
@@ -62,13 +62,8 @@ class Frame:
 
 
 def _rows(vectors) -> np.ndarray:
-    """vectors as a (k, d) float array in C order, as every kernel (the complex row
-    view included) takes it; FrameError for non-numbers or ragged rows, DimensionError
-    for more than two axes."""
-    try:
-        V = np.atleast_2d(np.ascontiguousarray(vectors, dtype=float))
-    except (TypeError, ValueError):
-        raise FrameError("vectors are not a rectangular array of numbers") from None
+    """vectors as the (k, d) _floats of a frame; DimensionError for more than two axes."""
+    V = np.atleast_2d(_floats(vectors))
     if V.ndim != 2:
         raise DimensionError(f"vectors must be the rows of one (k, 4n) array, got shape {V.shape}")
     return V
@@ -128,7 +123,7 @@ def orthonormalize(spanning) -> Frame:
 
 def project(U: Frame, x: np.ndarray) -> np.ndarray:
     """Orthogonal projection of x onto span(U)."""
-    x = np.asarray(x, dtype=float)
+    x = _floats(x)
     if x.shape[:1] != (U.ambient,):
         raise DimensionError(f"expected a vector of length {U.ambient}, got shape {x.shape}")
     return U.vectors.T @ (U.vectors @ x)

@@ -10,16 +10,15 @@ from isoclinic.analysis import (
     ChainSet,
     Companions,
     IsoclinicProfile,
-    _angle,
     _as_profile,
     _check_member,
-    _combined_defects,
-    _cos2_of,
     _forms,
+    _formula_gram,
     _gate,
     _not_isoclinic,
     _pm1,
     _profiles,
+    _trace_gram,
     certify_isoclinic,
     cij_block_4,
     cik_block_4,
@@ -226,8 +225,8 @@ def profile_of(angles, forms, snaps=None):
 
 def oracle_loop_reference(U, trials, seed, tol=1e-6):
     """invariance_oracle one trial at a time: each trial draws its motion's
-    seed and its 8 structures from one stream, moves U with random_sp's
-    Frame, and runs the single-input gate, profile and pair checks."""
+    seed from the stream, moves U with random_sp's Frame, and runs the
+    single-input gate, profile and theta_A formula checks."""
     rng = np.random.default_rng(seed)
     base = full_profile(U)
     base_vec = _profile_vector(base)
@@ -236,8 +235,6 @@ def oracle_loop_reference(U, trials, seed, tol=1e-6):
     failures = []
     for t in range(trials):
         g = random_sp(U.n, seed=int(rng.integers(0, 2**63 - 1)))
-        C = rng.standard_normal((8, 3))
-        C /= np.sqrt(C[:, None] @ C[:, :, None])[:, 0]
         forms = _forms(g.apply_frame(U))
         angles, witness = _gate(forms, EPS_ISO)
         if angles is None:
@@ -249,15 +246,11 @@ def oracle_loop_reference(U, trials, seed, tol=1e-6):
         max_dev = max(max_dev, dev)
         if dev > tol:
             failures.append(f"trial {t}: profile deviation {dev:.3e}")
-        defects, c2 = _combined_defects(C, forms)
-        errs = np.abs(np.cos(_angle(c2)) ** 2 - np.cos(_angle(_cos2_of(prof, C))) ** 2)
-        for defect, err in zip(defects, errs):
-            if defect >= EPS_ISO:
-                failures.append(f"trial {t}: pair (gU, A gU) not isoclinic")
-                continue
-            max_theta = max(max_theta, float(err))
-            if err > tol:
-                failures.append(f"trial {t}: theta_A formula error {err:.3e}")
+        F = _formula_gram(prof.cosines, prof.xi, prof.chi, prof.eta)
+        err = float(np.max(np.abs(np.linalg.eigvalsh(_trace_gram(forms) - F))))
+        max_theta = max(max_theta, err)
+        if err > tol:
+            failures.append(f"trial {t}: theta_A formula error {err:.3e}")
         if not any(snaps):
             res = abs(prof.eta - prof.xi * prof.chi
                       - np.sqrt((1 - prof.xi**2) * (1 - prof.chi**2)) * prof.gamma)

@@ -177,22 +177,25 @@ class TestNanSelfChecks:
 
 
 class TestNonFiniteParameters:
-    """NaN or infinite parameters are infeasible, not a frame defect."""
+    """NaN, infinite or non-numeric parameters are infeasible, not a frame defect
+    or numpy's bare ValueError."""
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("make", [
-        lambda x: make_two_plane(2, x, 1.0, 1.0),
-        lambda x: make_two_plane(2, 0.9, 1.1, 1.2, x, 1.0),
-        lambda x: make_i_complex_4(2, x),
-        lambda x: make_profile_4(1.3, 1.4, 0.8, -0.3, x, 0.1),
-        lambda x: make_profile_4(x, 1.4, 0.8, -0.3, 0.5, 0.1),
-        lambda x: graph_subspace([x, 0.0, 0.0, 0.0]),
-        lambda x: graph_subspace(x),
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "a"])
+    @pytest.mark.parametrize("name,make", [
+        ("make_two_plane", lambda x: make_two_plane(2, x, 1.0, 1.0)),
+        ("make_two_plane", lambda x: make_two_plane(2, 0.9, 1.1, 1.2, x, 1.0)),
+        ("make_i_complex_4", lambda x: make_i_complex_4(2, x)),
+        ("make_profile_4", lambda x: make_profile_4(1.3, 1.4, 0.8, -0.3, x, 0.1)),
+        ("make_profile_4", lambda x: make_profile_4(x, 1.4, 0.8, -0.3, 0.5, 0.1)),
+        ("graph_subspace", lambda x: graph_subspace([x, 0.0, 0.0, 0.0])),
+        ("graph_subspace", lambda x: graph_subspace(x)),
     ], ids=["two_plane-angle", "two_plane-sign", "i_complex_4", "profile_4-chi",
             "profile_4-angle", "graph-vector", "graph-scalar"])
-    def test_rejected_as_infeasible(self, make, bad):
-        with pytest.raises(InfeasibleParametersError, match="must be finite"):
+    def test_rejected_as_infeasible(self, name, make, bad):
+        # graph_subspace names a non-number mu as not "a number or 4 numbers"
+        with pytest.raises(InfeasibleParametersError, match=f"^{name}: ") as info:
             make(bad)
+        assert "must be finite" in str(info.value) or (bad == "a" and name == "graph_subspace")
 
 
 class TestExampleFamilies:
@@ -483,21 +486,20 @@ class TestOracle:
         assert not report.passed
         assert report.failures
 
-    def test_pair_defect_at_the_gate_tolerance_is_a_failure(self, monkeypatch):
-        # a structure whose pair (gU, A gU) reaches EPS_ISO fails its trial,
-        # and no theta_A error is read off it
-        combined = generators._combined_defects
+    def test_formula_error_is_its_spectral_radius(self, monkeypatch):
+        # xi's entries of the formula's G off by 1e-3: the worst structure,
+        # (1, 1, 0) / sqrt(2), errs by exactly that, and every trial says so
+        real = generators._formula_gram
 
-        def reaching(C, forms):
-            defects, c2 = combined(C, forms)
-            defects[0, 3] = EPS_ISO
-            return defects, c2
+        def off(cos, xi, chi, eta):
+            return real(cos, xi + 1e-3 / (cos[..., 0] * cos[..., 1]), chi, eta)
 
-        monkeypatch.setattr(generators, "_combined_defects", reaching)
+        monkeypatch.setattr(generators, "_formula_gram", off)
         U = graph_subspace(np.array([0.3, 0.4, -0.2, 0.6]))
         report = invariance_oracle(U, trials=2, seed=0)
-        assert report.failures == ("trial 0: pair (gU, A gU) not isoclinic",)
-        assert not report.passed
+        assert report.failures == tuple(f"trial {t}: theta_A formula error 1.000e-03"
+                                        for t in range(2))
+        assert report.max_theta_formula_error == pytest.approx(1e-3, rel=1e-9)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
@@ -621,6 +623,18 @@ class TestRefusals:
             "orthonormalize-3d", "structure-text"])
     def test_refused_by_name(self, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: project(graph_subspace(0.5), ["a"] * 8),
+        lambda: random_sp(1, 1).apply(["a"] * 4),
+        lambda: eight_dim_addend(direct_sum([graph_subspace(0.5)] * 2), "abc"),
+        lambda: companions(graph_subspace(0.5), "abc"),
+        lambda: build_chains(graph_subspace(0.5), "abc"),
+    ], ids=["project", "sp-apply", "addend-lead", "companions-lead", "chains-lead"])
+    def test_non_numeric_vector_refused(self, call):
+        # each raised numpy's bare ValueError; the one conversion of vectors refuses it
+        with pytest.raises(FrameError, match="^vectors are not a rectangular array of numbers$"):
             call()
 
 

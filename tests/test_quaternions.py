@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from isoclinic.errors import DimensionError, IsoclinicError, StructureError
+from isoclinic.errors import DimensionError, FrameError, IsoclinicError, StructureError
 from isoclinic.quaternions import (
     AdmissibleBasis,
     CompatibleStructure,
@@ -58,11 +58,20 @@ class TestQuaternionArithmetic:
          "rotation is not an array of numbers"),
         (lambda: quaternion_from_rotation(-np.eye(3)), StructureError,
          "rotation has determinant -1; not in SO(3)"),
+        (lambda: qarr_conj([1, 2, 3]), DimensionError,
+         "quaternion arrays need a last axis of 4, got (3,)"),
+        (lambda: hermitian_product(["a"] * 4, ["a"] * 4), FrameError,
+         "vectors are not a rectangular array of numbers"),
+        (lambda: apply_structure(I, ["a"] * 4), FrameError,
+         "vectors are not a rectangular array of numbers"),
+        (lambda: right_multiply(np.ones(4), ["a"] * 4), FrameError,
+         "vectors are not a rectangular array of numbers"),
     ], ids=["qarr_mul-3", "qarr_mul-scalar", "right_multiply-q3", "right_multiply-x6",
-            "right_multiply-scalar", "rotation-2x2", "rotation-text", "rotation-improper"])
+            "right_multiply-scalar", "rotation-2x2", "rotation-text", "rotation-improper",
+            "qarr_conj-3", "hermitian-text", "structure-text", "right_multiply-text"])
     def test_malformed_input_refused_by_name(self, call, error, message):
         # each raised a bare numpy ValueError or IndexError, or returned a quaternion
-        # for a C not in SO(3)
+        # for a C not in SO(3); a FrameError is still a ValueError
         with pytest.raises(error) as info:
             call()
         assert str(info.value) == message
